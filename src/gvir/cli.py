@@ -44,6 +44,7 @@ EXIT_VALIDATION = 2
 EXIT_COMPUTATION = 3
 
 TABLE_COMMANDS = ("interseries", "induce", "verma")
+VERMA_DEFAULT_L = 6
 
 
 class ConfigError(ValueError):
@@ -69,13 +70,15 @@ def load_config(path):
 def merge_config(config, args):
     """Command-line flags override the matching config keys."""
     merged = dict(config)
-    window = dict(merged.get("window", {}))
-    if args.window_L is not None:
-        window["L"] = args.window_L
-    if args.window_N is not None:
-        window["N"] = args.window_N
-    if window:
-        merged["window"] = window
+    window = merged.get("window", {})
+    if isinstance(window, dict):  # anything else is left to validate
+        window = dict(window)
+        if args.window_L is not None:
+            window["L"] = args.window_L
+        if args.window_N is not None:
+            window["N"] = args.window_N
+        if window:
+            merged["window"] = window
     if args.format is not None:
         merged["format"] = args.format
     if args.out is not None:
@@ -85,15 +88,28 @@ def merge_config(config, args):
     return merged
 
 
+def _is_int(v):
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def validate(command, config):
     """All diagnostics preventing the run, in a deterministic order."""
     diagnostics = []
     group = config.get("group", {})
+    if not isinstance(group, dict):
+        diagnostics.append(f"group must be an object, got {group!r}")
+        group = {}
     rank = group.get("rank", 2 if command != "verma" else 1)
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         diagnostics.append(f"group rank must be a positive integer, got {rank!r}")
         rank = None
     names = group.get("names")
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(n, str) for n in names)
+    ):
+        diagnostics.append(f"group names must be a list of strings, got {names!r}")
+        names = None
     if names is not None and rank is not None:
         if len(names) != rank:
             diagnostics.append(f"group needs {rank} generator names, got {len(names)}")
@@ -116,11 +132,15 @@ def validate(command, config):
             diagnostics.append(str(exc))
 
     window = config.get("window", {})
+    if not isinstance(window, dict):
+        diagnostics.append(f"window must be an object, got {window!r}")
+        window = {}
     L = window.get("L")
     N = window.get("N")
-    if L is not None and (not isinstance(L, int) or L < 0):
+    if L is not None and (not _is_int(L) or L < 0):
         diagnostics.append(f"window L must be an integer >= 0, got {L!r}")
-    if N is not None and (not isinstance(N, int) or N < 1):
+        L = None
+    if N is not None and (not _is_int(N) or N < 1):
         diagnostics.append(f"window N must be an integer >= 1, got {N!r}")
 
     fmt = config.get("format", "json")
@@ -137,6 +157,8 @@ def validate(command, config):
         b = config.get("b")
         if b is None:
             diagnostics.append("induce needs a splitting direction b")
+        elif not (isinstance(b, list) and all(_is_int(v) for v in b)):
+            diagnostics.append(f"b must be a list of integers, got {b!r}")
         elif rank is not None:
             if len(b) != rank:
                 diagnostics.append(f"b needs {rank} coordinates, got {len(b)}")
@@ -144,6 +166,18 @@ def validate(command, config):
                 diagnostics.append(f"b {list(b)} is not primitive")
         if L == 0:
             diagnostics.append("window L = 0 leaves nothing to induce")
+
+    if command == "verma" and "singular_levels" in config:
+        levels = config["singular_levels"]
+        cap = VERMA_DEFAULT_L if L is None else L
+        if not (isinstance(levels, list) and all(_is_int(n) for n in levels)):
+            diagnostics.append(f"singular_levels must be a list of integers, got {levels!r}")
+        else:
+            outside = [n for n in levels if not 1 <= n <= cap]
+            if outside:
+                diagnostics.append(
+                    f"singular_levels {outside} lie outside the valid range 1..{cap} (window L = {cap})"
+                )
 
     if command == "bracket":
         for key in ("x", "y"):
@@ -171,7 +205,9 @@ def _build_context(rank, names, bindings):
 def _parse_element_spec(spec, rank):
     """Coordinates, "C", or a "d[1,-2]" token -> ("d", coords) | ("C", None)."""
     if isinstance(spec, (list, tuple)):
-        coords = tuple(int(v) for v in spec)
+        if not all(_is_int(v) for v in spec):
+            raise ConfigError(f"element {list(spec)} must have integer coordinates")
+        coords = tuple(spec)
         if len(coords) != rank:
             raise ConfigError(f"element {list(spec)} needs {rank} coordinates")
         return "d", coords
@@ -312,7 +348,7 @@ def run_verma(config):
     # always over G = Z; any group spec in the config is ignored
     ctx = _build_context(1, None, config.get("bindings", {}))
     window = config.get("window", {})
-    L = window.get("L", 6)
+    L = window.get("L", VERMA_DEFAULT_L)
     module = TruncatedVermaModule(ctx, L)
     dims = module.dims()
     # the minor-gcd existence condition is combinatorial in the level, so

@@ -1,11 +1,17 @@
 """Exact linear algebra over polynomial entries.
 
-Two engines on purpose.  The workhorse is an incremental fraction-free
-Gauss-Jordan echelon (`Echelon`) that keeps every entry a Poly with integer
-or rational coefficients and never divides, so ranks of large sparse systems
-stay exact and reasonably fast.  The cross-check is a dense textbook Gaussian
-elimination over the rational-function field (`field_rref`), slower but
-independent; kernels and the Bareiss determinant sit on top.
+Three engines.  `symbolic_rank` and the Bareiss `det` are fraction-free
+eliminations on a packed-term kernel: each call converts its rows once to
+{packed monomial int: coefficient} dicts, does every update v*piv - u*c in
+one fused accumulation and every exact division heap-ordered over the packed
+ints.  Each variable that occurs gets a bit field sized from a proven bound
+(twice the sum over rows of the row's largest degree in it) plus a guard
+bit; a product that sets a guard bit starts the call over with wider
+fields, so an overflow never passes silently.  `Echelon` is an incremental
+fraction-free Gauss-Jordan echelon on Poly entries that never divides.  The
+cross-check is a dense textbook Gaussian elimination over the
+rational-function field (`field_rref`), slower but independent; kernels
+sit on top of it.
 
 Rows are sparse dicts {column index -> Poly}, zero entries absent.
 """
@@ -14,8 +20,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from operator import or_
 
-from .scalars import Poly, Scalar, _gcd_many
+from .scalars import ExactDivisionError, Poly, Scalar, _gcd_many, _norm_coeff
 
 
 def _rational_content(polys):
@@ -182,19 +191,35 @@ def rank_of(rows, ncols=None):
 def symbolic_rank(reg, rows):
     """Exact rank of a sparse polynomial matrix over the fraction field.
 
-    Fraction-free elimination with per-row delayed divisors.  After a pivot
-    step every updated entry is a bordered minor of the (content-stripped)
-    input; a row with zero multiplier is skipped entirely and keeps its old
-    divisor, and its next update divides by that divisor instead — exact by
-    Sylvester's determinant identity.  Entry growth is therefore bounded by
-    minor size, not by accumulated pivot products, which is what makes deep
-    symbolic eliminations feasible.  Pivots minimize term count.
+    Fraction-free elimination with per-row delayed divisors, run on the
+    packed-term kernel below.  Each pivot step replaces every active row that
+    meets the pivot column by (row * pivot - pivot row * entry) / divisor,
+    where the divisor is the pivot that last updated that row; a row with a
+    zero multiplier is skipped and keeps its old divisor.  This keeps entry
+    growth at the size of the pivot minors.  Pivots minimize term count
+    (first found wins a tie).
+
+    Every update is an invertible row operation over the field, so a run
+    that completes returns the exact rank.  Known defect: a run need not
+    complete.  A skipped row is not scaled by the pivot it skipped, so when
+    it later becomes the pivot row, the numerator of a row whose divisor is
+    that skipped pivot need not contain it, and the division raises
+    ExactDivisionError.  (No determinant identity makes it exact; see the
+    strict-xfail tests.)
     """
     work = []
     for row in rows:
         r = strip_row({j: p for j, p in row.items() if not p.is_zero()})
         if r:
             work.append(r)
+
+    def run(pk):
+        return _rank_kernel([{j: pk.pack(p) for j, p in r.items()} for r in work], pk.guard)
+
+    return _with_fields(len(reg), [r.values() for r in work], run)
+
+
+def _rank_kernel(work, guard):
     divisors = [None] * len(work)  # None stands for 1
     act = list(range(len(work)))
     rank = 0
@@ -202,14 +227,13 @@ def symbolic_rank(reg, rows):
         best = None
         for ri in act:
             for j, p in work[ri].items():
-                k = len(p.terms)
+                k = len(p)
                 if best is None or k < best[0]:
                     best = (k, ri, j)
-        if best is None:
-            break
         _, pr, pc = best
         prow = work[pr]
         piv = prow[pc]
+        piv_desc = _descending(piv)
         act.remove(pr)
         rank += 1
         for ri in act:
@@ -218,27 +242,28 @@ def symbolic_rank(reg, rows):
             if c is None:
                 continue
             d = divisors[ri]
+            negc = _neg(c)
             new = {}
             for j, v in r.items():
                 if j == pc:
                     continue
-                t = v * piv
+                acc = _mul_into({}, v, piv)
                 u = prow.get(j)
                 if u is not None:
-                    t = t - u * c
-                if d is not None and not t.is_zero():
-                    t = t.exact_div(d)
-                if not t.is_zero():
+                    _mul_into(acc, u, negc)
+                t = _settle(acc, guard)
+                if d is not None and t:
+                    t = _divide(t, d, guard)
+                if t:
                     new[j] = t
             for j, u in prow.items():
                 if j != pc and j not in r:
-                    t = u * c
+                    t = _settle(_mul_into({}, u, negc), guard)
                     if d is not None:
-                        t = t.exact_div(d)
-                    if not t.is_zero():
-                        new[j] = -t
+                        t = _divide(t, d, guard)
+                    new[j] = t
             work[ri] = new
-            divisors[ri] = piv
+            divisors[ri] = piv_desc
         act = [ri for ri in act if work[ri]]
     return rank
 
@@ -349,20 +374,199 @@ def det(reg, rows):
     if n == 0:
         return Poly.const(reg, 1)
     m = [[to_poly(reg, v) for v in row] for row in rows]
-    sign = 1
-    prev = Poly.const(reg, 1)
+    if n == 1:
+        return m[0][0]
+
+    def run(pk):
+        return pk.unpack(reg, _bareiss([[pk.pack(p) for p in row] for row in m], pk.guard))
+
+    return _with_fields(len(reg), m, run)
+
+
+def _bareiss(m, guard):
+    n = len(m)
+    negate = False
+    prev = None  # None stands for 1
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            piv = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
             if piv is None:
-                return Poly.zero(reg)
+                return {}
             m[k], m[piv] = m[piv], m[k]
-            sign = -sign
+            negate = not negate
+        rowk = m[k]
+        pkk = rowk[k]
         for i in range(k + 1, n):
+            rowi = m[i]
+            neg = _neg(rowi[k])
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = Poly.zero(reg)
-        prev = m[k][k]
+                t = _settle(_mul_into(_mul_into({}, rowi[j], pkk), rowk[j], neg), guard)
+                if prev is not None and t:
+                    t = _divide(t, prev, guard)
+                rowi[j] = t
+            rowi[k] = {}
+        prev = _descending(pkk)
     d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
+    return _neg(d) if negate else d
+
+
+# -- packed-term kernel of the fraction-free eliminations ---------------------
+#
+# The first variable sits in the most significant field, so integer order on
+# packed monomials is lex order, and multiplying two monomials is adding two
+# ints.  Why the field bound holds: every entry of a fraction-free elimination
+# is a minor of the input, so its degree in a variable is at most the sum over
+# rows of the row's largest degree; a product taken before its division
+# multiplies two such entries.  Two exponents below a field's guard bit add up
+# without a carry into the next field, so a product that outgrows its field
+# always shows as a set guard bit.
+
+
+class _FieldOverflow(Exception):
+    """A packed exponent outgrew its bit field."""
+
+
+class _Packing:
+    """Bit-field layout of the exponent vectors of one elimination call."""
+
+    __slots__ = ("fields", "guard")
+
+    def __init__(self, bounds):
+        # bounds[i]: the largest exponent of variable i to hold; 0 means no field
+        self.fields = []  # (variable, shift, 2 ** width)
+        self.guard = 0
+        shift = 0
+        for i in reversed(range(len(bounds))):
+            if bounds[i]:
+                width = bounds[i].bit_length()
+                self.fields.append((i, shift, 1 << width))
+                self.guard |= 1 << (shift + width)
+                shift += width + 1
+
+    def pack(self, poly):
+        out = {}
+        for e, c in poly.terms.items():
+            m = 0
+            for i, shift, limit in self.fields:
+                if e[i] >= limit:
+                    raise _FieldOverflow
+                m |= e[i] << shift
+            out[m] = c
+        return out
+
+    def unpack(self, reg, terms):
+        out = {}
+        for m, c in terms.items():
+            e = [0] * len(reg)
+            for i, shift, limit in self.fields:
+                e[i] = (m >> shift) & (limit - 1)
+            out[tuple(e)] = _norm_coeff(c)
+        return Poly(reg, out)
+
+
+def _field_bounds(nvars, rows):
+    """Per variable, twice the sum over rows of the row's largest degree;
+    rows are iterables of Polys."""
+    total = [0] * nvars
+    for row in rows:
+        top = [0] * nvars
+        for p in row:
+            for e in p.terms:
+                top = list(map(max, top, e))
+        total = list(map(int.__add__, total, top))
+    return [2 * t for t in total]
+
+
+def _with_fields(nvars, rows, run):
+    """run(packing) with fields sized for rows, widened until none overflows."""
+    bounds = _field_bounds(nvars, rows)
+    while True:
+        try:
+            return run(_Packing(bounds))
+        except _FieldOverflow:
+            bounds = [2 * b for b in bounds]
+
+
+def _neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def _descending(a):
+    """Terms of a packed divisor, leading (largest) monomial first."""
+    return sorted(a.items(), reverse=True)
+
+
+def _mul_into(acc, a, b):
+    """acc += a * b on packed term dicts; zero sums stay until _settle."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    terms = b.items()
+    for ma, ca in a.items():
+        for mb, cb in terms:
+            m = ma + mb
+            acc[m] = get(m, 0) + ca * cb
+    return acc
+
+
+def _settle(acc, guard):
+    """Drop zero terms; raise _FieldOverflow if a product set a guard bit."""
+    out = {m: c for m, c in acc.items() if c}
+    if reduce(or_, out, 0) & guard:
+        raise _FieldOverflow
+    return out
+
+
+def _qdiv(a, b):
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _norm_coeff(Fraction(a) / b)
+
+
+def _divide(f, d, guard):
+    """Exact quotient of packed f by d (terms in descending order); f is
+    consumed.  Raises ExactDivisionError when d does not divide f.
+
+    Heap-ordered division: the largest remaining monomial of f is always on
+    top of a heap of the monomials still in f.  d divides a monomial m iff
+    no field of (m | guard) - lead borrows its guard bit.  If the division
+    is exact, every product q_i * d_j stays inside the fields of f, so a
+    product that sets a guard bit proves that it is not.
+    """
+    dm, dc = d[0]
+    if len(d) == 1:
+        out = {}
+        for m, c in f.items():
+            e = (m | guard) - dm
+            if e & guard != guard:
+                raise ExactDivisionError("division is not exact")
+            out[e ^ guard] = _qdiv(c, dc)
+        return out
+    rest = d[1:]
+    heap = [-m for m in f]
+    heapify(heap)
+    q = {}
+    while heap:
+        m = -heappop(heap)
+        c = f.pop(m)
+        if not c:
+            continue
+        e = (m | guard) - dm
+        if e & guard != guard:
+            raise ExactDivisionError("division is not exact")
+        qm = e ^ guard
+        qc = _qdiv(c, dc)
+        q[qm] = qc
+        for gm, gc in rest:
+            t = qm + gm
+            s = f.get(t)
+            if s is None:
+                if t & guard:
+                    raise ExactDivisionError("division is not exact")
+                f[t] = -qc * gc
+                heappush(heap, -t)
+            else:
+                f[t] = s - qc * gc
+    return q

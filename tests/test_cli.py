@@ -218,9 +218,16 @@ def test_exit_codes(tmp_path):
         main(["bracket", "d[1,0]", "d[0,1]", "--format", "csv", "--out", str(tmp_path)])
         == EXIT_VALIDATION
     )
-    # a level outside the truncation is a computation failure, not validation
+    # a singular level outside the truncation is a validation failure
     cfg = write_config(tmp_path, {"window": {"L": 2}, "singular_levels": [9]})
-    assert main(["verma", "--config", cfg, "--out", str(tmp_path)]) == EXIT_COMPUTATION
+    assert main(["verma", "--config", cfg, "--out", str(tmp_path)]) == EXIT_VALIDATION
+    # a computation failure: this config hits the ExactDivisionError defect
+    # pinned in test_induced.test_known_defect_alpha_bound_beta_half
+    cfg = write_config(
+        tmp_path,
+        {"b": [0, 1], "bindings": {"alpha": [1, 0], "beta": "1/2"}, "window": {"L": 2, "N": 1}},
+    )
+    assert main(["induce", "--config", cfg, "--out", str(tmp_path)]) == EXIT_COMPUTATION
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
@@ -248,3 +255,58 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "d[1,1]" in proc.stdout
+
+
+def _exit_and_stderr(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path, config, name="case.json")
+    rc = main([command, "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    return rc, err
+
+
+@pytest.mark.parametrize(
+    "config, needle",
+    [
+        ({"group": {"rank": 2}, "b": 5}, "b must be a list of integers"),
+        ({"group": {"rank": 2}, "b": [0, True]}, "b must be a list of integers"),
+        ({"group": {"rank": 2}, "b": ["0", "1"]}, "b must be a list of integers"),
+        ({"group": {"rank": 2}, "b": [0, 1], "window": {"L": True}}, "window L"),
+        ({"group": {"rank": 2}, "b": [0, 1], "window": {"N": True}}, "window N"),
+        ({"group": {"rank": 2, "names": "ab"}, "b": [0, 1]}, "group names must be a list"),
+        ({"group": {"rank": True}, "b": [0]}, "group rank"),
+        ({"group": {"rank": 2}, "b": [0, 1], "window": 3}, "window must be an object"),
+        ({"group": [2], "b": [0, 1]}, "group must be an object"),
+    ],
+)
+def test_malformed_induce_configs_exit_2_with_diagnostic(tmp_path, capsys, config, needle):
+    rc, err = _exit_and_stderr(tmp_path, capsys, "induce", config)
+    assert rc == EXIT_VALIDATION
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def test_bracket_non_integer_coordinates_exit_2(tmp_path, capsys):
+    for x in (["a", 1], [True, 0], [0.5, 1]):
+        rc, err = _exit_and_stderr(tmp_path, capsys, "bracket", {"x": x, "y": [0, 1]})
+        assert rc == EXIT_VALIDATION
+        assert "integer coordinates" in err and "Traceback" not in err
+
+
+def test_verma_singular_levels_outside_window_exit_2(tmp_path, capsys):
+    rc, err = _exit_and_stderr(
+        tmp_path, capsys, "verma", {"window": {"L": 6}, "singular_levels": [9]}
+    )
+    assert rc == EXIT_VALIDATION
+    assert "[9]" in err and "1..6" in err
+    # without a window the default L = 6 bounds the range
+    rc, err = _exit_and_stderr(tmp_path, capsys, "verma", {"singular_levels": [0, 2]})
+    assert rc == EXIT_VALIDATION
+    assert "[0]" in err and "1..6" in err
+    rc, err = _exit_and_stderr(tmp_path, capsys, "verma", {"singular_levels": [True]})
+    assert rc == EXIT_VALIDATION
+    assert "singular_levels must be a list of integers" in err
+    # the flag overrides the config, and the range follows it
+    cfg = write_config(tmp_path, {"window": {"L": 6}, "singular_levels": [3]}, name="ok.json")
+    assert main(["verma", "--config", cfg, "--window-L", "2", "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert "1..2" in capsys.readouterr().err
+    assert main(["verma", "--config", cfg, "--window-L", "3", "--out", str(tmp_path)]) == EXIT_OK

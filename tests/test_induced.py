@@ -16,7 +16,7 @@ from gvir.induced import (
 )
 from gvir.interseries import IntermediateSeriesModule
 from gvir.linalg import field_rank, symbolic_rank
-from gvir.scalars import Context
+from gvir.scalars import Context, ExactDivisionError
 
 
 def rank2_module(L=1, N=1, **bindings):
@@ -274,6 +274,15 @@ def test_dims_against_independent_field_oracle_level1():
     assert symbolic_rank(mod.ctx.reg, [dict(r) for r in rows]) == field_rank(
         mod.ctx.reg, rows, len(cols)
     )
+
+
+@pytest.mark.xfail(strict=True, raises=ExactDivisionError, reason="delayed-divisor defect")
+def test_known_defect_alpha_bound_beta_half():
+    # the CLI config b=[0,1], alpha=[1,0], beta=1/2, L=2, N=1 exits 3: a
+    # delayed divisor of symbolic_rank does not divide its next numerator
+    mod = rank2_module(L=2, N=1, alpha=(1, 0), beta=Fraction(1, 2))
+    table = mod.quotient_dims()
+    assert table.to_json()["entry_count"] > 0
 
 
 def test_dims_bound_specialized_rank():

@@ -1,9 +1,12 @@
-"""Cross-checks between the fraction-free echelon and the dense field engine."""
+"""Cross-checks between the fraction-free engines and the dense field engine."""
 
 import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
+from gvir import linalg
 from gvir.linalg import (
     Echelon,
     det,
@@ -13,9 +16,10 @@ from gvir.linalg import (
     rank_of,
     row_from_list,
     strip_row,
+    symbolic_rank,
     to_poly,
 )
-from gvir.scalars import Context, Poly
+from gvir.scalars import Context, ExactDivisionError, Poly
 
 
 def _ctx():
@@ -208,3 +212,327 @@ def test_to_poly_rejects_denominator():
     with pytest.raises(ValueError):
         to_poly(ctx.reg, s)
     assert to_poly(ctx.reg, ctx.symbol("g1")) == Poly.symbol(ctx.reg, "g1")
+
+
+# -- symbolic_rank and det on the packed-term kernel --------------------------
+
+
+def _reference_symbolic_rank(reg, rows):
+    """symbolic_rank as it was before the packed-term kernel, on Poly entries;
+    frozen here as the step-for-step reference of the elimination."""
+    work = []
+    for row in rows:
+        r = strip_row({j: p for j, p in row.items() if not p.is_zero()})
+        if r:
+            work.append(r)
+    divisors = [None] * len(work)  # None stands for 1
+    act = list(range(len(work)))
+    rank = 0
+    while act:
+        best = None
+        for ri in act:
+            for j, p in work[ri].items():
+                k = len(p.terms)
+                if best is None or k < best[0]:
+                    best = (k, ri, j)
+        if best is None:
+            break
+        _, pr, pc = best
+        prow = work[pr]
+        piv = prow[pc]
+        act.remove(pr)
+        rank += 1
+        for ri in act:
+            r = work[ri]
+            c = r.get(pc)
+            if c is None:
+                continue
+            d = divisors[ri]
+            new = {}
+            for j, v in r.items():
+                if j == pc:
+                    continue
+                t = v * piv
+                u = prow.get(j)
+                if u is not None:
+                    t = t - u * c
+                if d is not None and not t.is_zero():
+                    t = t.exact_div(d)
+                if not t.is_zero():
+                    new[j] = t
+            for j, u in prow.items():
+                if j != pc and j not in r:
+                    t = u * c
+                    if d is not None:
+                        t = t.exact_div(d)
+                    if not t.is_zero():
+                        new[j] = -t
+            work[ri] = new
+            divisors[ri] = piv
+        act = [ri for ri in act if work[ri]]
+    return rank
+
+
+def _sparse_poly(reg, rng, nvars, maxdeg, fractions, maxterms=3):
+    terms = {}
+    for _ in range(rng.randint(1, maxterms)):
+        e = [0] * len(reg)
+        for v in range(nvars):
+            e[v] = rng.randint(0, maxdeg)
+        c = rng.randint(-5, 5) or 1
+        if fractions and rng.random() < 0.5:
+            c = Fraction(c, rng.randint(2, 4))
+        terms[tuple(e)] = c
+    return Poly(reg, {e: c for e, c in terms.items() if c})
+
+
+def _sparse_matrix(reg, rng, nvars, maxdeg, fractions, size=5, maxterms=3):
+    """Rows as sparse dicts, some of them zero; sometimes with dependent rows."""
+    m, n = rng.randint(1, size), rng.randint(1, size)
+    rows = []
+    for _ in range(m):
+        if rng.random() < 0.15:
+            rows.append({})
+            continue
+        row = {}
+        for j in range(n):
+            if rng.random() < 0.6:
+                row[j] = _sparse_poly(reg, rng, nvars, maxdeg, fractions, maxterms)
+        rows.append(row)
+    if len(rows) >= 2 and rng.random() < 0.4:
+        # a combination of two rows makes the matrix rank-deficient
+        e = [0] * len(reg)
+        e[rng.randrange(nvars)] = rng.randint(0, 1)
+        a = Poly.monomial(reg, e, rng.randint(1, 3))
+        b = Poly.const(reg, rng.choice([-2, -1, 1, 2]))
+        x, y = rows[0], rows[1]
+        combo = {}
+        for j in set(x) | set(y):
+            p = a * x.get(j, Poly.zero(reg)) + b * y.get(j, Poly.zero(reg))
+            if not p.is_zero():
+                combo[j] = p
+        rows.append(combo)
+    return rows, n
+
+
+def _check_rank_against_reference(reg, rows, ncols):
+    try:
+        expect = _reference_symbolic_rank(reg, [dict(r) for r in rows])
+    except ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            symbolic_rank(reg, [dict(r) for r in rows])
+        return None
+    got = symbolic_rank(reg, [dict(r) for r in rows])
+    assert got == expect
+    assert got == field_rank(reg, rows, ncols)
+    return got
+
+
+def test_symbolic_rank_matches_frozen_reference_and_field_rank():
+    reg = Context.of_rank(4).reg
+    rng = random.Random(20070)
+    outcomes = set()
+    for case in range(400):
+        # the dense field oracle's multivariate gcds blow up quickly, so the
+        # more variables, the fewer terms per entry
+        nvars = 1 + case % 4
+        maxdeg, maxterms = ((3, 3), (2, 2), (2, 1), (1, 1))[nvars - 1]
+        rows, ncols = _sparse_matrix(reg, rng, nvars, maxdeg, case % 3 == 0, 4, maxterms)
+        got = _check_rank_against_reference(reg, rows, ncols)
+        nonzero = sum(1 for r in rows if r)
+        outcomes.add("raised" if got is None else "full" if got == min(nonzero, ncols) else "deficient")
+    # the cases reach full rank, rank deficiency and the known defect alike
+    assert outcomes == {"full", "deficient", "raised"}
+
+
+def _narrow_fields(monkeypatch):
+    """Start every packed call with one-bit fields and count its attempts."""
+    attempts = []
+    real_bounds = linalg._field_bounds
+    real_packing = linalg._Packing
+
+    def narrow(nvars, rows):
+        return [min(b, 1) for b in real_bounds(nvars, rows)]
+
+    def counting(bounds):
+        attempts.append(bounds)
+        return real_packing(bounds)
+
+    monkeypatch.setattr(linalg, "_field_bounds", narrow)
+    monkeypatch.setattr(linalg, "_Packing", counting)
+    return attempts
+
+
+def test_field_overflow_retries_with_wider_fields(monkeypatch):
+    reg = Context.of_rank(3).reg
+    rng = random.Random(4242)
+    cases = []
+    for case in range(60):
+        nvars = 1 + case % 3
+        maxdeg, maxterms = ((3, 3), (2, 2), (2, 1))[nvars - 1]
+        rows, ncols = _sparse_matrix(reg, rng, nvars, maxdeg, case % 2 == 0, 5, maxterms)
+        try:
+            expect = _reference_symbolic_rank(reg, [dict(r) for r in rows])
+        except ExactDivisionError:
+            expect = ExactDivisionError
+        cases.append((rows, ncols, expect))
+    attempts = _narrow_fields(monkeypatch)
+    retried = 0
+    for rows, ncols, expect in cases:
+        del attempts[:]
+        if expect is ExactDivisionError:
+            with pytest.raises(ExactDivisionError):
+                symbolic_rank(reg, [dict(r) for r in rows])
+        else:
+            assert symbolic_rank(reg, [dict(r) for r in rows]) == expect
+        retried += len(attempts) > 1
+    assert retried >= 20
+    # det: the same retry, the same determinant
+    g = [Poly.symbol(reg, n) for n in ("g1", "g2", "g3")]
+    one = Poly.const(reg, 1)
+    rows = [[one, gi, gi * gi * gi] for gi in g]
+    del attempts[:]
+    d = det(reg, rows)
+    assert len(attempts) > 1
+    vander = (g[1] - g[0]) * (g[2] - g[0]) * (g[2] - g[1])
+    assert d == vander * (g[0] + g[1] + g[2])
+
+
+def _perm_det_poly(reg, rows):
+    n = len(rows)
+    total = Poly.zero(reg)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = Poly.const(reg, -1 if inversions % 2 else 1)
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        total = total + term
+    return total
+
+
+def test_det_matches_permutation_oracle_multivariate():
+    reg = Context.of_rank(3).reg
+    rng = random.Random(8128)
+    for case in range(60):
+        n = rng.randint(2, 4)
+        nvars = 1 + case % 3
+        rows = [
+            [
+                Poly.zero(reg) if rng.random() < 0.25
+                else _sparse_poly(reg, rng, nvars, 2, case % 2 == 0)
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        if case % 7 == 0:
+            rows[-1] = list(rows[0])  # singular
+        d = det(reg, rows)
+        assert d == _perm_det_poly(reg, rows)
+        assert str(d) == str(_perm_det_poly(reg, rows))
+
+
+# -- packed exact division ------------------------------------------------------
+
+
+def _packed(reg, *polys):
+    """A packing sized for the given polys, and each of them packed."""
+    bounds = linalg._field_bounds(len(reg), [polys])
+    pk = linalg._Packing(bounds)
+    return pk, [pk.pack(p) for p in polys]
+
+
+def _div(reg, f, d):
+    """f / d through the packed kernel, returned as a Poly."""
+    pk, (pf, pd) = _packed(reg, f, d)
+    return pk.unpack(reg, linalg._divide(pf, linalg._descending(pd), pk.guard))
+
+
+def test_packed_division_recovers_quotient():
+    reg = Context.of_rank(3).reg
+    rng = random.Random(77)
+    for case in range(80):
+        nvars = 1 + case % 3
+        q = _sparse_poly(reg, rng, nvars, 3, case % 2 == 0)
+        d = _sparse_poly(reg, rng, nvars, 2, case % 3 == 0)
+        assert _div(reg, q * d, d) == q
+        if not d.is_const():
+            with pytest.raises(ExactDivisionError):
+                _div(reg, q * d + Poly.const(reg, 1), d)
+
+
+def test_packed_division_rejects_one_failing_field():
+    reg = Context.of_rank(2).reg
+    x = Poly.symbol(reg, "g1")
+    y = Poly.symbol(reg, "g2")
+    # only the g2 field lacks the degree; a plain subtraction of the packed
+    # ints would borrow from the g1 field and go unnoticed
+    with pytest.raises(ExactDivisionError):
+        _div(reg, x ** 3 * y, x * y ** 2)
+    with pytest.raises(ExactDivisionError):
+        _div(reg, x * y ** 3, x ** 2 * y)
+    assert _div(reg, x ** 3 * y ** 2, x * y ** 2) == x ** 2
+    # the same with a leading monomial of a longer divisor
+    one = Poly.const(reg, 1)
+    with pytest.raises(ExactDivisionError):
+        _div(reg, x ** 3 * y, x * y ** 2 + one)
+    with pytest.raises(ExactDivisionError):
+        _div(reg, x * y ** 3 + x, x ** 2 * y + y)
+    assert _div(reg, (x * y ** 2 + one) * (x ** 2 + y), x * y ** 2 + one) == x ** 2 + y
+
+
+def test_packed_division_terminates_on_non_multiples():
+    reg = Context.of_rank(2).reg
+    one = Poly.const(reg, 1)
+    x = Poly.symbol(reg, "g1")
+    y = Poly.symbol(reg, "g2")
+    # ascending-order division of 1 by 1 - x would emit 1 + x + x^2 + ...
+    with pytest.raises(ExactDivisionError):
+        _div(reg, one, one - x)
+    # x^3 / (x + y^3) drives g2 past its field: the guard bit proves the
+    # division is not exact
+    with pytest.raises(ExactDivisionError):
+        _div(reg, x ** 3, x + y ** 3)
+    # without that proof, the overflowed exponents of this non-multiple run
+    # into the next field and come out as a "quotient"
+    two = Poly.const(reg, 2)
+    with pytest.raises(ExactDivisionError):
+        _div(reg, x ** 3 * y ** 2 - y ** 3, two * y ** 3 - two * x)
+
+
+def test_packed_division_by_fraction_constants_and_monomials():
+    reg = Context.of_rank(2).reg
+    x = Poly.symbol(reg, "g1")
+    y = Poly.symbol(reg, "g2")
+    p = x.scale(Fraction(1, 2)) + y.scale(Fraction(-3, 4)) + Poly.const(reg, 5)
+    c = Poly.const(reg, Fraction(3, 4))
+    q = _div(reg, p, c)
+    assert q == p.scale(Fraction(4, 3))
+    assert q * c == p
+    assert _div(reg, p.scale(Fraction(3, 4)), c) == p
+    assert all(type(v) is int for v in _div(reg, x.scale(6) + y.scale(9), Poly.const(reg, 3)).terms.values())
+    # a monomial divisor with a Fraction coefficient still checks exponents
+    with pytest.raises(ExactDivisionError):
+        _div(reg, p, x.scale(Fraction(2, 3)))
+    assert _div(reg, (x * p).scale(Fraction(2, 3)), x.scale(Fraction(2, 3))) == p
+
+
+# -- the known defect of symbolic_rank's delayed divisors ------------------------
+
+# ExactDivisionError: after a skipped pivot step a row's delayed divisor does
+# not divide its next numerator.  Smallest case among the 2,400 random
+# matrices of test_rank_matches_field_oracle_poly's generator with seeds
+# 0-39 (60 matrices each): seed 8, matrix 40.  Its rank over the field is 3.
+
+
+@pytest.mark.xfail(strict=True, raises=ExactDivisionError, reason="delayed-divisor defect")
+def test_known_defect_smallest_random_matrix():
+    ctx = _ctx()
+    g1 = Poly.symbol(ctx.reg, "g1")
+    g2 = Poly.symbol(ctx.reg, "g2")
+    rows = [
+        {0: g2.scale(3), 1: g1.scale(-3), 2: Poly.const(ctx.reg, -2)},
+        {2: Poly.const(ctx.reg, -4)},
+        {0: g1, 1: g1.scale(2)},
+    ]
+    assert field_rank(ctx.reg, rows, 3) == 3
+    assert symbolic_rank(ctx.reg, [dict(r) for r in rows]) == 3
