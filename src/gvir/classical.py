@@ -6,9 +6,20 @@ element acting by c and d_0 on the highest weight vector by h.
 
 A truncated Verma module keeps levels 0..L; the level-n basis is the set of
 partitions (k_1 >= ... >= k_r >= 1) of n standing for d_{-k_1}... d_{-k_r} v.
-Singular vectors are joint kernels of the stacked raising maps d_1..d_n from
-level n; the symbolic existence condition is the gcd of the maximal minors
-of that stacked matrix (its vanishing locus is where the kernel jumps).
+Singular vectors at level n are the joint kernel of the raising maps
+d_1..d_n; the symbolic existence condition is the gcd of the maximal minors
+of the stacked raising matrix (its vanishing locus is where the kernel jumps).
+
+Only the d_1 and d_2 blocks are stacked.  Since [d_1, d_k] = (k-1) d_{k+1},
+on level n the d_{k+1} block equals (d_1 d_k - d_k d_1) / (k-1) for k >= 2
+(each product read as a product of the two maps' matrices), so by
+induction every block of the full stack d_1..d_n is a Q[c, h]-combination
+of the rows of the d_1 and d_2 blocks: full = T (d_1; d_2) with T
+polynomial, while (d_1; d_2) is a row subset of the full stack.  The two
+matrices therefore have the same ideal of maximal minors (Cauchy-Binet one
+way, row subset the other), hence the same minor gcd, and the same row space
+over Q(c, h), hence the same reduced row echelon form and kernel basis.  The
+argument survives evaluating c and h at rationals.
 """
 
 from __future__ import annotations
@@ -116,12 +127,6 @@ class TruncatedVermaModule:
                 _accum(out, w2, coeff * c2)
         return out
 
-    def act_word_sequence(self, js, vec):
-        """Apply d_{js[0]}, then d_{js[1]}, ... to vec."""
-        for j in js:
-            vec = self.act(j, vec)
-        return vec
-
     def _act_word(self, j, word):
         if j < 0:
             return self._lmul_word(-j, word)
@@ -176,15 +181,18 @@ class TruncatedVermaModule:
     # -- singular vectors ----------------------------------------------------
 
     def raising_rows(self, n):
-        """Stacked matrix of all raising maps d_k, k=1..n, from level n.
+        """Stacked matrix of the raising maps d_1 and d_2 from level n.
 
-        Rows are indexed by (k, target word at level n-k), columns by the
-        level-n basis; entries are Polys in the bound/free c, h.
+        Rows are indexed by (k, target word at level n-k) for k <= min(n, 2),
+        columns by the level-n basis; entries are Polys in the bound/free
+        c, h.  d_1 and d_2 generate every d_k with k >= 1, so these rows have
+        the kernel and the minor gcd of the full stack d_1..d_n (see the
+        module docstring).
         """
         cols = {w: i for i, w in enumerate(self.basis(n))}
         rows = []
         reg = self.ctx.reg
-        for k in range(1, n + 1):
+        for k in range(1, min(n, 2) + 1):
             targets = {w: {} for w in self.basis(n - k)}
             for w, i in cols.items():
                 for w2, c2 in self._raise_word(k, w).items():
@@ -193,27 +201,35 @@ class TruncatedVermaModule:
             rows.extend(targets[w] for w in self.basis(n - k))
         return rows
 
+    def singular_vectors(self, n):
+        """Joint kernel of d_1..d_n at level n under the current bindings,
+        as {word: Scalar} vectors; no existence condition is formed."""
+        self._check_level(n)
+        return self._kernel(n, self.raising_rows(n))
+
     def find_singular(self, n):
         """Joint kernel of d_1..d_n at level n, with the existence condition.
 
         The kernel is computed under the current bindings; the condition is
-        the normalized gcd of all maximal minors of the stacked raising
-        matrix (a nonzero constant means no kernel for any nearby values).
+        the normalized gcd of all maximal minors of the stacked d_1, d_2
+        matrix, which equals that of the full stack d_1..d_n (a nonzero
+        constant means no kernel for any nearby values).
         """
+        self._check_level(n)
+        rows = self.raising_rows(n)
+        condition = self._minor_gcd(rows, partition_count(n))
+        return SingularVectorReport(n, self.basis(n), self._kernel(n, rows), [condition])
+
+    def _check_level(self, n):
         if not 0 < n <= self.level_cap:
             raise ValueError("level must satisfy 0 < n <= level_cap")
-        reg = self.ctx.reg
+
+    def _kernel(self, n, rows):
         basis = self.basis(n)
-        rows = self.raising_rows(n)
-        ncols = len(basis)
-        kern = kernel_basis(reg, rows, ncols)
-        vectors = []
-        for vec in kern:
-            vectors.append(
-                {w: Scalar.make(p) for w, p in zip(basis, vec) if not p.is_zero()}
-            )
-        condition = self._minor_gcd(rows, ncols)
-        return SingularVectorReport(n, basis, vectors, [condition])
+        return [
+            {w: Scalar.make(p) for w, p in zip(basis, vec) if not p.is_zero()}
+            for vec in kernel_basis(self.ctx.reg, rows, len(basis))
+        ]
 
     def _minor_gcd(self, rows, ncols):
         reg = self.ctx.reg
@@ -243,9 +259,9 @@ class TruncatedVermaModule:
         L = self.level_cap
         singular = {}
         for n in range(1, L + 1):
-            rep = self.find_singular(n)
-            if rep.vectors:
-                singular[n] = rep.vectors
+            vectors = self.singular_vectors(n)
+            if vectors:
+                singular[n] = vectors
         dims = [1]
         for lvl in range(1, L + 1):
             cols = {w: i for i, w in enumerate(self.basis(lvl))}

@@ -143,6 +143,10 @@ def validate(command, config):
     if N is not None and (not _is_int(N) or N < 1):
         diagnostics.append(f"window N must be an integer >= 1, got {N!r}")
 
+    for key in ("trials", "seed", "direction_bound"):
+        if key in config and not _is_int(config[key]):
+            diagnostics.append(f"{key} must be an integer, got {config[key]!r}")
+
     fmt = config.get("format", "json")
     if fmt not in ("json", "csv"):
         diagnostics.append(f"format must be json or csv, got {fmt!r}")
@@ -286,7 +290,7 @@ def run_interseries(config, seed):
     dims = module.dims_row(window, desc)
 
     rng = random.Random(seed)
-    trials = int(config.get("trials", 25))
+    trials = config.get("trials", 25)
     closed = 0
     for _ in range(trials):
         x = tuple(rng.randint(-2, 2) for _ in range(rank))
@@ -351,8 +355,9 @@ def run_verma(config):
     L = window.get("L", VERMA_DEFAULT_L)
     module = TruncatedVermaModule(ctx, L)
     dims = module.dims()
-    # the minor-gcd existence condition is combinatorial in the level, so
-    # compute it only for the first few levels unless asked explicitly
+    # the minor gcd of the d_1, d_2 stack is cheap at every level (12 minors
+    # at level 6); the cap stays only so that default reports remain
+    # byte-identical, and lifting it changes the output for L > 4
     singular_levels = config.get("singular_levels", list(range(1, min(L, 4) + 1)))
     singular = []
     for n in singular_levels:
@@ -383,7 +388,7 @@ def run_verma(config):
 def run_classify(config):
     try:
         descriptor = ModuleDescriptor.from_json(config["descriptor"])
-        report = classify(descriptor, direction_bound=int(config.get("direction_bound", 2)))
+        report = classify(descriptor, direction_bound=config.get("direction_bound", 2))
     except MalformedDescriptorError as exc:
         raise ConfigError(str(exc)) from exc
     return {
@@ -422,7 +427,7 @@ def run(command, config):
     if command == "bracket":
         payload, table = run_bracket(config)
     elif command == "interseries":
-        payload, table = run_interseries(config, int(config.get("seed", 0)))
+        payload, table = run_interseries(config, config.get("seed", 0))
     elif command == "induce":
         payload, table, stability = run_induce(config)
     elif command == "verma":

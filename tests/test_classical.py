@@ -7,8 +7,13 @@ The level-2 existence condition is checked against a fully hand-derived
     d_2 d_{-2} v = (-4h + c/2) v
     d_2 d_{-1}^2 v = 6h v
 whose determinant is -16h^2 + 2ch - 10h - c.
+
+Two independent oracles cover the d_1, d_2 stack that find_singular uses:
+the Kac determinant formula for the existence conditions, and a frozen copy
+of the full stack d_1..d_n with its combinatorial minor gcd.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,8 +25,8 @@ from gvir.classical import (
     partitions,
     verma_dims,
 )
-from gvir.linalg import field_rank
-from gvir.scalars import Context, Poly
+from gvir.linalg import det, field_rank, kernel_basis, to_poly
+from gvir.scalars import Context, Poly, Scalar, _gcd_many
 
 
 def _verma(L=4, **bindings):
@@ -197,3 +202,153 @@ def test_validation_errors():
         M.quotient_dims_after_singular()  # h, c unbound
     with pytest.raises(ValueError):
         TruncatedVermaModule(ctx, -1)
+
+
+# -- Kac determinant oracle -------------------------------------------------------
+#
+# With c = 13 - 6(t + 1/t), the Kac determinant at level n vanishes to first
+# order in h exactly at h_{r,s}(t) = ((r^2-1) t + (s^2-1)/t)/4 - (rs-1)/2 for
+# rs = n (the new factors at level n).  The package's d_n is -L_n, so its
+# highest weight is -h in the usual normalization: c stays, h -> -h.
+
+KAC_T = [Fraction(4, 3), Fraction(2, 5), Fraction(7, 2), Fraction(3), Fraction(5, 7), Fraction(-2)]
+
+
+def _kac_c(t):
+    return 13 - 6 * (t + 1 / t)
+
+
+def _kac_h(r, s, t):
+    return ((r * r - 1) * t + Fraction(s * s - 1) / t) / 4 - Fraction(r * s - 1, 2)
+
+
+def _uni_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _at_kac_point(reg, poly, t):
+    """poly(c = c(t), h -> -h) as h-coefficients, lowest degree first."""
+    ic, ih = reg.index["c"], reg.index["h"]
+    out = {}
+    for exps, coeff in poly.terms.items():
+        assert all(e == 0 for i, e in enumerate(exps) if i not in (ic, ih))
+        eh = exps[ih]
+        out[eh] = out.get(eh, 0) + coeff * _kac_c(t) ** exps[ic] * (-1) ** eh
+    coeffs = [Fraction(out.get(d, 0)) for d in range(max(out) + 1)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def test_conditions_match_kac_determinant_factors():
+    ctx, M = _verma(L=6)
+    for n in range(1, 7):
+        (condition,) = M.find_singular(n).conditions
+        pairs = [(r, n // r) for r in range(1, n + 1) if n % r == 0]
+        for t in KAC_T:
+            got = _at_kac_point(ctx.reg, condition, t)
+            kac = [Fraction(1)]
+            for r, s in pairs:
+                kac = _uni_mul(kac, [-_kac_h(r, s, t), Fraction(1)])
+            assert len(got) == len(kac), (n, t)
+            K = got[-1]
+            assert K != 0 and got == [K * x for x in kac], (n, t)
+
+
+# -- frozen full stack d_1..d_n -------------------------------------------------------
+#
+# The stacked raising matrix and its minor gcd as they were before the stack
+# was cut to d_1, d_2: every raising map d_1..d_n, and the gcd of every
+# maximal minor.  find_singular must give the same condition text and the
+# same kernel vectors at every binding.
+
+
+def _full_stack_rows(M, n):
+    cols = {w: i for i, w in enumerate(M.basis(n))}
+    rows = []
+    reg = M.ctx.reg
+    for k in range(1, n + 1):
+        targets = {w: {} for w in M.basis(n - k)}
+        for w, i in cols.items():
+            for w2, c2 in M._raise_word(k, w).items():
+                if not c2.is_zero():
+                    targets[w2][i] = to_poly(reg, c2)
+        rows.extend(targets[w] for w in M.basis(n - k))
+    return rows
+
+
+def _full_stack_minor_gcd(reg, rows, ncols):
+    dense = []
+    for row in rows:
+        dense.append([row.get(j, Poly.zero(reg)) for j in range(ncols)])
+    minors = []
+    for subset in itertools.combinations(range(len(dense)), ncols):
+        d = det(reg, [dense[i] for i in subset])
+        if not d.is_zero():
+            minors.append(d)
+    if not minors:
+        return Poly.zero(reg)
+    g = _gcd_many(minors)
+    _, prim = g.primitive_int()
+    return prim
+
+
+def _full_stack_report(M, n):
+    reg = M.ctx.reg
+    basis = M.basis(n)
+    rows = _full_stack_rows(M, n)
+    vectors = [
+        {w: Scalar.make(p) for w, p in zip(basis, vec) if not p.is_zero()}
+        for vec in kernel_basis(reg, rows, len(basis))
+    ]
+    return _full_stack_minor_gcd(reg, rows, len(basis)), vectors
+
+
+# quotient dims at levels 0..5 before the stack was cut, keyed by (c, h):
+# the benchmark's Kac points, two points on vanishing loci, and two points
+# drawn as (randint(-9, 9) / randint(1, 5)) pairs from random.Random(20261018)
+FULL_STACK_QUOTIENT_DIMS = {
+    ("1/2", "-1/16"): [1, 1, 1, 2, 2, 3],
+    ("1/2", "-1/2"): [1, 1, 1, 1, 2, 2],
+    ("0", "-5/8"): [1, 1, 1, 2, 3, 4],
+    ("0", "-1/3"): [1, 1, 2, 2, 4, 5],
+    ("3/7", "2/5"): [1, 1, 2, 3, 5, 7],
+    ("26", "1"): [1, 1, 1, 2, 3, 4],
+    ("0", "0"): [1, 0, 0, 0, 0, 0],
+    ("-1", "-7/4"): [1, 1, 2, 3, 5, 7],
+    ("7/5", "-3"): [1, 1, 2, 3, 5, 7],
+}
+
+
+@pytest.mark.parametrize(
+    "bindings",
+    [{}, {"c": Fraction(1, 2)}, {"c": 0}]
+    + [{"c": Fraction(c), "h": Fraction(h)} for c, h in FULL_STACK_QUOTIENT_DIMS],
+    ids=lambda b: ",".join(f"{k}={v}" for k, v in b.items()) or "free",
+)
+def test_two_operator_stack_matches_full_stack(bindings):
+    ctx, M = _verma(L=5, **bindings)
+    for n in range(1, 6):
+        rep = M.find_singular(n)
+        condition, vectors = _full_stack_report(M, n)
+        assert str(rep.conditions[0]) == str(condition), n
+        assert rep.vectors == vectors, n
+        assert M.singular_vectors(n) == vectors, n
+    if "h" in bindings:
+        key = (str(bindings["c"]), str(bindings["h"]))
+        assert M.quotient_dims_after_singular() == FULL_STACK_QUOTIENT_DIMS[key]
+
+
+def test_raising_rows_keep_d1_d2_only():
+    # level n has p(n-1) + p(n-2) rows, so the minor count is 1, 1, 1, 1, 8, 12
+    ctx, M = _verma(L=6)
+    counts = []
+    for n in range(1, 7):
+        rows = M.raising_rows(n)
+        assert len(rows) == partition_count(n - 1) + partition_count(n - 2)
+        counts.append(len(list(itertools.combinations(rows, partition_count(n)))))
+    assert counts == [1, 1, 1, 1, 8, 12]

@@ -292,6 +292,37 @@ def test_bracket_non_integer_coordinates_exit_2(tmp_path, capsys):
         assert "integer coordinates" in err and "Traceback" not in err
 
 
+_CLASSIFY_DESCRIPTOR = {
+    "group": {"rank": 1},
+    "provenance": "external",
+    "flags": ["is_Z"],
+    "rows": [["h", [-n], d] for n, d in enumerate([1, 1, 2, 3])],
+}
+
+
+@pytest.mark.parametrize(
+    "command, config, needle",
+    [
+        ("interseries", {"trials": "x"}, "trials must be an integer"),
+        ("interseries", {"trials": 1.5}, "trials must be an integer"),
+        ("interseries", {"trials": True}, "trials must be an integer"),
+        ("interseries", {"seed": "x"}, "seed must be an integer"),
+        ("interseries", {"seed": 2.0}, "seed must be an integer"),
+        ("classify", {"descriptor": _CLASSIFY_DESCRIPTOR, "direction_bound": "x"}, "direction_bound must be an integer"),
+        ("classify", {"descriptor": _CLASSIFY_DESCRIPTOR, "direction_bound": False}, "direction_bound must be an integer"),
+    ],
+)
+def test_non_integer_trials_seed_direction_bound_exit_2(tmp_path, capsys, command, config, needle):
+    rc, err = _exit_and_stderr(tmp_path, capsys, command, config)
+    assert rc == EXIT_VALIDATION
+    assert needle in err
+    assert "Traceback" not in err and "computation failed" not in err
+    # the same keys as integers run
+    fixed = dict(config, **{k: 3 for k in ("trials", "seed", "direction_bound") if k in config})
+    rc, err = _exit_and_stderr(tmp_path, capsys, command, fixed)
+    assert rc == EXIT_OK, err
+
+
 def test_verma_singular_levels_outside_window_exit_2(tmp_path, capsys):
     rc, err = _exit_and_stderr(
         tmp_path, capsys, "verma", {"window": {"L": 6}, "singular_levels": [9]}
