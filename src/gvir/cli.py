@@ -15,7 +15,9 @@ report payload is deterministic for a fixed config; only the timing field
 varies between runs.
 
 Exit status: 0 success, 2 validation failure (bad config, malformed
-descriptor, unusable flags), 3 computation failure.
+descriptor, unusable flags), 3 computation failure.  A reader that closes
+stdout early does not change the status: the artifacts are written before
+the report is printed, and the broken pipe is silenced.
 """
 
 from __future__ import annotations
@@ -146,6 +148,10 @@ def validate(command, config):
     for key in ("trials", "seed", "direction_bound"):
         if key in config and not _is_int(config[key]):
             diagnostics.append(f"{key} must be an integer, got {config[key]!r}")
+    trials = config.get("trials", 1)
+    if _is_int(trials) and trials < 1:
+        # no trial at all would report a closure check that cannot fail
+        diagnostics.append(f"trials must be >= 1, got {trials!r}")
 
     fmt = config.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -460,8 +466,11 @@ def _config_echo(config):
 
 
 def _emit(report, table, command, config):
+    """Write the artifacts, then print the report.
+
+    The files come first, so a reader that closes stdout early (gvir ... |
+    head) still gets them."""
     text = json.dumps(report, sort_keys=True, indent=2)
-    print(text)
     out_dir = config.get("out") or os.environ.get("GVIR_OUT") or "."
     os.makedirs(out_dir, exist_ok=True)
     fmt = config.get("format", "json")
@@ -475,7 +484,25 @@ def _emit(report, table, command, config):
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(table)
         wrote.append(csv_path)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _silence_stdout()
     return wrote
+
+
+def _silence_stdout():
+    """Point stdout at devnull after the reader closed it, so that the flush
+    at interpreter exit raises no second BrokenPipeError (the recipe of the
+    Python docs for SIGPIPE)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a file descriptor: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def build_parser():

@@ -83,16 +83,6 @@ class Group:
         return x
 
 
-def rank(group):
-    """Rank of the free abelian group (number of independent generators)."""
-    return group.rank
-
-
-def embed(x, ctx):
-    """Embedded complex value of x as a Scalar: sum x_i * g_i."""
-    return ctx.embed(x)
-
-
 # -- integer linear algebra ---------------------------------------------------
 
 
@@ -249,9 +239,6 @@ class Splitting:
         for ui, gi in zip(u, self.g0_basis):
             out = gadd(out, gscale(ui, gi))
         return out
-
-    def in_g0(self, x):
-        return self.level(x) == 0
 
     def g0_rank(self):
         return len(self.g0_basis)

@@ -30,7 +30,11 @@ is homogeneous under deg g_i = deg alpha = 1, deg beta = 0; rescaling rows
 and columns by monomials makes all minors homogeneous, hence substituting
 one generator := 1 preserves the rank exactly and removes a variable
 whenever the bound alpha is itself homogeneous (free, a group element, or
-zero).  No coefficient ever needs division and all entries stay polynomial.
+zero).  No coefficient ever needs division and all entries stay polynomial,
+so the action, its memo tables and the probe rows carry Poly coefficients
+straight into `symbolic_rank`, with no Scalar and no gcd on the way.
+Scalars appear only at the public boundary: `act_on_induced` takes and
+returns Scalar combinations, and `kernel_at` returns them.
 All evaluators are pure and memoized per module instance; matrices for
 distinct weights are independent and could be computed concurrently.
 """
@@ -43,8 +47,8 @@ from fractions import Fraction
 
 from .algebra import TriangularPart
 from .groups import gadd, gneg, gzero, split
-from .linalg import kernel_basis, symbolic_rank, to_poly
-from .scalars import Scalar
+from .linalg import kernel_basis, symbolic_rank
+from .scalars import Poly, Scalar
 
 
 def double_factorial_odd(i):
@@ -123,12 +127,14 @@ class InducedModule:
         self.group = group
         self.split = split(group, b)
         self.window = window
-        self.alpha = ctx.alpha
-        self.beta = ctx.beta
+        # bound values are polynomial (a symbol, a rational or an embedded
+        # group element), so the action works on Poly coefficients
+        self.alpha = ctx.alpha.num
+        self.beta = ctx.beta.num
         self.g0_rank = self.split.g0_rank()
-        self._iota_b = ctx.embed(self.split.b)
-        self._g0_embed = [ctx.embed(g) for g in self.split.g0_basis]
-        self._one = ctx.one()
+        self._iota_b = ctx.embed(self.split.b).num
+        self._g0_embed = [ctx.embed(g).num for g in self.split.g0_basis]
+        self._one = Poly.const(ctx.reg, 1)
         self._iota0_memo = {}
         self._act_memo = {}
         self._lmul_memo = {}
@@ -163,7 +169,7 @@ class InducedModule:
     def _iota0(self, u):
         hit = self._iota0_memo.get(u)
         if hit is None:
-            hit = self.ctx.zero()
+            hit = Poly.zero(self.ctx.reg)
             for ui, gi in zip(u, self._g0_embed):
                 if ui:
                     hit = hit + gi * ui
@@ -245,10 +251,9 @@ class InducedModule:
         return out
 
     def act_vec(self, gen, vec):
+        """d_{y + t b} on a combination {monomial: nonzero Poly}."""
         out = {}
         for mono, coeff in vec.items():
-            if coeff.is_zero():
-                continue
             for mono2, s2 in self._act(gen, mono).items():
                 _accum(out, mono2, coeff * s2)
         return out
@@ -314,7 +319,6 @@ class InducedModule:
     # -- quotient dimensions -------------------------------------------------------
 
     def _probe_rows(self, i, x, cols, radius):
-        reg = self.ctx.reg
         rows = []
         for seq in self.probe_multisets(i, radius):
             shift = gzero(self.g0_rank)
@@ -332,8 +336,8 @@ class InducedModule:
                     if not vec:
                         break
                 val = vec.get(target)
-                if val is not None and not val.is_zero():
-                    row[j] = to_poly(reg, val)
+                if val is not None:
+                    row[j] = val
             if row:
                 rows.append(row)
         return rows
@@ -372,7 +376,8 @@ class InducedModule:
         return d
 
     def kernel_at(self, i, x, radius=None):
-        """Basis of the windowed J at one weight, as monomial combinations."""
+        """Basis of the windowed J at one weight, as monomial combinations
+        with Scalar coefficients."""
         radius = self.window.box_radius if radius is None else radius
         x = tuple(x)
         cols = self.basis_at(i, x, radius)
@@ -421,13 +426,14 @@ class InducedModule:
         Exact; components whose factor box or top index leave the window are
         kept but reported through the escaped flag (the caller should widen
         the window before trusting windowed ranks involving them).  C acts
-        as 0.
+        as 0.  vec maps monomials to Scalars, and so does the result.
         """
         out = {}
         for z, coeff in elem.d_terms.items():
             gen = (self.split.level(z), self.split.g0_coords(z))
-            for mono, s in self.act_vec(gen, vec).items():
-                _accum(out, mono, coeff * s)
+            for mono, s in vec.items():
+                for mono2, p in self._act(gen, mono).items():
+                    _accum(out, mono2, coeff * s * Scalar.make(p))
         escaped = any(self._escapes(mono) for mono in out)
         return out, escaped
 
@@ -444,15 +450,6 @@ class InducedModule:
         if max(map(abs, shift), default=0) > R:
             return True
         return total > self.window.level_cap
-
-    def monomial_weight(self, mono):
-        """(level, G0-coords) of a basis monomial."""
-        factors, mu = mono
-        lvl = sum(k for k, _ in factors)
-        x = mu
-        for _, u in factors:
-            x = gadd(x, u)
-        return lvl, x
 
 
 @dataclass

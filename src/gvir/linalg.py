@@ -13,6 +13,12 @@ cross-check is a dense textbook Gaussian elimination over the
 rational-function field (`field_rref`), slower but independent; kernels
 sit on top of it.
 
+Rows enter `symbolic_rank` and `Echelon` divided by their monomial gcd and
+rational content only (`strip_row`).  No polynomial gcd is needed there:
+dividing a row by any nonzero polynomial is a unit scaling over the
+fraction field, so it cannot change a rank, and on probe rows the gcd cost
+more than the elimination it was meant to shrink.
+
 Rows are sparse dicts {column index -> Poly}, zero entries absent.
 """
 
@@ -62,32 +68,25 @@ def row_from_list(reg, entries):
     return row
 
 
-# full-content stripping is worth it only while rows are small
-_FULL_STRIP_TERMS = 80
-
-
 def strip_row(row):
-    """Divide a row by its content: rational and monomial always, full
-    polynomial gcd while the row is small enough to make it cheap."""
+    """Divide a row by its monomial gcd and its rational content, so that
+    its first entry has a positive leading coefficient.
+
+    No polynomial gcd is taken: dividing a row by a nonzero polynomial is a
+    unit scaling over the fraction field, so no rank depends on it, and a
+    common factor that is not a monomial simply stays in the row.
+    """
     if not row:
         return row
     polys = list(row.values())
-    nterms = sum(len(p.terms) for p in polys)
-    if nterms <= _FULL_STRIP_TERMS:
-        g = _gcd_many(polys)
-        if not g.is_const():
-            row = {j: p.exact_div(g) for j, p in row.items()}
-            polys = list(row.values())
-    else:
-        m = polys[0].monomial_gcd()
-        for p in polys[1:]:
-            if not any(m):
-                break
-            pm = p.monomial_gcd()
-            m = tuple(min(a, b) for a, b in zip(m, pm))
-        if any(m):
-            row = {j: p.shift_down(m) for j, p in row.items()}
-            polys = list(row.values())
+    m = polys[0].monomial_gcd()
+    for p in polys[1:]:
+        if not any(m):
+            break
+        m = tuple(map(min, m, p.monomial_gcd()))
+    if any(m):
+        row = {j: p.shift_down(m) for j, p in row.items()}
+        polys = list(row.values())
     cont = _rational_content(polys)
     lead_col = min(row)
     _, lc = row[lead_col].lead()

@@ -344,32 +344,45 @@ class Poly:
         """Substitute polynomials/rationals for symbols.
 
         values maps symbol index -> Poly | int | Fraction.  Unmapped symbols
-        stay formal.
+        stay formal.  One pass over the terms: a rational value multiplies
+        the coefficient, and the powers of a polynomial value are computed
+        once per call.
         """
         reg = self.reg
-        cache = {}
-
-        def powval(i, p):
-            key = (i, p)
-            if key not in cache:
-                v = values[i]
-                if not isinstance(v, Poly):
-                    v = Poly.const(reg, v)
-                cache[key] = v ** p
-            return cache[key]
-
-        out = Poly.zero(reg)
+        rational = []
+        poly = []
+        for i, v in values.items():
+            if isinstance(v, Poly):
+                self._check(v)
+                poly.append((i, v, {}))
+            else:
+                rational.append((i, _norm_coeff(Poly.const(reg, v).const_value())))
+        out = {}
         for e, c in self.terms.items():
-            rest = [0] * len(e)
-            term = None
-            for i, p in enumerate(e):
-                if p and i in values:
-                    term = powval(i, p) if term is None else term * powval(i, p)
-                else:
-                    rest[i] = p
-            mono = Poly.monomial(reg, rest, c)
-            out = out + (mono if term is None else mono * term)
-        return out
+            rest = list(e)
+            for i, v in rational:
+                if e[i]:
+                    c = c * v ** e[i]
+                    rest[i] = 0
+            if not c:
+                continue
+            acc = None
+            for i, v, powers in poly:
+                p = e[i]
+                if p:
+                    rest[i] = 0
+                    pw = powers.get(p)
+                    if pw is None:
+                        pw = powers[p] = v ** p
+                    acc = pw if acc is None else acc * pw
+            base = tuple(rest)
+            if acc is None:
+                out[base] = out.get(base, 0) + c
+            else:
+                for m, a in acc.terms.items():
+                    m = tuple(map(int.__add__, base, m))
+                    out[m] = out.get(m, 0) + c * a
+        return Poly(reg, {m: _norm_coeff(c) for m, c in out.items() if c})
 
 
 # ---------------------------------------------------------------------------

@@ -341,3 +341,63 @@ def test_verma_singular_levels_outside_window_exit_2(tmp_path, capsys):
     assert main(["verma", "--config", cfg, "--window-L", "2", "--out", str(tmp_path)]) == EXIT_VALIDATION
     assert "1..2" in capsys.readouterr().err
     assert main(["verma", "--config", cfg, "--window-L", "3", "--out", str(tmp_path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("trials", [-3, 0])
+def test_trials_below_one_exit_2(tmp_path, capsys, trials):
+    # no trial would report a closure check that cannot fail
+    rc, err = _exit_and_stderr(tmp_path, capsys, "interseries", {"trials": trials})
+    assert rc == EXIT_VALIDATION
+    assert f"trials must be >= 1, got {trials}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "interseries.json").exists()
+    # one trial is the smallest check that can fail
+    rc, err = _exit_and_stderr(tmp_path, capsys, "interseries", {"trials": 1})
+    assert rc == EXIT_OK, err
+    check = read_report(tmp_path, "interseries")["results"]["closure_check"]
+    assert check["trials"] == 1 and check["ok"]
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_keeps_artifacts_and_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    rc = main(["bracket", "d[1,0]", "d[0,1]", "--format", "json", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    assert read_report(tmp_path, "bracket")["results"]["rendered"] == "(-g1 + g2)*d[1,1]"
+    cfg = write_config(tmp_path, {"window": {"L": 2}})
+    rc = main(["verma", "--config", cfg, "--format", "csv", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    assert (tmp_path / "verma.json").exists() and (tmp_path / "verma.csv").exists()
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_exits_0_without_traceback(tmp_path):
+    # the reader of the pipe is gone before the CLI writes (gvir ... | head)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gvir.cli", "bracket", "d[1,0]", "d[0,1]", "--out", str(tmp_path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    assert (tmp_path / "bracket.json").exists()

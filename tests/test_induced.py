@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gvir import scalars
 from gvir.algebra import AlgebraElement, bracket
 from gvir.groups import Group
 from gvir.induced import (
@@ -16,7 +17,7 @@ from gvir.induced import (
 )
 from gvir.interseries import IntermediateSeriesModule
 from gvir.linalg import field_rank, symbolic_rank
-from gvir.scalars import Context, ExactDivisionError
+from gvir.scalars import Context, ExactDivisionError, Poly, Scalar
 
 
 def rank2_module(L=1, N=1, **bindings):
@@ -34,11 +35,18 @@ def add_into(out, key, s):
 
 
 def apply_gen(mod, gen, vec):
+    """mod._act on a combination with Poly coefficients; every coefficient
+    the action returns is a nonzero Poly."""
     out = {}
     for mono, s in vec.items():
         for m2, s2 in mod._act(gen, mono).items():
+            assert type(s2) is Poly and not s2.is_zero()
             add_into(out, m2, s * s2)
     return out
+
+
+def as_scalars(vec):
+    return {mono: Scalar.make(p) for mono, p in vec.items()}
 
 
 def eval_point(poly, vals):
@@ -122,13 +130,17 @@ def test_basis_excludes_dropped_top_line():
 def test_raising_kills_top_and_top_action_formula():
     mod = rank2_module()
     ctx = mod.ctx
-    one = ctx.one()
+    one = Poly.const(ctx.reg, 1)
     # level +1 generator on the top line
     assert mod._act((1, (2,)), ((), (3,))) == {}
-    # level 0 generator: intermediate-series coefficient
+    # level 0 generator: the intermediate-series coefficient, as a Poly
     out = mod._act((0, (2,)), ((), (3,)))
-    coeff = ctx.alpha + mod._iota0((3,)) + mod._iota0((2,)) * ctx.beta
-    assert out == {((), (5,)): coeff}
+    top = IntermediateSeriesModule(ctx, mod.group)
+    coeff, _ = top.act(mod.split.compose(0, (2,)), mod.split.compose(0, (3,)))
+    ((mono, p),) = out.items()
+    assert mono == ((), (5,)) and type(p) is Poly
+    assert Scalar.make(p) == coeff
+    assert p == ctx.alpha.num + mod._iota0((3,)) + mod._iota0((2,)) * ctx.beta.num
     # lowering generator prepends a factor
     assert mod._act((-1, (2,)), ((), (3,))) == {(((1, (2,)),), (3,)): one}
 
@@ -140,9 +152,15 @@ def test_mixed_bracket_action_example():
     ctx = mod.ctx
     y, x, mu = (1,), (2,), (3,)
     out = mod._act((1, y), (((1, x),), mu))
-    br = mod._embed_gen(-1, x) - mod._embed_gen(1, y)
-    top = ctx.alpha + mod._iota0(mu) + mod._iota0((3,)) * ctx.beta
-    assert out == {((), (6,)): br * top}
+    compose = mod.split.compose
+    br = ctx.embed(compose(-1, x)) - ctx.embed(compose(1, y))
+    top, _ = IntermediateSeriesModule(ctx, mod.group).act(compose(0, (3,)), compose(0, mu))
+    ((mono, p),) = out.items()
+    assert mono == ((), (6,)) and type(p) is Poly
+    assert Scalar.make(p) == br * top
+    assert p == (mod._embed_gen(-1, x) - mod._embed_gen(1, y)) * (
+        ctx.alpha.num + mod._iota0(mu) + mod._iota0((3,)) * ctx.beta.num
+    )
 
 
 @pytest.mark.parametrize("rank,b,trials", [(2, (0, 1), 40), (3, (0, 0, 1), 8)])
@@ -166,18 +184,26 @@ def test_action_is_a_lie_module_action(rank, b, trials):
         )
         return (fs, tuple(rng.randint(-1, 1) for _ in range(r0)))
 
+    # a coefficient with a denominator: act_on_induced is linear over the field
+    weight = ctx.one() / (ctx.gen(0) + ctx.alpha)
+    nonzero = 0
     for _ in range(trials):
         ga, gb = rand_gen(), rand_gen()
         mono = rand_mono()
-        vec = {mono: ctx.one()}
+        vec = {mono: Poly.const(ctx.reg, 1)}
         lhs = apply_gen(mod, ga, apply_gen(mod, gb, vec))
         for mono2, s in apply_gen(mod, gb, apply_gen(mod, ga, vec)).items():
             add_into(lhs, mono2, -s)
         za = mod.split.compose(*ga)
         zb = mod.split.compose(*gb)
         br = bracket(AlgebraElement.d(ctx, G, za), AlgebraElement.d(ctx, G, zb))
-        rhs, _ = mod.act_on_induced(br, vec)
-        assert lhs == rhs
+        rhs, _ = mod.act_on_induced(br, {mono: ctx.one()})
+        assert all(type(s) is Scalar for s in rhs.values())
+        assert as_scalars(lhs) == rhs
+        scaled, _ = mod.act_on_induced(br, {mono: weight})
+        assert scaled == {m: weight * s for m, s in rhs.items()}
+        nonzero += bool(rhs)
+    assert nonzero >= trials // 2
 
 
 def test_central_element_acts_as_zero():
@@ -276,6 +302,24 @@ def test_dims_against_independent_field_oracle_level1():
     )
 
 
+def test_induced_ranks_form_no_gcd(monkeypatch):
+    # probe entries are polynomial by construction and rows are stripped of
+    # monomials and rational content only, so no polynomial gcd is formed
+    def no_gcd(a, b):
+        raise AssertionError("the induced rank path formed a gcd")
+
+    monkeypatch.setattr(scalars, "_gcd_prim", no_gcd)
+    bound = rank2_module(L=1, N=1, alpha=(2, 0), beta=1).quotient_dims()
+    assert bound.entries[(0, (-2,))] == 0
+    assert set(bound.level_row(1).values()) == {2}
+    assert all(bound.stable.values())
+    free = rank2_module(L=2, N=1).quotient_dims()
+    for i, expected in [(0, 1), (1, 3), (2, 9)]:
+        assert set(free.level_row(i).values()) == {expected}
+    with pytest.raises(AssertionError, match="formed a gcd"):
+        scalars.poly_gcd(Poly.symbol(free.module.ctx.reg, "g1"), Poly.symbol(free.module.ctx.reg, "g2"))
+
+
 @pytest.mark.xfail(strict=True, raises=ExactDivisionError, reason="delayed-divisor defect")
 def test_known_defect_alpha_bound_beta_half():
     # the CLI config b=[0,1], alpha=[1,0], beta=1/2, L=2, N=1 exits 3: a
@@ -314,23 +358,38 @@ def test_dims_bound_specialized_rank():
 
 def test_level1_kernel_is_killed_by_pool_raisings():
     mod = rank2_module(L=1, N=2)
+    ctx = mod.ctx
     kv = mod.kernel_at(1, (0,), 2)
     assert len(kv) == len(mod.basis_at(1, (0,), 2)) - 3
     for v in kv:
+        assert v and all(type(s) is Scalar and not s.is_zero() for s in v.values())
         for y in range(-2, 3):
-            assert apply_gen(mod, (1, (y,)), v) == {}
+            raising = AlgebraElement.d(ctx, mod.group, mod.split.compose(1, (y,)))
+            assert mod.act_on_induced(raising, v) == ({}, False)
+        # the same vectors cleared of denominators, through the Poly action
+        den = Poly.const(ctx.reg, 1)
+        for s in v.values():
+            den = den * s.den
+        cleared = {mono: s.num * den.exact_div(s.den) for mono, s in v.items()}
+        for y in range(-2, 3):
+            assert apply_gen(mod, (1, (y,)), cleared) == {}
+    # a vector outside the kernel is not killed
+    outside = {mono: ctx.one() for mono in mod.basis_at(1, (0,), 2)}
+    raising = AlgebraElement.d(ctx, mod.group, mod.split.compose(1, (0,)))
+    assert mod.act_on_induced(raising, outside)[0]
 
 
 def test_level2_kernel_closed_under_raising_at_a_point():
     # raising a windowed J vector at level 2 lands in windowed J at level 1:
-    # checked exactly at a deterministic rational point
-    mod = rank2_module(L=2, N=1)
+    # checked exactly at a deterministic rational point.  At N=1 the level-2
+    # window has no kernel (9 columns, rank 9), so N=2 (20 columns, rank 9).
+    mod = rank2_module(L=2, N=2)
     reg = mod.ctx.reg
     rng = random.Random(23)
     vals = [Fraction(rng.randint(2, 300), rng.randint(1, 7)) for _ in reg.names]
-    i, x = 2, (0,)
-    cols = mod.basis_at(i, x, 1)
-    rows = mod._probe_rows(i, x, cols, 1)
+    i, x, N = 2, (0,), 2
+    cols = mod.basis_at(i, x, N)
+    rows = mod._probe_rows(i, x, cols, N)
     # Fraction kernel of the specialized probe matrix
     dense = [[eval_point(r.get(j, None) or None, vals) if j in r else Fraction(0) for j in range(len(cols))] for r in rows]
     # gaussian elimination
@@ -351,7 +410,7 @@ def test_level2_kernel_closed_under_raising_at_a_point():
         pivots.append(c)
         rr += 1
     free = [c for c in range(len(cols)) if c not in pivots]
-    assert len(free) == len(cols) - mod.dims_at(i, x, 1)
+    assert len(free) == len(cols) - mod.dims_at(i, x, N) == 11
     for f in free:
         vec = {cols[f]: Fraction(1)}
         for k, pc in enumerate(pivots):
@@ -362,7 +421,7 @@ def test_level2_kernel_closed_under_raising_at_a_point():
             img = {}
             for mono, w in vec.items():
                 for m2, s2 in mod._act((1, y), mono).items():
-                    img[m2] = img.get(m2, Fraction(0)) + w * eval_point(s2.num, vals) / eval_point(s2.den, vals)
+                    img[m2] = img.get(m2, Fraction(0)) + w * eval_point(s2, vals)
             img = {m: v for m, v in img.items() if v != 0}
             for y2 in [(-1,), (0,), (1,)]:
                 val = Fraction(0)
@@ -370,7 +429,7 @@ def test_level2_kernel_closed_under_raising_at_a_point():
                     got = mod._act((1, y2), mono)
                     for (fs, nu), s2 in got.items():
                         assert fs == ()
-                        val += w * eval_point(s2.num, vals) / eval_point(s2.den, vals)
+                        val += w * eval_point(s2, vals)
                 assert val == 0
 
 

@@ -1,6 +1,7 @@
 """Cross-checks between the fraction-free engines and the dense field engine."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -191,6 +192,25 @@ def test_strip_row_removes_common_factor():
     assert strip_row({}) == {}
 
 
+def test_strip_row_keeps_non_monomial_common_factor():
+    # only the monomial gcd and the rational content go: a common factor
+    # that is not a monomial cannot change a rank over the fraction field
+    ctx = _ctx()
+    g1 = Poly.symbol(ctx.reg, "g1")
+    g2 = Poly.symbol(ctx.reg, "g2")
+    one = Poly.const(ctx.reg, 1)
+    f = g1 + one
+    row = {0: f.scale(-2), 3: (f * g2).scale(4), 5: (f * g1 * g2).scale(6)}
+    out = strip_row(row)
+    assert out == {0: f, 3: (f * g2).scale(-2), 5: (f * g1 * g2).scale(-3)}
+    # a monomial and a non-monomial factor together: the monomial goes
+    row = {1: f * g1 * g2, 2: (f * g1 * g1).scale(Fraction(1, 2))}
+    out = strip_row(row)
+    assert out == {1: (f * g2).scale(2), 2: f * g1}
+    for r in (row, out):
+        assert _reference_strip_row(dict(r)) == strip_row(dict(r))
+
+
 def test_field_rref_shape():
     ctx = _ctx()
     rows = [row_from_list(ctx.reg, r) for r in [[1, 2, 3], [2, 4, 6], [0, 1, 1]]]
@@ -217,12 +237,34 @@ def test_to_poly_rejects_denominator():
 # -- symbolic_rank and det on the packed-term kernel --------------------------
 
 
+def _reference_strip_row(row):
+    """Monomial-gcd and rational-content strip with a positive leading
+    coefficient in the first column; a frozen copy of strip_row's contract."""
+    if not row:
+        return row
+    m = None
+    for p in row.values():
+        pm = p.monomial_gcd()
+        m = pm if m is None else tuple(min(a, b) for a, b in zip(m, pm))
+    row = {j: p.shift_down(m) for j, p in row.items()}
+    num, den = 0, 1
+    for p in row.values():
+        for c in p.terms.values():
+            c = Fraction(c)
+            num = math.gcd(num, c.numerator)
+            den = den * c.denominator // math.gcd(den, c.denominator)
+    cont = Fraction(num, den)
+    if row[min(row)].lead()[1] < 0:
+        cont = -cont
+    return {j: p.scale(1 / cont) for j, p in row.items()}
+
+
 def _reference_symbolic_rank(reg, rows):
     """symbolic_rank as it was before the packed-term kernel, on Poly entries;
     frozen here as the step-for-step reference of the elimination."""
     work = []
     for row in rows:
-        r = strip_row({j: p for j, p in row.items() if not p.is_zero()})
+        r = _reference_strip_row({j: p for j, p in row.items() if not p.is_zero()})
         if r:
             work.append(r)
     divisors = [None] * len(work)  # None stands for 1

@@ -180,3 +180,86 @@ def test_float_rejected(ctx):
 def test_reserved_names():
     with pytest.raises(ValueError):
         Context(("alpha", "g2"))
+
+
+def _frozen_substitute(poly, values):
+    """Poly.substitute as it was before the one-pass version (one Poly product
+    and one Poly sum per term), frozen here as its reference."""
+    reg = poly.reg
+    cache = {}
+
+    def powval(i, p):
+        key = (i, p)
+        if key not in cache:
+            v = values[i]
+            if not isinstance(v, Poly):
+                v = Poly.const(reg, v)
+            cache[key] = v ** p
+        return cache[key]
+
+    out = Poly.zero(reg)
+    for e, c in poly.terms.items():
+        rest = [0] * len(e)
+        term = None
+        for i, p in enumerate(e):
+            if p and i in values:
+                term = powval(i, p) if term is None else term * powval(i, p)
+            else:
+                rest[i] = p
+        mono = Poly.monomial(reg, rest, c)
+        out = out + (mono if term is None else mono * term)
+    return out
+
+
+def _rand_poly(reg, rng, nvars, maxdeg, maxterms):
+    terms = {}
+    for _ in range(rng.randint(0, maxterms)):
+        e = tuple(rng.randint(0, maxdeg) if i < nvars else 0 for i in range(len(reg)))
+        c = rng.randint(-5, 5)
+        if rng.random() < 0.3:
+            c = Fraction(c, rng.randint(2, 5))
+        terms[e] = c
+    return Poly(reg, {e: c for e, c in terms.items() if c})
+
+
+def test_substitute_matches_frozen_reference():
+    reg = Context.of_rank(3).reg
+    rng = random.Random(5150)
+    kinds = set()
+    for case in range(360):
+        nvars = 1 + case % 4
+        p = _rand_poly(reg, rng, nvars, 3, 6)
+        values = {}
+        for i in rng.sample(range(nvars), rng.randint(1, nvars)):
+            kind = rng.choice(["int", "fraction", "zero", "poly", "poly", "zero_poly"])
+            kinds.add(kind)
+            if kind == "int":
+                values[i] = rng.choice([-2, -1, 1, 2, 3])
+            elif kind == "fraction":
+                values[i] = Fraction(rng.choice([-3, -1, 1, 5]), rng.randint(2, 4))
+            elif kind == "zero":
+                values[i] = rng.choice([0, Fraction(0)])
+            elif kind == "poly":
+                values[i] = _rand_poly(reg, rng, len(reg), 2, 3)
+            else:
+                values[i] = Poly.zero(reg)
+        got = p.substitute(values)
+        expect = _frozen_substitute(p, values)
+        assert got == expect
+        assert str(got) == str(expect)
+        assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+    assert kinds == {"int", "fraction", "zero", "poly", "zero_poly"}
+
+
+def test_substitute_keeps_unmapped_symbols_and_merges_terms(ctx):
+    reg = ctx.reg
+    g1, g2 = Poly.symbol(reg, "g1"), Poly.symbol(reg, "g2")
+    alpha = Poly.symbol(reg, "alpha")
+    p = g1 * g2 + g1 * g1 * alpha - g2 * alpha
+    # g2 := 1 merges g1*g2 into g1 and -g2*alpha into -alpha
+    assert p.substitute({reg.index["g2"]: 1}) == g1 + g1 * g1 * alpha - alpha
+    # a polynomial value may mention the substituted symbol itself
+    assert p.substitute({reg.index["g1"]: g1 + g2}) == (g1 + g2) * g2 + (g1 + g2) * (g1 + g2) * alpha - g2 * alpha
+    assert p.substitute({}) == p
+    with pytest.raises(TypeError):
+        p.substitute({0: 1.5})
