@@ -6,14 +6,22 @@ where x, y inside coefficients mean the embedded complex values.  C is
 central.  Elements are finite linear combinations with exact Scalar
 coefficients; everything here is immutable and side-effect free, so
 independent brackets can be evaluated concurrently.
+
+PBW straightening has one implementation, `Straightener`: memoized left
+multiplication of a generator onto a sorted monomial on a top, by
+x f R = f (x R) + [x, f] R.  Its owner supplies only the factor order, the
+bracket and the action on the top; `pbw_normalize` (top: a power of C),
+the Verma module of `classical` and the induced module of `induced` use
+it with Poly coefficients and turn them into Scalars only in results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .groups import GroupOrder, gadd, is_zero
-from .scalars import Scalar
+from .scalars import Poly, Scalar
 
 
 class AlgebraElement:
@@ -205,7 +213,79 @@ class TriangularPart:
         return all(self.contains_index(x) for x in elem.d_terms)
 
 
-# -- PBW normal form -----------------------------------------------------------
+# -- PBW straightening ---------------------------------------------------------
+
+CENTER = "C"
+
+
+def accumulate(out, key, coeff):
+    """out[key] += coeff, dropping the key once the sum vanishes."""
+    prev = out.get(key)
+    s = coeff if prev is None else prev + coeff
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+class Straightener:
+    """Memoized left multiplication of a generator onto PBW monomials.
+
+    A monomial is (factors, top): factor labels sorted in the owner's order,
+    on a top (a vector label, or a power of C).  The owner's three rules:
+    before(x, f), whether x may stand left of the factor f; bracket(x, f),
+    [x, f] as (label, coefficient) pairs, CENTER standing for C; top(x, t),
+    x (possibly CENTER) on the empty monomial, as {monomial: coefficient}.
+    The step x f R = f (x R) + [x, f] R is the usual induction of the PBW
+    theorem, so the recursion ends; results are memoized in `memo`.
+    """
+
+    def __init__(self, one, before, bracket, top):
+        self.one = one
+        self.before = before
+        self.bracket = bracket
+        self.top = top
+        self.memo = {}
+
+    def lmul(self, x, mono):
+        factors, top = mono
+        if not factors:
+            return self.top(x, top)
+        f1 = factors[0]
+        if self.before(x, f1):
+            return {((x,) + factors, top): self.one}
+        key = (x, mono)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        before = self.before
+        rest = (factors[1:], top)
+        out = {}
+        for (fs, t), c in self.lmul(x, rest).items():
+            if not fs or before(f1, fs[0]):
+                # a factor stands on any top, left of any factor it precedes
+                accumulate(out, ((f1,) + fs, t), c)
+            else:
+                for m, c2 in self.lmul(f1, (fs, t)).items():
+                    accumulate(out, m, c * c2)
+        for y, cy in self.bracket(x, f1):
+            if y == CENTER:
+                # C is central: it acts on the top and commutes past R
+                part = {(rest[0], t): c for (_, t), c in self.top(CENTER, top).items()}
+            else:
+                part = self.lmul(y, rest)
+            for m, c in part.items():
+                accumulate(out, m, cy * c)
+        self.memo[key] = out
+        return out
+
+    def act(self, x, vec):
+        """x applied to a combination {monomial: coefficient}."""
+        out = {}
+        for mono, c in vec.items():
+            for m, c2 in self.lmul(x, mono).items():
+                accumulate(out, m, c * c2)
+        return out
 
 
 def pbw_normalize(ctx, group, word, order=None):
@@ -213,11 +293,12 @@ def pbw_normalize(ctx, group, word, order=None):
 
     word items are group-element coordinate tuples (meaning d_x) or the
     string "C".  Returns {(factors, c_power): Scalar} where factors is a
-    nondecreasing tuple under the total order.  Repeatedly swapping the first
-    descent terminates: a swap lowers the inversion count at fixed length and
-    the commutator terms are strictly shorter.
+    nondecreasing tuple under the total order.  C is central, so every C of
+    the word and of a bracket only raises the C power; the d_x are
+    left-multiplied onto 1 from the right end of the word.
     """
     order = order or GroupOrder(group.rank)
+    one = Poly.const(ctx.reg, 1)
     base = []
     c_power = 0
     for item in word:
@@ -225,38 +306,37 @@ def pbw_normalize(ctx, group, word, order=None):
             c_power += 1
         else:
             base.append(group.validate(item))
-    out = {}
+    # each index is embedded and ordered once per call
+    embed = lru_cache(maxsize=None)(lambda x: ctx.embed(x).num)
+    key = lru_cache(maxsize=None)(order.key)
 
-    def emit(factors, cp, coeff):
-        key = (factors, cp)
-        prev = out.get(key)
-        s = prev + coeff if prev is not None else coeff
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+    def before(x, f):
+        return key(x) <= key(f)
 
-    stack = [(tuple(base), c_power, ctx.one())]
-    while stack:
-        w, cp, coeff = stack.pop()
-        i = next(
-            (k for k in range(len(w) - 1) if order.compare(w[k], w[k + 1]) > 0), None
-        )
-        if i is None:
-            emit(w, cp, coeff)
-            continue
-        x, y = w[i], w[i + 1]
-        stack.append((w[:i] + (y, x) + w[i + 2 :], cp, coeff))
-        # d_x d_y = d_y d_x + (y-x) d_{x+y} + delta_{x,-y} (x^3-x)/12 C
-        factor = ctx.embed(y) - ctx.embed(x)
+    def bracket(x, f):
+        # [d_x, d_f] = (f - x) d_{x+f} + delta_{x,-f} (x^3 - x)/12 C
+        out = []
+        ex = embed(x)
+        z = gadd(x, f)
+        factor = embed(f) - ex
         if not factor.is_zero():
-            stack.append((w[:i] + (gadd(x, y),) + w[i + 2 :], cp, coeff * factor))
-        if is_zero(gadd(x, y)):
-            ex = ctx.embed(x)
-            central = (ex**3 - ex) / 12
+            out.append((z, factor))
+        if is_zero(z):
+            central = (ex**3 - ex).scale(Fraction(1, 12))
             if not central.is_zero():
-                stack.append((w[:i] + w[i + 2 :], cp + 1, coeff * central))
-    return out
+                out.append((CENTER, central))
+        return out
+
+    def top(x, cp):
+        if x == CENTER:
+            return {((), cp + 1): one}
+        return {((x,), cp): one}
+
+    kernel = Straightener(one, before, bracket, top)
+    vec = {((), c_power): one}
+    for x in reversed(base):
+        vec = kernel.act(x, vec)
+    return {mono: Scalar.make(p) for mono, p in vec.items()}
 
 
 def render_pbw(terms, order=None):

@@ -20,6 +20,10 @@ matrices therefore have the same ideal of maximal minors (Cauchy-Binet one
 way, row subset the other), hence the same minor gcd, and the same row space
 over Q(c, h), hence the same reduced row echelon form and kernel basis.  The
 argument survives evaluating c and h at rationals.
+
+The action is the `algebra.Straightener` kernel on Poly coefficients, with
+d_j labelled -j so that a partition part k is the factor d_{-k}; Scalars
+appear only in `act`, `singular_vectors` and `find_singular`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Echelon, det, kernel_basis, to_poly
+from .algebra import CENTER, Straightener, accumulate
+from .linalg import Echelon, det, kernel_basis
 from .scalars import Poly, Scalar, _gcd_many
 
 
@@ -87,7 +92,7 @@ class TruncatedVermaModule:
 
     Vectors are {partition word: Scalar} dictionaries.  c and h come from the
     context bindings (free symbols or rationals).  The module is immutable
-    after construction; action tables are memoized.
+    after construction; the action is memoized.
     """
 
     def __init__(self, ctx, level_cap):
@@ -97,8 +102,9 @@ class TruncatedVermaModule:
         self.level_cap = level_cap
         self.c = ctx.c
         self.h = ctx.h
-        self._lmul_memo = {}
-        self._raise_memo = {}
+        # d_j carries the label -j, so d_{-k} is the partition part k
+        self._one = Poly.const(ctx.reg, 1)
+        self._straight = Straightener(self._one, _part_first, self._bracket, self._top)
 
     # -- basis -------------------------------------------------------------
 
@@ -117,65 +123,32 @@ class TruncatedVermaModule:
 
     # -- action ------------------------------------------------------------
 
+    def _bracket(self, a, k):
+        # [d_{-a}, d_{-k}] = (a - k) d_{-(a+k)} + delta_{a,-k} (k^3 - k)/12 C
+        reg = self.ctx.reg
+        out = []
+        if a != k:
+            out.append((a + k, Poly.const(reg, a - k)))
+        if a == -k and k > 1:
+            out.append((CENTER, Poly.const(reg, Fraction(k**3 - k, 12))))
+        return out
+
+    def _top(self, a, v):
+        """d_{-a} or C on v: a lowering operator stands on v, d_{j>0} kills
+        it, d_0 acts by h and C by c."""
+        if a == CENTER or a == 0:
+            value = (self.c if a == CENTER else self.h).num
+            return {} if value.is_zero() else {((), v): value}
+        return {((a,), v): self._one} if a > 0 else {}
+
     def act(self, j, vec):
         """Action of d_j (any integer j) on a vector."""
         out = {}
         for word, coeff in vec.items():
             if coeff.is_zero():
                 continue
-            for w2, c2 in self._act_word(j, word).items():
-                _accum(out, w2, coeff * c2)
-        return out
-
-    def _act_word(self, j, word):
-        if j < 0:
-            return self._lmul_word(-j, word)
-        if j == 0:
-            return {word: self.h - self.ctx.scalar(sum(word))}
-        return self._raise_word(j, word)
-
-    def _lmul_word(self, m, word):
-        """d_{-m} times the basis word, straightened; m >= 1."""
-        if not word or m >= word[0]:
-            return {(m,) + word: self.ctx.one()}
-        key = (m, word)
-        hit = self._lmul_memo.get(key)
-        if hit is not None:
-            return hit
-        k, rest = word[0], word[1:]
-        # d_{-m} d_{-k} = d_{-k} d_{-m} + (m-k) d_{-(m+k)}
-        out = {}
-        for w2, c2 in self._lmul_word(m, rest).items():
-            for w3, c3 in self._lmul_word(k, w2).items():
-                _accum(out, w3, c2 * c3)
-        cf = self.ctx.scalar(m - k)
-        for w2, c2 in self._lmul_word(m + k, rest).items():
-            _accum(out, w2, cf * c2)
-        self._lmul_memo[key] = out
-        return out
-
-    def _raise_word(self, j, word):
-        """d_j times the basis word for j >= 1; d_j v = 0 on the top line."""
-        if not word:
-            return {}
-        key = (j, word)
-        hit = self._raise_memo.get(key)
-        if hit is not None:
-            return hit
-        k, rest = word[0], word[1:]
-        out = {}
-        # d_j d_{-k} = d_{-k} d_j + (-k-j) d_{j-k} + delta_{j,k} (j^3-j)/12 C
-        for w2, c2 in self._raise_word(j, rest).items():
-            for w3, c3 in self._lmul_word(k, w2).items():
-                _accum(out, w3, c2 * c3)
-        cf = self.ctx.scalar(-k - j)
-        for w2, c2 in self._act_word(j - k, rest).items():
-            _accum(out, w2, cf * c2)
-        if j == k:
-            central = self.ctx.scalar(Fraction(j**3 - j, 12)) * self.c
-            if not central.is_zero():
-                _accum(out, rest, central)
-        self._raise_memo[key] = out
+            for (w2, _), p in self._straight.lmul(-j, (word, None)).items():
+                accumulate(out, w2, coeff * Scalar.make(p))
         return out
 
     # -- singular vectors ----------------------------------------------------
@@ -191,13 +164,11 @@ class TruncatedVermaModule:
         """
         cols = {w: i for i, w in enumerate(self.basis(n))}
         rows = []
-        reg = self.ctx.reg
         for k in range(1, min(n, 2) + 1):
             targets = {w: {} for w in self.basis(n - k)}
             for w, i in cols.items():
-                for w2, c2 in self._raise_word(k, w).items():
-                    if not c2.is_zero():
-                        targets[w2][i] = to_poly(reg, c2)
+                for (w2, _), p in self._straight.lmul(-k, (w, None)).items():
+                    targets[w2][i] = p
             rows.extend(targets[w] for w in self.basis(n - k))
         return rows
 
@@ -205,7 +176,7 @@ class TruncatedVermaModule:
         """Joint kernel of d_1..d_n at level n under the current bindings,
         as {word: Scalar} vectors; no existence condition is formed."""
         self._check_level(n)
-        return self._kernel(n, self.raising_rows(n))
+        return [_as_scalars(vec) for vec in self._kernel(n, self.raising_rows(n))]
 
     def find_singular(self, n):
         """Joint kernel of d_1..d_n at level n, with the existence condition.
@@ -218,16 +189,18 @@ class TruncatedVermaModule:
         self._check_level(n)
         rows = self.raising_rows(n)
         condition = self._minor_gcd(rows, partition_count(n))
-        return SingularVectorReport(n, self.basis(n), self._kernel(n, rows), [condition])
+        vectors = [_as_scalars(vec) for vec in self._kernel(n, rows)]
+        return SingularVectorReport(n, self.basis(n), vectors, [condition])
 
     def _check_level(self, n):
         if not 0 < n <= self.level_cap:
             raise ValueError("level must satisfy 0 < n <= level_cap")
 
     def _kernel(self, n, rows):
+        """Kernel vectors as {partition word: Poly}."""
         basis = self.basis(n)
         return [
-            {w: Scalar.make(p) for w, p in zip(basis, vec) if not p.is_zero()}
+            {w: p for w, p in zip(basis, vec) if not p.is_zero()}
             for vec in kernel_basis(self.ctx.reg, rows, len(basis))
         ]
 
@@ -255,11 +228,10 @@ class TruncatedVermaModule:
         for name in ("c", "h"):
             if self.ctx.binding(name).kind != "rational":
                 raise ValueError("quotient dims need c and h bound to rationals")
-        reg = self.ctx.reg
         L = self.level_cap
         singular = {}
         for n in range(1, L + 1):
-            vectors = self.singular_vectors(n)
+            vectors = self._kernel(n, self.raising_rows(n))
             if vectors:
                 singular[n] = vectors
         dims = [1]
@@ -271,14 +243,10 @@ class TruncatedVermaModule:
                     continue
                 for svec in vecs:
                     for mu in partitions(lvl - n):
-                        moved = svec
+                        moved = {(w, None): p for w, p in svec.items()}
                         for m in reversed(mu):
-                            moved = self.act(-m, moved)
-                        row = {
-                            cols[w]: to_poly(reg, s)
-                            for w, s in moved.items()
-                            if not s.is_zero()
-                        }
+                            moved = self._straight.act(m, moved)
+                        row = {cols[w]: p for (w, _), p in moved.items()}
                         if row:
                             ech.add_row(row)
                         if ech.is_full():
@@ -293,10 +261,11 @@ class TruncatedVermaModule:
         return dims[0] == 1 and all(d == 0 for d in dims[1:]) and self.h.is_zero()
 
 
-def _accum(out, word, coeff):
-    prev = out.get(word)
-    s = coeff if prev is None else prev + coeff
-    if s.is_zero():
-        out.pop(word, None)
-    else:
-        out[word] = s
+def _part_first(a, k):
+    """Parts are nonincreasing; a label a <= 0 (d_{-a} raising or d_0) never
+    stands in a word."""
+    return a >= k
+
+
+def _as_scalars(vec):
+    return {w: Scalar.make(p) for w, p in vec.items()}

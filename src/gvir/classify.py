@@ -24,11 +24,11 @@ and is canonicalized by Hermite reduction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .groups import (
     Group,
+    box,
     gneg,
     gscale,
     gsub,
@@ -56,10 +56,6 @@ REPORT_SCHEMA = "gvir.classification/1"
 
 class MalformedDescriptorError(ValueError):
     """The descriptor violates a structural invariant."""
-
-
-def _boxes(radius, dim):
-    return itertools.product(range(-radius, radius + 1), repeat=dim)
 
 
 @dataclass(frozen=True)
@@ -380,7 +376,7 @@ def _candidate_directions(rank, bound):
     """Primitive directions with sup-norm <= bound, sorted by (norm, lex)."""
     vs = [
         v
-        for v in _boxes(bound, rank)
+        for v in box(bound, rank)
         if not is_zero(v) and is_primitive(v)
     ]
     return sorted(vs, key=lambda v: (max(abs(a) for a in v), v))
@@ -529,7 +525,7 @@ def _classify_higher_rank(d, certs, direction_bound):
 def descriptor_from_interseries(module, radius=3):
     """Dimension table of the irreducible sub-quotient V' over a box window."""
     desc = module.subquotient()
-    rows = {y: dim for y, dim in module.dims_row(_boxes(radius, module.group.rank), desc)}
+    rows = {y: dim for y, dim in module.dims_row(box(radius, module.group.rank), desc)}
     return ModuleDescriptor(
         group=module.group,
         rows=rows,
@@ -577,7 +573,7 @@ def descriptor_from_induced(quotient, zero_levels=2):
         rows[sp.compose(-i, y)] = dim
     radius = module.window.top_radius
     for k in range(1, zero_levels + 1):
-        for y in _boxes(radius, module.g0_rank):
+        for y in box(radius, module.g0_rank):
             rows.setdefault(sp.compose(k, y), 0)
     a0 = module._alpha_element_coords()
     return ModuleDescriptor(

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import os
 import random
@@ -35,7 +34,7 @@ import time
 from .algebra import AlgebraElement, bracket as lie_bracket
 from .classical import TruncatedVermaModule
 from .classify import MalformedDescriptorError, ModuleDescriptor, classify
-from .groups import Group, SplitError, is_primitive, is_zero
+from .groups import Group, SplitError, box, is_primitive, is_zero
 from .induced import InducedModule, Window
 from .interseries import IntermediateSeriesModule
 from .scalars import Context
@@ -292,8 +291,7 @@ def run_interseries(config, seed):
     module = IntermediateSeriesModule(ctx, G)
     desc = module.subquotient()
     radius = config.get("window", {}).get("N", 3)
-    window = _coords_box(radius, rank)
-    dims = module.dims_row(window, desc)
+    dims = module.dims_row(box(radius, rank), desc)
 
     rng = random.Random(seed)
     trials = config.get("trials", 25)
@@ -407,10 +405,6 @@ def run_classify(config):
         },
         "report": report.to_json(),
     }, None
-
-
-def _coords_box(radius, rank):
-    return list(itertools.product(range(-radius, radius + 1), repeat=rank))
 
 
 def _csv_table(header, rows):

@@ -9,6 +9,7 @@ values are produced through a Context (see scalars).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +55,11 @@ def element_gcd(x):
 
 def is_primitive(x):
     return element_gcd(x) == 1
+
+
+def box(radius, rank):
+    """Coordinate tuples of sup-norm <= radius, in itertools.product order."""
+    return itertools.product(range(-radius, radius + 1), repeat=rank)
 
 
 def render_element(x):

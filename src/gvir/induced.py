@@ -31,8 +31,9 @@ and columns by monomials makes all minors homogeneous, hence substituting
 one generator := 1 preserves the rank exactly and removes a variable
 whenever the bound alpha is itself homogeneous (free, a group element, or
 zero).  No coefficient ever needs division and all entries stay polynomial,
-so the action, its memo tables and the probe rows carry Poly coefficients
-straight into `symbolic_rank`, with no Scalar and no gcd on the way.
+so the action (the `algebra.Straightener` kernel, memoized in `_act_memo`)
+and the probe rows carry Poly coefficients straight into `symbolic_rank`,
+with no Scalar and no gcd on the way.
 Scalars appear only at the public boundary: `act_on_induced` takes and
 returns Scalar combinations, and `kernel_at` returns them.
 All evaluators are pure and memoized per module instance; matrices for
@@ -41,12 +42,12 @@ distinct weights are independent and could be computed concurrently.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import TriangularPart
-from .groups import gadd, gneg, gzero, split
+from .algebra import Straightener, TriangularPart, accumulate
+from .classify import _direction_verdict, descriptor_from_induced
+from .groups import box, gadd, gneg, gzero, split
 from .linalg import kernel_basis, symbolic_rank
 from .scalars import Poly, Scalar
 
@@ -87,8 +88,10 @@ def part_membership(splitting, coords, selector):
     return TriangularPart(selector, splitting=splitting).contains_index(coords)
 
 
-def _box(radius, dim):
-    return itertools.product(range(-radius, radius + 1), repeat=dim)
+def _factor_first(x, f):
+    """d_{u - k b} (x = (k, u)) may stand left of the factor f: it lowers
+    (k >= 1) and comes first in the sorted (k, u) order."""
+    return x[0] > 0 and x <= f
 
 
 def _multisets(pool, total):
@@ -136,9 +139,11 @@ class InducedModule:
         self._g0_embed = [ctx.embed(g).num for g in self.split.g0_basis]
         self._one = Poly.const(ctx.reg, 1)
         self._iota0_memo = {}
-        self._act_memo = {}
-        self._lmul_memo = {}
         self._dims_memo = {}
+        # a factor (k, u) stands for d_{u - k b}; a generator d_{y + t b}
+        # carries the same label (-t, y), so lowering operators are factors
+        self._straight = Straightener(self._one, _factor_first, self._bracket, self._top)
+        self._act_memo = self._straight.memo
         a = self._alpha_element_coords()
         beta_b = ctx.binding("beta")
         reducible = a is not None and beta_b.kind == "rational" and beta_b.value in (
@@ -196,73 +201,35 @@ class InducedModule:
             return {}
         return {((), nu): coeff}
 
-    def _lmul(self, f, mono):
-        """Left-multiply by the lowering operator d_{u - k b}, f = (k, u)."""
-        factors, mu = mono
-        if not factors or f <= factors[0]:
-            return {((f,) + factors, mu): self._one}
-        key = (f, factors, mu)
-        hit = self._lmul_memo.get(key)
-        if hit is not None:
-            return hit
-        f1, rest = factors[0], factors[1:]
-        out = {}
-        for mono2, s2 in self._lmul(f, (rest, mu)).items():
-            for mono3, s3 in self._lmul(f1, mono2).items():
-                _accum(out, mono3, s2 * s3)
-        # [d_{u-kb}, d_{u1-k1b}] = (iota(f1 index) - iota(f index)) d_(merged)
-        k, u = f
-        k1, u1 = f1
+    def _top(self, x, mu):
+        """d_{u - k b} (x = (k, u)) on v_mu: a lowering operator stands on
+        the top, level 0 acts through V' and raising operators kill it."""
+        k, u = x
+        if k > 0:
+            return {((x,), mu): self._one}
+        if k == 0:
+            return self._top_act(u, mu)
+        return {}
+
+    def _bracket(self, x, f):
+        # [d_{u-kb}, d_{u1-k1b}] = (iota(u1 - k1 b) - iota(u - k b)) d_(merged);
+        # the central term is dropped, since C acts as 0 here
+        (k, u), (k1, u1) = x, f
         br = self._embed_gen(-k1, u1) - self._embed_gen(-k, u)
-        if not br.is_zero():
-            merged = (k + k1, gadd(u, u1))
-            for mono2, s2 in self._lmul(merged, (rest, mu)).items():
-                _accum(out, mono2, br * s2)
-        self._lmul_memo[key] = out
-        return out
+        if br.is_zero():
+            return ()
+        return (((k + k1, gadd(u, u1)), br),)
 
     def _act(self, gen, mono):
         """d_{y + t b} (gen = (t, y)) applied to one basis monomial."""
         t, y = gen
-        factors, mu = mono
-        if not factors:
-            if t > 0:
-                return {}
-            if t == 0:
-                return self._top_act(y, mu)
-            return self._lmul((-t, y), mono)
-        key = (gen, mono)
-        hit = self._act_memo.get(key)
-        if hit is not None:
-            return hit
-        f1, rest = factors[0], factors[1:]
-        out = {}
-        for mono2, s2 in self._act(gen, (rest, mu)).items():
-            for mono3, s3 in self._lmul(f1, mono2).items():
-                _accum(out, mono3, s2 * s3)
-        k1, u1 = f1
-        br = self._embed_gen(-k1, u1) - self._embed_gen(t, y)
-        if not br.is_zero():
-            gen2 = (t - k1, gadd(y, u1))
-            for mono2, s2 in self._act(gen2, (rest, mu)).items():
-                _accum(out, mono2, br * s2)
-        # the central term of the bracket is dropped: C acts as 0 here
-        self._act_memo[key] = out
-        return out
-
-    def act_vec(self, gen, vec):
-        """d_{y + t b} on a combination {monomial: nonzero Poly}."""
-        out = {}
-        for mono, coeff in vec.items():
-            for mono2, s2 in self._act(gen, mono).items():
-                _accum(out, mono2, coeff * s2)
-        return out
+        return self._straight.lmul((-t, y), mono)
 
     # -- bases -------------------------------------------------------------------
 
     def factor_pool(self, i, radius):
         return sorted(
-            (k, u) for k in range(1, i + 1) for u in _box(radius, self.g0_rank)
+            (k, u) for k in range(1, i + 1) for u in box(radius, self.g0_rank)
         )
 
     def probe_pool(self, i, radius):
@@ -270,7 +237,7 @@ class InducedModule:
         return sorted(
             (k, y)
             for k in range(1, i + 1)
-            for y in _box(k * radius, self.g0_rank)
+            for y in box(k * radius, self.g0_rank)
         )
 
     def factor_multisets(self, i, radius=None):
@@ -310,11 +277,7 @@ class InducedModule:
 
     def report_weights(self, i):
         reach = i * self.window.box_radius + self.window.top_radius
-        return sorted(_box(reach, self.g0_rank))
-
-    def level_basis(self, i):
-        """Weight -> monomial list for one level (the report window)."""
-        return {x: self.basis_at(i, x) for x in self.report_weights(i)}
+        return sorted(box(reach, self.g0_rank))
 
     # -- quotient dimensions -------------------------------------------------------
 
@@ -331,8 +294,8 @@ class InducedModule:
             row = {}
             for j, mono in enumerate(cols):
                 vec = {mono: self._one}
-                for gen in seq:
-                    vec = self.act_vec(gen, vec)
+                for k, y in seq:
+                    vec = self._straight.act((-k, y), vec)
                     if not vec:
                         break
                 val = vec.get(target)
@@ -433,7 +396,7 @@ class InducedModule:
             gen = (self.split.level(z), self.split.g0_coords(z))
             for mono, s in vec.items():
                 for mono2, p in self._act(gen, mono).items():
-                    _accum(out, mono2, coeff * s * Scalar.make(p))
+                    accumulate(out, mono2, coeff * s * Scalar.make(p))
         escaped = any(self._escapes(mono) for mono in out)
         return out, escaped
 
@@ -485,47 +448,33 @@ class QuotientDims:
         """Classify the support against the two admissible patterns.
 
         pattern_A: alpha - Z+ b + G0 (generic top); pattern_B: the same set
-        with the zero weight removed (reducible top, alpha in G0).  Any
-        stable nonzero entry at a positive b-level, or on the removed zero
-        weight, is a violation."""
-        violations = []
-        for (i, x), d in self.entries.items():
-            if not self.stable[(i, x)] or d == 0:
-                continue
-            if i < 0:
-                violations.append({"level": i, "coords": list(x), "dim": d})
+        with the zero weight removed (reducible top, alpha in G0).  Entries
+        only hold levels 0..L, so no weight above the top can occur; the one
+        possible violation is a nonzero entry on the removed zero weight."""
         excluded = self.module.top_excluded
-        pattern = "pattern_A"
-        if excluded is not None:
-            pattern = "pattern_B"
-            d0 = self.entries.get((0, excluded))
-            if d0:
-                violations.append(
-                    {"level": 0, "coords": list(excluded), "dim": d0}
-                )
-        if violations:
-            return {"verdict": "violation", "violations": violations}
-        return {"verdict": pattern, "violations": []}
+        if excluded is None:
+            return {"verdict": "pattern_A", "violations": []}
+        d0 = self.entries.get((0, excluded))
+        if d0:
+            violation = {"level": 0, "coords": list(excluded), "dim": d0}
+            return {"verdict": "violation", "violations": [violation]}
+        return {"verdict": "pattern_B", "violations": []}
 
     def string_boundedness(self, g):
-        """Behavior of the weight strings along a direction g of G.
+        """Behavior of the weight strings along a nonzero direction g of G.
 
-        g inside G0 meets every level in a uniformly bounded band: bounded.
-        Any direction with a b-component walks out of the level range on the
-        positive side: truncated_above.  mixed signals no stable evidence.
-        """
+        The stable entries, at their group coordinates as in
+        `descriptor_from_induced` (with its zero rows above the top), go
+        through the classifier's `_direction_verdict`: bounded,
+        truncated_above, truncated_below, mixed, vacuous or unknown."""
         g = self.module.group.validate(g)
-        t = self.module.split.level(g)
-        if not any(self.stable.values()):
-            return "mixed"
-        if t == 0:
-            ok = all(
-                d <= double_factorial_odd(i)
-                for (i, x), d in self.entries.items()
-                if self.stable[(i, x)]
-            )
-            return "bounded" if ok else "mixed"
-        return "truncated_above"
+        if not any(g):
+            raise ValueError("direction must be nonzero")
+        desc = descriptor_from_induced(self)
+        sp = self.module.split
+        unstable = {sp.compose(-i, x) for (i, x), ok in self.stable.items() if not ok}
+        rows = {c: d for c, d in desc.rows.items() if c not in unstable}
+        return _direction_verdict(replace(desc, rows=rows), g)
 
     def to_rows(self):
         """Sorted (level, coords, dim, stable) tuples for serialization."""
@@ -555,12 +504,3 @@ class QuotientDims:
                 for i, x, d, s in self.to_rows()
             ],
         }
-
-
-def _accum(out, key, coeff):
-    prev = out.get(key)
-    s = coeff if prev is None else prev + coeff
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s

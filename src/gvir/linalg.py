@@ -177,16 +177,6 @@ class Echelon:
         return True
 
 
-def rank_of(rows, ncols=None):
-    """Rank of a sparse row list, stopping early at full column rank."""
-    ech = Echelon(ncols)
-    for row in rows:
-        ech.add_row(row)
-        if ech.is_full():
-            break
-    return ech.rank
-
-
 def symbolic_rank(reg, rows):
     """Exact rank of a sparse polynomial matrix over the fraction field.
 

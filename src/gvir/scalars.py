@@ -137,11 +137,6 @@ class Poly:
             raise ValueError("not a constant polynomial")
         return Fraction(c)
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, i):
         if not self.terms:
             return -1

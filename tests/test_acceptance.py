@@ -241,6 +241,8 @@ def test_7_support_pattern_and_string_boundedness():
             assert q.string_boundedness(g) == "bounded"
         for g in ((0, 1), (1, 1), (-2, 1)):
             assert q.string_boundedness(g) == "truncated_above"
+        # along 2 g1 - b the level grows, so the strings stop on the negative side
+        assert q.string_boundedness((2, -1)) == "truncated_below"
 
     _verdict(7, "generic support is pattern_A; strings bounded in G0, cut above along b", body)
 

@@ -172,9 +172,11 @@ def test_pbw_central_symbols_commute():
 
 
 def _reference_pbw(ctx, G, word, order):
-    """Independent straightener: swaps the LAST descent instead of the first."""
+    """Independent straightener: swaps the LAST descent of the word until
+    it is sorted; each C of the word is central and only counts."""
     out = {}
-    stack = [(tuple(word), 0, ctx.one())]
+    letters = tuple(x for x in word if x != "C")
+    stack = [(letters, len(word) - len(letters), ctx.one())]
     while stack:
         w, cp, coeff = stack.pop()
         desc = [k for k in range(len(w) - 1) if order.compare(w[k], w[k + 1]) > 0]
@@ -202,14 +204,24 @@ def _reference_pbw(ctx, G, word, order):
 
 
 def test_pbw_confluence_random_words():
-    ctx, G = _setup()
-    order = GroupOrder(2)
+    # the shapes of the benchmark's PBW words: rank 1 over [-3, 3] and
+    # rank 2 over [-2, 2]^2, lengths 2-5, sometimes with a C
     rng = random.Random(31)
-    for _ in range(40):
-        word = [tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(3)]
-        a = pbw_normalize(ctx, G, word)
-        b = _reference_pbw(ctx, G, word, order)
-        assert a == b, word
+    central_terms = 0
+    for rank, radius in ((1, 3), (2, 2)):
+        ctx, G = _setup(rank)
+        order = GroupOrder(rank)
+        for _ in range(40):
+            length = rng.randint(2, 5)
+            word = [tuple(rng.randint(-radius, radius) for _ in range(rank)) for _ in range(length)]
+            if rng.random() < 0.3:
+                word.insert(rng.randrange(length + 1), "C")
+            a = pbw_normalize(ctx, G, word)
+            b = _reference_pbw(ctx, G, word, order)
+            assert a == b, word
+            central_terms += any(cp > word.count("C") for _, cp in a)
+    # the delta-pair central correction is exercised, not just the swaps
+    assert central_terms >= 10
 
 
 def test_triangular_parts():

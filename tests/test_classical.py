@@ -274,9 +274,8 @@ def _full_stack_rows(M, n):
     for k in range(1, n + 1):
         targets = {w: {} for w in M.basis(n - k)}
         for w, i in cols.items():
-            for w2, c2 in M._raise_word(k, w).items():
-                if not c2.is_zero():
-                    targets[w2][i] = to_poly(reg, c2)
+            for w2, c2 in M.act(k, {w: M.ctx.one()}).items():
+                targets[w2][i] = to_poly(reg, c2)
         rows.extend(targets[w] for w in M.basis(n - k))
     return rows
 

@@ -450,7 +450,28 @@ def test_string_boundedness_directions():
     assert q.string_boundedness((1, 0)) == "bounded"
     assert q.string_boundedness((0, 1)) == "truncated_above"
     assert q.string_boundedness((1, 1)) == "truncated_above"
-    assert q.string_boundedness((2, -1)) == "truncated_above"
+    # b = (0, 1) and g = (2, -1) = 2 g1 - b: along g the level grows, so
+    # the strings stop on the negative side
+    assert q.string_boundedness((2, -1)) == "truncated_below"
+    with pytest.raises(ValueError):
+        q.string_boundedness((0, 0))
+
+
+def test_string_boundedness_reads_the_stable_entries():
+    q = rank2_module(L=1, N=1).quotient_dims()
+    level1 = [k for k in q.entries if k[0] == 1]
+    assert len(level1) > 3 and all(q.entries[k] for k in level1)
+    # with every level-1 entry zero the support is the top row alone, and
+    # a string along b is finite
+    zeroed = dict(q.entries) | {k: 0 for k in level1}
+    flat = QuotientDims(q.module, q.window, zeroed, zeroed, q.stable)
+    assert flat.string_boundedness((0, 1)) == "bounded"
+    assert flat.string_boundedness((1, 0)) == "bounded"
+    # the same zeros flagged unstable are left out: the top row, with the
+    # zero rows above it, is truncated above again
+    unstable = dict(q.stable) | {k: False for k in level1}
+    hidden = QuotientDims(q.module, q.window, zeroed, zeroed, unstable)
+    assert hidden.string_boundedness((0, 1)) == "truncated_above"
 
 
 def test_json_report_shape():
