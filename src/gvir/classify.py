@@ -563,14 +563,17 @@ def descriptor_from_induced(quotient, zero_levels=2):
     """Group-indexed dimension table of an induced-module quotient.
 
     Level i at G0-coordinates y sits at weight alpha + iota(y) - i*iota(b),
-    i.e. group coordinates compose(-i, y).  Explicit zero rows at the first
-    few positive b-levels witness the truncation edge.
+    i.e. group coordinates compose(-i, y).  Unstable entries (radius N and
+    N+1 disagree) are left out, since an unlisted weight means an unknown
+    dimension.  Explicit zero rows at the first few positive b-levels
+    witness the truncation edge.
     """
     module = quotient.module
     sp = module.split
     rows = {}
     for (i, y), dim in quotient.entries.items():
-        rows[sp.compose(-i, y)] = dim
+        if quotient.stable[(i, y)]:
+            rows[sp.compose(-i, y)] = dim
     radius = module.window.top_radius
     for k in range(1, zero_levels + 1):
         for y in box(radius, module.g0_rank):

@@ -33,16 +33,25 @@ whenever the bound alpha is itself homogeneous (free, a group element, or
 zero).  No coefficient ever needs division and all entries stay polynomial,
 so the action (the `algebra.Straightener` kernel, memoized in `_act_memo`)
 and the probe rows carry Poly coefficients straight into `symbolic_rank`,
-with no Scalar and no gcd on the way.
+with no Scalar and no gcd on the way; the generator := 1 substitution
+happens in `symbolic_rank`'s single pass over each row.
 Scalars appear only at the public boundary: `act_on_induced` takes and
 returns Scalar combinations, and `kernel_at` returns them.
 All evaluators are pure and memoized per module instance; matrices for
 distinct weights are independent and could be computed concurrently.
+
+Probe rows share prefixes.  The probe sequences are nondecreasing tuples and
+a sequence acts first operator first, so, per basis monomial, the vector
+after each proper prefix is computed once and reused by every sequence that
+extends it.  A one-operator prefix is the memoized `Straightener.lmul`
+result itself, and the last operator only sums the coefficient of the target
+top line instead of building its whole image.  Rows, their order and every
+entry are those of applying each sequence separately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Straightener, TriangularPart, accumulate
@@ -282,28 +291,52 @@ class InducedModule:
     # -- quotient dimensions -------------------------------------------------------
 
     def _probe_rows(self, i, x, cols, radius):
-        rows = []
+        """Rows {column: Poly} of the probe matrix at (level i, G0-weight x):
+        one per probe sequence that lands on a kept top line, in probe
+        order, holding each column monomial's coefficient on that line.
+        Prefix vectors are shared per column (see the module docstring)."""
+        lmul = self._straight.lmul
+        act = self._straight.act
+        probes = []
         for seq in self.probe_multisets(i, radius):
             shift = gzero(self.g0_rank)
             for _, y in seq:
                 shift = gadd(shift, y)
             nu = gadd(x, shift)
-            if nu == self.top_excluded:
-                continue
-            target = ((), nu)
-            row = {}
-            for j, mono in enumerate(cols):
-                vec = {mono: self._one}
-                for k, y in seq:
-                    vec = self._straight.act((-k, y), vec)
-                    if not vec:
-                        break
-                val = vec.get(target)
+            if nu != self.top_excluded:
+                ops = tuple((-k, y) for k, y in seq)
+                # the empty sequence (level 0) reads the column itself
+                probes.append((ops[:-1], ops[-1] if ops else None, ((), nu)))
+
+        def after(prefixes, mono, head):
+            vec = prefixes.get(head)
+            if vec is None:
+                if len(head) == 1:
+                    vec = lmul(head[0], mono)
+                else:
+                    vec = act(head[-1], after(prefixes, mono, head[:-1]))
+                prefixes[head] = vec
+            return vec
+
+        rows = [{} for _ in probes]
+        for j, mono in enumerate(cols):
+            prefixes = {}
+            for row, (head, last, target) in zip(rows, probes):
+                if last is None:
+                    val = self._one if mono == target else None
+                elif not head:
+                    val = lmul(last, mono).get(target)
+                else:
+                    val = None
+                    for m, c in after(prefixes, mono, head).items():
+                        c2 = lmul(last, m).get(target)
+                        if c2 is not None:
+                            val = c * c2 if val is None else val + c * c2
+                    if val is not None and val.is_zero():
+                        val = None
                 if val is not None:
                     row[j] = val
-            if row:
-                rows.append(row)
-        return rows
+        return [row for row in rows if row]
 
     def _dehomogenize_ok(self):
         """Whether every matrix entry is homogeneous under
@@ -313,14 +346,9 @@ class InducedModule:
         return b.kind in ("free", "element") or (b.kind == "rational" and b.value == 0)
 
     def _rank(self, rows):
-        reg = self.ctx.reg
-        if self._dehomogenize_ok():
-            g_last = self.ctx.rank - 1
-            rows = [
-                {j: p.substitute({g_last: 1}) for j, p in r.items()} for r in rows
-            ]
-            rows = [{j: p for j, p in r.items() if not p.is_zero()} for r in rows]
-        return symbolic_rank(reg, rows)
+        # the last generator is set to 1 inside symbolic_rank's row pass
+        unit_var = self.ctx.rank - 1 if self._dehomogenize_ok() else None
+        return symbolic_rank(self.ctx.reg, rows, unit_var=unit_var)
 
     def dims_at(self, i, x, radius=None):
         """Quotient dimension at (level i, G0-weight x) for one box radius."""
@@ -463,18 +491,14 @@ class QuotientDims:
     def string_boundedness(self, g):
         """Behavior of the weight strings along a nonzero direction g of G.
 
-        The stable entries, at their group coordinates as in
-        `descriptor_from_induced` (with its zero rows above the top), go
-        through the classifier's `_direction_verdict`: bounded,
-        truncated_above, truncated_below, mixed, vacuous or unknown."""
+        The rows of `descriptor_from_induced` (the stable entries at their
+        group coordinates, with zero rows above the top) go through the
+        classifier's `_direction_verdict`: bounded, truncated_above,
+        truncated_below, mixed, vacuous or unknown."""
         g = self.module.group.validate(g)
         if not any(g):
             raise ValueError("direction must be nonzero")
-        desc = descriptor_from_induced(self)
-        sp = self.module.split
-        unstable = {sp.compose(-i, x) for (i, x), ok in self.stable.items() if not ok}
-        rows = {c: d for c, d in desc.rows.items() if c not in unstable}
-        return _direction_verdict(replace(desc, rows=rows), g)
+        return _direction_verdict(descriptor_from_induced(self), g)
 
     def to_rows(self):
         """Sorted (level, coords, dim, stable) tuples for serialization."""

@@ -17,7 +17,13 @@ Rows enter `symbolic_rank` and `Echelon` divided by their monomial gcd and
 rational content only (`strip_row`).  No polynomial gcd is needed there:
 dividing a row by any nonzero polynomial is a unit scaling over the
 fraction field, so it cannot change a rank, and on probe rows the gcd cost
-more than the elimination it was meant to shrink.
+more than the elimination it was meant to shrink.  Both share one strip,
+`_prepare_row`: a single pass over a row's terms sets an optional variable
+to 1 (the induced module dehomogenizes its probe matrices this way), drops
+the entries that vanish, and collects the exponents and coefficients; the
+content is then a `math.gcd` of ints (Fractions only when a coefficient is
+one), and the row's degree tops, which size the packed fields of
+`symbolic_rank`, fall out of the same exponents.
 
 Rows are sparse dicts {column index -> Poly}, zero entries absent.
 """
@@ -30,7 +36,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
 
-from .scalars import ExactDivisionError, Poly, Scalar, _gcd_many, _norm_coeff
+from .scalars import ExactDivisionError, Poly, Scalar, _gcd_many, _grlex, _norm_coeff
 
 
 def _rational_content(polys):
@@ -68,33 +74,83 @@ def row_from_list(reg, entries):
     return row
 
 
+def _prepare_row(row, unit_var=None):
+    """Strip one row {col: Poly} for elimination, in one pass over its terms.
+
+    The pass sets the variable unit_var (if given) to 1, drops the entries
+    that vanish, and collects the exponents and coefficients; the row is
+    then divided by its monomial gcd and its rational content, signed so
+    that its first entry has a positive leading coefficient.  The content
+    is a `math.gcd` of ints unless a Fraction coefficient occurs.  Returns
+    the stripped row and its degree top (per variable, the largest exponent
+    left in the row; None for an empty row).
+    """
+    entries = {}
+    exps = []
+    coeffs = []
+    for j, p in row.items():
+        terms = p.terms
+        if unit_var is not None:
+            out = {}
+            for e, c in terms.items():
+                if e[unit_var]:
+                    e = e[:unit_var] + (0,) + e[unit_var + 1:]
+                out[e] = out.get(e, 0) + c
+            terms = {e: _norm_coeff(c) for e, c in out.items() if c}
+        if terms:
+            reg = p.reg
+            entries[j] = terms
+            exps += terms
+            coeffs += terms.values()
+    if not entries:
+        return {}, None
+    per_var = list(zip(*exps))
+    low = tuple(map(min, per_var))
+    top = [max(v) - m for v, m in zip(per_var, low)]
+    lead_terms = entries[min(entries)]
+    negative = lead_terms[max(lead_terms, key=_grlex)] < 0
+    if all(type(c) is int for c in coeffs):
+        cont = math.gcd(*coeffs)
+    else:
+        fracs = [Fraction(c) for c in coeffs]
+        cont = Fraction(
+            math.gcd(*(f.numerator for f in fracs)), math.lcm(*(f.denominator for f in fracs))
+        )
+    if negative:
+        cont = -cont
+    shift = any(low)
+    if not shift and cont == 1:
+        return {j: Poly(reg, terms) for j, terms in entries.items()}, top
+    if type(cont) is int:
+
+        def div(c):
+            return c // cont
+
+    else:
+        inv = Fraction(1) / cont
+
+        def div(c):
+            return _norm_coeff(c * inv)
+
+    stripped = {}
+    for j, terms in entries.items():
+        if shift:
+            terms = {tuple(map(int.__sub__, e, low)): div(c) for e, c in terms.items()}
+        else:
+            terms = {e: div(c) for e, c in terms.items()}
+        stripped[j] = Poly(reg, terms)
+    return stripped, top
+
+
 def strip_row(row):
     """Divide a row by its monomial gcd and its rational content, so that
-    its first entry has a positive leading coefficient.
+    its first entry has a positive leading coefficient; zero entries go.
 
     No polynomial gcd is taken: dividing a row by a nonzero polynomial is a
     unit scaling over the fraction field, so no rank depends on it, and a
     common factor that is not a monomial simply stays in the row.
     """
-    if not row:
-        return row
-    polys = list(row.values())
-    m = polys[0].monomial_gcd()
-    for p in polys[1:]:
-        if not any(m):
-            break
-        m = tuple(map(min, m, p.monomial_gcd()))
-    if any(m):
-        row = {j: p.shift_down(m) for j, p in row.items()}
-        polys = list(row.values())
-    cont = _rational_content(polys)
-    lead_col = min(row)
-    _, lc = row[lead_col].lead()
-    if lc < 0:
-        cont = -cont
-    if cont != 1:
-        row = {j: p.scale(Fraction(1) / cont) for j, p in row.items()}
-    return row
+    return _prepare_row(row)[0]
 
 
 class Echelon:
@@ -177,7 +233,7 @@ class Echelon:
         return True
 
 
-def symbolic_rank(reg, rows):
+def symbolic_rank(reg, rows, unit_var=None):
     """Exact rank of a sparse polynomial matrix over the fraction field.
 
     Fraction-free elimination with per-row delayed divisors, run on the
@@ -195,17 +251,24 @@ def symbolic_rank(reg, rows):
     that skipped pivot need not contain it, and the division raises
     ExactDivisionError.  (No determinant identity makes it exact; see the
     strict-xfail tests.)
+
+    With unit_var given, that variable is set to 1 first.  This keeps the
+    rank only when every minor is homogeneous; `InducedModule` checks that
+    before it passes unit_var.  Each row goes through `_prepare_row` once,
+    which also gives the degree tops that size the packed fields.
     """
     work = []
+    tops = []
     for row in rows:
-        r = strip_row({j: p for j, p in row.items() if not p.is_zero()})
+        r, top = _prepare_row(row, unit_var)
         if r:
             work.append(r)
+            tops.append(top)
 
     def run(pk):
         return _rank_kernel([{j: pk.pack(p) for j, p in r.items()} for r in work], pk.guard)
 
-    return _with_fields(len(reg), [r.values() for r in work], run)
+    return _with_fields(len(reg), tops, run)
 
 
 def _rank_kernel(work, guard):
@@ -369,7 +432,7 @@ def det(reg, rows):
     def run(pk):
         return pk.unpack(reg, _bareiss([[pk.pack(p) for p in row] for row in m], pk.guard))
 
-    return _with_fields(len(reg), m, run)
+    return _with_fields(len(reg), [_degree_top(len(reg), row) for row in m], run)
 
 
 def _bareiss(m, guard):
@@ -453,22 +516,26 @@ class _Packing:
         return Poly(reg, out)
 
 
-def _field_bounds(nvars, rows):
-    """Per variable, twice the sum over rows of the row's largest degree;
-    rows are iterables of Polys."""
+def _degree_top(nvars, polys):
+    """Per variable, the largest exponent over the terms of the polys."""
+    exps = [e for p in polys for e in p.terms]
+    if not exps:
+        return [0] * nvars
+    return list(map(max, zip(*exps)))
+
+
+def _field_bounds(nvars, tops):
+    """Per variable, twice the sum of the rows' degree tops."""
     total = [0] * nvars
-    for row in rows:
-        top = [0] * nvars
-        for p in row:
-            for e in p.terms:
-                top = list(map(max, top, e))
+    for top in tops:
         total = list(map(int.__add__, total, top))
     return [2 * t for t in total]
 
 
-def _with_fields(nvars, rows, run):
-    """run(packing) with fields sized for rows, widened until none overflows."""
-    bounds = _field_bounds(nvars, rows)
+def _with_fields(nvars, tops, run):
+    """run(packing) with fields sized for rows of the given degree tops,
+    widened until none overflows."""
+    bounds = _field_bounds(nvars, tops)
     while True:
         try:
             return run(_Packing(bounds))

@@ -539,7 +539,8 @@ class Scalar:
     def make(num, den=None):
         reg = num.reg
         if den is None:
-            den = Poly.const(reg, 1)
+            # a polynomial is already canonical over the denominator 1
+            return Scalar(num, Poly.const(reg, 1))
         if den.is_zero():
             raise ScalarDivisionError("zero denominator")
         if num.is_zero():

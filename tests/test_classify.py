@@ -10,6 +10,7 @@ from gvir.classify import (
     ClassificationReport,
     MalformedDescriptorError,
     ModuleDescriptor,
+    _direction_verdict,
     classify,
     descriptor_from_induced,
     descriptor_from_interseries,
@@ -18,7 +19,7 @@ from gvir.classify import (
     string_profile,
 )
 from gvir.groups import Group, hermite_basis
-from gvir.induced import InducedModule, Window
+from gvir.induced import InducedModule, QuotientDims, Window
 from gvir.interseries import IntermediateSeriesModule
 from gvir.scalars import Context
 
@@ -297,6 +298,30 @@ def test_classify_induced_reduced_top():
     assert d.offset_element == (1, 0)
     assert d.rows[d.zero_weight_coords()] == 0
     report = classify(d)
+    assert report.case == "induced_type"
+    assert report.detected_b == mod.split.b
+
+
+def test_descriptor_from_induced_leaves_out_unstable_entries():
+    # zero every level-1 entry: flagged stable, the zeros make the table a
+    # single bounded row that fits no case; flagged unstable, they are
+    # unknown and leave the descriptor, and the table is induced-type again
+    mod, _ = induced_build()
+    q = mod.quotient_dims()
+    level1 = [k for k in q.entries if k[0] == 1]
+    assert len(level1) > 3 and all(q.entries[k] for k in level1)
+    zeroed = dict(q.entries) | {k: 0 for k in level1}
+    kept = descriptor_from_induced(QuotientDims(mod, q.window, zeroed, zeroed, q.stable))
+    unstable = dict(q.stable) | {k: False for k in level1}
+    left_out = descriptor_from_induced(QuotientDims(mod, q.window, zeroed, zeroed, unstable))
+    coords = {mod.split.compose(-i, x) for i, x in level1}
+    assert coords <= set(kept.rows)
+    assert not coords & set(left_out.rows)
+    assert set(kept.rows) - set(left_out.rows) == coords
+    assert _direction_verdict(kept, (0, 1)) == "bounded"
+    assert _direction_verdict(left_out, (0, 1)) == "truncated_above"
+    assert classify(kept).case == "inconclusive"
+    report = classify(left_out)
     assert report.case == "induced_type"
     assert report.detected_b == mod.split.b
 

@@ -274,6 +274,82 @@ def _reference_strip_row(row):
     return {j: p.scale(1 / cont) for j, p in row.items()}
 
 
+def _reference_field_bounds(nvars, rows):
+    """_field_bounds as it was on rows of Polys, frozen: per variable, twice
+    the sum over rows of the row's largest degree."""
+    total = [0] * nvars
+    for row in rows:
+        for v in range(nvars):
+            total[v] += max((e[v] for p in row for e in p.terms), default=0)
+    return [2 * t for t in total]
+
+
+def _normal_poly(reg, rng, nvars, fractions):
+    """A random Poly over the first nvars variables; integral coefficients
+    are ints, as every Poly operation leaves them."""
+    p = Poly.zero(reg)
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * len(reg)
+        for v in range(nvars):
+            e[v] = rng.randint(0, 2)
+        c = Fraction(rng.randint(-6, 6) or 1, rng.randint(2, 3) if fractions and rng.random() < 0.5 else 1)
+        p = p + Poly.monomial(reg, e, c)
+    return p
+
+
+def test_prepare_row_matches_strip_of_substituted_row():
+    reg = Context.of_rank(3).reg
+    nvars = len(reg)
+    rng = random.Random(6060)
+    seen = set()
+    for case in range(400):
+        unit_var = (None, 0, 2)[case % 3]
+        fractions = case % 2 == 1
+        constant_row = case % 5 == 0
+        row = {}
+        for j in range(rng.randint(0, 5)):
+            kind = rng.random()
+            if kind < 0.15:
+                row[j] = Poly.zero(reg)
+            elif constant_row or kind < 0.3:
+                row[j] = Poly.const(reg, Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))))
+            elif kind < 0.4 and unit_var is not None:
+                # vanishes once the unit variable is set to 1
+                p = _normal_poly(reg, rng, 3, fractions)
+                e = [0] * nvars
+                e[unit_var] = rng.randint(1, 2)
+                row[j] = p * Poly.monomial(reg, e) - p
+            else:
+                row[j] = _normal_poly(reg, rng, 3, fractions)
+        if unit_var is None:
+            sub = dict(row)
+        else:
+            sub = {j: p.substitute({unit_var: 1}) for j, p in row.items()}
+        sub = {j: p for j, p in sub.items() if not p.is_zero()}
+        got, top = linalg._prepare_row(row, unit_var)
+        expect = _reference_strip_row(dict(sub))
+        assert got == expect
+        assert list(got) == list(expect)
+        for j, p in got.items():
+            assert {e: type(c) for e, c in p.terms.items()} == {
+                e: type(c) for e, c in expect[j].terms.items()
+            }
+        assert strip_row(dict(sub)) == expect
+        if not expect:
+            assert top is None
+            seen.add("empty")
+            continue
+        assert linalg._field_bounds(nvars, [top]) == _reference_field_bounds(nvars, [expect.values()])
+        coeffs = [c for p in sub.values() for c in p.terms.values()]
+        seen.add("fraction" if any(type(c) is Fraction for c in coeffs) else "int")
+        seen.add("negative lead" if sub[min(sub)].lead()[1] < 0 else "positive lead")
+        if len(sub) < len(row):
+            seen.add("zero entry")
+        if all(p.is_const() for p in sub.values()):
+            seen.add("constant")
+    assert seen == {"empty", "int", "fraction", "negative lead", "positive lead", "zero entry", "constant"}
+
+
 def _reference_symbolic_rank(reg, rows):
     """symbolic_rank as it was before the packed-term kernel, on Poly entries;
     frozen here as the step-for-step reference of the elimination."""
@@ -493,7 +569,7 @@ def test_det_matches_permutation_oracle_multivariate():
 
 def _packed(reg, *polys):
     """A packing sized for the given polys, and each of them packed."""
-    bounds = linalg._field_bounds(len(reg), [polys])
+    bounds = linalg._field_bounds(len(reg), [linalg._degree_top(len(reg), polys)])
     pk = linalg._Packing(bounds)
     return pk, [pk.pack(p) for p in polys]
 
