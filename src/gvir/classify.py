@@ -37,6 +37,7 @@ from .groups import (
     is_primitive,
     is_zero,
 )
+from .scalars import is_int, is_list_of
 
 PROVENANCES = ("interseries", "induced", "verma", "external")
 FLAGS = ("is_Z", "rank1_not_Z", "infinitely_generated_rank1")
@@ -97,17 +98,15 @@ class ModuleDescriptor:
             raise MalformedDescriptorError("is_Z contradicts the non-Z rank-1 flags")
         rows = {}
         for coords, dim in self.rows.items():
-            coords = self.group.validate(coords)
-            if not isinstance(dim, int) or dim < 0:
+            coords = self._coords(coords)
+            if not is_int(dim) or dim < 0:
                 raise MalformedDescriptorError(
                     f"dimension at {coords} must be a nonnegative integer, got {dim!r}"
                 )
             rows[coords] = dim
         object.__setattr__(self, "rows", rows)
         if self.offset_element is not None:
-            object.__setattr__(
-                self, "offset_element", self.group.validate(self.offset_element)
-            )
+            object.__setattr__(self, "offset_element", self._coords(self.offset_element))
         object.__setattr__(self, "flags", frozenset(self.flags))
         if self.provenance == "interseries":
             dims = [d for _, d in self.nonzero_weight_items()]
@@ -116,6 +115,12 @@ class ModuleDescriptor:
                     "a uniformly bounded table with equal dimensions >= 2 off the "
                     "zero weight cannot come from an intermediate-series module"
                 )
+
+    def _coords(self, coords):
+        try:
+            return self.group.validate(coords)
+        except ValueError as exc:
+            raise MalformedDescriptorError(str(exc)) from exc
 
     # -- weight geometry -----------------------------------------------------
 
@@ -163,14 +168,12 @@ class ModuleDescriptor:
         if not isinstance(gspec, dict) or "rank" not in gspec:
             raise MalformedDescriptorError("descriptor needs group: {rank, names?}")
         rank = gspec["rank"]
-        if not isinstance(rank, int) or rank < 1:
+        if not is_int(rank) or rank < 1:
             raise MalformedDescriptorError("group rank must be a positive integer")
         names = gspec.get("names")
-        group = (
-            Group(rank, tuple(str(n) for n in names))
-            if names
-            else Group.of_rank(rank)
-        )
+        if not (names is None or is_list_of(names, str)):
+            raise MalformedDescriptorError(f"group names must be a list of strings, got {names!r}")
+        group = Group(rank, tuple(names)) if names else Group.of_rank(rank)
         if len(group.names) != rank:
             raise MalformedDescriptorError("group names must match the rank")
         raw_rows = payload.get("rows")
@@ -184,6 +187,8 @@ class ModuleDescriptor:
                     f"row {entry!r} is not [offset, coords, dim]"
                 )
             sym, coords, dim = entry
+            if not is_list_of(coords, int):
+                raise MalformedDescriptorError(f"row {entry!r} needs integer coordinates")
             if offset is None:
                 offset = sym
             if sym != offset:
@@ -195,13 +200,18 @@ class ModuleDescriptor:
                 raise MalformedDescriptorError(f"duplicate row at coords {coords}")
             rows[coords] = dim
         off_elem = payload.get("offset_element")
+        if not (off_elem is None or is_list_of(off_elem, int)):
+            raise MalformedDescriptorError(f"offset_element {off_elem!r} needs integer coordinates")
+        flags = payload.get("flags", [])
+        if not is_list_of(flags, str):
+            raise MalformedDescriptorError(f"flags must be a list of strings, got {flags!r}")
         return ModuleDescriptor(
             group=group,
             rows=rows,
             provenance=payload.get("provenance", "external"),
             offset=offset if offset is not None else "alpha",
             offset_element=tuple(off_elem) if off_elem is not None else None,
-            flags=frozenset(payload.get("flags", ())),
+            flags=frozenset(flags),
             meta=payload.get("meta", {}),
         )
 

@@ -8,16 +8,17 @@ Commands
     classify     decide the module case from a JSON dimension-table descriptor
 
 Configuration is a JSON object (see README for the schema); command-line
-flags override the matching config keys.  Every run prints a self-describing
-JSON report to stdout and writes it under the output directory (flag --out,
-else the GVIR_OUT environment variable, else the current directory).  The
-report payload is deterministic for a fixed config; only the timing field
-varies between runs.
+flags override the matching config keys.  validate is its one reader: it
+checks and defaults every key, and run sees only the parsed values.  Every
+run prints a self-describing JSON report to stdout and writes it under the
+output directory (flag --out, else the GVIR_OUT environment variable, else
+the current directory).  The report payload is deterministic for a fixed
+config; only the timing field varies between runs.
 
 Exit status: 0 success, 2 validation failure (bad config, malformed
-descriptor, unusable flags), 3 computation failure.  A reader that closes
-stdout early does not change the status: the artifacts are written before
-the report is printed, and the broken pipe is silenced.
+descriptor, unusable flags or output directory), 3 computation failure.  A
+reader that closes stdout early does not change the status: the artifacts
+are written before the report is printed, and the broken pipe is silenced.
 """
 
 from __future__ import annotations
@@ -30,14 +31,15 @@ import os
 import random
 import sys
 import time
+from dataclasses import dataclass
 
 from .algebra import AlgebraElement, bracket as lie_bracket
 from .classical import TruncatedVermaModule
 from .classify import MalformedDescriptorError, ModuleDescriptor, classify
-from .groups import Group, SplitError, box, is_primitive, is_zero
+from .groups import Group, box, is_primitive, is_zero
 from .induced import InducedModule, Window
 from .interseries import IntermediateSeriesModule
-from .scalars import Context
+from .scalars import SYMBOLS, Context, is_int, is_list_of
 
 RUN_SCHEMA = "gvir.run/1"
 EXIT_OK = 0
@@ -50,6 +52,17 @@ VERMA_DEFAULT_L = 6
 
 class ConfigError(ValueError):
     """The configuration cannot be used for the requested command."""
+
+
+@dataclass(frozen=True)
+class Job:
+    """One run as validate parsed it; run reads nothing else."""
+
+    command: str
+    args: dict  # keyword arguments of the command's run_* function
+    fmt: str
+    out: str
+    echo: dict  # the raw config values the report repeats
 
 
 # -- configuration ---------------------------------------------------------------
@@ -89,132 +102,158 @@ def merge_config(config, args):
     return merged
 
 
-def _is_int(v):
-    # JSON true/false arrive as bool, which Python counts as int
-    return isinstance(v, int) and not isinstance(v, bool)
+def _integer(value, label, low, error):
+    """value if it is an integer >= low (None: any integer), else None after
+    reporting it."""
+    if not is_int(value):
+        error(f"{label} must be an integer, got {value!r}")
+    elif low is not None and value < low:
+        error(f"{label} must be >= {low}, got {value!r}")
+    else:
+        return value
+    return None
 
 
 def validate(command, config):
-    """All diagnostics preventing the run, in a deterministic order."""
+    """Read, check and default every config key once: (diagnostics, job).
+
+    The diagnostics come in a deterministic order; job holds the parsed
+    values and is None unless the diagnostics are empty."""
     diagnostics = []
+    error = diagnostics.append
+
     group = config.get("group", {})
     if not isinstance(group, dict):
-        diagnostics.append(f"group must be an object, got {group!r}")
+        error(f"group must be an object, got {group!r}")
         group = {}
-    rank = group.get("rank", 2 if command != "verma" else 1)
-    if not _is_int(rank) or rank < 1:
-        diagnostics.append(f"group rank must be a positive integer, got {rank!r}")
-        rank = None
+    rank = _integer(group.get("rank", 1 if command == "verma" else 2), "group rank", 1, error)
     names = group.get("names")
-    if names is not None and not (
-        isinstance(names, list) and all(isinstance(n, str) for n in names)
-    ):
-        diagnostics.append(f"group names must be a list of strings, got {names!r}")
+    if names is not None and not is_list_of(names, str):
+        error(f"group names must be a list of strings, got {names!r}")
         names = None
     if names is not None and rank is not None:
         if len(names) != rank:
-            diagnostics.append(f"group needs {rank} generator names, got {len(names)}")
-        else:
+            error(f"group needs {rank} generator names, got {len(names)}")
+        elif not all(names):
             missing = [i + 1 for i, n in enumerate(names) if not n]
-            if missing:
-                diagnostics.append(f"generator names missing at positions {missing}")
+            error(f"generator names missing at positions {missing}")
+    if command == "verma" and rank not in (None, 1):
+        error("verma works over G = Z and needs a group of rank 1")
+    if command == "induce" and rank is not None and rank < 2:
+        error("induce needs a group of rank >= 2")
 
     bindings = config.get("bindings", {})
     if not isinstance(bindings, dict):
-        diagnostics.append("bindings must be an object")
+        error("bindings must be an object")
         bindings = {}
-    unknown = sorted(set(bindings) - {"alpha", "beta", "c", "h"})
+    unknown = sorted(set(bindings) - set(SYMBOLS))
     if unknown:
-        diagnostics.append(f"bindings reference unknown symbols: {unknown}")
+        error(f"bindings reference unknown symbols: {unknown}")
+    ctx = G = None
     if rank is not None:
+        kw = {k: bindings.get(k) for k in SYMBOLS}
         try:
-            _build_context(rank, names, bindings)
+            ctx = Context(tuple(names), **kw) if names else Context.of_rank(rank, **kw)
         except ValueError as exc:
-            diagnostics.append(str(exc))
+            error(str(exc))
+        else:
+            G = Group(ctx.rank, ctx.gen_names)
 
     window = config.get("window", {})
     if not isinstance(window, dict):
-        diagnostics.append(f"window must be an object, got {window!r}")
+        error(f"window must be an object, got {window!r}")
         window = {}
-    L = window.get("L")
-    N = window.get("N")
-    if L is not None and (not _is_int(L) or L < 0):
-        diagnostics.append(f"window L must be an integer >= 0, got {L!r}")
-        L = None
-    if N is not None and (not _is_int(N) or N < 1):
-        diagnostics.append(f"window N must be an integer >= 1, got {N!r}")
+    L = _integer(window.get("L", VERMA_DEFAULT_L if command == "verma" else 1), "window L", 0, error)
+    N = _integer(window.get("N", 3 if command == "interseries" else 1), "window N", 1, error)
+    top = window.get("top_radius")  # None: N + L
+    if top is not None:
+        top = _integer(top, "window top_radius", 1, error)
 
-    for key in ("trials", "seed", "direction_bound"):
-        if key in config and not _is_int(config[key]):
-            diagnostics.append(f"{key} must be an integer, got {config[key]!r}")
-    trials = config.get("trials", 1)
-    if _is_int(trials) and trials < 1:
-        # no trial at all would report a closure check that cannot fail
-        diagnostics.append(f"trials must be >= 1, got {trials!r}")
+    # no trial, or no direction to search, would report a check that cannot fail
+    trials = _integer(config.get("trials", 25), "trials", 1, error)
+    seed = _integer(config.get("seed", 0), "seed", None, error)
+    direction_bound = _integer(config.get("direction_bound", 2), "direction_bound", 1, error)
 
     fmt = config.get("format", "json")
     if fmt not in ("json", "csv"):
-        diagnostics.append(f"format must be json or csv, got {fmt!r}")
+        error(f"format must be json or csv, got {fmt!r}")
     elif fmt == "csv" and command not in TABLE_COMMANDS:
-        diagnostics.append(
-            f"csv applies to dimension tables only, not to {command}"
-        )
+        error(f"csv applies to dimension tables only, not to {command}")
+    out = config.get("out")
+    if out is not None and not isinstance(out, str):
+        error(f"out must be a directory path, got {out!r}")
+    out = out or os.environ.get("GVIR_OUT") or "."
 
-    if command == "induce":
-        if rank is not None and rank < 2:
-            diagnostics.append("induce needs a group of rank >= 2")
-        b = config.get("b")
-        if b is None:
-            diagnostics.append("induce needs a splitting direction b")
-        elif not (isinstance(b, list) and all(_is_int(v) for v in b)):
-            diagnostics.append(f"b must be a list of integers, got {b!r}")
-        elif rank is not None:
-            if len(b) != rank:
-                diagnostics.append(f"b needs {rank} coordinates, got {len(b)}")
-            elif is_zero(tuple(b)) or not is_primitive(tuple(int(v) for v in b)):
-                diagnostics.append(f"b {list(b)} is not primitive")
-        if L == 0:
-            diagnostics.append("window L = 0 leaves nothing to induce")
-
-    if command == "verma" and "singular_levels" in config:
-        levels = config["singular_levels"]
-        cap = VERMA_DEFAULT_L if L is None else L
-        if not (isinstance(levels, list) and all(_is_int(n) for n in levels)):
-            diagnostics.append(f"singular_levels must be a list of integers, got {levels!r}")
-        else:
-            outside = [n for n in levels if not 1 <= n <= cap]
-            if outside:
-                diagnostics.append(
-                    f"singular_levels {outside} lie outside the valid range 1..{cap} (window L = {cap})"
-                )
-
+    args = None
     if command == "bracket":
+        args = {"ctx": ctx, "group": G}
         for key in ("x", "y"):
             if key not in config:
-                diagnostics.append(f"bracket needs input {key}")
+                error(f"bracket needs input {key}")
                 continue
             try:
-                _parse_element_spec(config[key], rank or 2)
+                args[key] = (config[key], *_parse_element_spec(config[key], rank or 2))
             except ConfigError as exc:
-                diagnostics.append(str(exc))
+                error(str(exc))
+    elif command == "interseries":
+        args = {"ctx": ctx, "group": G, "radius": N, "trials": trials, "seed": seed}
+    elif command == "induce":
+        b = config.get("b")
+        if b is None:
+            error("induce needs a splitting direction b")
+        elif not is_list_of(b, int):
+            error(f"b must be a list of integers, got {b!r}")
+        elif rank is not None:
+            if len(b) != rank:
+                error(f"b needs {rank} coordinates, got {len(b)}")
+            elif is_zero(tuple(b)) or not is_primitive(tuple(b)):
+                error(f"b {b} is not primitive")
+        if L == 0:
+            error("window L = 0 leaves nothing to induce")
+        if not diagnostics:
+            args = {"ctx": ctx, "group": G, "b": tuple(b), "window": Window.make(L, N, top)}
+    elif command == "verma" and L is not None:
+        # the minor gcd of the d_1, d_2 stack is cheap at every level (12 minors
+        # at level 6); the default cap of 4 stays only so that default reports
+        # remain byte-identical, and lifting it changes the output for L > 4
+        levels = config.get("singular_levels", list(range(1, min(L, 4) + 1)))
+        if not is_list_of(levels, int):
+            error(f"singular_levels must be a list of integers, got {levels!r}")
+        else:
+            outside = [n for n in levels if not 1 <= n <= L]
+            if outside:
+                error(
+                    f"singular_levels {outside} lie outside the valid range 1..{L} (window L = {L})"
+                )
+        args = {"ctx": ctx, "level_cap": L, "singular_levels": levels}
+    elif command == "classify":
+        if "descriptor" not in config:
+            error("classify needs a descriptor (inline or via file)")
+        else:
+            try:
+                descriptor = ModuleDescriptor.from_json(config["descriptor"])
+            except MalformedDescriptorError as exc:
+                error(str(exc))
+            else:
+                args = {"descriptor": descriptor, "direction_bound": direction_bound}
 
-    if command == "classify" and "descriptor" not in config:
-        diagnostics.append("classify needs a descriptor (inline or via file)")
-
-    return diagnostics
-
-
-def _build_context(rank, names, bindings):
-    kw = {k: bindings.get(k) for k in ("alpha", "beta", "c", "h")}
-    if names:
-        return Context(tuple(str(n) for n in names), **kw)
-    return Context.of_rank(rank, **kw)
+    if not diagnostics:  # the output directory is made only for a run
+        try:
+            os.makedirs(out, exist_ok=True)
+        except (OSError, ValueError) as exc:
+            error(f"cannot create output directory {out}: {exc}")
+        else:
+            if not os.access(out, os.W_OK | os.X_OK):
+                error(f"output directory {out} is not writable")
+    if diagnostics:
+        return diagnostics, None
+    return [], Job(command, args, fmt, out, _config_echo(config))
 
 
 def _parse_element_spec(spec, rank):
     """Coordinates, "C", or a "d[1,-2]" token -> ("d", coords) | ("C", None)."""
     if isinstance(spec, (list, tuple)):
-        if not all(_is_int(v) for v in spec):
+        if not all(is_int(v) for v in spec):
             raise ConfigError(f"element {list(spec)} must have integer coordinates")
         coords = tuple(spec)
         if len(coords) != rank:
@@ -237,7 +276,7 @@ def _parse_element_spec(spec, rank):
 
 def _binding_echo(ctx):
     out = {}
-    for name in ("alpha", "beta", "c", "h"):
+    for name in SYMBOLS:
         b = ctx.binding(name)
         if b.kind == "free":
             out[name] = "free"
@@ -249,31 +288,24 @@ def _binding_echo(ctx):
 
 
 # -- command payloads ------------------------------------------------------------
+#
+# Each run_* takes the values validate parsed for its command and returns
+# (payload, csv table or None, stability or None).
 
 
-def _window_from(config, default_L, default_N):
-    window = config.get("window", {})
-    L = window.get("L", default_L)
-    N = window.get("N", default_N)
-    top = window.get("top_radius")
-    return Window.make(L, N, top)
+def run_bracket(ctx, group, x, y):
+    """x and y are (spec, kind, coords) as _parse_element_spec read them."""
 
+    def element(spec, kind, coords):
+        if kind == "C":
+            return AlgebraElement.central(ctx, group)
+        return AlgebraElement.d(ctx, group, coords)
 
-def run_bracket(config):
-    rank = config.get("group", {}).get("rank", 2)
-    ctx = _build_context(rank, config.get("group", {}).get("names"), config.get("bindings", {}))
-    G = Group(ctx.rank, ctx.gen_names)
-    elems = {}
-    for key in ("x", "y"):
-        kind, coords = _parse_element_spec(config[key], rank)
-        elems[key] = (
-            AlgebraElement.central(ctx, G) if kind == "C" else AlgebraElement.d(ctx, G, coords)
-        )
-    result = lie_bracket(elems["x"], elems["y"])
+    result = lie_bracket(element(*x), element(*y))
     weight = result.weight_of()
     return {
-        "x": config["x"] if isinstance(config["x"], str) else list(config["x"]),
-        "y": config["y"] if isinstance(config["y"], str) else list(config["y"]),
+        "x": x[0],
+        "y": y[0],
         "bindings": _binding_echo(ctx),
         "rendered": result.render(),
         "d_terms": [
@@ -281,24 +313,19 @@ def run_bracket(config):
         ],
         "c_coeff": str(result.c_coeff),
         "weight": "mixed" if weight == "mixed" else list(weight),
-    }, None
+    }, None, None
 
 
-def run_interseries(config, seed):
-    rank = config.get("group", {}).get("rank", 2)
-    ctx = _build_context(rank, config.get("group", {}).get("names"), config.get("bindings", {}))
-    G = Group(ctx.rank, ctx.gen_names)
-    module = IntermediateSeriesModule(ctx, G)
+def run_interseries(ctx, group, radius, trials, seed):
+    module = IntermediateSeriesModule(ctx, group)
     desc = module.subquotient()
-    radius = config.get("window", {}).get("N", 3)
-    dims = module.dims_row(box(radius, rank), desc)
+    dims = module.dims_row(box(radius, ctx.rank), desc)
 
     rng = random.Random(seed)
-    trials = config.get("trials", 25)
     closed = 0
     for _ in range(trials):
-        x = tuple(rng.randint(-2, 2) for _ in range(rank))
-        y = tuple(rng.randint(-2, 2) for _ in range(rank))
+        x = tuple(rng.randint(-2, 2) for _ in range(ctx.rank))
+        y = tuple(rng.randint(-2, 2) for _ in range(ctx.rank))
         if desc.excluded is not None and y == desc.excluded:
             continue
         coeff, target = module.act_reduced(x, y, desc)
@@ -318,19 +345,11 @@ def run_interseries(config, seed):
     return payload, _csv_table(
         list(ctx.gen_names) + ["dim"],
         [list(y) + [dim] for y, dim in dims],
-    )
+    ), None
 
 
-def run_induce(config):
-    rank = config.get("group", {}).get("rank", 2)
-    ctx = _build_context(rank, config.get("group", {}).get("names"), config.get("bindings", {}))
-    G = Group(ctx.rank, ctx.gen_names)
-    b = tuple(int(v) for v in config["b"])
-    window = _window_from(config, default_L=1, default_N=1)
-    try:
-        module = InducedModule(ctx, G, b, window)
-    except SplitError as exc:
-        raise ConfigError(str(exc)) from exc
+def run_induce(ctx, group, b, window):
+    module = InducedModule(ctx, group, b, window)
     table = module.quotient_dims()
     payload = table.to_json()
     payload["bindings"] = _binding_echo(ctx)
@@ -352,20 +371,12 @@ def run_induce(config):
     return payload, _csv_table(["level", *coord_names, "dim", "stable"], rows), stability
 
 
-def run_verma(config):
-    # always over G = Z; any group spec in the config is ignored
-    ctx = _build_context(1, None, config.get("bindings", {}))
-    window = config.get("window", {})
-    L = window.get("L", VERMA_DEFAULT_L)
-    module = TruncatedVermaModule(ctx, L)
+def run_verma(ctx, level_cap, singular_levels):
+    module = TruncatedVermaModule(ctx, level_cap)
     dims = module.dims()
-    # the minor gcd of the d_1, d_2 stack is cheap at every level (12 minors
-    # at level 6); the cap stays only so that default reports remain
-    # byte-identical, and lifting it changes the output for L > 4
-    singular_levels = config.get("singular_levels", list(range(1, min(L, 4) + 1)))
     singular = []
     for n in singular_levels:
-        rep = module.find_singular(int(n))
+        rep = module.find_singular(n)
         singular.append(
             {
                 "level": rep.level,
@@ -379,22 +390,18 @@ def run_verma(config):
         )
     payload = {
         "bindings": _binding_echo(ctx),
-        "level_cap": L,
+        "level_cap": level_cap,
         "dims": dims,
         "singular": singular,
     }
     if ctx.binding("c").kind == "rational" and ctx.binding("h").kind == "rational":
         payload["quotient_dims"] = module.quotient_dims_after_singular()
     rows = [[n, d] for n, d in enumerate(dims)]
-    return payload, _csv_table(["level", "dim"], rows)
+    return payload, _csv_table(["level", "dim"], rows), None
 
 
-def run_classify(config):
-    try:
-        descriptor = ModuleDescriptor.from_json(config["descriptor"])
-        report = classify(descriptor, direction_bound=config.get("direction_bound", 2))
-    except MalformedDescriptorError as exc:
-        raise ConfigError(str(exc)) from exc
+def run_classify(descriptor, direction_bound):
+    report = classify(descriptor, direction_bound=direction_bound)
     return {
         "descriptor": {
             "group": {"rank": descriptor.group.rank, "names": list(descriptor.group.names)},
@@ -404,7 +411,16 @@ def run_classify(config):
             "rows": len(descriptor.rows),
         },
         "report": report.to_json(),
-    }, None
+    }, None, None
+
+
+RUNNERS = {
+    "bracket": run_bracket,
+    "interseries": run_interseries,
+    "induce": run_induce,
+    "verma": run_verma,
+    "classify": run_classify,
+}
 
 
 def _csv_table(header, rows):
@@ -419,28 +435,15 @@ def _csv_table(header, rows):
 # -- driver ------------------------------------------------------------------------
 
 
-def run(command, config):
-    """Dispatch and assemble the run report (no I/O)."""
+def run(job):
+    """Run a validated job and assemble its report (no I/O)."""
     started = time.monotonic()
-    stability = None
-    table = None
-    if command == "bracket":
-        payload, table = run_bracket(config)
-    elif command == "interseries":
-        payload, table = run_interseries(config, config.get("seed", 0))
-    elif command == "induce":
-        payload, table, stability = run_induce(config)
-    elif command == "verma":
-        payload, table = run_verma(config)
-    elif command == "classify":
-        payload, table = run_classify(config)
-    else:
-        raise ConfigError(f"unknown command {command!r}")
+    payload, table, stability = RUNNERS[job.command](**job.args)
     elapsed_ms = int((time.monotonic() - started) * 1000)
     report = {
         "schema": RUN_SCHEMA,
-        "command": command,
-        "config": _config_echo(config),
+        "command": job.command,
+        "config": job.echo,
         "results": payload,
         "stability": stability,
         "timing_ms": elapsed_ms,
@@ -459,31 +462,22 @@ def _config_echo(config):
     return echo
 
 
-def _emit(report, table, command, config):
+def _emit(report, table, job):
     """Write the artifacts, then print the report.
 
     The files come first, so a reader that closes stdout early (gvir ... |
     head) still gets them."""
     text = json.dumps(report, sort_keys=True, indent=2)
-    out_dir = config.get("out") or os.environ.get("GVIR_OUT") or "."
-    os.makedirs(out_dir, exist_ok=True)
-    fmt = config.get("format", "json")
-    wrote = []
-    json_path = os.path.join(out_dir, f"{command}.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(job.out, f"{job.command}.json"), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    wrote.append(json_path)
-    if fmt == "csv" and table is not None:
-        csv_path = os.path.join(out_dir, f"{command}.csv")
-        with open(csv_path, "w", encoding="utf-8") as fh:
+    if job.fmt == "csv" and table is not None:
+        with open(os.path.join(job.out, f"{job.command}.csv"), "w", encoding="utf-8") as fh:
             fh.write(table)
-        wrote.append(csv_path)
     try:
         print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         _silence_stdout()
-    return wrote
 
 
 def _silence_stdout():
@@ -529,24 +523,27 @@ def main(argv=None):
             if len(args.inputs) != 1:
                 raise ConfigError("classify takes one descriptor path")
             config["descriptor"] = load_config(args.inputs[0])
-        diagnostics = validate(args.command, config)
-        if diagnostics:
-            for d in diagnostics:
-                print(f"error: {d}", file=sys.stderr)
-            return EXIT_VALIDATION
+        diagnostics, job = validate(args.command, config)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        diagnostics = [str(exc)]
+    if diagnostics:
+        for d in diagnostics:
+            print(f"error: {d}", file=sys.stderr)
         return EXIT_VALIDATION
 
     try:
-        report, table = run(args.command, config)
-    except ConfigError as exc:
+        report, table = run(job)
+    except MalformedDescriptorError as exc:  # classify refuses the table
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # computation failure: report and use a distinct code
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
-    _emit(report, table, args.command, config)
+    try:
+        _emit(report, table, job)
+    except OSError as exc:
+        print(f"error: cannot write the report to {job.out}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK
 
 

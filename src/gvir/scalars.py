@@ -822,7 +822,7 @@ class _Parser:
 # sessions
 # ---------------------------------------------------------------------------
 
-_RESERVED = ("alpha", "beta", "c", "h")
+SYMBOLS = ("alpha", "beta", "c", "h")  # bindable parameters; no generator takes these names
 
 
 class Binding:
@@ -843,27 +843,39 @@ class Binding:
         return isinstance(other, Binding) and (self.kind, self.value) == (other.kind, other.value)
 
 
+def is_int(v):
+    """An int that is not a bool: JSON true/false arrive as bool, which
+    Python counts as int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_list_of(value, kind):
+    """A JSON list whose entries are all of kind (int excludes bool)."""
+    return isinstance(value, list) and all(
+        is_int(v) if kind is int else isinstance(v, kind) for v in value
+    )
+
+
 def _parse_binding(name, spec, rank):
     if spec is None or spec == "free":
         return Binding("free")
     if isinstance(spec, Binding):
         return spec
-    if isinstance(spec, (int, Fraction)):
+    if isinstance(spec, dict) and isinstance(spec.get("element"), (list, tuple)):
+        spec = spec["element"]
+    if is_int(spec) or isinstance(spec, Fraction):
         return Binding("rational", Fraction(spec))
     if isinstance(spec, str):
         try:
             return Binding("rational", Fraction(spec))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad binding for {name}: {spec!r}") from exc
-    if isinstance(spec, (tuple, list)):
-        coords = tuple(int(x) for x in spec)
+    if isinstance(spec, (tuple, list)) and all(is_int(x) for x in spec):
         if name != "alpha":
             raise ValueError(f"{name} cannot be bound to a group element")
-        if len(coords) != rank:
+        if len(spec) != rank:
             raise ValueError(f"alpha element binding needs {rank} coordinates")
-        return Binding("element", coords)
-    if isinstance(spec, dict) and "element" in spec:
-        return _parse_binding(name, tuple(spec["element"]), rank)
+        return Binding("element", tuple(spec))
     raise ValueError(f"bad binding for {name}: {spec!r}")
 
 
@@ -877,11 +889,11 @@ class Context:
     def __init__(self, gen_names=("g1",), *, alpha=None, beta=None, c=None, h=None):
         gen_names = tuple(gen_names)
         for n in gen_names:
-            if n in _RESERVED:
+            if n in SYMBOLS:
                 raise ValueError(f"generator name {n!r} is reserved")
         self.gen_names = gen_names
         self.rank = len(gen_names)
-        self.reg = Registry(gen_names + _RESERVED)
+        self.reg = Registry(gen_names + SYMBOLS)
         self.bindings = {
             "alpha": _parse_binding("alpha", alpha, self.rank),
             "beta": _parse_binding("beta", beta, self.rank),

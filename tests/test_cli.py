@@ -2,12 +2,15 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from gvir.cli import EXIT_COMPUTATION, EXIT_OK, EXIT_VALIDATION, main, validate
+from gvir.induced import Window
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -183,32 +186,60 @@ def test_classify_inline_descriptor_and_malformed(tmp_path):
 # -- validation and error codes ------------------------------------------------------
 
 
+def _diagnostics(command, config):
+    diagnostics, job = validate(command, config)
+    assert (job is None) == bool(diagnostics)
+    return diagnostics
+
+
 def test_validation_diagnostics():
-    assert validate("induce", {"group": {"rank": 2}, "b": [2, 0]}) != []
+    assert _diagnostics("induce", {"group": {"rank": 2}, "b": [2, 0]}) != []
     assert any(
         "not primitive" in d
-        for d in validate("induce", {"group": {"rank": 2}, "b": [2, 0]})
+        for d in _diagnostics("induce", {"group": {"rank": 2}, "b": [2, 0]})
     )
     assert any(
         "nothing to induce" in d
-        for d in validate(
+        for d in _diagnostics(
             "induce", {"group": {"rank": 2}, "b": [0, 1], "window": {"L": 0}}
         )
     )
     assert any(
         "generator names" in d
-        for d in validate("interseries", {"group": {"rank": 3, "names": ["a", "b"]}})
+        for d in _diagnostics("interseries", {"group": {"rank": 3, "names": ["a", "b"]}})
     )
     assert any(
         "bad binding" in d
-        for d in validate("interseries", {"bindings": {"alpha": "q"}})
+        for d in _diagnostics("interseries", {"bindings": {"alpha": "q"}})
     )
     assert any(
         "unknown symbols" in d
-        for d in validate("interseries", {"bindings": {"gamma": 1}})
+        for d in _diagnostics("interseries", {"bindings": {"gamma": 1}})
     )
     # a fractional beta is a valid binding; reducibility just comes out false
-    assert validate("interseries", {"bindings": {"beta": "1/2"}}) == []
+    assert _diagnostics("interseries", {"bindings": {"beta": "1/2"}}) == []
+
+
+def test_validate_returns_parsed_values_with_command_defaults(tmp_path):
+    out = str(tmp_path)
+    _, job = validate("interseries", {"bindings": {"beta": "1/2"}, "out": out})
+    assert (job.command, job.fmt, job.out) == ("interseries", "json", out)
+    assert job.args["ctx"].binding("beta").value == Fraction(1, 2)
+    assert (job.args["radius"], job.args["trials"], job.args["seed"]) == (3, 25, 0)
+    assert job.echo == {"bindings": {"beta": "1/2"}}
+    _, job = validate("induce", {"b": [0, 1], "window": {"N": 2}, "out": out})
+    assert job.args["b"] == (0, 1)
+    assert job.args["window"] == Window.make(1, 2)
+    assert job.args["group"].rank == job.args["ctx"].rank == 2
+    _, job = validate("verma", {"window": {"L": 5}, "out": out})
+    assert (job.args["level_cap"], job.args["singular_levels"]) == (5, [1, 2, 3, 4])
+    _, job = validate("verma", {"out": out})
+    assert job.args["level_cap"] == 6
+    _, job = validate("classify", {"descriptor": _CLASSIFY_DESCRIPTOR, "out": out})
+    assert job.args["direction_bound"] == 2
+    assert job.args["descriptor"].group.rank == 1
+    _, job = validate("bracket", {"x": "C", "y": [1, -2], "out": out})
+    assert (job.args["x"], job.args["y"]) == (("C", "C", None), ([1, -2], "d", (1, -2)))
 
 
 def test_exit_codes(tmp_path):
@@ -276,6 +307,15 @@ def _exit_and_stderr(tmp_path, capsys, command, config):
         ({"group": {"rank": True}, "b": [0]}, "group rank"),
         ({"group": {"rank": 2}, "b": [0, 1], "window": 3}, "window must be an object"),
         ({"group": [2], "b": [0, 1]}, "group must be an object"),
+        ({"b": [0, 1], "window": {"top_radius": "x"}}, "window top_radius must be an integer"),
+        ({"b": [0, 1], "window": {"top_radius": True}}, "window top_radius must be an integer"),
+        ({"b": [0, 1], "window": {"top_radius": 0}}, "window top_radius must be >= 1"),
+        ({"b": [0, 1], "window": {"L": None}}, "window L must be an integer"),
+        ({"b": [0, 1], "bindings": {"alpha": {"element": 5}}}, "bad binding for alpha"),
+        ({"b": [0, 1], "bindings": {"alpha": {"element": [True, 0]}}}, "bad binding for alpha"),
+        ({"b": [0, 1], "bindings": {"alpha": [1.5, 0]}}, "bad binding for alpha"),
+        ({"b": [0, 1], "bindings": {"alpha": True}}, "bad binding for alpha"),
+        ({"b": [0, 1], "bindings": {"beta": False}}, "bad binding for beta"),
     ],
 )
 def test_malformed_induce_configs_exit_2_with_diagnostic(tmp_path, capsys, config, needle):
@@ -310,6 +350,9 @@ _CLASSIFY_DESCRIPTOR = {
         ("interseries", {"seed": 2.0}, "seed must be an integer"),
         ("classify", {"descriptor": _CLASSIFY_DESCRIPTOR, "direction_bound": "x"}, "direction_bound must be an integer"),
         ("classify", {"descriptor": _CLASSIFY_DESCRIPTOR, "direction_bound": False}, "direction_bound must be an integer"),
+        # a search over no direction is a check that cannot succeed
+        ("classify", {"descriptor": _CLASSIFY_DESCRIPTOR, "direction_bound": 0}, "direction_bound must be >= 1, got 0"),
+        ("classify", {"descriptor": _CLASSIFY_DESCRIPTOR, "direction_bound": -3}, "direction_bound must be >= 1, got -3"),
     ],
 )
 def test_non_integer_trials_seed_direction_bound_exit_2(tmp_path, capsys, command, config, needle):
@@ -321,6 +364,27 @@ def test_non_integer_trials_seed_direction_bound_exit_2(tmp_path, capsys, comman
     fixed = dict(config, **{k: 3 for k in ("trials", "seed", "direction_bound") if k in config})
     rc, err = _exit_and_stderr(tmp_path, capsys, command, fixed)
     assert rc == EXIT_OK, err
+
+
+@pytest.mark.parametrize(
+    "descriptor, needle",
+    [
+        (dict(_CLASSIFY_DESCRIPTOR, rows=[["alpha", 5, 1]]), "needs integer coordinates"),
+        (dict(_CLASSIFY_DESCRIPTOR, rows=[["alpha", [0, "a"], 1]]), "needs integer coordinates"),
+        (dict(_CLASSIFY_DESCRIPTOR, rows=[["h", [True], 1]]), "needs integer coordinates"),
+        (dict(_CLASSIFY_DESCRIPTOR, rows=[["h", [0, 1], 1]]), "wrong length for rank 1"),
+        (dict(_CLASSIFY_DESCRIPTOR, rows=[["h", [0], True]]), "nonnegative integer"),
+        (dict(_CLASSIFY_DESCRIPTOR, group={"rank": 2, "names": 5}, flags=[]), "group names must be a list"),
+        (dict(_CLASSIFY_DESCRIPTOR, group={"rank": True}), "group rank must be a positive integer"),
+        (dict(_CLASSIFY_DESCRIPTOR, flags=5), "flags must be a list of strings"),
+        (dict(_CLASSIFY_DESCRIPTOR, offset_element=5), "offset_element 5 needs integer coordinates"),
+    ],
+)
+def test_malformed_descriptors_exit_2(tmp_path, capsys, descriptor, needle):
+    rc, err = _exit_and_stderr(tmp_path, capsys, "classify", {"descriptor": descriptor})
+    assert rc == EXIT_VALIDATION
+    assert needle in err
+    assert "Traceback" not in err and "computation failed" not in err
 
 
 def test_verma_singular_levels_outside_window_exit_2(tmp_path, capsys):
@@ -401,3 +465,186 @@ def test_closed_stdout_pipe_exits_0_without_traceback(tmp_path):
     assert proc.returncode == EXIT_OK
     assert proc.stderr == ""
     assert (tmp_path / "bracket.json").exists()
+
+
+# -- fuzzing ---------------------------------------------------------------------
+
+# small valid configs of every command (L <= 1, N <= 1), each touching as many
+# keys as it can; the fuzz test breaks them at random places
+_FUZZ_BASES = (
+    ("bracket", {"x": [1, 0], "y": "d[0,-1]", "bindings": {"alpha": [1, 0], "c": 0}}),
+    (
+        "interseries",
+        {
+            "group": {"rank": 2, "names": ["a", "b"]},
+            "bindings": {"alpha": "1/3", "beta": 1},
+            "window": {"N": 1},
+            "trials": 2,
+            "seed": 5,
+            "format": "csv",
+        },
+    ),
+    (
+        "induce",
+        {
+            "group": {"rank": 2},
+            "b": [0, 1],
+            "bindings": {"alpha": {"element": [1, 0]}, "beta": 0},
+            "window": {"L": 1, "N": 1, "top_radius": 2},
+        },
+    ),
+    (
+        "verma",
+        {
+            "bindings": {"c": "1/2", "h": 0},
+            "window": {"L": 1},
+            "singular_levels": [1],
+            "format": "csv",
+        },
+    ),
+    (
+        "classify",
+        {
+            "descriptor": {
+                "group": {"rank": 1, "names": ["t"]},
+                "provenance": "verma",
+                "offset": "h",
+                "flags": ["is_Z"],
+                "rows": [["h", [-n], d] for n, d in enumerate([1, 1, 2])] + [["h", [1], 0]],
+            },
+            "direction_bound": 1,
+        },
+    ),
+    (
+        "classify",
+        {
+            "descriptor": {
+                "group": {"rank": 2},
+                "provenance": "external",
+                "offset_element": [0, 0],
+                "rows": [["alpha", [i, j], 1] for i in (-1, 0, 1) for j in (-1, 0, 1)],
+            },
+        },
+    ),
+)
+# bad types, bools, negatives and wrong shapes; no integer above 1, so no
+# mutation can make a run slow
+_FUZZ_VALUES = (
+    None, True, False, -3, -1, 0, 1, 1.5, "x", "", "1/0", "free", "d[1,0]",
+    [], [True, 0], [0, "a"], [[0]], [-1, 1], {}, {"element": 5}, {"rank": True},
+)
+_FUZZ_KEYS = (
+    "group", "rank", "names", "bindings", "alpha", "beta", "element", "window",
+    "L", "N", "top_radius", "b", "x", "trials", "seed", "direction_bound",
+    "singular_levels", "format", "out", "descriptor", "rows", "flags",
+    "offset_element", "provenance", "schema",
+)
+
+
+def _fuzz_nodes(node, path=()):
+    """(path, value) of every node of a JSON value, the root included."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _fuzz_nodes(child, path + (key,))
+
+
+def _fuzz_mutate(config, rng):
+    """config with one to three random replacements, deletions or additions."""
+    config = json.loads(json.dumps(config))
+    for _ in range(rng.randint(1, 3)):
+        path, node = rng.choice(list(_fuzz_nodes(config)))
+        value = json.loads(json.dumps(rng.choice(_FUZZ_VALUES)))
+        if isinstance(node, dict) and (not path or rng.random() < 0.5):
+            node[rng.choice(_FUZZ_KEYS)] = value
+            continue
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        if rng.random() < 0.25:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return config
+
+
+def fuzz_cases(count, seed=20260701):
+    """count (command, config) pairs: seeded mutations of _FUZZ_BASES."""
+    rng = random.Random(seed)
+    return [
+        (command, _fuzz_mutate(config, rng))
+        for command, config in (rng.choice(_FUZZ_BASES) for _ in range(count))
+    ]
+
+
+def test_fuzzed_configs_exit_0_2_or_3_with_a_diagnostic(tmp_path, capsys, monkeypatch):
+    # the configs carry their own "out" (no --out flag): relative paths land
+    # in tmp_path, and a missing one falls back to GVIR_OUT
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GVIR_OUT", str(tmp_path / "default"))
+    for command, config in _FUZZ_BASES:
+        cfg = write_config(tmp_path, config)
+        assert main([command, "--config", cfg]) == EXIT_OK, capsys.readouterr().err
+    codes = {}
+    for command, config in fuzz_cases(600):
+        cfg = write_config(tmp_path, config)
+        case = f"{command} {json.dumps(config)}"
+        try:
+            rc = main([command, "--config", cfg])
+        except Exception as exc:  # any exception escaping main is the failure
+            pytest.fail(f"{case} raised {exc!r}")
+        captured = capsys.readouterr()
+        assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTATION), case
+        assert "Traceback" not in captured.err, case
+        if rc == EXIT_OK:
+            assert json.loads(captured.out)["command"] == command, case
+        else:
+            assert captured.err.startswith(("error: ", "computation failed: ")), case
+        codes[rc] = codes.get(rc, 0) + 1
+    # the mutations reach both the runs and the refusals
+    assert codes.get(EXIT_OK, 0) > 50 and codes.get(EXIT_VALIDATION, 0) > 300, codes
+
+
+@pytest.mark.parametrize(
+    "out, needle",
+    [
+        (5, "out must be a directory path, got 5"),
+        (["x"], "out must be a directory path"),
+        ("file", "cannot create output directory file"),
+        ("file/sub", "cannot create output directory file/sub"),
+    ],
+)
+def test_unusable_out_exits_2_and_names_it(tmp_path, capsys, monkeypatch, out, needle):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path, {"out": out})
+    assert main(["interseries", "--config", cfg]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
+
+
+def test_unwritable_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # root may write anywhere, so the refusal of the file system is simulated
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    rc = main(["verma", "--window-L", "1", "--out", str(tmp_path / "new")])
+    assert rc == EXIT_VALIDATION
+    assert f"output directory {tmp_path / 'new'} is not writable" in capsys.readouterr().err
+
+
+def test_report_that_cannot_be_written_exits_2(tmp_path, capsys):
+    (tmp_path / "verma.json").mkdir()  # the report path is taken by a directory
+    rc = main(["verma", "--window-L", "1", "--out", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"cannot write the report to {tmp_path}" in err and "Traceback" not in err
+
+
+def test_verma_needs_a_rank_1_group(tmp_path, capsys):
+    # verma works over G = Z, so an alpha element binding has one coordinate
+    rc, err = _exit_and_stderr(tmp_path, capsys, "verma", {"group": {"rank": 2}, "window": {"L": 1}})
+    assert rc == EXIT_VALIDATION and "needs a group of rank 1" in err
+    config = {"group": {"rank": 1, "names": ["t"]}, "bindings": {"alpha": [2]}, "window": {"L": 1}}
+    rc, err = _exit_and_stderr(tmp_path, capsys, "verma", config)
+    assert rc == EXIT_OK, err
+    rc, err = _exit_and_stderr(tmp_path, capsys, "verma", dict(config, bindings={"alpha": [1, 0]}))
+    assert rc == EXIT_VALIDATION and "alpha element binding needs 1 coordinates" in err
