@@ -1,31 +1,34 @@
 """Exact linear algebra over polynomial entries.
 
-Three engines.  `symbolic_rank` and the Bareiss `det` are fraction-free
-eliminations on a packed-term kernel: each call converts its rows once to
-{packed monomial int: coefficient} dicts, does every update v*piv - u*c in
-one fused accumulation and every exact division heap-ordered over the packed
-ints.  Each variable that occurs gets a bit field sized from a proven bound
-(twice the sum over rows of the row's largest degree in it) plus a guard
-bit; a product that sets a guard bit starts the call over with wider
-fields, so an overflow never passes silently.  `Echelon` is an incremental
-fraction-free Gauss-Jordan echelon on Poly entries that never divides.  The
-cross-check is a dense textbook Gaussian elimination over the
-rational-function field (`field_rref`), slower but independent; kernels
-sit on top of it.
+Two fraction-free eliminations run on one packed-term kernel.
+`symbolic_rank` keeps a delayed divisor per row.  `_fraction_free` divides
+every row by one global divisor, the previous pivot, exact by Sylvester's
+identity (Bareiss 1968); `det` runs its forward half and `kernel_basis` its
+Gauss-Jordan form, so a kernel forms no Scalar and takes one polynomial gcd
+per vector.  Each call packs its rows once to {monomial int: coefficient}
+dicts, fuses every update v*piv - u*c into one accumulation and orders every
+exact division by a heap.  Each variable that occurs gets a bit field sized
+from a proven bound (twice the sum over rows of the row's largest degree in
+it) plus a guard bit; a product that sets a guard bit starts the call over
+with wider fields, so an overflow never passes silently.  `Echelon` is an
+incremental fraction-free Gauss-Jordan echelon on Poly entries that never
+divides.  The tests check them against a dense elimination over the
+rational-function field (tests/oracles.py), slow but independent.
 
-Rows enter `symbolic_rank` and `Echelon` divided by their monomial gcd and
-rational content only (`strip_row`).  No polynomial gcd is needed there:
-dividing a row by any nonzero polynomial is a unit scaling over the
-fraction field, so it cannot change a rank, and on probe rows the gcd cost
-more than the elimination it was meant to shrink.  Both share one strip,
-`_prepare_row`: a single pass over a row's terms sets an optional variable
-to 1 (the induced module dehomogenizes its probe matrices this way), drops
-the entries that vanish, and collects the exponents and coefficients; the
-content is then a `math.gcd` of ints (Fractions only when a coefficient is
-one), and the row's degree tops, which size the packed fields of
-`symbolic_rank`, fall out of the same exponents.
+Rows enter `symbolic_rank`, `kernel_basis` and `Echelon` divided by their
+monomial gcd and rational content only (`_prepare_row`, `strip_row`).
+Dividing a row by a nonzero polynomial is a unit scaling over the fraction
+field, so no rank or kernel needs a polynomial gcd there, and on probe rows
+the gcd cost more than the elimination it was meant to shrink.  One pass
+over a row's terms sets an optional variable to 1 (the induced module
+dehomogenizes its probe matrices this way), drops the entries that vanish
+and collects the exponents and coefficients; the content is a `math.gcd` of
+ints (Fractions only when a coefficient is one), and the degree tops that
+size the packed fields fall out of the same exponents.
 
-Rows are sparse dicts {column index -> Poly}, zero entries absent.
+Rows are sparse dicts {column index -> Poly}, zero entries absent; `det`
+takes dense lists and `kernel_basis` either, with entries that `to_poly`
+coerces (int, Fraction, Poly, denominator-free Scalar).
 """
 
 from __future__ import annotations
@@ -37,20 +40,6 @@ from heapq import heapify, heappop, heappush
 from operator import or_
 
 from .scalars import ExactDivisionError, Poly, Scalar, _gcd_many, _grlex, _norm_coeff
-
-
-def _rational_content(polys):
-    """Positive gcd over Q of all coefficients appearing in the polys."""
-    cont = Fraction(0)
-    for p in polys:
-        if p.is_zero():
-            continue
-        c = p.content()
-        cont = Fraction(
-            math.gcd(cont.numerator, c.numerator),
-            (cont.denominator * c.denominator) // math.gcd(cont.denominator, c.denominator),
-        )
-    return cont
 
 
 def to_poly(reg, v):
@@ -320,102 +309,52 @@ def _rank_kernel(work, guard):
     return rank
 
 
-# -- dense field-division engine (independent cross-check) --------------------
-
-
-def _to_scalar_rows(reg, rows, ncols):
-    out = []
-    for row in rows:
-        if isinstance(row, dict):
-            dense = [Scalar.make(Poly.zero(reg)) for _ in range(ncols)]
-            for j, v in row.items():
-                dense[j] = Scalar.make(to_poly(reg, v))
-        else:
-            dense = [
-                v if isinstance(v, Scalar) else Scalar.make(to_poly(reg, v)) for v in row
-            ]
-            dense += [Scalar.make(Poly.zero(reg))] * (ncols - len(dense))
-        out.append(dense)
-    return out
-
-
-def field_rref(reg, rows, ncols):
-    """Reduced row echelon form over the fraction field.
-
-    Returns (rank, pivot column list, rref rows as dense Scalar lists).
-    Plain leftmost-pivot Gaussian elimination with division.
-    """
-    mat = _to_scalar_rows(reg, rows, ncols)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c].inv()
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return r, pivots, mat[:r]
-
-
-def field_rank(reg, rows, ncols):
-    return field_rref(reg, rows, ncols)[0]
-
-
-def clear_denominators(reg, vec):
-    """Scale a Scalar vector to a primitive Poly vector (common content 1)."""
-    den = Poly.const(reg, 1)
-    for s in vec:
-        if s.is_zero():
-            continue
-        g = _gcd_many([den, s.den])
-        den = den * s.den.exact_div(g)
-    polys = []
-    for s in vec:
-        if s.is_zero():
-            polys.append(Poly.zero(reg))
-        else:
-            polys.append(s.num * den.exact_div(s.den))
-    g = _gcd_many([p for p in polys if not p.is_zero()])
-    if not g.is_const():
-        polys = [p if p.is_zero() else p.exact_div(g) for p in polys]
-    cont = _rational_content(polys)
-    first = next((p for p in polys if not p.is_zero()), None)
-    if first is not None:
-        _, lc = first.lead()
-        if lc < 0:
-            cont = -cont
-        if cont != 1:
-            polys = [p.scale(Fraction(1) / cont) for p in polys]
-    return tuple(polys)
-
-
 def kernel_basis(reg, rows, ncols):
     """Basis of the right kernel over the fraction field.
 
-    Returns primitive Poly vectors (denominators cleared), one per free
-    column, in column order.
+    Returns primitive Poly vectors, one per free column, in column order.
+    After the Gauss-Jordan `_fraction_free`, pivot row i is D times RREF
+    row i (D the last pivot, 1 without one), so the vector of free column f
+    is D at f and -row_i[f] at row i's pivot column, made `_primitive`.
     """
-    rank, pivots, rref = field_rref(reg, rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    one = Scalar.make(Poly.const(reg, 1))
-    zero = Scalar.make(Poly.zero(reg))
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rref[i][f]
-        out.append(clear_denominators(reg, vec))
-    return out
+    work = []
+    tops = []
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        r, top = _prepare_row({j: to_poly(reg, v) for j, v in items})
+        if r:
+            work.append(r)
+            tops.append(top)
+
+    def run(pk):
+        packed = [{j: pk.pack(p) for j, p in r.items()} for r in work]
+        pivots, last, _ = _fraction_free(packed, pk.guard, True)
+        last = Poly.const(reg, 1) if last is None else pk.unpack(reg, last)
+        vectors = []
+        for f in range(ncols):
+            if f in pivots:
+                continue
+            vec = [Poly.zero(reg)] * ncols
+            vec[f] = last
+            for row, pc in zip(packed, pivots):
+                e = row.get(f)
+                if e:
+                    vec[pc] = pk.unpack(reg, _neg(e))
+            vectors.append(vec)
+        return vectors
+
+    return [_primitive(vec) for vec in _with_fields(len(reg), tops, run)]
+
+
+def _primitive(vec):
+    """A nonzero Poly vector divided by the gcd of its entries, then by their
+    rational content, first nonzero entry with a positive graded-lex lead
+    (`strip_row`; no monomial factor is left to strip after the gcd)."""
+    g = _gcd_many([p for p in vec if not p.is_zero()])
+    if not g.is_const():
+        vec = [p if p.is_zero() else p.exact_div(g) for p in vec]
+    stripped = strip_row({j: p for j, p in enumerate(vec) if not p.is_zero()})
+    return tuple(stripped.get(j, p) for j, p in enumerate(vec))
 
 
 def det(reg, rows):
@@ -430,36 +369,73 @@ def det(reg, rows):
         return m[0][0]
 
     def run(pk):
-        return pk.unpack(reg, _bareiss([[pk.pack(p) for p in row] for row in m], pk.guard))
+        packed = [{j: t for j, t in enumerate(map(pk.pack, row)) if t} for row in m]
+        pivots, last, odd = _fraction_free(packed, pk.guard, False)
+        if len(pivots) < n:
+            return Poly.zero(reg)
+        return pk.unpack(reg, _neg(last) if odd else last)
 
     return _with_fields(len(reg), [_degree_top(len(reg), row) for row in m], run)
 
 
-def _bareiss(m, guard):
-    n = len(m)
-    negate = False
+def _fraction_free(rows, guard, reduce_above):
+    """Fraction-free elimination with one global divisor, in place on packed
+    sparse rows; returns the pivot columns, the last pivot (None if none)
+    and whether the row swaps were odd.
+
+    Step k takes the leftmost column nonzero in rows k.., its first such row
+    as pivot row, and replaces every row r below (and with reduce_above,
+    above) by (r * pivot - pivot row * r[column]) / previous pivot.  Every
+    entry stays a minor of the input (Sylvester's identity below, Cramer's
+    rule above: the last pivot times the RREF entry), so every division is
+    exact.  The pivot column leaves every row; in a pivot row it would hold
+    the last pivot.
+    """
+    pivots = []
+    odd = False
+    piv = None
     prev = None  # None stands for 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return {}
-            m[k], m[piv] = m[piv], m[k]
-            negate = not negate
-        rowk = m[k]
-        pkk = rowk[k]
-        for i in range(k + 1, n):
-            rowi = m[i]
-            neg = _neg(rowi[k])
-            for j in range(k + 1, n):
-                t = _settle(_mul_into(_mul_into({}, rowi[j], pkk), rowk[j], neg), guard)
+    for k in range(len(rows)):
+        col = min((min(r) for r in rows[k:] if r), default=None)
+        if col is None:
+            break
+        i = next(i for i in range(k, len(rows)) if col in rows[i])
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            odd = not odd
+        prow = rows[k]
+        piv = prow.pop(col)
+        for i in range(0 if reduce_above else k + 1, len(rows)):
+            r = rows[i]
+            if i == k or not r:
+                continue
+            c = r.get(col)
+            negc = None if c is None else _neg(c)
+            new = {}
+            for j, v in r.items():
+                if j == col:
+                    continue
+                acc = _mul_into({}, v, piv)
+                if negc is not None:
+                    u = prow.get(j)
+                    if u is not None:
+                        _mul_into(acc, u, negc)
+                t = _settle(acc, guard)
                 if prev is not None and t:
                     t = _divide(t, prev, guard)
-                rowi[j] = t
-            rowi[k] = {}
-        prev = _descending(pkk)
-    d = m[n - 1][n - 1]
-    return _neg(d) if negate else d
+                if t:
+                    new[j] = t
+            if negc is not None:
+                for j, u in prow.items():
+                    if j not in r:
+                        t = _settle(_mul_into({}, u, negc), guard)
+                        if prev is not None:
+                            t = _divide(t, prev, guard)
+                        new[j] = t
+            rows[i] = new
+        pivots.append(col)
+        prev = _descending(piv)
+    return pivots, piv, odd
 
 
 # -- packed-term kernel of the fraction-free eliminations ---------------------

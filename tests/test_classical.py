@@ -25,8 +25,9 @@ from gvir.classical import (
     partitions,
     verma_dims,
 )
-from gvir.linalg import det, field_rank, kernel_basis, to_poly
+from gvir.linalg import det, kernel_basis, to_poly
 from gvir.scalars import Context, Poly, Scalar, _gcd_many
+from oracles import field_rank
 
 
 def _verma(L=4, **bindings):

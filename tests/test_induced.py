@@ -16,8 +16,9 @@ from gvir.induced import (
     part_membership,
 )
 from gvir.interseries import IntermediateSeriesModule
-from gvir.linalg import field_rank, symbolic_rank
+from gvir.linalg import symbolic_rank
 from gvir.scalars import Context, ExactDivisionError, Poly, Scalar
+from oracles import field_rank
 
 
 def rank2_module(L=1, N=1, **bindings):

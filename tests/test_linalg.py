@@ -11,15 +11,14 @@ from gvir import linalg
 from gvir.linalg import (
     Echelon,
     det,
-    field_rank,
-    field_rref,
     kernel_basis,
     row_from_list,
     strip_row,
     symbolic_rank,
     to_poly,
 )
-from gvir.scalars import Context, ExactDivisionError, Poly
+from gvir.scalars import Context, ExactDivisionError, Poly, Scalar, _gcd_many
+from oracles import field_rank, field_rref
 
 
 def _ctx():
@@ -647,6 +646,193 @@ def test_packed_division_by_fraction_constants_and_monomials():
     with pytest.raises(ExactDivisionError):
         _div(reg, p, x.scale(Fraction(2, 3)))
     assert _div(reg, (x * p).scale(Fraction(2, 3)), x.scale(Fraction(2, 3))) == p
+
+
+# -- kernel_basis on the fraction-free engine -----------------------------------
+
+
+def _reference_kernel_basis(reg, rows, ncols):
+    """kernel_basis as it was on the dense field engine, frozen: the RREF
+    kernel vector of each free column, denominators cleared, divided by the
+    polynomial gcd and the rational content, first nonzero lead positive."""
+    _, pivots, rref = field_rref(reg, rows, ncols)
+    one = Scalar.make(Poly.const(reg, 1))
+    zero = Scalar.make(Poly.zero(reg))
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[f] = one
+        for i, pc in enumerate(pivots):
+            vec[pc] = -rref[i][f]
+        den = Poly.const(reg, 1)
+        for s in vec:
+            if not s.is_zero():
+                den = den * s.den.exact_div(_gcd_many([den, s.den]))
+        polys = [Poly.zero(reg) if s.is_zero() else s.num * den.exact_div(s.den) for s in vec]
+        g = _gcd_many([p for p in polys if not p.is_zero()])
+        if not g.is_const():
+            polys = [p if p.is_zero() else p.exact_div(g) for p in polys]
+        num, dens = 0, 1
+        for p in polys:
+            for c in p.terms.values():
+                c = Fraction(c)
+                num = math.gcd(num, c.numerator)
+                dens = dens * c.denominator // math.gcd(dens, c.denominator)
+        cont = Fraction(num, dens)
+        if next(p for p in polys if not p.is_zero()).lead()[1] < 0:
+            cont = -cont
+        if cont != 1:
+            polys = [p.scale(1 / cont) for p in polys]
+        out.append(tuple(polys))
+    return out
+
+
+def _exact_terms(vectors):
+    """Vectors as comparable term lists that also tell an int from a Fraction."""
+    return [
+        [sorted((e, type(c).__name__, c) for e, c in p.terms.items()) for p in vec]
+        for vec in vectors
+    ]
+
+
+def _kernel_corpus():
+    """Seeded matrices in 1-4 variables with int, Fraction and Poly entries,
+    as dense lists or sparse dicts, and the shapes an elimination can trip
+    on: no rows, zero rows, a zero matrix, zero columns, no columns, full
+    column rank and rank deficiency."""
+    reg = Context.of_rank(4).reg
+    rng = random.Random(11235)
+    cases = [
+        ([], 3),
+        ([{}, {}], 2),
+        ([[0, 0, 0], [0, 0, 0]], 3),
+        ([{}, {}], 0),
+        ([[1, 2], [2, 4]], 2),
+        ([{1: Poly.symbol(reg, "g1")}], 3),
+    ]
+    for case in range(150):
+        kind = case % 3
+        nvars = 1 + case % 4
+        if kind == 0:
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            dense = [[rng.choice([0, 0, 1, -1, rng.randint(-5, 5)]) for _ in range(n)] for _ in range(m)]
+            if case % 4 == 0 and m >= 2:
+                dense[-1] = [2 * a - b for a, b in zip(dense[0], dense[1])]
+            cases.append((dense, n))
+        elif kind == 1:
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            rows = []
+            for _ in range(m):
+                rows.append({
+                    j: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                    for j in range(n)
+                    if rng.random() < 0.6
+                })
+            cases.append((rows, n))
+        else:
+            # fewer terms per entry the more variables: the frozen field
+            # engine's multivariate gcds blow up quickly
+            maxdeg, maxterms = ((3, 3), (2, 2), (2, 1), (1, 1))[nvars - 1]
+            rows, n = _sparse_matrix(reg, rng, nvars, maxdeg, case % 2 == 0, 4, maxterms)
+            if case % 5 == 0:
+                n += 1  # a column that no row touches
+            cases.append((rows, n))
+    return reg, cases
+
+
+def test_kernel_basis_matches_frozen_reference():
+    reg, cases = _kernel_corpus()
+    seen = set()
+    for rows, ncols in cases:
+        got = kernel_basis(reg, rows, ncols)
+        expect = _reference_kernel_basis(reg, rows, ncols)
+        assert _exact_terms(got) == _exact_terms(expect)
+        rank = ncols - len(got)
+        nonzero = sum(1 for r in rows if any((r.values() if isinstance(r, dict) else r)))
+        if not rows:
+            seen.add("no rows")
+        if ncols and rank == 0:
+            seen.add("no pivot")
+        if not ncols:
+            seen.add("no columns")
+        if got and rank == min(nonzero, ncols):
+            seen.add("full row rank")
+        if not got:
+            seen.add("full column rank")
+        elif rank < min(nonzero, ncols):
+            seen.add("deficient")
+        for r in rows:
+            entries = r.values() if isinstance(r, dict) else r
+            seen.add(type(next((v for v in entries if v), 0)).__name__)
+    assert seen >= {
+        "no rows", "no pivot", "no columns", "full row rank", "full column rank",
+        "deficient", "int", "Fraction", "Poly",
+    }
+
+
+def test_kernel_basis_with_no_pivot_returns_unit_vectors():
+    reg = _ctx().reg
+    one, zero = Poly.const(reg, 1), Poly.zero(reg)
+    for rows in ([], [{}], [{}, {1: zero}], [[0, 0, 0]]):
+        assert kernel_basis(reg, rows, 3) == [
+            (one, zero, zero), (zero, one, zero), (zero, zero, one)
+        ]
+    assert kernel_basis(reg, [], 0) == []
+
+
+def test_kernel_basis_forms_no_scalar(monkeypatch):
+    reg, cases = _kernel_corpus()
+    expected = [kernel_basis(reg, rows, ncols) for rows, ncols in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel_basis formed a Scalar")
+
+    monkeypatch.setattr(Scalar, "make", staticmethod(refuse))
+    for (rows, ncols), expect in zip(cases, expected):
+        assert kernel_basis(reg, rows, ncols) == expect
+
+
+def test_kernel_basis_degree_one_in_four_variables():
+    # the dense field engine did not finish such a 4x4 matrix in 120 s
+    reg = Context.of_rank(4).reg
+    gens = [Poly.const(reg, 1)] + [Poly.symbol(reg, name) for name in reg.names]
+    rng = random.Random(4444)
+
+    def linear():
+        return sum((g.scale(rng.randint(-3, 3)) for g in gens), Poly.zero(reg))
+
+    for case in range(40):
+        if case % 2:
+            # a 4x2 constant matrix times a 2x4 linear one: rank at most 2
+            u = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(4)]
+            v = [[linear() for _ in range(4)] for _ in range(2)]
+            dense = [[v[0][j].scale(a) + v[1][j].scale(b) for j in range(4)] for a, b in u]
+            minors = (
+                det(reg, [[dense[i][j] for j in cols] for i in rows_])
+                for rows_ in itertools.combinations(range(4), 2)
+                for cols in itertools.combinations(range(4), 2)
+            )
+            assert any(not d.is_zero() for d in minors)
+            rank = 2
+        else:
+            dense = [[linear() for _ in range(4)] for _ in range(4)]
+            assert not det(reg, dense).is_zero()
+            rank = 4
+        rows = [{j: p for j, p in enumerate(r) if not p.is_zero()} for r in dense]
+        kern = kernel_basis(reg, rows, 4)
+        assert len(kern) == 4 - rank
+        for vec in kern:
+            for row in rows:
+                acc = Poly.zero(reg)
+                for j, p in row.items():
+                    acc = acc + p * vec[j]
+                assert acc.is_zero()
+            nz = [p for p in vec if not p.is_zero()]
+            assert _gcd_many(nz).is_const()
+            coeffs = [c for p in nz for c in p.terms.values()]
+            assert all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1
 
 
 # -- the known defect of symbolic_rank's delayed divisors ------------------------
