@@ -80,6 +80,8 @@ class ModuleDescriptor:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.offset, str):
+            raise MalformedDescriptorError(f"offset must be a string, got {self.offset!r}")
         if self.provenance not in PROVENANCES:
             raise MalformedDescriptorError(
                 f"unknown provenance {self.provenance!r}; expected one of {PROVENANCES}"
@@ -180,6 +182,8 @@ class ModuleDescriptor:
         if not isinstance(raw_rows, list):
             raise MalformedDescriptorError("descriptor needs rows: [offset, coords, dim]")
         offset = payload.get("offset")
+        if not (offset is None or isinstance(offset, str)):
+            raise MalformedDescriptorError(f"offset must be a string, got {offset!r}")
         rows = {}
         for entry in raw_rows:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
@@ -187,6 +191,8 @@ class ModuleDescriptor:
                     f"row {entry!r} is not [offset, coords, dim]"
                 )
             sym, coords, dim = entry
+            if not isinstance(sym, str):
+                raise MalformedDescriptorError(f"row {entry!r} needs a string offset symbol")
             if not is_list_of(coords, int):
                 raise MalformedDescriptorError(f"row {entry!r} needs integer coordinates")
             if offset is None:

@@ -52,11 +52,11 @@ entry are those of applying each sequence separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import Straightener, TriangularPart, accumulate
 from .classify import _direction_verdict, descriptor_from_induced
-from .groups import box, gadd, gneg, gzero, split
+from .groups import box, gadd, gzero, split
+from .interseries import subquotient_of
 from .linalg import kernel_basis, symbolic_rank
 from .scalars import Poly, Scalar
 
@@ -153,18 +153,9 @@ class InducedModule:
         # carries the same label (-t, y), so lowering operators are factors
         self._straight = Straightener(self._one, _factor_first, self._bracket, self._top)
         self._act_memo = self._straight.memo
-        a = self._alpha_element_coords()
-        beta_b = ctx.binding("beta")
-        reducible = a is not None and beta_b.kind == "rational" and beta_b.value in (
-            Fraction(0),
-            Fraction(1),
-        )
-        self.top_excluded = gneg(a) if reducible else None
-        self.top_kind = (
-            "whole"
-            if not reducible
-            else ("quotient_by_trivial" if beta_b.value == 0 else "submodule_off_zero")
-        )
+        top = subquotient_of(self._alpha_element_coords(), ctx.binding("beta"))
+        self.top_excluded = top.excluded
+        self.top_kind = top.kind
 
     def _alpha_element_coords(self):
         """alpha = iota(a) with a in G0, in G0 coordinates; else None."""

@@ -18,7 +18,6 @@ made to decide membership of general symbolic values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .groups import gadd, gneg
 
@@ -45,6 +44,17 @@ class SubquotientDescriptor:
             "support": self.support,
             "excluded_index": list(self.excluded) if self.excluded is not None else None,
         }
+
+
+def subquotient_of(a, beta):
+    """V' of V(alpha, beta, G) from a, the coordinates with alpha = iota(a)
+    (None when alpha is not structurally a member), and the binding of beta.
+
+    The one reducibility rule: a given and beta bound to 0 or 1."""
+    if a is None or beta.kind != "rational" or beta.value not in (0, 1):
+        return SubquotientDescriptor("whole", SUPPORT_SHIFTED, None)
+    kind = "quotient_by_trivial" if beta.value == 0 else "submodule_off_zero"
+    return SubquotientDescriptor(kind, SUPPORT_PUNCTURED, gneg(a))
 
 
 class IntermediateSeriesModule:
@@ -84,27 +94,12 @@ class IntermediateSeriesModule:
             return self.group.zero()
         return None
 
-    def _beta_value(self):
-        b = self.ctx.binding("beta")
-        return b.value if b.kind == "rational" else None
-
     def is_reducible(self):
-        return self.alpha_element() is not None and self._beta_value() in (
-            Fraction(0),
-            Fraction(1),
-        )
+        return self.subquotient().excluded is not None
 
     def subquotient(self):
         """Descriptor of the unique nontrivial irreducible sub-quotient V'."""
-        a = self.alpha_element()
-        if not self.is_reducible():
-            return SubquotientDescriptor("whole", SUPPORT_SHIFTED, None)
-        kind = (
-            "quotient_by_trivial"
-            if self._beta_value() == 0
-            else "submodule_off_zero"
-        )
-        return SubquotientDescriptor(kind, SUPPORT_PUNCTURED, gneg(a))
+        return subquotient_of(self.alpha_element(), self.ctx.binding("beta"))
 
     # -- action on V' ------------------------------------------------------------
 

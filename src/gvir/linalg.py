@@ -1,19 +1,30 @@
 """Exact linear algebra over polynomial entries.
 
-Two fraction-free eliminations run on one packed-term kernel.
-`symbolic_rank` keeps a delayed divisor per row.  `_fraction_free` divides
-every row by one global divisor, the previous pivot, exact by Sylvester's
-identity (Bareiss 1968); `det` runs its forward half and `kernel_basis` its
-Gauss-Jordan form, so a kernel forms no Scalar and takes one polynomial gcd
-per vector.  Each call packs its rows once to {monomial int: coefficient}
-dicts, fuses every update v*piv - u*c into one accumulation and orders every
-exact division by a heap.  Each variable that occurs gets a bit field sized
-from a proven bound (twice the sum over rows of the row's largest degree in
-it) plus a guard bit; a product that sets a guard bit starts the call over
-with wider fields, so an overflow never passes silently.  `Echelon` is an
-incremental fraction-free Gauss-Jordan echelon on Poly entries that never
-divides.  The tests check them against a dense elimination over the
-rational-function field (tests/oracles.py), slow but independent.
+Every elimination here takes one step, the fraction-free row update of
+Bareiss (1968): a row r becomes (r * piv - prow * r[col]) / div, which
+clears column col with the pivot piv of the pivot row prow (`_combine`).
+Three policies choose the pivots and divisors:
+
+- `symbolic_rank` pivots on the entry with the fewest terms and keeps a
+  delayed divisor per row, the pivot that last updated it;
+- `_fraction_free` pivots on the leftmost column and its first row and
+  divides every row by one global divisor, the previous pivot, exact by
+  Sylvester's identity; `det` runs its forward half and `kernel_basis` its
+  Gauss-Jordan form, so a kernel forms no Scalar and takes one polynomial
+  gcd per vector;
+- `Echelon` keeps a semi-echelon basis, grown one row at a time with no
+  divisor: each kept row is zero on the pivot columns of the rows kept
+  before it, so one pass in insertion order reduces a new row to zero
+  exactly when it lies in their span.
+
+All of them run on one packed-term kernel.  Each call packs its rows once
+to {monomial int: coefficient} dicts, fuses every update into one
+accumulation and orders every exact division by a heap.  Each variable that
+occurs gets a bit field sized from a proven bound (twice the sum over rows
+of the row's largest degree in it) plus a guard bit; a product that sets a
+guard bit starts the call over with wider fields, so an overflow never
+passes silently.  The tests check them against a dense elimination over
+the rational-function field (tests/oracles.py), slow but independent.
 
 Rows enter `symbolic_rank`, `kernel_basis` and `Echelon` divided by their
 monomial gcd and rational content only (`_prepare_row`, `strip_row`).
@@ -143,18 +154,19 @@ def strip_row(row):
 
 
 class Echelon:
-    """Incremental fraction-free Gauss-Jordan echelon form.
+    """Incremental semi-echelon basis of a row space; the module docstring
+    says why one pass in insertion order decides span membership.
 
-    Feed rows one at a time; the structure keeps a mutually reduced pivot set
-    (each stored row is zero on every other row's pivot column), so reducing
-    a fresh row is a single pass.  Pivot columns are chosen to minimize the
-    term count of the pivot entry, which keeps cross-multiplications small.
+    A new row is stripped, reduced against the kept rows in insertion order
+    on the packed kernel, stripped again and, if anything is left, kept
+    under the column of its entry with the fewest terms, which keeps
+    cross-multiplications small; a kept row is never touched again.
     """
 
     def __init__(self, ncols=None):
         self.ncols = ncols
-        self.rows = []  # list of [pivot_col, row]
-        self.pivot_cols = set()
+        self.rows = []  # (pivot column, stripped row), in insertion order
+        self._tops = []  # degree top of each kept row
 
     @property
     def rank(self):
@@ -163,72 +175,35 @@ class Echelon:
     def is_full(self):
         return self.ncols is not None and self.rank >= self.ncols
 
-    def residual(self, row):
-        """Fraction-free reduction of a row against the current pivot set."""
-        r = dict(row)
-        for pc, prow in self.rows:
-            coef = r.get(pc)
-            if coef is None:
-                continue
-            piv = prow[pc]
-            new = {}
-            for j, v in r.items():
-                if j == pc:
-                    continue
-                t = v * piv
-                u = prow.get(j)
-                if u is not None:
-                    t = t - u * coef
-                if not t.is_zero():
-                    new[j] = t
-            for j, u in prow.items():
-                if j != pc and j not in r:
-                    t = -(u * coef)
-                    if not t.is_zero():
-                        new[j] = t
-            r = new
-        return strip_row(r)
-
     def add_row(self, row):
-        """Reduce and insert a row; returns True iff the rank grew."""
-        r = self.residual(row)
+        """Reduce and keep a row; returns True iff the rank grew."""
+        r, top = _prepare_row(row)
         if not r:
             return False
-        pc = min(r, key=lambda j: (len(r[j].terms), j))
-        piv = r[pc]
-        for entry in self.rows:
-            orow = entry[1]
-            coef = orow.get(pc)
-            if coef is None:
-                continue
-            new = {}
-            for j, v in orow.items():
-                if j == pc:
-                    continue
-                t = v * piv
-                u = r.get(j)
-                if u is not None:
-                    t = t - u * coef
-                if not t.is_zero():
-                    new[j] = t
-            for j, u in r.items():
-                if j != pc and j not in orow:
-                    t = -(u * coef)
-                    if not t.is_zero():
-                        new[j] = t
-            entry[1] = strip_row(new)
-        self.rows.append([pc, r])
-        self.pivot_cols.add(pc)
+        reg = next(iter(r.values())).reg
+
+        def run(pk):
+            res = {j: pk.pack(p) for j, p in r.items()}
+            for pc, prow in self.rows:
+                if pc in res:
+                    packed = {j: pk.pack(p) for j, p in prow.items()}
+                    res = _combine(res, packed, pc, packed[pc], None, pk.guard)
+            return {j: pk.unpack(reg, t) for j, t in res.items()}
+
+        r, top = _prepare_row(_with_fields(len(reg), self._tops + [top], run))
+        if not r:
+            return False
+        self.rows.append((min(r, key=lambda j: (len(r[j].terms), j)), r))
+        self._tops.append(top)
         return True
 
 
 def symbolic_rank(reg, rows, unit_var=None):
     """Exact rank of a sparse polynomial matrix over the fraction field.
 
-    Fraction-free elimination with per-row delayed divisors, run on the
-    packed-term kernel below.  Each pivot step replaces every active row that
-    meets the pivot column by (row * pivot - pivot row * entry) / divisor,
-    where the divisor is the pivot that last updated that row; a row with a
+    Fraction-free elimination with per-row delayed divisors: each pivot
+    step applies `_combine` to every active row that meets the pivot
+    column, dividing by the pivot that last updated that row; a row with a
     zero multiplier is skipped and keeps its old divisor.  This keeps entry
     growth at the size of the pivot minors.  Pivots minimize term count
     (first found wins a tie).
@@ -279,32 +254,9 @@ def _rank_kernel(work, guard):
         rank += 1
         for ri in act:
             r = work[ri]
-            c = r.get(pc)
-            if c is None:
-                continue
-            d = divisors[ri]
-            negc = _neg(c)
-            new = {}
-            for j, v in r.items():
-                if j == pc:
-                    continue
-                acc = _mul_into({}, v, piv)
-                u = prow.get(j)
-                if u is not None:
-                    _mul_into(acc, u, negc)
-                t = _settle(acc, guard)
-                if d is not None and t:
-                    t = _divide(t, d, guard)
-                if t:
-                    new[j] = t
-            for j, u in prow.items():
-                if j != pc and j not in r:
-                    t = _settle(_mul_into({}, u, negc), guard)
-                    if d is not None:
-                        t = _divide(t, d, guard)
-                    new[j] = t
-            work[ri] = new
-            divisors[ri] = piv_desc
+            if pc in r:
+                work[ri] = _combine(r, prow, pc, piv, divisors[ri], guard)
+                divisors[ri] = piv_desc
         act = [ri for ri in act if work[ri]]
     return rank
 
@@ -406,33 +358,8 @@ def _fraction_free(rows, guard, reduce_above):
         prow = rows[k]
         piv = prow.pop(col)
         for i in range(0 if reduce_above else k + 1, len(rows)):
-            r = rows[i]
-            if i == k or not r:
-                continue
-            c = r.get(col)
-            negc = None if c is None else _neg(c)
-            new = {}
-            for j, v in r.items():
-                if j == col:
-                    continue
-                acc = _mul_into({}, v, piv)
-                if negc is not None:
-                    u = prow.get(j)
-                    if u is not None:
-                        _mul_into(acc, u, negc)
-                t = _settle(acc, guard)
-                if prev is not None and t:
-                    t = _divide(t, prev, guard)
-                if t:
-                    new[j] = t
-            if negc is not None:
-                for j, u in prow.items():
-                    if j not in r:
-                        t = _settle(_mul_into({}, u, negc), guard)
-                        if prev is not None:
-                            t = _divide(t, prev, guard)
-                        new[j] = t
-            rows[i] = new
+            if i != k and rows[i]:
+                rows[i] = _combine(rows[i], prow, col, piv, prev, guard)
         pivots.append(col)
         prev = _descending(piv)
     return pivots, piv, odd
@@ -445,7 +372,9 @@ def _fraction_free(rows, guard, reduce_above):
 # ints.  Why the field bound holds: every entry of a fraction-free elimination
 # is a minor of the input, so its degree in a variable is at most the sum over
 # rows of the row's largest degree; a product taken before its division
-# multiplies two such entries.  Two exponents below a field's guard bit add up
+# multiplies two such entries.  `Echelon` never divides, and each of its
+# updates adds at most one row's degree, so the same bound holds for it.  Two
+# exponents below a field's guard bit add up
 # without a carry into the next field, so a product that outgrows its field
 # always shows as a set guard bit.
 
@@ -517,6 +446,36 @@ def _with_fields(nvars, tops, run):
             return run(_Packing(bounds))
         except _FieldOverflow:
             bounds = [2 * b for b in bounds]
+
+
+def _combine(r, prow, col, piv, div, guard):
+    """The fraction-free update (r * piv - prow * r[col]) / div of a packed
+    sparse row r, without column col; div is a `_descending` divisor, None
+    for 1.  Every elimination in this module takes this step and no other."""
+    c = r.get(col)
+    negc = None if c is None else _neg(c)
+    new = {}
+    for j, v in r.items():
+        if j == col:
+            continue
+        acc = _mul_into({}, v, piv)
+        if negc is not None:
+            u = prow.get(j)
+            if u is not None:
+                _mul_into(acc, u, negc)
+        t = _settle(acc, guard)
+        if div is not None and t:
+            t = _divide(t, div, guard)
+        if t:
+            new[j] = t
+    if negc is not None:
+        for j, u in prow.items():
+            if j not in r:
+                t = _settle(_mul_into({}, u, negc), guard)
+                if div is not None:
+                    t = _divide(t, div, guard)
+                new[j] = t
+    return new
 
 
 def _neg(a):

@@ -80,6 +80,9 @@ def test_descriptor_rejects_bad_shapes():
             "external",
             flags=frozenset({"is_Z", "rank1_not_Z"}),
         )
+    # the offset names the shift symbol of every weight: a string only
+    with pytest.raises(MalformedDescriptorError, match="offset must be a string"):
+        ModuleDescriptor(G, {(0, 0): 1}, "external", offset=5)
 
 
 def test_descriptor_rejects_bounded_interseries_with_big_dims():

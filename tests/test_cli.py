@@ -378,6 +378,10 @@ def test_non_integer_trials_seed_direction_bound_exit_2(tmp_path, capsys, comman
         (dict(_CLASSIFY_DESCRIPTOR, group={"rank": True}), "group rank must be a positive integer"),
         (dict(_CLASSIFY_DESCRIPTOR, flags=5), "flags must be a list of strings"),
         (dict(_CLASSIFY_DESCRIPTOR, offset_element=5), "offset_element 5 needs integer coordinates"),
+        (dict(_CLASSIFY_DESCRIPTOR, rows=[[5, [0], 1]]), "needs a string offset symbol"),
+        (dict(_CLASSIFY_DESCRIPTOR, rows=[[None, [0], 1]]), "needs a string offset symbol"),
+        (dict(_CLASSIFY_DESCRIPTOR, rows=[[["x"], [0], 1]]), "needs a string offset symbol"),
+        (dict(_CLASSIFY_DESCRIPTOR, offset=5), "offset must be a string, got 5"),
     ],
 )
 def test_malformed_descriptors_exit_2(tmp_path, capsys, descriptor, needle):

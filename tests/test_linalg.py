@@ -112,18 +112,59 @@ def test_rank_with_forced_dependencies():
         assert _engine_ranks(ctx.reg, rows, n) == (r, r)
 
 
-def test_echelon_rows_stay_mutually_reduced():
+def test_echelon_rows_stay_semi_echelon():
+    # each kept row holds its pivot column and is zero on the pivot column
+    # of every row kept before it, which is what lets one pass in insertion
+    # order decide membership in their span
     ctx = _ctx()
     rng = random.Random(404)
     for _ in range(40):
         m, n = rng.randint(2, 6), rng.randint(2, 6)
+        rows = [row_from_list(ctx.reg, [rng.randint(-3, 3) for _ in range(n)]) for _ in range(m)]
         ech = Echelon(n)
-        for _ in range(m):
-            ech.add_row(row_from_list(ctx.reg, [rng.randint(-3, 3) for _ in range(n)]))
-        for pc, _row in ech.rows:
-            for pc2, row2 in ech.rows:
-                if pc2 != pc:
-                    assert pc not in row2
+        for row in rows:
+            ech.add_row(row)
+        for i, (pc, row) in enumerate(ech.rows):
+            assert pc in row
+            for pc2, _row2 in ech.rows[:i]:
+                assert pc2 not in row
+        assert ech.rank == field_rank(ctx.reg, rows, n)
+
+
+def test_echelon_grows_exactly_when_field_rank_grows():
+    # Poly rows in one or two variables; about half of the rows are
+    # polynomial combinations of earlier rows and must not grow the rank
+    ctx = _ctx()
+    reg = ctx.reg
+    rng = random.Random(5150)
+    for _ in range(40):
+        nv, n = rng.randint(1, 2), rng.randint(1, 4)
+
+        def poly():
+            p = Poly.zero(reg)
+            for _ in range(rng.randint(0, 2)):
+                e = [0] * len(reg)
+                for _ in range(rng.randint(0, 2)):
+                    e[rng.randrange(nv)] += 1
+                p = p + Poly.monomial(reg, tuple(e), rng.randint(-3, 3))
+            return p
+
+        rows = []
+        ech = Echelon(n)
+        for _ in range(rng.randint(2, 6)):
+            if rows and rng.random() < 0.5:
+                row = {}
+                for earlier in rng.sample(rows, min(2, len(rows))):
+                    f = poly()
+                    for j, v in earlier.items():
+                        row[j] = row.get(j, Poly.zero(reg)) + f * v
+                row = {j: v for j, v in row.items() if not v.is_zero()}
+            else:
+                row = {j: p for j, p in enumerate(poly() for _ in range(n)) if not p.is_zero()}
+            before = field_rank(reg, rows, n)
+            rows.append(row)
+            assert ech.add_row(row) == (field_rank(reg, rows, n) > before)
+        assert ech.rank == field_rank(reg, rows, n)
 
 
 def test_kernel_vectors_annihilate():
