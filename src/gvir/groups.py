@@ -5,6 +5,10 @@ g1..gn.  Because the generators stay formal indeterminates, the embedding
 x -> sum x_i * g_i is injective by construction and rank questions reduce to
 integer linear algebra.  This module is pure integer arithmetic; embedded
 values are produced through a Context (see scalars).
+
+G carries one total order compatible with addition, the colex order of
+`colex_key`: the last coordinate compares first.  It sorts the PBW bases of
+the enveloping algebra and cuts the triangular parts Vir[G]^+ and Vir[G]^-.
 """
 
 from __future__ import annotations
@@ -66,6 +70,12 @@ def render_element(x):
     return "[" + ",".join(str(a) for a in x) + "]"
 
 
+def colex_key(x):
+    """Sort key of the one order on G, colex: the last coordinate compares
+    first, so g1 < g2, and x < y implies x + z < y + z."""
+    return x[::-1]
+
+
 @dataclass(frozen=True)
 class Group:
     """Free abelian group of finite rank with named formal generators."""
@@ -74,16 +84,18 @@ class Group:
     names: tuple
 
     @staticmethod
-    def of_rank(n, prefix="g"):
+    def of_rank(n):
         if n < 1:
             raise ValueError("rank must be >= 1")
-        return Group(n, tuple(f"{prefix}{i+1}" for i in range(n)))
+        return Group(n, tuple(f"g{i+1}" for i in range(n)))
 
     def zero(self):
         return gzero(self.rank)
 
     def validate(self, x):
-        x = tuple(int(a) for a in x)
+        x = tuple(x)
+        if any(type(a) is not int for a in x):
+            raise ValueError(f"element {x} has a coordinate that is not an int")
         if len(x) != self.rank:
             raise ValueError(f"element {x} has wrong length for rank {self.rank}")
         return x
@@ -265,37 +277,3 @@ def split(group, b):
     if det not in (1, -1):
         raise SplitError("completion is not unimodular")  # pragma: no cover
     return Splitting(group=group, b=b, g0_basis=tuple(cols[1:]), to_split=tuple(U))
-
-
-# -- total orders compatible with addition ------------------------------------
-
-
-class GroupOrder:
-    """Total order on Z^n given by an integer weight matrix.
-
-    x > y iff W @ x > W @ y lexicographically.  The default compares the last
-    coordinate first (colex), so for rank 2 the generator g1 precedes g2 and
-    -x precedes x whenever x is positive.  Any nonsingular W gives an order
-    compatible with addition.
-    """
-
-    def __init__(self, n, weights=None):
-        if weights is None:
-            weights = [[1 if j == n - 1 - i else 0 for j in range(n)] for i in range(n)]
-        weights = [tuple(int(v) for v in row) for row in weights]
-        if len(weights) != n or any(len(r) != n for r in weights):
-            raise ValueError("weight matrix must be square of size rank")
-        if int_det(weights) == 0:
-            raise ValueError("weight matrix must be nonsingular")
-        self.n = n
-        self.weights = tuple(weights)
-
-    def key(self, x):
-        return tuple(sum(a * v for a, v in zip(row, x)) for row in self.weights)
-
-    def is_positive(self, x):
-        return self.key(x) > (0,) * self.n
-
-    def compare(self, x, y):
-        kx, ky = self.key(x), self.key(y)
-        return (kx > ky) - (kx < ky)

@@ -53,9 +53,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Straightener, TriangularPart, accumulate
+from .algebra import Straightener, accumulate
 from .classify import _direction_verdict, descriptor_from_induced
-from .groups import box, gadd, gzero, split
+from .groups import box, gadd, gsub, gzero, split
 from .interseries import subquotient_of
 from .linalg import kernel_basis, symbolic_rank
 from .scalars import Poly, Scalar
@@ -90,11 +90,6 @@ class Window:
         if top_radius < 1:
             raise ValueError("top radius must be >= 1")
         return Window(level_cap, box_radius, top_radius)
-
-
-def part_membership(splitting, coords, selector):
-    """Membership of d_coords in the level-graded triangular slices."""
-    return TriangularPart(selector, splitting=splitting).contains_index(coords)
 
 
 def _factor_first(x, f):
@@ -212,10 +207,10 @@ class InducedModule:
         return {}
 
     def _bracket(self, x, f):
-        # [d_{u-kb}, d_{u1-k1b}] = (iota(u1 - k1 b) - iota(u - k b)) d_(merged);
+        # [d_{u-kb}, d_{u1-k1b}] = iota(u1 - u + (k - k1) b) d_(merged);
         # the central term is dropped, since C acts as 0 here
         (k, u), (k1, u1) = x, f
-        br = self._embed_gen(-k1, u1) - self._embed_gen(-k, u)
+        br = self._embed_gen(k - k1, gsub(u1, u))
         if br.is_zero():
             return ()
         return (((k + k1, gadd(u, u1)), br),)

@@ -115,9 +115,7 @@ class IntermediateSeriesModule:
             raise ValueError(f"basis index {y} is not part of the sub-quotient")
         if target == desc.excluded:
             if desc.kind == "submodule_off_zero" and not coeff.is_zero():
-                raise AssertionError(
-                    "claimed submodule is not closed"
-                )  # pragma: no cover
+                raise AssertionError("claimed submodule is not closed")
             return self.ctx.zero(), target
         return coeff, target
 

@@ -163,7 +163,7 @@ class Echelon:
     cross-multiplications small; a kept row is never touched again.
     """
 
-    def __init__(self, ncols=None):
+    def __init__(self, ncols):
         self.ncols = ncols
         self.rows = []  # (pivot column, stripped row), in insertion order
         self._tops = []  # degree top of each kept row
@@ -173,7 +173,7 @@ class Echelon:
         return len(self.rows)
 
     def is_full(self):
-        return self.ncols is not None and self.rank >= self.ncols
+        return self.rank >= self.ncols
 
     def add_row(self, row):
         """Reduce and keep a row; returns True iff the rank grew."""

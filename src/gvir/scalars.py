@@ -886,7 +886,7 @@ class Context:
     unless bound here; a bound symbol never appears in any computed Scalar.
     """
 
-    def __init__(self, gen_names=("g1",), *, alpha=None, beta=None, c=None, h=None):
+    def __init__(self, gen_names, *, alpha=None, beta=None, c=None, h=None):
         gen_names = tuple(gen_names)
         for n in gen_names:
             if n in SYMBOLS:
@@ -902,8 +902,8 @@ class Context:
         }
 
     @staticmethod
-    def of_rank(n, prefix="g", **kw):
-        return Context(tuple(f"{prefix}{i+1}" for i in range(n)), **kw)
+    def of_rank(n, **kw):
+        return Context(tuple(f"g{i+1}" for i in range(n)), **kw)
 
     # -- scalar constructors ---------------------------------------------
 

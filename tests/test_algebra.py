@@ -14,7 +14,7 @@ from gvir.algebra import (
     render_d,
     render_pbw,
 )
-from gvir.groups import Group, GroupOrder, gadd, gneg, split
+from gvir.groups import Group, colex_key, gadd, gneg, split
 from gvir.scalars import Context
 
 
@@ -171,7 +171,7 @@ def test_pbw_central_symbols_commute():
     assert out[(((1, 1),), 2)] == ctx.parse("g1 - g2")
 
 
-def _reference_pbw(ctx, G, word, order):
+def _reference_pbw(ctx, G, word):
     """Independent straightener: swaps the LAST descent of the word until
     it is sorted; each C of the word is central and only counts."""
     out = {}
@@ -179,7 +179,7 @@ def _reference_pbw(ctx, G, word, order):
     stack = [(letters, len(word) - len(letters), ctx.one())]
     while stack:
         w, cp, coeff = stack.pop()
-        desc = [k for k in range(len(w) - 1) if order.compare(w[k], w[k + 1]) > 0]
+        desc = [k for k in range(len(w) - 1) if colex_key(w[k]) > colex_key(w[k + 1])]
         if not desc:
             key = (w, cp)
             s = out.get(key)
@@ -210,14 +210,13 @@ def test_pbw_confluence_random_words():
     central_terms = 0
     for rank, radius in ((1, 3), (2, 2)):
         ctx, G = _setup(rank)
-        order = GroupOrder(rank)
         for _ in range(40):
             length = rng.randint(2, 5)
             word = [tuple(rng.randint(-radius, radius) for _ in range(rank)) for _ in range(length)]
             if rng.random() < 0.3:
                 word.insert(rng.randrange(length + 1), "C")
             a = pbw_normalize(ctx, G, word)
-            b = _reference_pbw(ctx, G, word, order)
+            b = _reference_pbw(ctx, G, word)
             assert a == b, word
             central_terms += any(cp > word.count("C") for _, cp in a)
     # the delta-pair central correction is exercised, not just the swaps
@@ -226,9 +225,8 @@ def test_pbw_confluence_random_words():
 
 def test_triangular_parts():
     ctx, G = _setup()
-    order = GroupOrder(2)
-    plus = TriangularPart("plus", order=order)
-    minus = TriangularPart("minus", order=order)
+    plus = TriangularPart("plus")
+    minus = TriangularPart("minus")
     assert plus.contains_index((1, 0)) and plus.contains_index((-3, 1))
     assert not plus.contains_index((0, 0)) and not plus.contains_index((3, -1))
     assert minus.contains_index((-1, 0)) and not minus.contains_index((0, 0))
@@ -245,6 +243,12 @@ def test_triangular_parts():
     assert lev.contains(center) and not strict.contains(center)
     mixed = AlgebraElement.d(ctx, G, (4, 0)) + AlgebraElement.central(ctx, G)
     assert lev.contains(mixed) and not strict.contains(mixed)
+    # the splitting of an induced module along b = (0, 1)
+    assert strict.contains_index((0, 1))
+    assert lev.contains_index((3, 0))
+    assert not strict.contains_index((3, 0))
+    assert not lev.contains_index((0, -1))
+    assert strict.contains_index((2, 2))
 
 
 def test_render():

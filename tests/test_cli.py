@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 from gvir.cli import EXIT_COMPUTATION, EXIT_OK, EXIT_VALIDATION, main, validate
+from gvir.groups import gadd
 from gvir.induced import Window
+from gvir.interseries import IntermediateSeriesModule
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -132,6 +134,19 @@ def test_interseries_reducible_case(tmp_path):
     hole = [r for r in results["rows"] if r["coords"] == [-1, 0]]
     assert hole[0]["dim"] == 0
     assert results["closure_check"]["ok"] is True
+
+
+def test_interseries_closure_check_can_fail(tmp_path, capsys, monkeypatch):
+    # an action with a nonzero coefficient on every target, the dropped line
+    # included, must fail the closure trials of the submodule case
+    def broken_act(self, x, y):
+        return self.ctx.one(), gadd(x, y)
+
+    monkeypatch.setattr(IntermediateSeriesModule, "act", broken_act)
+    config = {"group": {"rank": 2}, "bindings": {"alpha": [1, 0], "beta": 1}}
+    rc, err = _exit_and_stderr(tmp_path, capsys, "interseries", config)
+    assert rc == EXIT_COMPUTATION
+    assert "claimed submodule is not closed" in err
 
 
 def test_interseries_csv_and_seed_determinism(tmp_path):

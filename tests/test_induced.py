@@ -13,7 +13,6 @@ from gvir.induced import (
     QuotientDims,
     Window,
     double_factorial_odd,
-    part_membership,
 )
 from gvir.interseries import IntermediateSeriesModule
 from gvir.linalg import symbolic_rank
@@ -61,7 +60,7 @@ def eval_point(poly, vals):
     return tot
 
 
-# -- window and membership -----------------------------------------------------
+# -- window ---------------------------------------------------------------------
 
 
 def test_window_defaults_and_validation():
@@ -72,16 +71,6 @@ def test_window_defaults_and_validation():
         Window.make(-1, 1)
     with pytest.raises(ValueError):
         Window.make(1, 0)
-
-
-def test_part_membership():
-    mod = rank2_module()
-    s = mod.split
-    assert part_membership(s, (0, 1), "strict_plus_level")
-    assert part_membership(s, (3, 0), "plus_level")
-    assert not part_membership(s, (3, 0), "strict_plus_level")
-    assert not part_membership(s, (0, -1), "plus_level")
-    assert part_membership(s, (2, 2), "strict_plus_level")
 
 
 # -- bases ----------------------------------------------------------------------
