@@ -243,12 +243,6 @@ def test_triangular_parts():
     assert lev.contains(center) and not strict.contains(center)
     mixed = AlgebraElement.d(ctx, G, (4, 0)) + AlgebraElement.central(ctx, G)
     assert lev.contains(mixed) and not strict.contains(mixed)
-    # the splitting of an induced module along b = (0, 1)
-    assert strict.contains_index((0, 1))
-    assert lev.contains_index((3, 0))
-    assert not strict.contains_index((3, 0))
-    assert not lev.contains_index((0, -1))
-    assert strict.contains_index((2, 2))
 
 
 def test_render():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gvir import scalars
-from gvir.algebra import AlgebraElement, bracket
+from gvir.algebra import AlgebraElement, TriangularPart, bracket
 from gvir.groups import Group, gadd, gzero
 from gvir.induced import (
     InducedModule,
@@ -60,7 +60,7 @@ def eval_point(poly, vals):
     return tot
 
 
-# -- window ---------------------------------------------------------------------
+# -- window and membership -----------------------------------------------------
 
 
 def test_window_defaults_and_validation():
@@ -71,6 +71,17 @@ def test_window_defaults_and_validation():
         Window.make(-1, 1)
     with pytest.raises(ValueError):
         Window.make(1, 0)
+
+
+def test_part_membership():
+    mod = rank2_module()
+    strict = TriangularPart("strict_plus_level", splitting=mod.split)
+    lev = TriangularPart("plus_level", splitting=mod.split)
+    assert strict.contains_index((0, 1))
+    assert lev.contains_index((3, 0))
+    assert not strict.contains_index((3, 0))
+    assert not lev.contains_index((0, -1))
+    assert strict.contains_index((2, 2))
 
 
 # -- bases ----------------------------------------------------------------------
