@@ -21,6 +21,17 @@ way, row subset the other), hence the same minor gcd, and the same row space
 over Q(c, h), hence the same reduced row echelon form and kernel basis.  The
 argument survives evaluating c and h at rationals.
 
+No minor is formed one by one (`linalg.minor_gcd`).  Let M be the stack,
+m x n with m >= n, and run one fraction-free Gauss-Jordan elimination on
+its transpose.  If the rank is below n every maximal minor is zero.  Else,
+with D the last pivot (+-det of M^T on the pivot columns P) and Y = D X the
+reduced pivot rows on the k = m - n free columns, M^T = A [I | X] up to
+column order with det A = +-D, so by Laplace the minor on the columns
+(P minus t pivot columns) plus t free columns is +-D times a t x t minor of
+X, that is +-(the t x t minor of Y) / D^(t-1).  The minors are +-D for
+t = 0 and the entries of Y for t = 1; levels 1..6 have k <= 1 (m - n is 0,
+0, 0, 0, 1, 1), so there the condition is the gcd of D and the entries of Y.
+
 The action is the `algebra.Straightener` kernel on Poly coefficients, with
 d_j labelled -j so that a partition part k is the factor d_{-k}; Scalars
 appear only in `act`, `singular_vectors` and `find_singular`.
@@ -28,13 +39,12 @@ appear only in `act`, `singular_vectors` and `find_singular`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CENTER, Straightener, accumulate
-from .linalg import Echelon, det, kernel_basis
-from .scalars import Poly, Scalar, _gcd_many
+from .linalg import Echelon, kernel_basis, minor_gcd
+from .scalars import Poly, Scalar
 
 
 def partitions(n, cap=None):
@@ -188,7 +198,7 @@ class TruncatedVermaModule:
         """
         self._check_level(n)
         rows = self.raising_rows(n)
-        condition = self._minor_gcd(rows, partition_count(n))
+        condition = minor_gcd(self.ctx.reg, rows, partition_count(n))
         vectors = [_as_scalars(vec) for vec in self._kernel(n, rows)]
         return SingularVectorReport(n, self.basis(n), vectors, [condition])
 
@@ -203,22 +213,6 @@ class TruncatedVermaModule:
             {w: p for w, p in zip(basis, vec) if not p.is_zero()}
             for vec in kernel_basis(self.ctx.reg, rows, len(basis))
         ]
-
-    def _minor_gcd(self, rows, ncols):
-        reg = self.ctx.reg
-        dense = []
-        for row in rows:
-            dense.append([row.get(j, Poly.zero(reg)) for j in range(ncols)])
-        minors = []
-        for subset in itertools.combinations(range(len(dense)), ncols):
-            d = det(reg, [dense[i] for i in subset])
-            if not d.is_zero():
-                minors.append(d)
-        if not minors:
-            return Poly.zero(reg)
-        g = _gcd_many(minors)
-        _, prim = g.primitive_int()
-        return prim
 
     # -- quotient by singular vectors ------------------------------------------
 

@@ -9,9 +9,9 @@ Three policies choose the pivots and divisors:
   delayed divisor per row, the pivot that last updated it;
 - `_fraction_free` pivots on the leftmost column and its first row and
   divides every row by one global divisor, the previous pivot, exact by
-  Sylvester's identity; `det` runs its forward half and `kernel_basis` its
-  Gauss-Jordan form, so a kernel forms no Scalar and takes one polynomial
-  gcd per vector;
+  Sylvester's identity; `det` runs its forward half, and `kernel_basis` and
+  `minor_gcd` (on the transpose) its Gauss-Jordan form, so a kernel forms no
+  Scalar and takes one polynomial gcd per vector;
 - `Echelon` keeps a semi-echelon basis, grown one row at a time with no
   divisor: each kept row is zero on the pivot columns of the rows kept
   before it, so one pass in insertion order reduces a new row to zero
@@ -48,6 +48,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 from operator import or_
 
 from .scalars import ExactDivisionError, Poly, Scalar, _gcd_many, _grlex, _norm_coeff
@@ -328,6 +329,51 @@ def det(reg, rows):
         return pk.unpack(reg, _neg(last) if odd else last)
 
     return _with_fields(len(reg), [_degree_top(len(reg), row) for row in m], run)
+
+
+def minor_gcd(reg, rows, ncols):
+    """gcd of the maximal (ncols x ncols) minors of a sparse matrix M with
+    len(rows) >= ncols rows, made `primitive_int`; zero when all vanish.
+
+    One Gauss-Jordan `_fraction_free` on the transpose gives every maximal
+    minor as +-D, D the last pivot, or +-(a t x t minor of Y) / D^(t-1),
+    where Y holds the pivot rows on the k = len(rows) - ncols free columns
+    (the `classical` module docstring derives it); below full rank all are
+    zero.  So no determinant is formed for k <= 1, and the minors are read
+    lazily, up to the first constant gcd.  The rows of the transpose are not
+    stripped: scaling a column of M by a monomial scales every maximal minor
+    by it.
+    """
+    cols = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(ncols)]
+
+    def run(pk):
+        packed = [{i: pk.pack(p) for i, p in col.items()} for col in cols]
+        pivots, last, _ = _fraction_free(packed, pk.guard, True)
+        if len(pivots) < ncols:
+            return None
+        free = sorted(set(range(len(rows))) - set(pivots))
+        zero = Poly.zero(reg)
+        y = [[pk.unpack(reg, row[f]) if f in row else zero for f in free] for row in packed]
+        return pk.unpack(reg, last), y
+
+    found = _with_fields(len(reg), [_degree_top(len(reg), col.values()) for col in cols], run)
+    if found is None:
+        return Poly.zero(reg)
+    d, y = found
+
+    def minors():
+        yield d
+        k = len(y[0])
+        for t in range(1, k + 1):
+            scale = d ** (t - 1)
+            for ri in combinations(range(ncols), t):
+                for ci in combinations(range(k), t):
+                    if t == 1:
+                        yield y[ri[0]][ci[0]]
+                    else:
+                        yield det(reg, [[y[i][j] for j in ci] for i in ri]).exact_div(scale)
+
+    return _gcd_many(m for m in minors() if not m.is_zero()).primitive_int()[1]
 
 
 def _fraction_free(rows, guard, reduce_above):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 
 class ScalarError(ArithmeticError):
@@ -268,12 +269,14 @@ class Poly:
     # -- content / division / substitution -----------------------------
 
     def content(self):
-        """Positive rational content (gcd of coefficients over Q)."""
-        if not self.terms:
-            return Fraction(0)
+        """Positive rational content (gcd of coefficients over Q); a
+        `math.gcd` of ints when every coefficient is an int."""
+        coeffs = self.terms.values()
+        if all(type(c) is int for c in coeffs):
+            return math.gcd(*coeffs)
         num = 0
         den = 1
-        for c in self.terms.values():
+        for c in coeffs:
             f = Fraction(c)
             num = math.gcd(num, f.numerator)
             den = den * f.denominator // math.gcd(den, f.denominator)
@@ -288,6 +291,10 @@ class Poly:
         _, lc = self.lead()
         if lc < 0:
             cont = -cont
+        if type(cont) is int:
+            if cont == 1:
+                return 1, self
+            return cont, Poly(self.reg, {e: c // cont for e, c in self.terms.items()})
         prim = Poly(self.reg, {e: _norm_coeff(Fraction(c) / cont) for e, c in self.terms.items()})
         return cont, prim
 
@@ -381,7 +388,8 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd (primitive PRS)
+# multivariate gcd: heuristic gcd with a division certificate, primitive PRS
+# as its fallback
 # ---------------------------------------------------------------------------
 
 
@@ -424,6 +432,8 @@ def _uni_sub(a, b):
 
 
 def _gcd_many(polys):
+    """gcd of an iterable of Polys (`_gcd_prim`); stops at the first
+    constant gcd, so a lazy iterable is only read that far."""
     g = None
     for p in polys:
         g = p if g is None else _gcd_prim(g, p)
@@ -451,7 +461,7 @@ def _uni_primitive(u, reg, v):
     """Strip the content (gcd of coefficient polys) from a univariate view."""
     if not u:
         return u
-    cont = _gcd_many(list(u.values()))
+    cont = reduce(_gcd_prs, u.values())
     if not cont.is_const():
         u = {d: coeff.exact_div(cont) for d, coeff in u.items()}
     whole = _from_univar(reg, u, v)
@@ -459,9 +469,108 @@ def _uni_primitive(u, reg, v):
     return _as_univar(prim, v)
 
 
+_HEU_TRIES = 6
+
+
 def _gcd_prim(a, b):
-    """gcd of two primitive-integer Polys, returned primitive with positive
-    leading coefficient."""
+    """gcd of two Polys, primitive with integer coefficients and a positive
+    graded-lex leading coefficient; a zero input returns the other one.
+
+    The heuristic gcd GCDHEU of Char, Geddes & Gonnet (J. Symb. Comput. 7
+    (1989) 31-48) runs first, on the primitive integer parts (`_heu_gcd`):
+    it evaluates a variable at an integer xi >= 2 min(|a|, |b|) + 2, takes
+    the gcd of the images and rebuilds a candidate from its xi-adic digits,
+    which it accepts only when it divides both inputs exactly.  So it is
+    never wrong, only sometimes missing: after _HEU_TRIES values of xi it
+    gives up and the primitive PRS `_gcd_prs` answers instead.
+    """
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    g = _heu_gcd(a.primitive_int()[1], b.primitive_int()[1])
+    if g is None:
+        return _gcd_prs(a, b)
+    return g.primitive_int()[1]
+
+
+def _heu_gcd(a, b):
+    """Full gcd, integer content included, of two nonzero Polys with integer
+    coefficients, or None.
+
+    The last variable x that occurs is set to xi >= 2 min(|a|, |b|) + 2, |.|
+    the largest coefficient size; the gcd gamma of the two images is taken
+    by this routine one variable down (at the bottom, the gcd of the
+    contents), and G(x) is rebuilt with the symmetric base-xi digits of
+    gamma's coefficients, in (-xi/2, xi/2], as the coefficients of x^0,
+    x^1, ...  When the primitive part of G divides a and b exactly, it is
+    the gcd of their primitive parts, and times the gcd of their contents
+    the full gcd.  The bound on xi and a gamma that is the full gcd of the
+    images, content included, make it greatest: a gamma short of its
+    content can rebuild a proper divisor that passes the division check.
+    """
+    cont = math.gcd(a.content(), b.content())
+    if a.is_const() or b.is_const():
+        return Poly.const(a.reg, cont)
+    v = max(a.variables() | b.variables())
+    xi = 2 * min(max(map(abs, a.terms.values())), max(map(abs, b.terms.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        image_a = a.substitute({v: xi})
+        image_b = b.substitute({v: xi})
+        if not (image_a.is_zero() or image_b.is_zero()):
+            gamma = _heu_gcd(image_a, image_b)
+            if gamma is not None:
+                g = _heu_rebuild(gamma, v, xi).primitive_int()[1]
+                if _divides(a, g) and _divides(b, g):
+                    return g.scale(cont)
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _heu_rebuild(gamma, v, xi):
+    """The polynomial G with G(x_v = xi) = gamma whose coefficients are the
+    symmetric base-xi digits of gamma's, digit k standing at x_v^k."""
+    out = {}
+    for e, c in gamma.terms.items():
+        k = 0
+        while c:
+            d = c % xi
+            if 2 * d > xi:
+                d -= xi
+            if d:
+                out[e[:v] + (k,) + e[v + 1:]] = d
+            c = (c - d) // xi
+            k += 1
+    return Poly(gamma.reg, out)
+
+
+def _divides(f, d):
+    """True iff d divides f, for integer f and primitive integer d: division
+    in lex order over Z, which by Gauss's lemma is exact exactly when the
+    division over Q is."""
+    dm, dc = max(d.terms.items())
+    rest = [(m, c) for m, c in d.terms.items() if m != dm]
+    r = dict(f.terms)
+    while r:
+        m = max(r)
+        q, s = divmod(r.pop(m), dc)
+        e = tuple(map(int.__sub__, m, dm))
+        if s or min(e) < 0:
+            return False
+        for m2, c2 in rest:
+            t = tuple(map(int.__add__, e, m2))
+            v = r.get(t, 0) - q * c2
+            if v:
+                r[t] = v
+            else:
+                del r[t]
+    return True
+
+
+def _gcd_prs(a, b):
+    """gcd by the primitive PRS over the variable of least degree, with
+    contents by recursion; returned like `_gcd_prim`, for the same inputs.
+    Slow on multivariate inputs, but it needs no bound and no luck."""
     reg = a.reg
     if a.is_zero():
         return b
@@ -471,7 +580,7 @@ def _gcd_prim(a, b):
     ma, mb = a.monomial_gcd(), b.monomial_gcd()
     m = tuple(map(min, ma, mb))
     if any(m):
-        g = _gcd_prim(a.shift_down(ma), b.shift_down(mb))
+        g = _gcd_prs(a.shift_down(ma), b.shift_down(mb))
         shell = Poly.monomial(reg, m, 1)
         return g * shell if not g.is_zero() else shell
     if a.is_const() or b.is_const():
@@ -481,11 +590,11 @@ def _gcd_prim(a, b):
         return Poly.const(reg, 1)
     v = min(common, key=lambda i: max(a.degree_in(i), b.degree_in(i)))
     A, B = _as_univar(a, v), _as_univar(b, v)
-    ca = _gcd_many(list(A.values()))
-    cb = _gcd_many(list(B.values()))
+    ca = reduce(_gcd_prs, A.values())
+    cb = reduce(_gcd_prs, B.values())
     pa = {d: c.exact_div(ca) for d, c in A.items()}
     pb = {d: c.exact_div(cb) for d, c in B.items()}
-    cont = _gcd_prim(ca, cb)
+    cont = _gcd_prs(ca, cb)
     f, g = (pa, pb) if max(pa) >= max(pb) else (pb, pa)
     while g:
         r = _pseudo_rem(f, g, reg, v)

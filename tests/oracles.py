@@ -1,12 +1,18 @@
-"""Independent test oracle: dense Gaussian elimination over the fraction field.
+"""Independent test oracles: dense Gaussian elimination over the fraction
+field, and the maximal-minor gcd by enumeration.
 
 Plain textbook elimination with division on `Scalar` entries, slow but
 sharing no code with the fraction-free engines of `gvir.linalg`; the tests
-check ranks, kernels and pivot columns against it.
+check ranks, kernels and pivot columns against it.  The minor gcd takes one
+`det` per row subset (itself checked against permutation expansions) and
+the PRS gcd, the way conditions were formed before `linalg.minor_gcd`.
 """
 
-from gvir.linalg import to_poly
-from gvir.scalars import Poly, Scalar
+import itertools
+from functools import reduce
+
+from gvir.linalg import det, to_poly
+from gvir.scalars import Poly, Scalar, _gcd_prs
 
 
 def _dense_scalar_rows(reg, rows, ncols):
@@ -53,3 +59,13 @@ def field_rref(reg, rows, ncols):
 
 def field_rank(reg, rows, ncols):
     return field_rref(reg, rows, ncols)[0]
+
+
+def minor_gcd_by_enumeration(reg, rows, ncols):
+    """gcd of every maximal minor of sparse rows, made `primitive_int`;
+    zero when all vanish."""
+    zero = Poly.zero(reg)
+    dense = [[row.get(j, zero) for j in range(ncols)] for row in rows]
+    minors = [det(reg, list(sub)) for sub in itertools.combinations(dense, ncols)]
+    nonzero = [d for d in minors if not d.is_zero()]
+    return reduce(_gcd_prs, nonzero).primitive_int()[1] if nonzero else zero

@@ -25,9 +25,9 @@ from gvir.classical import (
     partitions,
     verma_dims,
 )
-from gvir.linalg import det, kernel_basis, to_poly
-from gvir.scalars import Context, Poly, Scalar, _gcd_many
-from oracles import field_rank
+from gvir.linalg import kernel_basis, minor_gcd, to_poly
+from gvir.scalars import Context, Poly, Scalar
+from oracles import field_rank, minor_gcd_by_enumeration
 
 
 def _verma(L=4, **bindings):
@@ -281,22 +281,6 @@ def _full_stack_rows(M, n):
     return rows
 
 
-def _full_stack_minor_gcd(reg, rows, ncols):
-    dense = []
-    for row in rows:
-        dense.append([row.get(j, Poly.zero(reg)) for j in range(ncols)])
-    minors = []
-    for subset in itertools.combinations(range(len(dense)), ncols):
-        d = det(reg, [dense[i] for i in subset])
-        if not d.is_zero():
-            minors.append(d)
-    if not minors:
-        return Poly.zero(reg)
-    g = _gcd_many(minors)
-    _, prim = g.primitive_int()
-    return prim
-
-
 def _full_stack_report(M, n):
     reg = M.ctx.reg
     basis = M.basis(n)
@@ -305,7 +289,7 @@ def _full_stack_report(M, n):
         {w: Scalar.make(p) for w, p in zip(basis, vec) if not p.is_zero()}
         for vec in kernel_basis(reg, rows, len(basis))
     ]
-    return _full_stack_minor_gcd(reg, rows, len(basis)), vectors
+    return minor_gcd_by_enumeration(reg, rows, len(basis)), vectors
 
 
 # quotient dims at levels 0..5 before the stack was cut, keyed by (c, h):
@@ -352,3 +336,23 @@ def test_raising_rows_keep_d1_d2_only():
         assert len(rows) == partition_count(n - 1) + partition_count(n - 2)
         counts.append(len(list(itertools.combinations(rows, partition_count(n)))))
     assert counts == [1, 1, 1, 1, 8, 12]
+
+
+@pytest.mark.parametrize(
+    "bindings",
+    [{}, {"c": Fraction(1, 2)}, {"c": 0}, {"c": Fraction(1, 2), "h": Fraction(-1, 16)}],
+    ids=lambda b: ",".join(f"{k}={v}" for k, v in b.items()) or "free",
+)
+def test_minor_gcd_matches_combinatorial_minors(bindings):
+    # the transpose elimination against every maximal minor of the d_1, d_2
+    # stack; at (1/2, -1/16) the stack loses rank at levels 2 and 4
+    ctx, M = _verma(L=6, **bindings)
+    conditions = []
+    for n in range(1, 7):
+        rows = M.raising_rows(n)
+        ncols = partition_count(n)
+        expect = minor_gcd_by_enumeration(ctx.reg, rows, ncols)
+        assert minor_gcd(ctx.reg, rows, ncols) == expect, n
+        conditions.append(str(expect))
+    if "h" in bindings:
+        assert conditions == ["1", "0", "1", "0", "1", "1"]

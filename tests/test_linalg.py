@@ -18,7 +18,7 @@ from gvir.linalg import (
     to_poly,
 )
 from gvir.scalars import Context, ExactDivisionError, Poly, Scalar, _gcd_many
-from oracles import field_rank, field_rref
+from oracles import field_rank, field_rref, minor_gcd_by_enumeration
 
 
 def _ctx():
@@ -896,3 +896,45 @@ def test_known_defect_smallest_random_matrix():
     ]
     assert field_rank(ctx.reg, rows, 3) == 3
     assert symbolic_rank(ctx.reg, [dict(r) for r in rows]) == 3
+
+
+def test_minor_gcd_matches_enumeration_with_free_columns(monkeypatch):
+    # m x n matrices N B with m - n in {2, 3}, so minors of Y with t >= 2 are
+    # read: det B divides every maximal minor, and so does the monomial g1
+    # scaling the first column, which keeps the gcd from turning constant
+    # before the last minor; a singular B makes every minor zero
+    ctx = _ctx()
+    reg = ctx.reg
+    rng = random.Random(4242)
+    dets = []
+    monkeypatch.setattr(linalg, "det", lambda r, rows: dets.append(len(rows)) or det(r, rows))
+    g1 = Poly.symbol(reg, "g1")
+    outcomes = set()
+    for case in range(24):
+        n = 2 + case % 2
+        m = n + 2 + (case // 2) % 2
+        N = [[_rand_poly(ctx, rng) for _ in range(n)] for _ in range(m)]
+        B = [[_rand_poly(ctx, rng) for _ in range(n)] for _ in range(n)]
+        rows = []
+        for r in N:
+            row = {}
+            for j in range(n):
+                p = Poly.zero(reg)
+                for k in range(n):
+                    p = p + r[k] * B[k][j]
+                if j == 0:
+                    p = p * g1
+                if not p.is_zero():
+                    row[j] = p
+            rows.append(row)
+        expect = minor_gcd_by_enumeration(reg, rows, n)
+        assert linalg.minor_gcd(reg, rows, n) == expect, case
+        outcomes.add("zero" if expect.is_zero() else "const" if expect.is_const() else "poly")
+    assert outcomes == {"zero", "poly"}
+    assert set(dets) == {2, 3}
+    # the maximal minors of the transpose of [[x, 0, 0, y], [0, x, y, 0]] are
+    # x^2, xy, 0, 0, -xy and -y^2: only the t = 2 minor -y^2 = det(Y) / D
+    # brings the gcd from x down to 1
+    x, y = g1, Poly.symbol(reg, "g2")
+    rows = [{0: x}, {1: x}, {1: y}, {0: y}]
+    assert linalg.minor_gcd(reg, rows, 2) == Poly.const(reg, 1) == minor_gcd_by_enumeration(reg, rows, 2)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gvir import scalars
 from gvir.scalars import (
     Context,
     ParseError,
@@ -263,3 +264,83 @@ def test_substitute_keeps_unmapped_symbols_and_merges_terms(ctx):
     assert p.substitute({}) == p
     with pytest.raises(TypeError):
         p.substitute({0: 1.5})
+
+
+# -- heuristic gcd against the primitive PRS reference ----------------------------
+
+
+def _gcd_case(reg, rng, nvars):
+    """Two polynomials in the first nvars symbols with a planted common
+    factor, and which of the features the planting used."""
+    features = set()
+
+    def poly(maxterms):
+        while True:
+            p = _rand_poly(reg, rng, nvars, 2, maxterms)
+            if not p.is_zero():
+                return p
+
+    common = poly(3)
+    a, b = poly(3) * common, poly(3) * common
+    if rng.random() < 0.4:
+        e = tuple(rng.randint(0, 2) if i < nvars else 0 for i in range(len(reg)))
+        a = a * Poly.monomial(reg, e)
+        b = b * Poly.monomial(reg, tuple(max(0, x - rng.randint(0, 1)) for x in e))
+        features.add("monomial")
+    if rng.random() < 0.4:
+        k = rng.choice([2, 3, 6, 12])
+        a, b = a.scale(k), b.scale(k * rng.choice([1, 5]))
+        features.add("content")
+    if rng.random() < 0.4:
+        a = -a
+        features.add("negative")
+    if any(type(c) is Fraction for c in a.terms.values()):
+        features.add("fraction")
+    return a, b, common, features
+
+
+def test_heuristic_gcd_matches_prs_reference(monkeypatch):
+    # uni-, bi- and trivariate pairs; the heuristic must answer (no PRS
+    # fallback) and agree with the PRS, and the planted factor must divide it
+    reg = Context.of_rank(3).reg
+    rng = random.Random(20261018)
+    fallbacks = []
+    prs = scalars._gcd_prs
+    seen = set()
+    for case in range(240):
+        nvars = 1 + case % 3
+        a, b, common, features = _gcd_case(reg, rng, nvars)
+        seen |= features | {nvars}
+        monkeypatch.setattr(scalars, "_gcd_prs", lambda x, y: fallbacks.append(case) or prs(x, y))
+        got = scalars._gcd_prim(a, b)
+        monkeypatch.setattr(scalars, "_gcd_prs", prs)
+        expect = prs(a, b)
+        assert got == expect and str(got) == str(expect), (a, b)
+        for f in (a, b):
+            f.exact_div(got)
+        got.exact_div(common)
+    assert not fallbacks
+    assert seen == {1, 2, 3, "monomial", "content", "negative", "fraction"}
+
+
+def test_heuristic_gcd_keeps_integer_content_of_images():
+    # h (2c^2 - 3h) and 2h^2 (2c^2 - 3h): evaluating h leaves images whose gcd
+    # has integer content, which a primitive-only recursion would lose
+    reg = Context.of_rank(1).reg
+    c, h = Poly.symbol(reg, "c"), Poly.symbol(reg, "h")
+    f = Poly.const(reg, 2) * c * c - Poly.const(reg, 3) * h
+    a, b = h * f, Poly.const(reg, 2) * h * h * f
+    assert scalars._gcd_prim(a, b) == h * f == scalars._gcd_prs(a, b)
+
+
+def test_gcd_falls_back_to_prs(monkeypatch):
+    reg = Context.of_rank(2).reg
+    g1, g2 = Poly.symbol(reg, "g1"), Poly.symbol(reg, "g2")
+    common = g1 * g1 - Poly.const(reg, 3) * g2
+    a, b = common * (g1 + g2), common.scale(Fraction(-2, 3)) * (g1 - g2) * g2
+    calls = []
+    prs = scalars._gcd_prs
+    monkeypatch.setattr(scalars, "_HEU_TRIES", 0)
+    monkeypatch.setattr(scalars, "_gcd_prs", lambda x, y: calls.append(1) or prs(x, y))
+    assert scalars._gcd_prim(a, b) == common
+    assert calls
