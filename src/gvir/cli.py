@@ -7,6 +7,9 @@ Commands
     verma        truncated Verma dimensions and singular-vector conditions
     classify     decide the module case from a JSON dimension-table descriptor
 
+main(argv) may be called any number of times in one process; the argparse
+parser is built once, on the first call, and shared by the later ones.
+
 Configuration is a JSON object (see README for the schema); command-line
 flags override the matching config keys.  validate is its one reader: it
 checks and defaults every key, and run sees only the parsed values.  Every
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -491,7 +495,10 @@ def _silence_stdout():
     os.close(devnull)
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process: parse_args leaves it unchanged and
+    returns a fresh namespace each call, so main can share it."""
     parser = argparse.ArgumentParser(
         prog="gvir",
         description="Exact computations with generalized Virasoro algebras Vir[G].",
@@ -517,10 +524,12 @@ def main(argv=None):
             if len(args.inputs) != 2:
                 raise ConfigError("bracket takes exactly two elements")
             config["x"], config["y"] = args.inputs
-        if args.command == "classify" and args.inputs:
+        elif args.command == "classify" and args.inputs:
             if len(args.inputs) != 1:
                 raise ConfigError("classify takes one descriptor path")
             config["descriptor"] = load_config(args.inputs[0])
+        elif args.inputs:
+            raise ConfigError(f"{args.command} takes no positional inputs, got {args.inputs!r}")
         diagnostics, job = validate(args.command, config)
     except ConfigError as exc:
         diagnostics = [str(exc)]

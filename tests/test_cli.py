@@ -9,7 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from gvir.cli import EXIT_COMPUTATION, EXIT_OK, EXIT_VALIDATION, main, validate
+from gvir.cli import (
+    EXIT_COMPUTATION,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    TABLE_COMMANDS,
+    build_parser,
+    main,
+    validate,
+)
 from gvir.groups import gadd
 from gvir.induced import Window
 from gvir.interseries import IntermediateSeriesModule
@@ -287,20 +295,71 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     assert (target / "verma.json").exists()
 
 
-def test_console_entry_point_runs():
+def _cli_in_fresh_process(*argv):
+    """gvir argv run as `python -m gvir.cli` in a new interpreter."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     env["GVIR_OUT"] = env.get("TMPDIR", "/tmp")
-    proc = subprocess.run(
-        [sys.executable, "-m", "gvir.cli", "bracket", "d[1,0]", "d[0,1]"],
+    return subprocess.run(
+        [sys.executable, "-m", "gvir.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_console_entry_point_runs():
+    proc = _cli_in_fresh_process("bracket", "d[1,0]", "d[0,1]")
     assert proc.returncode == 0
     assert "d[1,1]" in proc.stdout
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def _without_timing(report):
+    return {key: value for key, value in report.items() if key != "timing_ms"}
+
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_flags_of_one_run_do_not_reach_the_next(tmp_path):
+    cfg = write_config(tmp_path, {"window": {"L": 3}, "bindings": {"c": "1/2"}})
+    flagged, plain, fresh = (tmp_path / name for name in ("flagged", "plain", "fresh"))
+    flags = ["--window-L", "2", "--format", "csv"]
+    assert main(["verma", "--config", cfg, *flags, "--out", str(flagged)]) == EXIT_OK
+    assert read_report(flagged, "verma")["results"]["level_cap"] == 2
+    assert (flagged / "verma.csv").exists()
+    assert main(["verma", "--config", cfg, "--out", str(plain)]) == EXIT_OK
+    report = read_report(plain, "verma")
+    assert report["results"]["level_cap"] == 3
+    assert sorted(os.listdir(plain)) == ["verma.json"]
+    # the same config in a new interpreter, whose parser has seen nothing
+    proc = _cli_in_fresh_process("verma", "--config", cfg, "--out", str(fresh))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert _without_timing(report) == _without_timing(read_report(fresh, "verma"))
+
+
+def test_parser_exits_between_runs_change_no_report(tmp_path, capsys):
+    argv = ["bracket", "d[2,1]", "d[-1,3]", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    first = read_report(tmp_path, "bracket")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["no-such-command"])
+    assert err.value.code == 2
+    assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["bracket", "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gvir")
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == read_report(tmp_path, "bracket")
+    assert _without_timing(read_report(tmp_path, "bracket")) == _without_timing(first)
 
 
 def _exit_and_stderr(tmp_path, capsys, command, config):
@@ -338,6 +397,21 @@ def test_malformed_induce_configs_exit_2_with_diagnostic(tmp_path, capsys, confi
     assert rc == EXIT_VALIDATION
     assert needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, got",
+    [
+        (["verma", "stray-arg", "--window-L", "1"], "['stray-arg']"),
+        (["interseries", "a", "b"], "['a', 'b']"),
+        (["induce", "d[1,0]", "--window-L", "0"], "['d[1,0]']"),
+    ],
+)
+def test_stray_positional_inputs_exit_2(tmp_path, capsys, argv, got):
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: {argv[0]} takes no positional inputs, got {got}\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_bracket_non_integer_coordinates_exit_2(tmp_path, capsys):
@@ -622,6 +696,69 @@ def test_fuzzed_configs_exit_0_2_or_3_with_a_diagnostic(tmp_path, capsys, monkey
         codes[rc] = codes.get(rc, 0) + 1
     # the mutations reach both the runs and the refusals
     assert codes.get(EXIT_OK, 0) > 50 and codes.get(EXIT_VALIDATION, 0) > 300, codes
+
+
+# only values argparse accepts (ints in -2..2, both formats), so each refusal
+# comes from validate or main; with no window above 2 the slowest case,
+# induce at L = N = 2, takes about a second
+_FLAG_VALUES = {
+    "--window-L": range(-2, 3),
+    "--window-N": range(-2, 3),
+    "--seed": range(-2, 3),
+    "--format": ("json", "csv"),
+}
+# element tokens, junk, and (for classify) the path of a descriptor file
+_POSITIONAL_TOKENS = ("d[1,0]", "d[0,-1]", "C", "d[1]", "stray", "descriptor.json")
+
+
+def flag_cases(count, seed=20261018):
+    """count gvir argument lists: a _FUZZ_BASES command and config, zero to
+    three positional tokens, and each flag of _FLAG_VALUES with probability
+    1/2."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        command, config = rng.choice(_FUZZ_BASES)
+        tokens = [rng.choice(_POSITIONAL_TOKENS) for _ in range(rng.choice((0, 0, 1, 2, 3)))]
+        flags = []
+        for flag, values in _FLAG_VALUES.items():
+            if rng.random() < 0.5:
+                flags += [flag, str(rng.choice(values))]
+        cases.append((command, config, tokens, flags))
+    return cases
+
+
+def test_fuzzed_flags_exit_0_2_or_3_with_a_diagnostic(tmp_path, capsys, monkeypatch):
+    # the same contract as the config fuzz, for flags and positional inputs
+    # on top of valid configs; all cases share this process's one parser
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GVIR_OUT", str(tmp_path / "default"))
+    descriptor = next(config["descriptor"] for command, config in _FUZZ_BASES if command == "classify")
+    write_config(tmp_path, descriptor, name="descriptor.json")
+    codes = {}
+    for command, config, tokens, flags in flag_cases(300):
+        cfg = write_config(tmp_path, config)
+        argv = [command, *tokens, "--config", cfg, *flags]
+        case = f"{' '.join(argv)} {json.dumps(config)}"
+        try:
+            rc = main(argv)
+        except Exception as exc:  # any exception escaping main is the failure
+            pytest.fail(f"{case} raised {exc!r}")
+        captured = capsys.readouterr()
+        assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTATION), case
+        assert "Traceback" not in captured.err, case
+        if rc == EXIT_OK:
+            report = json.loads(captured.out)
+            assert report["command"] == command, case
+            if command == "verma" and "--window-L" in flags:
+                assert report["results"]["level_cap"] == int(flags[flags.index("--window-L") + 1]), case
+        else:
+            assert captured.err.startswith(("error: ", "computation failed: ")), case
+        if tokens and command in TABLE_COMMANDS:
+            assert rc == EXIT_VALIDATION and "takes no positional inputs" in captured.err, case
+        codes[rc] = codes.get(rc, 0) + 1
+    # the draws reach both the runs and the refusals
+    assert codes.get(EXIT_OK, 0) > 30 and codes.get(EXIT_VALIDATION, 0) > 150, codes
 
 
 @pytest.mark.parametrize(
