@@ -51,6 +51,13 @@ EXIT_VALIDATION = 2
 EXIT_COMPUTATION = 3
 
 TABLE_COMMANDS = ("interseries", "induce", "verma")
+# the flags that only some commands read (by argparse dest); any other
+# command refuses them instead of echoing a value it never uses
+FLAG_READERS = {
+    "window_L": ("induce", "verma"),
+    "window_N": ("interseries", "induce"),
+    "seed": ("interseries",),
+}
 VERMA_DEFAULT_L = 6
 
 
@@ -106,6 +113,16 @@ def merge_config(config, args):
     return merged
 
 
+def unread_flags(args):
+    """A diagnostic for each given flag that args.command does not read."""
+    return [
+        f"--{dest.replace('_', '-')} does not apply to {args.command}; "
+        f"only {' and '.join(readers)} read it"
+        for dest, readers in FLAG_READERS.items()
+        if getattr(args, dest) is not None and args.command not in readers
+    ]
+
+
 def _integer(value, label, low, error):
     """value if it is an integer >= low (None: any integer), else None after
     reporting it."""
@@ -118,12 +135,13 @@ def _integer(value, label, low, error):
     return None
 
 
-def validate(command, config):
+def validate(command, config, refused=()):
     """Read, check and default every config key once: (diagnostics, job).
 
-    The diagnostics come in a deterministic order; job holds the parsed
-    values and is None unless the diagnostics are empty."""
-    diagnostics = []
+    The diagnostics come in a deterministic order, after those of refused
+    (found before the config was read, such as unread flags); job holds the
+    parsed values and is None unless the diagnostics are empty."""
+    diagnostics = list(refused)
     error = diagnostics.append
 
     group = config.get("group", {})
@@ -517,6 +535,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    refused = unread_flags(args)
     try:
         config = load_config(args.config) if args.config else {}
         config = merge_config(config, args)
@@ -530,9 +549,9 @@ def main(argv=None):
             config["descriptor"] = load_config(args.inputs[0])
         elif args.inputs:
             raise ConfigError(f"{args.command} takes no positional inputs, got {args.inputs!r}")
-        diagnostics, job = validate(args.command, config)
+        diagnostics, job = validate(args.command, config, refused)
     except ConfigError as exc:
-        diagnostics = [str(exc)]
+        diagnostics = [*refused, str(exc)]
     if diagnostics:
         for d in diagnostics:
             print(f"error: {d}", file=sys.stderr)

@@ -37,8 +37,18 @@ with no Scalar and no gcd on the way; the generator := 1 substitution
 happens in `symbolic_rank`'s single pass over each row.
 Scalars appear only at the public boundary: `act_on_induced` takes and
 returns Scalar combinations, and `kernel_at` returns them.
-All evaluators are pure and memoized per module instance; matrices for
-distinct weights are independent and could be computed concurrently.
+All evaluators are pure and memoized per module instance.
+
+Ranks at distinct weights are independent, and `quotient_dims` ranks them on
+every CPU the process may run on.  One unit of work is a (level, weight)
+pair at both radii N and N+1, so the two share the straightening memo.  The
+calling process keeps one share of the units and forks one helper process
+per extra CPU for the others; helpers send their (key, rank) pairs back over
+a pipe into the rank memo.  Every matrix is the one a single process would
+rank, so tables, errors and reports do not change.  A bound alpha gives one
+unit per report weight, and these split evenly.  A free alpha gives one unit
+per level, and its top level holds nearly all the cost; no split takes a
+quarter of the work off the caller, so such a table stays in one process.
 
 Probe rows share prefixes.  The probe sequences are nondecreasing tuples and
 a sequence acts first operator first, so, per basis monomial, the vector
@@ -51,6 +61,9 @@ entry are those of applying each sequence separately.
 
 from __future__ import annotations
 
+import marshal
+import os
+import threading
 from dataclasses import dataclass
 
 from .algebra import Straightener, accumulate
@@ -59,6 +72,25 @@ from .groups import box, gadd, gsub, gzero, split
 from .interseries import subquotient_of
 from .linalg import kernel_basis, symbolic_rank
 from .scalars import Poly, Scalar
+
+
+def _usable_cpus():
+    """CPUs this process may run on, or 1 where ranks must stay in this
+    process: no fork, or a second live thread (forking a threaded process
+    can copy a lock that another thread holds)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _signal():
+    # imported only by a run that forks, so a single-process run does not
+    # pay for the import
+    import signal
+
+    return signal
 
 
 def double_factorial_odd(i):
@@ -367,31 +399,130 @@ class InducedModule:
             for vec in vectors
         ]
 
+    def _shares(self, units, radii):
+        """units split into one share per CPU, the caller's share first.
+
+        Units go longest first, by the estimated cost sum |basis_at|^3 over
+        the radii, to the share with the least cost so far; each share keeps
+        table order.  A split that would take less than a quarter of the
+        estimated cost off the caller is not worth a fork (an alpha-free
+        table, where the top level dominates, never is), so that case and a
+        single usable CPU give one share."""
+        cpus = _usable_cpus()
+        todo = [u for u in units if any((*u, r) not in self._dims_memo for r in radii)]
+        if cpus < 2 or len(todo) < 2:
+            return [todo]
+        cost = {u: sum(len(self.basis_at(*u, r)) ** 3 for r in radii) for u in todo}
+        loads = [0] * cpus
+        owner = {}
+        for u in sorted(todo, key=cost.__getitem__, reverse=True):
+            k = loads.index(min(loads))
+            owner[u] = k
+            loads[k] += cost[u]
+        if 4 * (sum(loads) - loads[0]) < sum(loads):
+            return [todo]
+        shares = [[u for u in todo if owner[u] == k] for k in range(cpus)]
+        return [share for share in shares if share]
+
+    def _rank_units(self, units, radii):
+        """Memoize the rank of every (level, weight) unit at every radius.
+
+        A unit keeps its radii together, so they share the straightening
+        memo.  The caller ranks the first share of `_shares` and one forked
+        helper process ranks each other share, sending its (key, rank)
+        pairs back over a pipe.  A helper that fails (the known
+        ExactDivisionError, or death) sends what it finished; the caller
+        recomputes the rest, so an error surfaces there with its own type.
+        No helper outlives this call."""
+        shares = self._shares(units, radii)
+        helpers = {}  # pid -> read end of its pipe
+        try:
+            for share in shares[1:]:
+                try:
+                    self._fork_helper(share, radii, helpers)
+                except OSError:
+                    pass  # no helper: the caller ranks this share later
+            for i, x in shares[0]:
+                for radius in radii:
+                    self.dims_at(i, x, radius)
+            for fd in helpers.values():
+                with open(fd, "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                try:
+                    self._dims_memo.update(marshal.loads(data))
+                except (EOFError, ValueError, TypeError):
+                    pass  # a helper that died mid-write
+        finally:
+            # a helper that sent its result is exiting already; any other
+            # one is stopped (an error or a timeout in the caller)
+            for pid, fd in helpers.items():
+                os.close(fd)
+                os.kill(pid, _signal().SIGKILL)
+                os.waitpid(pid, 0)
+
+    def _fork_helper(self, share, radii, helpers):
+        """Fork one helper that ranks share and registers it in helpers.
+
+        Signals stay blocked from the fork until the helper is registered,
+        so a handler that raises (a job timeout) cannot lose its pid."""
+        signal = _signal()
+        r, w = os.pipe()
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        try:
+            pid = os.fork()
+            if pid == 0:
+                try:  # a helper never returns into the caller
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    os.close(r)
+                    done = {}
+                    try:
+                        for i, x in share:
+                            for radius in radii:
+                                done[(i, x, radius)] = self.dims_at(i, x, radius)
+                    finally:
+                        with open(w, "wb") as pipe:
+                            pipe.write(marshal.dumps(done))
+                finally:
+                    os._exit(0)
+            helpers[pid] = r
+        except BaseException:
+            os.close(r)
+            raise
+        finally:
+            os.close(w)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
     def quotient_dims(self):
         """Dimension table at radius N plus the N+1 rerun for stability.
 
         With a free alpha the anchored window makes the matrix at (i, x)
         the matrix at (i, 0) composed with the automorphism
         alpha -> alpha + iota(x), so each level row is constant and one
-        rank per level per radius suffices."""
+        rank per level per radius suffices.  Those ranks, or one per report
+        weight otherwise, go to `_rank_units`: with more than one usable
+        CPU, forked helpers rank some of them (see the module docstring).
+        A single-process run ranks them in table order, as the table reads
+        them."""
         N = self.window.box_radius
         constant_rows = (
             self.ctx.binding("alpha").kind == "free" and self.top_excluded is None
         )
+        origin = gzero(self.g0_rank)
+        levels = range(self.window.level_cap + 1)
+        if constant_rows:
+            units = [(i, origin) for i in levels]
+        else:
+            units = [(i, x) for i in levels for x in self.report_weights(i)]
+        self._rank_units(units, (N, N + 1))
+        # every rank is memoized now, except those of a share whose helper
+        # delivered nothing; those are recomputed here, in table order
         entries = {}
         next_entries = {}
-        origin = gzero(self.g0_rank)
-        for i in range(self.window.level_cap + 1):
-            if constant_rows:
-                d = self.dims_at(i, origin, N)
-                d_next = self.dims_at(i, origin, N + 1)
-                for x in self.report_weights(i):
-                    entries[(i, x)] = d
-                    next_entries[(i, x)] = d_next
-            else:
-                for x in self.report_weights(i):
-                    entries[(i, x)] = self.dims_at(i, x, N)
-                    next_entries[(i, x)] = self.dims_at(i, x, N + 1)
+        for i in levels:
+            for x in self.report_weights(i):
+                at = origin if constant_rows else x
+                entries[(i, x)] = self.dims_at(i, at, N)
+                next_entries[(i, x)] = self.dims_at(i, at, N + 1)
         stable = {k: entries[k] == next_entries[k] for k in entries}
         return QuotientDims(self, self.window, entries, next_entries, stable)
 

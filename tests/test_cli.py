@@ -707,14 +707,24 @@ _FLAG_VALUES = {
     "--seed": range(-2, 3),
     "--format": ("json", "csv"),
 }
+# the commands that read each flag; every command reads --format
+_FLAG_READERS = {
+    "--window-L": ("induce", "verma"),
+    "--window-N": ("interseries", "induce"),
+    "--seed": ("interseries",),
+}
 # element tokens, junk, and (for classify) the path of a descriptor file
 _POSITIONAL_TOKENS = ("d[1,0]", "d[0,-1]", "C", "d[1]", "stray", "descriptor.json")
+
+
+def _reads(command, flag):
+    return command in _FLAG_READERS.get(flag, (command,))
 
 
 def flag_cases(count, seed=20261018):
     """count gvir argument lists: a _FUZZ_BASES command and config, zero to
     three positional tokens, and each flag of _FLAG_VALUES with probability
-    1/2."""
+    1/2 if the command reads it, else 1/8 (each unread flag is a refusal)."""
     rng = random.Random(seed)
     cases = []
     for _ in range(count):
@@ -722,7 +732,7 @@ def flag_cases(count, seed=20261018):
         tokens = [rng.choice(_POSITIONAL_TOKENS) for _ in range(rng.choice((0, 0, 1, 2, 3)))]
         flags = []
         for flag, values in _FLAG_VALUES.items():
-            if rng.random() < 0.5:
+            if rng.random() < (0.5 if _reads(command, flag) else 0.125):
                 flags += [flag, str(rng.choice(values))]
         cases.append((command, config, tokens, flags))
     return cases
@@ -756,9 +766,49 @@ def test_fuzzed_flags_exit_0_2_or_3_with_a_diagnostic(tmp_path, capsys, monkeypa
             assert captured.err.startswith(("error: ", "computation failed: ")), case
         if tokens and command in TABLE_COMMANDS:
             assert rc == EXIT_VALIDATION and "takes no positional inputs" in captured.err, case
+        for flag in (f for f in flags[::2] if not _reads(command, f)):
+            assert rc == EXIT_VALIDATION and f"error: {flag} does not apply to {command}" in captured.err, case
         codes[rc] = codes.get(rc, 0) + 1
     # the draws reach both the runs and the refusals
     assert codes.get(EXIT_OK, 0) > 30 and codes.get(EXIT_VALIDATION, 0) > 150, codes
+
+
+@pytest.mark.parametrize(
+    "command, inputs, flag",
+    [
+        (command, inputs, flag)
+        for command, inputs in (
+            ("bracket", ["d[1,0]", "d[0,1]"]),
+            ("interseries", []),
+            ("induce", []),
+            ("verma", []),
+            ("classify", ["descriptor.json"]),
+        )
+        for flag, readers in _FLAG_READERS.items()
+        if command not in readers
+    ],
+)
+def test_unread_flag_exits_2_and_names_it(tmp_path, capsys, monkeypatch, command, inputs, flag):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, _CLASSIFY_DESCRIPTOR, name="descriptor.json")
+    out = tmp_path / "out"
+    assert main([command, *inputs, flag, "1", "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"error: {flag} does not apply to {command}" in err and "Traceback" not in err
+    assert not out.exists()  # refused before the run
+
+
+def test_verma_refuses_the_flags_it_does_not_read(tmp_path, capsys):
+    argv = ["verma", "--window-L", "1", "--out", str(tmp_path)]
+    assert main([*argv, "--window-N", "9", "--seed", "4"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --window-N does not apply to verma; only interseries and induce read it",
+        "error: --seed does not apply to verma; only interseries read it",
+    ]
+    assert not (tmp_path / "verma.json").exists()
+    # the flag it reads still runs, and the report echoes no unread value
+    assert main(argv) == EXIT_OK
+    assert read_report(tmp_path, "verma")["config"] == {"window": {"L": 1}}
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 """Windowed induced modules: action, bases, quotient dimensions, supports."""
 
+import os
 import random
+import threading
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from gvir import scalars
+from gvir import induced, scalars
 from gvir.algebra import AlgebraElement, TriangularPart, bracket
 from gvir.groups import Group, gadd, gzero
 from gvir.induced import (
@@ -567,3 +570,155 @@ def test_json_report_shape():
     assert j["stable_count"] == j["entry_count"] == len(j["rows"])
     assert {r["level"] for r in j["rows"]} == {0, 1}
     assert j["max_dim_per_level"] == {"0": 1, "1": 3}
+
+
+# -- helper processes of quotient_dims -------------------------------------------
+#
+# quotient_dims forks one helper per extra CPU of os.sched_getaffinity(0);
+# pinning that to {0} gives the single-process reference table.
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def _table(rank, b, bindings, window):
+    ctx = Context.of_rank(rank, **bindings)
+    q = InducedModule(ctx, Group.of_rank(rank), b, window).quotient_dims()
+    return q.entries, q.next_entries, q.stable
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls of this process, with two usable CPUs."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return calls
+
+
+REDUCIBLE_L2 = (2, (0, 1), {"alpha": (1, 0), "beta": 0}, Window.make(2, 1))
+
+
+@pytest.mark.parametrize(
+    "rank, b, bindings, window",
+    [
+        REDUCIBLE_L2,
+        (2, (0, 1), {"alpha": (1, 0), "beta": 1}, Window.make(2, 1)),
+        (2, (0, 1), {"alpha": (0, 1), "beta": Fraction(1, 2)}, Window.make(1, 1)),
+        (2, (1, 2), {"alpha": (1, 1)}, Window.make(1, 1)),
+        (3, (0, 0, 1), {"alpha": (1, 0, 0), "beta": 0}, Window.make(1, 1, 1)),
+        (2, (0, 1), {"alpha": Fraction(1, 2), "beta": 0}, Window.make(1, 2)),
+    ],
+    ids=["reducible-beta0-L2", "reducible-beta1-L2", "alpha-outside-g0", "beta-free", "rank3", "alpha-rational"],
+)
+def test_helpers_give_the_single_process_table(monkeypatch, forks, rank, b, bindings, window):
+    tables = {}
+    for cpus in (2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        before = len(forks)
+        tables[cpus] = _table(rank, b, bindings, window)
+        assert len(forks) - before == cpus - 1  # one helper per extra CPU
+    _one_cpu(monkeypatch)
+    before = len(forks)
+    alone = _table(rank, b, bindings, window)
+    assert len(forks) == before
+    assert tables[2] == alone and tables[3] == alone
+    entries, next_entries, stable = alone
+    assert set(entries) == set(next_entries) == set(stable) and any(entries.values())
+
+
+def test_alpha_free_table_stays_in_one_process(forks):
+    # the top level holds nearly all the cost: a split is not worth a fork
+    q = rank2_module(L=2, N=1, beta=2).quotient_dims()
+    assert not forks
+    assert [len(set(q.level_row(i).values())) for i in range(3)] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("failure", ["exit", "garbage"])
+def test_helper_that_reports_nothing_still_gives_the_table(monkeypatch, forks, failure):
+    _one_cpu(monkeypatch)
+    expect = _table(*REDUCIBLE_L2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    caller = os.getpid()
+    if failure == "exit":
+        real_dims_at = InducedModule.dims_at
+
+        def dims_at(self, *args):
+            if os.getpid() != caller:
+                os._exit(0)  # dies without a word
+            return real_dims_at(self, *args)
+
+        monkeypatch.setattr(InducedModule, "dims_at", dims_at)
+    else:
+        loads = induced.marshal.loads
+        monkeypatch.setattr(induced, "marshal", SimpleNamespace(dumps=lambda obj: b"\x00junk", loads=loads))
+    assert _table(*REDUCIBLE_L2) == expect
+    assert len(forks) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("blocker", ["one-cpu", "live-thread"])
+def test_one_cpu_or_a_live_thread_never_forks(monkeypatch, blocker):
+    def fork():
+        raise AssertionError("quotient_dims forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if blocker == "one-cpu" else {0, 1})
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if blocker == "live-thread":
+        thread.start()
+    try:
+        entries, _, stable = _table(*REDUCIBLE_L2)
+    finally:
+        release.set()
+        if blocker == "live-thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert entries[(0, (-1,))] == 0 and all(stable.values())
+
+
+class _Stop(BaseException):
+    """Stands in for a signal handler that ends the run (a job timeout)."""
+
+
+def test_no_helper_outlives_quotient_dims(monkeypatch, forks):
+    _no_child_left()
+    # a normal return
+    _table(*REDUCIBLE_L2)
+    assert len(forks) == 1
+    _no_child_left()
+    # the known defect raises in the caller, with its own type
+    with pytest.raises(ExactDivisionError, match="division is not exact"):
+        rank2_module(L=1, N=1, alpha=(1, 0), beta=Fraction(1, 2)).quotient_dims()
+    assert len(forks) == 2
+    _no_child_left()
+    # a BaseException in the caller while the helper still ranks its share
+    caller = os.getpid()
+    calls = []
+    real_dims_at = InducedModule.dims_at
+
+    def dims_at(self, *args):
+        if os.getpid() == caller:
+            calls.append(args)
+            if len(calls) == 3:
+                raise _Stop()
+        return real_dims_at(self, *args)
+
+    monkeypatch.setattr(InducedModule, "dims_at", dims_at)
+    with pytest.raises(_Stop):
+        _table(*REDUCIBLE_L2)
+    assert len(forks) == 3
+    _no_child_left()
