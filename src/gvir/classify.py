@@ -175,9 +175,18 @@ class ModuleDescriptor:
         names = gspec.get("names")
         if not (names is None or is_list_of(names, str)):
             raise MalformedDescriptorError(f"group names must be a list of strings, got {names!r}")
-        group = Group(rank, tuple(names)) if names else Group.of_rank(rank)
-        if len(group.names) != rank:
+        if names and len(names) != rank:
             raise MalformedDescriptorError("group names must match the rank")
+
+        # coordinate counts are checked before the group is built: its
+        # generator names take memory linear in the rank
+        def counted(coords):
+            if len(coords) != rank:
+                raise MalformedDescriptorError(
+                    f"element {tuple(coords)} has wrong length for rank {rank}"
+                )
+            return tuple(coords)
+
         raw_rows = payload.get("rows")
         if not isinstance(raw_rows, list):
             raise MalformedDescriptorError("descriptor needs rows: [offset, coords, dim]")
@@ -195,28 +204,30 @@ class ModuleDescriptor:
                 raise MalformedDescriptorError(f"row {entry!r} needs a string offset symbol")
             if not is_list_of(coords, int):
                 raise MalformedDescriptorError(f"row {entry!r} needs integer coordinates")
+            coords = counted(coords)
             if offset is None:
                 offset = sym
             if sym != offset:
                 raise MalformedDescriptorError(
                     f"rows mix offset symbols {offset!r} and {sym!r}"
                 )
-            coords = tuple(coords)
             if coords in rows:
                 raise MalformedDescriptorError(f"duplicate row at coords {coords}")
             rows[coords] = dim
         off_elem = payload.get("offset_element")
         if not (off_elem is None or is_list_of(off_elem, int)):
             raise MalformedDescriptorError(f"offset_element {off_elem!r} needs integer coordinates")
+        if off_elem is not None:
+            off_elem = counted(off_elem)
         flags = payload.get("flags", [])
         if not is_list_of(flags, str):
             raise MalformedDescriptorError(f"flags must be a list of strings, got {flags!r}")
         return ModuleDescriptor(
-            group=group,
+            group=Group(rank, tuple(names)) if names else Group.of_rank(rank),
             rows=rows,
             provenance=payload.get("provenance", "external"),
             offset=offset if offset is not None else "alpha",
-            offset_element=tuple(off_elem) if off_elem is not None else None,
+            offset_element=off_elem,
             flags=frozenset(flags),
             meta=payload.get("meta", {}),
         )

@@ -153,16 +153,51 @@ def validate(command, config, refused=()):
     if names is not None and not is_list_of(names, str):
         error(f"group names must be a list of strings, got {names!r}")
         names = None
+
+    # every check of the rank against the config comes first, and no Context
+    # is built while one has failed: its generator names take memory linear
+    # in the rank, so a huge rank would exhaust it before the diagnostic
+    rank_errors = []
+
+    def rank_error(message):
+        rank_errors.append(message)
+        error(message)
+
     if names is not None and rank is not None:
         if len(names) != rank:
-            error(f"group needs {rank} generator names, got {len(names)}")
+            rank_error(f"group needs {rank} generator names, got {len(names)}")
         elif not all(names):
             missing = [i + 1 for i, n in enumerate(names) if not n]
             error(f"generator names missing at positions {missing}")
     if command == "verma" and rank not in (None, 1):
-        error("verma works over G = Z and needs a group of rank 1")
+        rank_error("verma works over G = Z and needs a group of rank 1")
     if command == "induce" and rank is not None and rank < 2:
-        error("induce needs a group of rank >= 2")
+        rank_error("induce needs a group of rank >= 2")
+    elements = {}
+    if command == "bracket":
+        for key in ("x", "y"):
+            if key not in config:
+                error(f"bracket needs input {key}")
+                continue
+            try:
+                kind, coords = _parse_element_spec(config[key])
+            except ConfigError as exc:
+                error(str(exc))
+            else:
+                if coords is not None and len(coords) != (rank or 2):
+                    rank_error(f"element {config[key]!r} needs {rank or 2} coordinates")
+                elements[key] = (config[key], kind, coords)
+    b = config.get("b")
+    if command == "induce":
+        if b is None:
+            error("induce needs a splitting direction b")
+        elif not is_list_of(b, int):
+            error(f"b must be a list of integers, got {b!r}")
+        elif rank is not None:
+            if len(b) != rank:
+                rank_error(f"b needs {rank} coordinates, got {len(b)}")
+            elif is_zero(tuple(b)) or not is_primitive(tuple(b)):
+                error(f"b {b} is not primitive")
 
     bindings = config.get("bindings", {})
     if not isinstance(bindings, dict):
@@ -172,7 +207,7 @@ def validate(command, config, refused=()):
     if unknown:
         error(f"bindings reference unknown symbols: {unknown}")
     ctx = G = None
-    if rank is not None:
+    if rank is not None and not rank_errors:
         kw = {k: bindings.get(k) for k in SYMBOLS}
         try:
             ctx = Context(tuple(names), **kw) if names else Context.of_rank(rank, **kw)
@@ -208,28 +243,10 @@ def validate(command, config, refused=()):
 
     args = None
     if command == "bracket":
-        args = {"ctx": ctx, "group": G}
-        for key in ("x", "y"):
-            if key not in config:
-                error(f"bracket needs input {key}")
-                continue
-            try:
-                args[key] = (config[key], *_parse_element_spec(config[key], rank or 2))
-            except ConfigError as exc:
-                error(str(exc))
+        args = {"ctx": ctx, "group": G, **elements}
     elif command == "interseries":
         args = {"ctx": ctx, "group": G, "radius": N, "trials": trials, "seed": seed}
     elif command == "induce":
-        b = config.get("b")
-        if b is None:
-            error("induce needs a splitting direction b")
-        elif not is_list_of(b, int):
-            error(f"b must be a list of integers, got {b!r}")
-        elif rank is not None:
-            if len(b) != rank:
-                error(f"b needs {rank} coordinates, got {len(b)}")
-            elif is_zero(tuple(b)) or not is_primitive(tuple(b)):
-                error(f"b {b} is not primitive")
         if L == 0:
             error("window L = 0 leaves nothing to induce")
         if not diagnostics:
@@ -272,15 +289,13 @@ def validate(command, config, refused=()):
     return [], Job(command, args, fmt, out, _config_echo(config))
 
 
-def _parse_element_spec(spec, rank):
-    """Coordinates, "C", or a "d[1,-2]" token -> ("d", coords) | ("C", None)."""
+def _parse_element_spec(spec):
+    """Coordinates, "C", or a "d[1,-2]" token -> ("d", coords) | ("C", None);
+    validate compares the coordinate count with the rank."""
     if isinstance(spec, (list, tuple)):
         if not all(is_int(v) for v in spec):
             raise ConfigError(f"element {list(spec)} must have integer coordinates")
-        coords = tuple(spec)
-        if len(coords) != rank:
-            raise ConfigError(f"element {list(spec)} needs {rank} coordinates")
-        return "d", coords
+        return "d", tuple(spec)
     if isinstance(spec, str):
         text = spec.strip()
         if text == "C":
@@ -290,8 +305,6 @@ def _parse_element_spec(spec, rank):
                 coords = tuple(int(v) for v in text[2:-1].split(","))
             except ValueError as exc:
                 raise ConfigError(f"cannot parse element {spec!r}") from exc
-            if len(coords) != rank:
-                raise ConfigError(f"element {spec!r} needs {rank} coordinates")
             return "d", coords
     raise ConfigError(f"cannot parse element {spec!r} (expected coords, d[...], or C)")
 

@@ -18,13 +18,15 @@ Three policies choose the pivots and divisors:
   exactly when it lies in their span.
 
 All of them run on one packed-term kernel.  Each call packs its rows once
-to {monomial int: coefficient} dicts, fuses every update into one
-accumulation and orders every exact division by a heap.  Each variable that
-occurs gets a bit field sized from a proven bound (twice the sum over rows
-of the row's largest degree in it) plus a guard bit; a product that sets a
-guard bit starts the call over with wider fields, so an overflow never
-passes silently.  The tests check them against a dense elimination over
-the rational-function field (tests/oracles.py), slow but independent.
+to {monomial int: coefficient} dicts (the packed format of `scalars`, beside
+`Poly`), fuses every update into one accumulation and divides with the
+heap-ordered `scalars._divide`, the division of `Poly.exact_div` too.  Each
+variable that occurs gets a bit field sized from a proven bound (twice the
+sum over rows of the row's largest degree in it) plus a guard bit; a
+product that sets a guard bit starts the call over with wider fields, so an
+overflow never passes silently.  The tests check them against a dense
+elimination over the rational-function field (tests/oracles.py), slow but
+independent.
 
 Rows enter `symbolic_rank`, `kernel_basis` and `Echelon` divided by their
 monomial gcd and rational content only (`_prepare_row`, `strip_row`).
@@ -33,9 +35,9 @@ field, so no rank or kernel needs a polynomial gcd there, and on probe rows
 the gcd cost more than the elimination it was meant to shrink.  One pass
 over a row's terms sets an optional variable to 1 (the induced module
 dehomogenizes its probe matrices this way), drops the entries that vanish
-and collects the exponents and coefficients; the content is a `math.gcd` of
-ints (Fractions only when a coefficient is one), and the degree tops that
-size the packed fields fall out of the same exponents.
+and collects the exponents and coefficients; the content is the one of
+`Poly.content` (`scalars._content`), and the degree tops that size the
+packed fields fall out of the same exponents.
 
 Rows are sparse dicts {column index -> Poly}, zero entries absent; `det`
 takes dense lists and `kernel_basis` either, with entries that `to_poly`
@@ -44,14 +46,13 @@ coerces (int, Fraction, Poly, denominator-free Scalar).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import reduce
-from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import or_
 
-from .scalars import ExactDivisionError, Poly, Scalar, _gcd_many, _grlex, _norm_coeff
+from .scalars import Poly, Scalar, _content, _degree_top, _descending, _divide, _FieldOverflow
+from .scalars import _gcd_many, _grlex, _norm_coeff, _Packing
 
 
 def to_poly(reg, v):
@@ -80,11 +81,10 @@ def _prepare_row(row, unit_var=None):
 
     The pass sets the variable unit_var (if given) to 1, drops the entries
     that vanish, and collects the exponents and coefficients; the row is
-    then divided by its monomial gcd and its rational content, signed so
-    that its first entry has a positive leading coefficient.  The content
-    is a `math.gcd` of ints unless a Fraction coefficient occurs.  Returns
-    the stripped row and its degree top (per variable, the largest exponent
-    left in the row; None for an empty row).
+    then divided by its monomial gcd and its rational content (`_content`),
+    signed so that its first entry has a positive leading coefficient.
+    Returns the stripped row and its degree top (per variable, the largest
+    exponent left in the row; None for an empty row).
     """
     entries = {}
     exps = []
@@ -110,13 +110,7 @@ def _prepare_row(row, unit_var=None):
     top = [max(v) - m for v, m in zip(per_var, low)]
     lead_terms = entries[min(entries)]
     negative = lead_terms[max(lead_terms, key=_grlex)] < 0
-    if all(type(c) is int for c in coeffs):
-        cont = math.gcd(*coeffs)
-    else:
-        fracs = [Fraction(c) for c in coeffs]
-        cont = Fraction(
-            math.gcd(*(f.numerator for f in fracs)), math.lcm(*(f.denominator for f in fracs))
-        )
+    cont = _content(coeffs)
     if negative:
         cont = -cont
     shift = any(low)
@@ -413,66 +407,12 @@ def _fraction_free(rows, guard, reduce_above):
 
 # -- packed-term kernel of the fraction-free eliminations ---------------------
 #
-# The first variable sits in the most significant field, so integer order on
-# packed monomials is lex order, and multiplying two monomials is adding two
-# ints.  Why the field bound holds: every entry of a fraction-free elimination
-# is a minor of the input, so its degree in a variable is at most the sum over
-# rows of the row's largest degree; a product taken before its division
-# multiplies two such entries.  `Echelon` never divides, and each of its
-# updates adds at most one row's degree, so the same bound holds for it.  Two
-# exponents below a field's guard bit add up
-# without a carry into the next field, so a product that outgrows its field
-# always shows as a set guard bit.
-
-
-class _FieldOverflow(Exception):
-    """A packed exponent outgrew its bit field."""
-
-
-class _Packing:
-    """Bit-field layout of the exponent vectors of one elimination call."""
-
-    __slots__ = ("fields", "guard")
-
-    def __init__(self, bounds):
-        # bounds[i]: the largest exponent of variable i to hold; 0 means no field
-        self.fields = []  # (variable, shift, 2 ** width)
-        self.guard = 0
-        shift = 0
-        for i in reversed(range(len(bounds))):
-            if bounds[i]:
-                width = bounds[i].bit_length()
-                self.fields.append((i, shift, 1 << width))
-                self.guard |= 1 << (shift + width)
-                shift += width + 1
-
-    def pack(self, poly):
-        out = {}
-        for e, c in poly.terms.items():
-            m = 0
-            for i, shift, limit in self.fields:
-                if e[i] >= limit:
-                    raise _FieldOverflow
-                m |= e[i] << shift
-            out[m] = c
-        return out
-
-    def unpack(self, reg, terms):
-        out = {}
-        for m, c in terms.items():
-            e = [0] * len(reg)
-            for i, shift, limit in self.fields:
-                e[i] = (m >> shift) & (limit - 1)
-            out[tuple(e)] = _norm_coeff(c)
-        return Poly(reg, out)
-
-
-def _degree_top(nvars, polys):
-    """Per variable, the largest exponent over the terms of the polys."""
-    exps = [e for p in polys for e in p.terms]
-    if not exps:
-        return [0] * nvars
-    return list(map(max, zip(*exps)))
+# The packed format and its exact division `_divide` live in `scalars`,
+# beside `Poly`.  Why the field bound holds: every entry of a fraction-free
+# elimination is a minor of the input, so its degree in a variable is at most
+# the sum over rows of the row's largest degree; a product taken before its
+# division multiplies two such entries.  `Echelon` never divides, and each of
+# its updates adds at most one row's degree, so the same bound holds for it.
 
 
 def _field_bounds(nvars, tops):
@@ -528,11 +468,6 @@ def _neg(a):
     return {m: -c for m, c in a.items()}
 
 
-def _descending(a):
-    """Terms of a packed divisor, leading (largest) monomial first."""
-    return sorted(a.items(), reverse=True)
-
-
 def _mul_into(acc, a, b):
     """acc += a * b on packed term dicts; zero sums stay until _settle."""
     if len(a) > len(b):
@@ -552,58 +487,3 @@ def _settle(acc, guard):
     if reduce(or_, out, 0) & guard:
         raise _FieldOverflow
     return out
-
-
-def _qdiv(a, b):
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _norm_coeff(Fraction(a) / b)
-
-
-def _divide(f, d, guard):
-    """Exact quotient of packed f by d (terms in descending order); f is
-    consumed.  Raises ExactDivisionError when d does not divide f.
-
-    Heap-ordered division: the largest remaining monomial of f is always on
-    top of a heap of the monomials still in f.  d divides a monomial m iff
-    no field of (m | guard) - lead borrows its guard bit.  If the division
-    is exact, every product q_i * d_j stays inside the fields of f, so a
-    product that sets a guard bit proves that it is not.
-    """
-    dm, dc = d[0]
-    if len(d) == 1:
-        out = {}
-        for m, c in f.items():
-            e = (m | guard) - dm
-            if e & guard != guard:
-                raise ExactDivisionError("division is not exact")
-            out[e ^ guard] = _qdiv(c, dc)
-        return out
-    rest = d[1:]
-    heap = [-m for m in f]
-    heapify(heap)
-    q = {}
-    while heap:
-        m = -heappop(heap)
-        c = f.pop(m)
-        if not c:
-            continue
-        e = (m | guard) - dm
-        if e & guard != guard:
-            raise ExactDivisionError("division is not exact")
-        qm = e ^ guard
-        qc = _qdiv(c, dc)
-        q[qm] = qc
-        for gm, gc in rest:
-            t = qm + gm
-            s = f.get(t)
-            if s is None:
-                if t & guard:
-                    raise ExactDivisionError("division is not exact")
-                f[t] = -qc * gc
-                heappush(heap, -t)
-            else:
-                f[t] = s - qc * gc
-    return q

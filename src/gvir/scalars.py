@@ -11,6 +11,10 @@ A Scalar is always stored in canonical form -- num/den with gcd(num, den) = 1
 and den monic under the graded-lex term order -- so structural equality
 decides mathematical equality and is_zero is exact.  No floating point
 anywhere.
+
+Polynomials have one exact division, `_divide`, heap-ordered on packed
+monomials: `Poly.exact_div`, the gcd certificate and every fraction-free
+step of `linalg` run it.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 
 
 class ScalarError(ArithmeticError):
@@ -50,6 +55,18 @@ def _norm_coeff(q):
     if type(q) is Fraction and q.denominator == 1:
         return int(q)
     return q
+
+
+def _content(coeffs):
+    """Positive rational content of nonzero int/Fraction coefficients: the
+    gcd of their numerators over the lcm of their denominators, a
+    `math.gcd` of ints when every coefficient is an int."""
+    if all(type(c) is int for c in coeffs):
+        return math.gcd(*coeffs)
+    fracs = [Fraction(c) for c in coeffs]
+    return Fraction(
+        math.gcd(*(f.numerator for f in fracs)), math.lcm(*(f.denominator for f in fracs))
+    )
 
 
 class Registry:
@@ -269,18 +286,9 @@ class Poly:
     # -- content / division / substitution -----------------------------
 
     def content(self):
-        """Positive rational content (gcd of coefficients over Q); a
-        `math.gcd` of ints when every coefficient is an int."""
-        coeffs = self.terms.values()
-        if all(type(c) is int for c in coeffs):
-            return math.gcd(*coeffs)
-        num = 0
-        den = 1
-        for c in coeffs:
-            f = Fraction(c)
-            num = math.gcd(num, f.numerator)
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        return Fraction(num, den)
+        """Positive rational content (gcd of coefficients over Q); see
+        `_content`."""
+        return _content(self.terms.values())
 
     def primitive_int(self):
         """(factor, prim) with self = factor * prim; prim has coprime integer
@@ -315,32 +323,16 @@ class Poly:
         return Poly(self.reg, {tuple(map(int.__sub__, e, m)): c for e, c in self.terms.items()})
 
     def exact_div(self, d):
-        """Exact polynomial quotient self/d; raises ExactDivisionError otherwise."""
+        """Exact polynomial quotient self/d; raises ExactDivisionError otherwise.
+
+        The fields hold the degree tops of both operands, so every variable
+        of either gets one and packing cannot overflow; an exact quotient
+        needs no wider field.
+        """
         if d.is_zero():
             raise ScalarDivisionError("polynomial division by zero")
-        if d.is_const():
-            return self.scale(Fraction(1) / Fraction(d.const_value()))
-        rem = dict(self.terms)
-        out = {}
-        dm, dc = d.lead()
-        dterms = d.terms
-        while rem:
-            lm = max(rem, key=_grlex)
-            e = tuple(map(int.__sub__, lm, dm))
-            if any(p < 0 for p in e):
-                raise ExactDivisionError("division is not exact")
-            q = _norm_coeff(Fraction(rem[lm]) / Fraction(dc) if not (
-                isinstance(rem[lm], int) and isinstance(dc, int) and rem[lm] % dc == 0
-            ) else rem[lm] // dc)
-            out[e] = q
-            for de, c in dterms.items():
-                t = tuple(map(int.__add__, e, de))
-                s = rem.get(t, 0) - q * c
-                if s:
-                    rem[t] = _norm_coeff(s)
-                else:
-                    rem.pop(t, None)
-        return Poly(self.reg, out)
+        pk = _Packing(_degree_top(len(self.reg), (self, d)))
+        return pk.unpack(self.reg, _divide(pk.pack(self), _descending(pk.pack(d)), pk.guard))
 
     def substitute(self, values):
         """Substitute polynomials/rationals for symbols.
@@ -385,6 +377,129 @@ class Poly:
                     m = tuple(map(int.__add__, base, m))
                     out[m] = out.get(m, 0) + c * a
         return Poly(reg, {m: _norm_coeff(c) for m, c in out.items() if c})
+
+
+# ---------------------------------------------------------------------------
+# packed terms and the exact division on them
+# ---------------------------------------------------------------------------
+#
+# A packed monomial is one int, a bit field and a guard bit per variable; the
+# first variable sits in the most significant field, so integer order on
+# packed monomials is lex order, and multiplying two monomials is adding two
+# ints.  Two exponents below a field's guard bit add up without a carry into
+# the next field, so a product that outgrows its field always shows as a set
+# guard bit.
+
+
+class _FieldOverflow(Exception):
+    """A packed exponent outgrew its bit field."""
+
+
+class _Packing:
+    """Bit-field layout of the exponent vectors of one packed computation."""
+
+    __slots__ = ("fields", "guard")
+
+    def __init__(self, bounds):
+        # bounds[i]: the largest exponent of variable i to hold; 0 means no field
+        self.fields = []  # (variable, shift, 2 ** width)
+        self.guard = 0
+        shift = 0
+        for i in reversed(range(len(bounds))):
+            if bounds[i]:
+                width = bounds[i].bit_length()
+                self.fields.append((i, shift, 1 << width))
+                self.guard |= 1 << (shift + width)
+                shift += width + 1
+
+    def pack(self, poly):
+        out = {}
+        for e, c in poly.terms.items():
+            m = 0
+            for i, shift, limit in self.fields:
+                if e[i] >= limit:
+                    raise _FieldOverflow
+                m |= e[i] << shift
+            out[m] = c
+        return out
+
+    def unpack(self, reg, terms):
+        out = {}
+        for m, c in terms.items():
+            e = [0] * len(reg)
+            for i, shift, limit in self.fields:
+                e[i] = (m >> shift) & (limit - 1)
+            out[tuple(e)] = _norm_coeff(c)
+        return Poly(reg, out)
+
+
+def _degree_top(nvars, polys):
+    """Per variable, the largest exponent over the terms of the polys."""
+    exps = [e for p in polys for e in p.terms]
+    if not exps:
+        return [0] * nvars
+    return list(map(max, zip(*exps)))
+
+
+def _descending(a):
+    """Terms of a packed divisor, leading (largest) monomial first."""
+    return sorted(a.items(), reverse=True)
+
+
+def _qdiv(a, b):
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _norm_coeff(Fraction(a) / b)
+
+
+def _divide(f, d, guard):
+    """Exact quotient of packed f by d (terms in descending order); f is
+    consumed.  Raises ExactDivisionError when d does not divide f.
+
+    Heap-ordered division (Monagan & Pearce 2007): the largest remaining
+    monomial of f is always on top of a heap of the monomials still in f.
+    d divides a monomial m iff no field of (m | guard) - lead borrows its
+    guard bit.  If the division is exact, every product q_i * d_j stays
+    inside the fields of f, so a product that sets a guard bit proves that
+    it is not.
+    """
+    dm, dc = d[0]
+    if len(d) == 1:
+        out = {}
+        for m, c in f.items():
+            e = (m | guard) - dm
+            if e & guard != guard:
+                raise ExactDivisionError("division is not exact")
+            out[e ^ guard] = _qdiv(c, dc)
+        return out
+    rest = d[1:]
+    heap = [-m for m in f]
+    heapify(heap)
+    q = {}
+    while heap:
+        m = -heappop(heap)
+        c = f.pop(m)
+        if not c:
+            continue
+        e = (m | guard) - dm
+        if e & guard != guard:
+            raise ExactDivisionError("division is not exact")
+        qm = e ^ guard
+        qc = _qdiv(c, dc)
+        q[qm] = qc
+        for gm, gc in rest:
+            t = qm + gm
+            s = f.get(t)
+            if s is None:
+                if t & guard:
+                    raise ExactDivisionError("division is not exact")
+                f[t] = -qc * gc
+                heappush(heap, -t)
+            else:
+                f[t] = s - qc * gc
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +589,8 @@ _HEU_TRIES = 6
 
 def _gcd_prim(a, b):
     """gcd of two Polys, primitive with integer coefficients and a positive
-    graded-lex leading coefficient; a zero input returns the other one.
+    graded-lex leading coefficient; with a zero input, the primitive part
+    of the other one (zero for two zeros).
 
     The heuristic gcd GCDHEU of Char, Geddes & Gonnet (J. Symb. Comput. 7
     (1989) 31-48) runs first, on the primitive integer parts (`_heu_gcd`):
@@ -485,9 +601,9 @@ def _gcd_prim(a, b):
     gives up and the primitive PRS `_gcd_prs` answers instead.
     """
     if a.is_zero():
-        return b
+        return b.primitive_int()[1]
     if b.is_zero():
-        return a
+        return a.primitive_int()[1]
     g = _heu_gcd(a.primitive_int()[1], b.primitive_int()[1])
     if g is None:
         return _gcd_prs(a, b)
@@ -521,7 +637,12 @@ def _heu_gcd(a, b):
             gamma = _heu_gcd(image_a, image_b)
             if gamma is not None:
                 g = _heu_rebuild(gamma, v, xi).primitive_int()[1]
-                if _divides(a, g) and _divides(b, g):
+                try:
+                    a.exact_div(g)
+                    b.exact_div(g)
+                except ExactDivisionError:
+                    pass
+                else:
                     return g.scale(cont)
         xi = xi * 73794 // 27011
     return None
@@ -544,38 +665,11 @@ def _heu_rebuild(gamma, v, xi):
     return Poly(gamma.reg, out)
 
 
-def _divides(f, d):
-    """True iff d divides f, for integer f and primitive integer d: division
-    in lex order over Z, which by Gauss's lemma is exact exactly when the
-    division over Q is."""
-    dm, dc = max(d.terms.items())
-    rest = [(m, c) for m, c in d.terms.items() if m != dm]
-    r = dict(f.terms)
-    while r:
-        m = max(r)
-        q, s = divmod(r.pop(m), dc)
-        e = tuple(map(int.__sub__, m, dm))
-        if s or min(e) < 0:
-            return False
-        for m2, c2 in rest:
-            t = tuple(map(int.__add__, e, m2))
-            v = r.get(t, 0) - q * c2
-            if v:
-                r[t] = v
-            else:
-                del r[t]
-    return True
-
-
 def _gcd_prs(a, b):
     """gcd by the primitive PRS over the variable of least degree, with
-    contents by recursion; returned like `_gcd_prim`, for the same inputs.
+    contents by recursion; returned like `_gcd_prim`, for nonzero inputs.
     Slow on multivariate inputs, but it needs no bound and no luck."""
     reg = a.reg
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
     # common monomial factor
     ma, mb = a.monomial_gcd(), b.monomial_gcd()
     m = tuple(map(min, ma, mb))
@@ -612,19 +706,6 @@ def _gcd_prs(a, b):
     return out
 
 
-def poly_gcd(a, b):
-    """Canonical gcd: primitive integer coefficients, positive graded-lex lead."""
-    if a.is_zero() and b.is_zero():
-        return Poly.zero(a.reg)
-    if a.is_zero():
-        return b.primitive_int()[1]
-    if b.is_zero():
-        return a.primitive_int()[1]
-    _, pa = a.primitive_int()
-    _, pb = b.primitive_int()
-    return _gcd_prim(pa, pb)
-
-
 # ---------------------------------------------------------------------------
 # the fraction field
 # ---------------------------------------------------------------------------
@@ -657,7 +738,7 @@ class Scalar:
         if den.is_const():
             q = Fraction(den.const_value())
             return Scalar(num.scale(Fraction(1) / q), Poly.const(reg, 1))
-        g = poly_gcd(num, den)
+        g = _gcd_prim(num, den)
         if not g.is_const():
             num = num.exact_div(g)
             den = den.exact_div(g)

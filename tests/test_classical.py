@@ -246,8 +246,10 @@ def _at_kac_point(reg, poly, t):
 
 
 def test_conditions_match_kac_determinant_factors():
-    ctx, M = _verma(L=6)
-    for n in range(1, 7):
+    # level 7 is the first whose minor gcd reads t >= 2 minors (k = 3), each
+    # divided exactly by a power of the last pivot
+    ctx, M = _verma(L=7)
+    for n in range(1, 8):
         (condition,) = M.find_singular(n).conditions
         pairs = [(r, n // r) for r in range(1, n + 1) if n % r == 0]
         for t in KAC_T:

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import importlib
 import json
 import os
 import random
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from gvir import cli
 from gvir.cli import (
     EXIT_COMPUTATION,
     EXIT_OK,
@@ -854,3 +856,54 @@ def test_verma_needs_a_rank_1_group(tmp_path, capsys):
     assert rc == EXIT_OK, err
     rc, err = _exit_and_stderr(tmp_path, capsys, "verma", dict(config, bindings={"alpha": [1, 0]}))
     assert rc == EXIT_VALIDATION and "alpha element binding needs 1 coordinates" in err
+
+
+_HUGE = 10**9
+
+
+@pytest.mark.parametrize(
+    "command, config, needle",
+    [
+        ("verma", {"group": {"rank": _HUGE}}, "verma works over G = Z and needs a group of rank 1"),
+        ("induce", {"group": {"rank": _HUGE}, "b": [0, 1]}, f"b needs {_HUGE} coordinates, got 2"),
+        (
+            "bracket",
+            {"group": {"rank": _HUGE}, "x": "d[1,0]", "y": "d[0,1]"},
+            f"element 'd[1,0]' needs {_HUGE} coordinates",
+        ),
+        ("bracket", {"group": {"rank": _HUGE}, "x": [1, 0], "y": "C"}, f"element [1, 0] needs {_HUGE} coordinates"),
+        (
+            "classify",
+            {"descriptor": dict(_CLASSIFY_DESCRIPTOR, group={"rank": _HUGE}, flags=[])},
+            f"element (0,) has wrong length for rank {_HUGE}",
+        ),
+        (
+            "classify",
+            {"descriptor": dict(_CLASSIFY_DESCRIPTOR, group={"rank": _HUGE}, flags=[], rows=[], offset_element=[0])},
+            f"element (0,) has wrong length for rank {_HUGE}",
+        ),
+    ],
+)
+def test_rank_mismatch_exits_2_before_building_the_rank(tmp_path, capsys, monkeypatch, command, config, needle):
+    # generator names take memory linear in the rank: a rank of 10**9 that
+    # the config contradicts must be refused without building any of them
+    # (classify builds the descriptor's group in classify, and a Context of
+    # the config's default rank 2 in cli)
+    built = []
+
+    def refuse(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("built a Context or Group for a refused rank")
+
+    class Refused:
+        __new__ = of_rank = staticmethod(refuse)
+
+    if command == "classify":
+        # gvir.classify the module; the package exports the function under its name
+        monkeypatch.setattr(importlib.import_module("gvir.classify"), "Group", Refused)
+    else:
+        monkeypatch.setattr(cli, "Context", Refused)
+        monkeypatch.setattr(cli, "Group", Refused)
+    rc, err = _exit_and_stderr(tmp_path, capsys, command, config)
+    assert rc == EXIT_VALIDATION and needle in err, err
+    assert not built

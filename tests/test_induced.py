@@ -395,8 +395,10 @@ def test_induced_ranks_form_no_gcd(monkeypatch):
     free = rank2_module(L=2, N=1).quotient_dims()
     for i, expected in [(0, 1), (1, 3), (2, 9)]:
         assert set(free.level_row(i).values()) == {expected}
+    # the patch is live: a quotient of two polynomials reaches it
+    reg = free.module.ctx.reg
     with pytest.raises(AssertionError, match="formed a gcd"):
-        scalars.poly_gcd(Poly.symbol(free.module.ctx.reg, "g1"), Poly.symbol(free.module.ctx.reg, "g2"))
+        Scalar.make(Poly.symbol(reg, "g1"), Poly.symbol(reg, "g2"))
 
 
 @pytest.mark.xfail(strict=True, raises=ExactDivisionError, reason="delayed-divisor defect")

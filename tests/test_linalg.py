@@ -17,7 +17,7 @@ from gvir.linalg import (
     symbolic_rank,
     to_poly,
 )
-from gvir.scalars import Context, ExactDivisionError, Poly, Scalar, _gcd_many
+from gvir.scalars import Context, ExactDivisionError, Poly, Scalar, ScalarDivisionError, _gcd_many
 from oracles import field_rank, field_rref, minor_gcd_by_enumeration
 
 
@@ -604,20 +604,7 @@ def test_det_matches_permutation_oracle_multivariate():
         assert str(d) == str(_perm_det_poly(reg, rows))
 
 
-# -- packed exact division ------------------------------------------------------
-
-
-def _packed(reg, *polys):
-    """A packing sized for the given polys, and each of them packed."""
-    bounds = linalg._field_bounds(len(reg), [linalg._degree_top(len(reg), polys)])
-    pk = linalg._Packing(bounds)
-    return pk, [pk.pack(p) for p in polys]
-
-
-def _div(reg, f, d):
-    """f / d through the packed kernel, returned as a Poly."""
-    pk, (pf, pd) = _packed(reg, f, d)
-    return pk.unpack(reg, linalg._divide(pf, linalg._descending(pd), pk.guard))
+# -- packed exact division, through Poly.exact_div ------------------------------
 
 
 def test_packed_division_recovers_quotient():
@@ -627,10 +614,10 @@ def test_packed_division_recovers_quotient():
         nvars = 1 + case % 3
         q = _sparse_poly(reg, rng, nvars, 3, case % 2 == 0)
         d = _sparse_poly(reg, rng, nvars, 2, case % 3 == 0)
-        assert _div(reg, q * d, d) == q
+        assert (q * d).exact_div(d) == q
         if not d.is_const():
             with pytest.raises(ExactDivisionError):
-                _div(reg, q * d + Poly.const(reg, 1), d)
+                (q * d + Poly.const(reg, 1)).exact_div(d)
 
 
 def test_packed_division_rejects_one_failing_field():
@@ -640,17 +627,17 @@ def test_packed_division_rejects_one_failing_field():
     # only the g2 field lacks the degree; a plain subtraction of the packed
     # ints would borrow from the g1 field and go unnoticed
     with pytest.raises(ExactDivisionError):
-        _div(reg, x ** 3 * y, x * y ** 2)
+        (x ** 3 * y).exact_div(x * y ** 2)
     with pytest.raises(ExactDivisionError):
-        _div(reg, x * y ** 3, x ** 2 * y)
-    assert _div(reg, x ** 3 * y ** 2, x * y ** 2) == x ** 2
+        (x * y ** 3).exact_div(x ** 2 * y)
+    assert (x ** 3 * y ** 2).exact_div(x * y ** 2) == x ** 2
     # the same with a leading monomial of a longer divisor
     one = Poly.const(reg, 1)
     with pytest.raises(ExactDivisionError):
-        _div(reg, x ** 3 * y, x * y ** 2 + one)
+        (x ** 3 * y).exact_div(x * y ** 2 + one)
     with pytest.raises(ExactDivisionError):
-        _div(reg, x * y ** 3 + x, x ** 2 * y + y)
-    assert _div(reg, (x * y ** 2 + one) * (x ** 2 + y), x * y ** 2 + one) == x ** 2 + y
+        (x * y ** 3 + x).exact_div(x ** 2 * y + y)
+    assert ((x * y ** 2 + one) * (x ** 2 + y)).exact_div(x * y ** 2 + one) == x ** 2 + y
 
 
 def test_packed_division_terminates_on_non_multiples():
@@ -660,16 +647,16 @@ def test_packed_division_terminates_on_non_multiples():
     y = Poly.symbol(reg, "g2")
     # ascending-order division of 1 by 1 - x would emit 1 + x + x^2 + ...
     with pytest.raises(ExactDivisionError):
-        _div(reg, one, one - x)
+        one.exact_div(one - x)
     # x^3 / (x + y^3) drives g2 past its field: the guard bit proves the
     # division is not exact
     with pytest.raises(ExactDivisionError):
-        _div(reg, x ** 3, x + y ** 3)
+        (x ** 3).exact_div(x + y ** 3)
     # without that proof, the overflowed exponents of this non-multiple run
     # into the next field and come out as a "quotient"
     two = Poly.const(reg, 2)
     with pytest.raises(ExactDivisionError):
-        _div(reg, x ** 3 * y ** 2 - y ** 3, two * y ** 3 - two * x)
+        (x ** 3 * y ** 2 - y ** 3).exact_div(two * y ** 3 - two * x)
 
 
 def test_packed_division_by_fraction_constants_and_monomials():
@@ -678,15 +665,35 @@ def test_packed_division_by_fraction_constants_and_monomials():
     y = Poly.symbol(reg, "g2")
     p = x.scale(Fraction(1, 2)) + y.scale(Fraction(-3, 4)) + Poly.const(reg, 5)
     c = Poly.const(reg, Fraction(3, 4))
-    q = _div(reg, p, c)
+    q = p.exact_div(c)
     assert q == p.scale(Fraction(4, 3))
     assert q * c == p
-    assert _div(reg, p.scale(Fraction(3, 4)), c) == p
-    assert all(type(v) is int for v in _div(reg, x.scale(6) + y.scale(9), Poly.const(reg, 3)).terms.values())
+    assert p.scale(Fraction(3, 4)).exact_div(c) == p
+    assert all(type(v) is int for v in (x.scale(6) + y.scale(9)).exact_div(Poly.const(reg, 3)).terms.values())
     # a monomial divisor with a Fraction coefficient still checks exponents
     with pytest.raises(ExactDivisionError):
-        _div(reg, p, x.scale(Fraction(2, 3)))
-    assert _div(reg, (x * p).scale(Fraction(2, 3)), x.scale(Fraction(2, 3))) == p
+        p.exact_div(x.scale(Fraction(2, 3)))
+    assert (x * p).scale(Fraction(2, 3)).exact_div(x.scale(Fraction(2, 3))) == p
+
+
+def test_exact_division_sizes_fields_over_both_operands():
+    reg = Context.of_rank(2).reg
+    x = Poly.symbol(reg, "g1")
+    y = Poly.symbol(reg, "g2")
+    zero = Poly.zero(reg)
+    # g2 occurs only in the divisor: fields sized over the dividend alone
+    # would drop it and return 1
+    with pytest.raises(ExactDivisionError):
+        x.exact_div(x * y)
+    with pytest.raises(ExactDivisionError):
+        (x + Poly.const(reg, 1)).exact_div(x - y)
+    assert zero.exact_div(x * y + Poly.const(reg, 3)) == zero
+    with pytest.raises(ScalarDivisionError):
+        x.exact_div(zero)
+    with pytest.raises(ScalarDivisionError):
+        zero.exact_div(zero)
+    q = (x * y).scale(Fraction(5, 6)).exact_div(Poly.const(reg, Fraction(-5, 3)))
+    assert q == (x * y).scale(Fraction(-1, 2)) and type(q.terms[(1, 1, 0, 0, 0, 0)]) is Fraction
 
 
 # -- kernel_basis on the fraction-free engine -----------------------------------

@@ -13,7 +13,6 @@ from gvir.scalars import (
     Scalar,
     ScalarDivisionError,
     SpecializationError,
-    poly_gcd,
 )
 
 
@@ -90,20 +89,26 @@ def test_denominator_is_monic(ctx):
     assert s == g2 / (g1 + 1) / 3
 
 
-def test_poly_gcd_properties(ctx):
+def test_gcd_prim_properties(ctx):
     rng = random.Random(13)
     reg = ctx.reg
+    zero = Poly.zero(reg)
+    gcd = scalars._gcd_prim
+    assert gcd(zero, zero) == zero
     for _ in range(60):
         f = _rand_scalar(ctx, rng, nonzero=True).num
         g = _rand_scalar(ctx, rng, nonzero=True).num
         h = _rand_scalar(ctx, rng, nonzero=True).num
-        d = poly_gcd(f * h, g * h)
-        # gcd divides both and is divisible by the common factor h
+        d = gcd(f * h, g * h)
+        # primitive with a positive lead, divides both, divisible by h
+        assert d.primitive_int() == (1, d)
         (f * h).exact_div(d)
         (g * h).exact_div(d)
         _, hp = h.primitive_int()
-        d.exact_div(poly_gcd(d, hp))  # sanity: gcd(d, h) divides d
-        assert poly_gcd(d, hp) == hp or not poly_gcd(d, hp).is_const() or hp.is_const()
+        assert gcd(d, hp) == hp
+        d.exact_div(hp)
+        # a zero input gives the primitive part of the other one
+        assert gcd(zero, f * h) == gcd(f * h, zero) == (f * h).primitive_int()[1]
 
 
 def test_zero_division_raises(ctx):
