@@ -2,7 +2,8 @@
 
 Basis {C} u {d_x : x in G} with
     [d_x, d_y] = (y - x) d_{x+y} + delta_{x,-y} (x^3 - x)/12 C,
-where x, y inside coefficients mean the embedded complex values.  C is
+where x, y inside coefficients mean the embedded complex values; these
+structure constants are written once, in `structure_constants`.  C is
 central.  Elements are finite linear combinations with exact Scalar
 coefficients; everything here is immutable and side-effect free, so
 independent brackets can be evaluated concurrently.
@@ -23,7 +24,7 @@ it with Poly coefficients and turn them into Scalars only in results.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .groups import colex_key, gadd, is_zero
 from .scalars import Poly, Scalar
@@ -99,20 +100,17 @@ class AlgebraElement:
     def bracket(self, other):
         """[self, other]; the center brackets to zero with everything."""
         ctx = self.ctx
+        embed = lru_cache(maxsize=None)(lambda x: ctx.embed(x).num)
         out = {}
         cc = ctx.zero()
         for x, a in self.d_terms.items():
-            ex = ctx.embed(x)
             for y, b in other.d_terms.items():
-                coeff = a * b
-                z = gadd(x, y)
-                factor = ctx.embed(y) - ex
-                if not factor.is_zero():
-                    prev = out.get(z)
-                    v = coeff * factor
-                    out[z] = prev + v if prev is not None else v
-                if is_zero(z):
-                    cc = cc + coeff * ((ex**3 - ex) / 12)
+                for z, p in structure_constants(embed, x, y):
+                    v = a * b * Scalar.make(p)
+                    if z == CENTER:
+                        cc = cc + v
+                    else:
+                        out[z] = out[z] + v if z in out else v
         return AlgebraElement(ctx, self.group, out, cc)
 
     def weight_of(self):
@@ -220,6 +218,23 @@ class TriangularPart:
 CENTER = "C"
 
 
+def structure_constants(embed, x, y):
+    """[d_x, d_y] = (y - x) d_{x+y} + delta_{x,-y} (x^3 - x)/12 C as
+    (label, Poly) pairs, CENTER labelling C; embed maps an index to its
+    embedded value as a Poly."""
+    out = []
+    ex = embed(x)
+    z = gadd(x, y)
+    factor = embed(y) - ex
+    if not factor.is_zero():
+        out.append((z, factor))
+    if is_zero(z):
+        central = (ex**3 - ex).scale(Fraction(1, 12))
+        if not central.is_zero():
+            out.append((CENTER, central))
+    return out
+
+
 def accumulate(out, key, coeff):
     """out[key] += coeff, dropping the key once the sum vanishes."""
     prev = out.get(key)
@@ -313,26 +328,12 @@ def pbw_normalize(ctx, group, word):
     def before(x, f):
         return colex_key(x) <= colex_key(f)
 
-    def bracket(x, f):
-        # [d_x, d_f] = (f - x) d_{x+f} + delta_{x,-f} (x^3 - x)/12 C
-        out = []
-        ex = embed(x)
-        z = gadd(x, f)
-        factor = embed(f) - ex
-        if not factor.is_zero():
-            out.append((z, factor))
-        if is_zero(z):
-            central = (ex**3 - ex).scale(Fraction(1, 12))
-            if not central.is_zero():
-                out.append((CENTER, central))
-        return out
-
     def top(x, cp):
         if x == CENTER:
             return {((), cp + 1): one}
         return {((x,), cp): one}
 
-    kernel = Straightener(one, before, bracket, top)
+    kernel = Straightener(one, before, partial(structure_constants, embed), top)
     vec = {((), c_power): one}
     for x in reversed(base):
         vec = kernel.act(x, vec)

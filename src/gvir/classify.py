@@ -308,6 +308,30 @@ def _profile_of_ks(ks, skip=None):
     return ("mixed" if gap else "bounded"), True
 
 
+def _g_strings(d, g):
+    """The rows grouped into g-strings: (strings, place).
+
+    place(coords) is (rep, k) with coords = rep + k*g and k = coords[p] //
+    g[p] at the first nonzero entry p of g, so two weights share a rep
+    exactly when their difference is a multiple of g.  strings maps each rep
+    to ({k: dim}, skip), skip being the k of the zero weight when it lies on
+    that string (its vanishing says nothing about truncation), else None.
+    """
+    p = next(i for i, a in enumerate(g) if a)
+
+    def place(coords):
+        k = coords[p] // g[p]
+        return gsub(coords, gscale(k, g)), k
+
+    strings = {}
+    for coords, dim in d.rows.items():
+        rep, k = place(coords)
+        strings.setdefault(rep, {})[k] = dim
+    z = d.zero_weight_coords()
+    z_rep, z_k = place(z) if z is not None else (None, None)
+    return {rep: (ks, z_k if rep == z_rep else None) for rep, ks in strings.items()}, place
+
+
 def string_profile(d, g, base_weight):
     """Support pattern along base_weight + Z*g within the window.
 
@@ -319,40 +343,15 @@ def string_profile(d, g, base_weight):
     if is_zero(g):
         raise ValueError("string direction must be nonzero")
     base = d.group.validate(base_weight)
-    ks = {}
-    for coords, dim in d.rows.items():
-        k = _multiple_of(gsub(coords, base), g)
-        if k is not None:
-            ks[k] = dim
+    strings, place = _g_strings(d, g)
+    ks, skip = strings.get(place(base)[0], ({}, None))
     if len(ks) < 3:
         raise ValueError(
             f"the string through {base} along {g} meets the window in only "
             f"{len(ks)} points (need at least 3)"
         )
-    skip = None
-    z = d.zero_weight_coords()
-    if z is not None:
-        skip = _multiple_of(gsub(z, base), g)
     profile, _ = _profile_of_ks(ks, skip)
     return profile
-
-
-def _multiple_of(diff, g):
-    """Integer k with diff = k*g, or None."""
-    k = None
-    for a, b in zip(diff, g):
-        if b == 0:
-            if a != 0:
-                return None
-            continue
-        q, r = divmod(a, b)
-        if r:
-            return None
-        if k is None:
-            k = q
-        elif k != q:
-            return None
-    return 0 if k is None else k
 
 
 def _direction_verdict(d, g):
@@ -364,23 +363,11 @@ def _direction_verdict(d, g):
     vacuous means only zero-dimension strings were seen, unknown means no
     string was long enough.
     """
-    pivot = next(i for i, a in enumerate(g) if a)
-    classes = {}
-    for coords, dim in d.rows.items():
-        q = coords[pivot] // g[pivot]
-        rep = gsub(coords, gscale(q, g))
-        classes.setdefault(rep, {})[q] = dim
-    z = d.zero_weight_coords()
     profiles = []
     supported_any = False
-    for rep, ks in classes.items():
+    for ks, skip in _g_strings(d, g)[0].values():
         if len(ks) < 3:
             continue
-        skip = None
-        if z is not None:
-            k0 = _multiple_of(gsub(z, rep), g)
-            if k0 in ks:
-                skip = k0
         profile, supported = _profile_of_ks(ks, skip)
         profiles.append(profile)
         supported_any = supported_any or supported
@@ -457,6 +444,17 @@ def classify(d, direction_bound=2):
     return _classify_higher_rank(d, certs, direction_bound)
 
 
+def _bounded_report(d, certs, refusal):
+    """A bounded table: the intermediate series when every dimension off the
+    zero weight is <= 1, else inconclusive with the caller's refusal."""
+    top = max((dim for _, dim in d.nonzero_weight_items()), default=0)
+    certs.append(f"max dimension off the zero weight: {top}")
+    if top <= 1:
+        return ClassificationReport("intermediate_series", None, None, tuple(certs))
+    certs.append(refusal)
+    return ClassificationReport("inconclusive", None, None, tuple(certs))
+
+
 def _classify_rank1(d, certs):
     if "is_Z" not in d.flags:
         certs.append("rank-1 coordinate lattice: treated as G isomorphic to Z")
@@ -474,14 +472,8 @@ def _classify_rank1(d, certs):
         certs.append("support bounded in the -1 direction: lowest weight pattern")
         return ClassificationReport("lowest_weight", None, None, tuple(certs))
     if profile == "bounded":
-        top = max((dim for _, dim in d.nonzero_weight_items()), default=0)
-        certs.append(f"max dimension off the zero weight: {top}")
-        if top <= 1:
-            return ClassificationReport(
-                "intermediate_series", None, None, tuple(certs)
-            )
-        certs.append(
-            "bounded with a dimension >= 2 matches no irreducible case over Z"
+        return _bounded_report(
+            d, certs, "bounded with a dimension >= 2 matches no irreducible case over Z"
         )
     return ClassificationReport("inconclusive", None, None, tuple(certs))
 
@@ -491,16 +483,9 @@ def _classify_higher_rank(d, certs, direction_bound):
     bounded_verdict = is_uniformly_bounded(d)
     certs.append(f"uniformly bounded: {bounded_verdict}")
     if bounded_verdict.startswith("yes"):
-        top = max((dim for _, dim in d.nonzero_weight_items()), default=0)
-        certs.append(f"max dimension off the zero weight: {top}")
-        if top <= 1:
-            return ClassificationReport(
-                "intermediate_series", None, None, tuple(certs)
-            )
-        certs.append(
-            "bounded with dimensions >= 2 matches no irreducible case at rank > 1"
+        return _bounded_report(
+            d, certs, "bounded with dimensions >= 2 matches no irreducible case at rank > 1"
         )
-        return ClassificationReport("inconclusive", None, None, tuple(certs))
 
     bounded_dirs = []
     first_up = None
@@ -558,11 +543,7 @@ def descriptor_from_interseries(module, radius=3):
         rows=rows,
         provenance="interseries",
         offset="alpha",
-        offset_element=(
-            module.group.validate(module.alpha_element())
-            if module.alpha_element() is not None
-            else None
-        ),
+        offset_element=module.ctx.alpha_element(),
         meta={"kind": desc.kind, "radius": radius},
     )
 
@@ -606,7 +587,7 @@ def descriptor_from_induced(quotient):
     for k in (1, 2):
         for y in box(radius, module.g0_rank):
             rows.setdefault(sp.compose(k, y), 0)
-    a0 = module._alpha_element_coords()
+    a0 = module.alpha_g0
     return ModuleDescriptor(
         group=module.group,
         rows=rows,

@@ -43,7 +43,7 @@ from .classify import MalformedDescriptorError, ModuleDescriptor, classify
 from .groups import Group, box, is_primitive, is_zero
 from .induced import InducedModule, Window
 from .interseries import IntermediateSeriesModule
-from .scalars import SYMBOLS, Context, is_int, is_list_of
+from .scalars import SYMBOLS, Context, _parse_binding, is_int, is_list_of
 
 RUN_SCHEMA = "gvir.run/1"
 EXIT_OK = 0
@@ -85,8 +85,10 @@ def load_config(path):
             payload = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests too deeply to read") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")
     return payload
@@ -210,11 +212,16 @@ def validate(command, config, refused=()):
     if rank is not None and not rank_errors:
         kw = {k: bindings.get(k) for k in SYMBOLS}
         try:
-            ctx = Context(tuple(names), **kw) if names else Context.of_rank(rank, **kw)
+            if command == "classify" and not names:
+                # the run reads only the descriptor: the bindings are checked
+                # without the rank-many generator names of a Context
+                for k in SYMBOLS:
+                    _parse_binding(k, kw[k], rank)
+            else:
+                ctx = Context(tuple(names), **kw) if names else Context.of_rank(rank, **kw)
+                G = Group(ctx.rank, ctx.gen_names)
         except ValueError as exc:
             error(str(exc))
-        else:
-            G = Group(ctx.rank, ctx.gen_names)
 
     window = config.get("window", {})
     if not isinstance(window, dict):

@@ -180,21 +180,20 @@ class InducedModule:
         # carries the same label (-t, y), so lowering operators are factors
         self._straight = Straightener(self._one, _factor_first, self._bracket, self._top)
         self._act_memo = self._straight.memo
-        top = subquotient_of(self._alpha_element_coords(), ctx.binding("beta"))
+        a = ctx.alpha_element()
+        # alpha = iota(a) with a in G0, in G0 coordinates; else None
+        self.alpha_g0 = (
+            self.split.g0_coords(a) if a is not None and self.split.level(a) == 0 else None
+        )
+        top = subquotient_of(self.alpha_g0, ctx.binding("beta"))
         self.top_excluded = top.excluded
         self.top_kind = top.kind
-
-    def _alpha_element_coords(self):
-        """alpha = iota(a) with a in G0, in G0 coordinates; else None."""
-        b = self.ctx.binding("alpha")
-        if b.kind == "element":
-            coords = tuple(b.value)
-            if self.split.level(coords) != 0:
-                return None
-            return self.split.g0_coords(coords)
-        if b.kind == "rational" and b.value == 0:
-            return gzero(self.g0_rank)
-        return None
+        # a free alpha gives constant level rows (see quotient_dims)
+        self.alpha_free = ctx.binding("alpha").kind == "free"
+        # every entry is homogeneous under deg g_i = deg alpha = 1,
+        # deg beta = 0 when alpha is free or a group element, and then
+        # symbolic_rank sets the last generator to 1 without changing a rank
+        self.unit_var = ctx.rank - 1 if self.alpha_free or a is not None else None
 
     # -- embedded values -----------------------------------------------------
 
@@ -254,32 +253,18 @@ class InducedModule:
 
     # -- bases -------------------------------------------------------------------
 
-    def factor_pool(self, i, radius):
-        return sorted(
-            (k, u) for k in range(1, i + 1) for u in box(radius, self.g0_rank)
-        )
+    def _shift(self, factors):
+        """sum u over the factors (k, u) of a monomial or probe sequence."""
+        shift = gzero(self.g0_rank)
+        for _, u in factors:
+            shift = gadd(shift, u)
+        return shift
 
-    def probe_pool(self, i, radius):
-        """Extended raising pool: (k, y) with |y| <= k * radius."""
-        return sorted(
-            (k, y)
-            for k in range(1, i + 1)
-            for y in box(k * radius, self.g0_rank)
-        )
-
-    def factor_multisets(self, i, radius=None):
-        radius = self.window.box_radius if radius is None else radius
-        if i == 0:
-            return [()]
-        return _multisets(self.factor_pool(i, radius), i)
-
-    def probe_multisets(self, i, radius=None):
-        radius = self.window.box_radius if radius is None else radius
-        if i == 0:
-            return [()]
-        seqs = _multisets(self.probe_pool(i, radius), i)
-        seqs.sort(key=lambda s: (len(s), s))
-        return seqs
+    def probe_multisets(self, i, radius):
+        """Probe sequences of level i, shortest first, over the extended
+        raising pool (k, y) with |y| <= k * radius."""
+        pool = sorted((k, y) for k in range(1, i + 1) for y in box(k * radius, self.g0_rank))
+        return sorted(_multisets(pool, i), key=lambda s: (len(s), s))
 
     def basis_at(self, i, x, radius=None):
         """Windowed monomials of level i and G0-weight x, in PBW order.
@@ -287,12 +272,12 @@ class InducedModule:
         The retained top support is anchored at x: the factor shift
         sum u_j stays within the top radius, so the window is translation
         equivariant."""
+        radius = self.window.box_radius if radius is None else radius
         R = self.window.top_radius
+        pool = sorted((k, u) for k in range(1, i + 1) for u in box(radius, self.g0_rank))
         out = []
-        for factors in self.factor_multisets(i, radius):
-            shift = gzero(self.g0_rank)
-            for _, u in factors:
-                shift = gadd(shift, u)
+        for factors in _multisets(pool, i):
+            shift = self._shift(factors)
             if max(map(abs, shift), default=0) > R:
                 continue
             mu = tuple(a - s for a, s in zip(x, shift))
@@ -317,10 +302,7 @@ class InducedModule:
         act = self._straight.act
         probes = []
         for seq in self.probe_multisets(i, radius):
-            shift = gzero(self.g0_rank)
-            for _, y in seq:
-                shift = gadd(shift, y)
-            nu = gadd(x, shift)
+            nu = gadd(x, self._shift(seq))
             if nu != self.top_excluded:
                 ops = tuple((-k, y) for k, y in seq)
                 # the empty sequence (level 0) reads the column itself
@@ -356,18 +338,6 @@ class InducedModule:
                     row[j] = val
         return [row for row in rows if row]
 
-    def _dehomogenize_ok(self):
-        """Whether every matrix entry is homogeneous under
-        deg g_i = deg alpha = 1, deg beta = 0, so one generator may be
-        set to 1 without changing any rank."""
-        b = self.ctx.binding("alpha")
-        return b.kind in ("free", "element") or (b.kind == "rational" and b.value == 0)
-
-    def _rank(self, rows):
-        # the last generator is set to 1 inside symbolic_rank's row pass
-        unit_var = self.ctx.rank - 1 if self._dehomogenize_ok() else None
-        return symbolic_rank(self.ctx.reg, rows, unit_var=unit_var)
-
     def dims_at(self, i, x, radius=None):
         """Quotient dimension at (level i, G0-weight x) for one box radius."""
         radius = self.window.box_radius if radius is None else radius
@@ -378,7 +348,8 @@ class InducedModule:
             return hit
         cols = self.basis_at(i, x, radius)
         if cols:
-            d = self._rank(self._probe_rows(i, x, cols, radius))
+            rows = self._probe_rows(i, x, cols, radius)
+            d = symbolic_rank(self.ctx.reg, rows, unit_var=self.unit_var)
         else:
             d = 0
         self._dims_memo[key] = d
@@ -504,12 +475,9 @@ class InducedModule:
         A single-process run ranks them in table order, as the table reads
         them."""
         N = self.window.box_radius
-        constant_rows = (
-            self.ctx.binding("alpha").kind == "free" and self.top_excluded is None
-        )
         origin = gzero(self.g0_rank)
         levels = range(self.window.level_cap + 1)
-        if constant_rows:
+        if self.alpha_free:
             units = [(i, origin) for i in levels]
         else:
             units = [(i, x) for i in levels for x in self.report_weights(i)]
@@ -520,7 +488,7 @@ class InducedModule:
         next_entries = {}
         for i in levels:
             for x in self.report_weights(i):
-                at = origin if constant_rows else x
+                at = origin if self.alpha_free else x
                 entries[(i, x)] = self.dims_at(i, at, N)
                 next_entries[(i, x)] = self.dims_at(i, at, N + 1)
         stable = {k: entries[k] == next_entries[k] for k in entries}
@@ -546,18 +514,13 @@ class InducedModule:
         return out, escaped
 
     def _escapes(self, mono):
-        factors, mu = mono
-        N, R = self.window.box_radius, self.window.top_radius
-        total = 0
-        shift = gzero(self.g0_rank)
-        for k, u in factors:
-            total += k
-            shift = gadd(shift, u)
-            if max(map(abs, u), default=0) > N:
-                return True
-        if max(map(abs, shift), default=0) > R:
-            return True
-        return total > self.window.level_cap
+        factors, _ = mono
+        w = self.window
+        return (
+            any(max(map(abs, u), default=0) > w.box_radius for _, u in factors)
+            or max(map(abs, self._shift(factors)), default=0) > w.top_radius
+            or sum(k for k, _ in factors) > w.level_cap
+        )
 
 
 @dataclass

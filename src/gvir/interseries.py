@@ -10,9 +10,7 @@ unique nontrivial irreducible sub-quotient V' loses the single basis line at
 y = -a (alpha = iota(a)): for beta = 0 that line spans a trivial submodule
 and V' is the quotient, for beta = 1 the complement is itself a submodule.
 
-Membership alpha in G is structural: alpha was either bound to a group
-element, is the rational 0 (= iota(0)), or is not a member.  No attempt is
-made to decide membership of general symbolic values.
+Membership alpha in G is structural and read from `Context.alpha_element`.
 """
 
 from __future__ import annotations
@@ -84,22 +82,12 @@ class IntermediateSeriesModule:
 
     # -- reducibility ----------------------------------------------------------
 
-    def alpha_element(self):
-        """Coordinates a with alpha = iota(a), or None when alpha is not
-        structurally a member of G."""
-        b = self.ctx.binding("alpha")
-        if b.kind == "element":
-            return tuple(b.value)
-        if b.kind == "rational" and b.value == 0:
-            return self.group.zero()
-        return None
-
     def is_reducible(self):
         return self.subquotient().excluded is not None
 
     def subquotient(self):
         """Descriptor of the unique nontrivial irreducible sub-quotient V'."""
-        return subquotient_of(self.alpha_element(), self.ctx.binding("beta"))
+        return subquotient_of(self.ctx.alpha_element(), self.ctx.binding("beta"))
 
     # -- action on V' ------------------------------------------------------------
 

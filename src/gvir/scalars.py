@@ -1134,6 +1134,17 @@ class Context:
     def binding(self, name):
         return self.bindings[name]
 
+    def alpha_element(self):
+        """Coordinates a with alpha = iota(a), or None.  Membership is
+        structural: alpha is bound to a group element, or to the rational
+        0 = iota(0); no symbolic value is tested."""
+        b = self.bindings["alpha"]
+        if b.kind == "element":
+            return tuple(b.value)
+        if b.kind == "rational" and b.value == 0:
+            return (0,) * self.rank
+        return None
+
     def bound_value(self, name):
         """The effective Scalar for alpha/beta/c/h under this session's binding."""
         b = self.bindings[name]

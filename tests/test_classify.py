@@ -1,5 +1,7 @@
 """Tests for weight-module classification from dimension tables."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from gvir.classify import (
     ClassificationReport,
     MalformedDescriptorError,
     ModuleDescriptor,
+    _candidate_directions,
     _direction_verdict,
     classify,
     descriptor_from_induced,
@@ -366,9 +369,12 @@ def test_classification_report_json_shape():
     assert all(isinstance(c, str) for c in payload["certificates"])
 
 
-def test_classify_randomized_external_tables_never_crash():
+def _random_external_tables():
+    """60 seeded random tables of rank 1 or 2, then 10 more with an
+    offset_element inside the window, so that a zero weight is skipped."""
     rng = random.Random(20260815)
-    for _ in range(60):
+    tables = []
+    for n in range(70):
         rank = rng.choice((1, 2))
         radius = rng.randint(1, 3)
         rows = {}
@@ -379,7 +385,39 @@ def test_classify_randomized_external_tables_never_crash():
             for i in range(-radius, radius + 1):
                 for j in range(-radius, radius + 1):
                     rows[(i, j)] = rng.randint(0, 3)
-        report = classify(external(rows, rank=rank))
+        offset = None
+        if n >= 60:
+            offset = tuple(rng.randint(-radius, radius) for _ in range(rank))
+        tables.append(external(rows, rank=rank, offset_element=offset))
+    return tables
+
+
+def test_classify_randomized_external_tables_never_crash():
+    for d in _random_external_tables()[:60]:
+        report = classify(d)
         assert isinstance(report, ClassificationReport)
         assert report.case in CASES
         assert report.certificates
+
+
+def test_classifier_reading_of_random_tables_is_frozen():
+    # one digest over every report, every direction verdict with sup-norm
+    # <= 2 and the profile (or refusal) of the string through every row
+    # along the first generator; any changed verdict, profile or
+    # certificate changes it
+    digest = hashlib.sha256()
+    for d in _random_external_tables():
+        rank = d.group.rank
+        digest.update(json.dumps(classify(d).to_json(), sort_keys=True).encode())
+        for v in _candidate_directions(rank, 2):
+            digest.update(f"{v}:{_direction_verdict(d, v)};".encode())
+        g = (1,) + (0,) * (rank - 1)
+        for coords in sorted(d.rows):
+            try:
+                profile = string_profile(d, g, coords)
+            except ValueError as exc:
+                profile = f"ValueError: {exc}"
+            digest.update(f"{coords}:{profile};".encode())
+    assert digest.hexdigest() == (
+        "ad162be05d01be0abb26f42c6dd34c8c3582a6ba3fc98d00fe4f93e36c999605"
+    )

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -887,8 +888,19 @@ _HUGE = 10**9
 def test_rank_mismatch_exits_2_before_building_the_rank(tmp_path, capsys, monkeypatch, command, config, needle):
     # generator names take memory linear in the rank: a rank of 10**9 that
     # the config contradicts must be refused without building any of them
-    # (classify builds the descriptor's group in classify, and a Context of
-    # the config's default rank 2 in cli)
+    # (classify builds the descriptor's group in classify)
+    built, refused = _refuse_contexts_and_groups(monkeypatch)
+    if command == "classify":
+        # gvir.classify the module; the package exports the function under its name
+        monkeypatch.setattr(importlib.import_module("gvir.classify"), "Group", refused)
+    rc, err = _exit_and_stderr(tmp_path, capsys, command, config)
+    assert rc == EXIT_VALIDATION and needle in err, err
+    assert not built
+
+
+def _refuse_contexts_and_groups(monkeypatch):
+    """Make cli's Context and Group raise when built: (the list of attempted
+    builds, the raising stand-in)."""
     built = []
 
     def refuse(*args, **kwargs):
@@ -898,12 +910,54 @@ def test_rank_mismatch_exits_2_before_building_the_rank(tmp_path, capsys, monkey
     class Refused:
         __new__ = of_rank = staticmethod(refuse)
 
-    if command == "classify":
-        # gvir.classify the module; the package exports the function under its name
-        monkeypatch.setattr(importlib.import_module("gvir.classify"), "Group", Refused)
-    else:
-        monkeypatch.setattr(cli, "Context", Refused)
-        monkeypatch.setattr(cli, "Group", Refused)
-    rc, err = _exit_and_stderr(tmp_path, capsys, command, config)
-    assert rc == EXIT_VALIDATION and needle in err, err
+    monkeypatch.setattr(cli, "Context", Refused)
+    monkeypatch.setattr(cli, "Group", Refused)
+    return built, Refused
+
+
+def test_classify_config_builds_no_rank_many_names(tmp_path, capsys, monkeypatch):
+    # classify reads only its descriptor, so the config's group rank costs
+    # nothing: no Context or Group is built for it
+    built, _ = _refuse_contexts_and_groups(monkeypatch)
+    config = {"group": {"rank": _HUGE}, "descriptor": _CLASSIFY_DESCRIPTOR}
+    started = time.monotonic()
+    rc, err = _exit_and_stderr(tmp_path, capsys, "classify", config)
+    assert rc == EXIT_OK, err
+    assert time.monotonic() - started < 1.0
     assert not built
+
+
+@pytest.mark.parametrize(
+    "bindings, needle",
+    [
+        ({"beta": [1, 0]}, "beta cannot be bound to a group element"),
+        ({"alpha": "x"}, "bad binding for alpha: 'x'"),
+        ({"alpha": [1, 0, 0]}, "alpha element binding needs 2 coordinates"),
+    ],
+)
+def test_classify_config_bindings_keep_their_diagnostics(tmp_path, capsys, bindings, needle):
+    config = {"bindings": bindings, "descriptor": _CLASSIFY_DESCRIPTOR}
+    rc, err = _exit_and_stderr(tmp_path, capsys, "classify", config)
+    assert rc == EXIT_VALIDATION and f"error: {needle}" in err, err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'\xff\xfe{"group": {"rank": 1}}',
+        b'{"group": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+        b"[" * 100000,
+    ],
+    ids=["not-utf8", "nested-5000", "nested-100000"],
+)
+@pytest.mark.parametrize("entry", ["config", "descriptor"])
+def test_unreadable_json_exits_2_without_a_traceback(tmp_path, capsys, entry, content):
+    # a --config file or a classify descriptor path that is not UTF-8, or
+    # nests deeper than the JSON decoder recurses, is a validation failure
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    argv = ["verma", "--config", str(path)] if entry == "config" else ["classify", str(path)]
+    rc = main([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert f"error: config {path}" in err and "Traceback" not in err

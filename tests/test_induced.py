@@ -290,6 +290,23 @@ def test_reduced_top_dims_table():
     assert set(q0.level_row(1).values()) == {2}
 
 
+def test_alpha_g0_coordinates_and_unit_var():
+    # alpha = iota(a) with a at b-level 0 gives G0 coordinates; a nonzero
+    # b-level, a nonzero rational or a free alpha gives none
+    ctx = Context.of_rank(3, alpha=(2, -1, 0))
+    mod = InducedModule(ctx, Group.of_rank(3), (0, 0, 1), Window.make(1, 1))
+    assert mod.split.compose(0, mod.alpha_g0) == (2, -1, 0) and mod.unit_var == 2
+    for alpha in ((1, 0, 1), (0, 0, -2)):
+        ctx = Context.of_rank(3, alpha=alpha)
+        mod = InducedModule(ctx, Group.of_rank(3), (0, 0, 1), Window.make(1, 1))
+        assert mod.alpha_g0 is None and mod.top_excluded is None
+        assert mod.unit_var == 2  # every entry stays homogeneous
+    assert rank2_module(alpha=0).alpha_g0 == (0,)
+    assert rank2_module(alpha=Fraction(1, 2)).alpha_g0 is None
+    assert rank2_module(alpha=Fraction(1, 2)).unit_var is None
+    assert rank2_module().alpha_g0 is None and rank2_module().unit_var == 1
+
+
 def test_rank3_level1_dims():
     ctx = Context.of_rank(3)
     mod = InducedModule(ctx, Group.of_rank(3), (0, 0, 1), Window.make(1, 1))
@@ -364,7 +381,7 @@ def test_probe_rows_match_frozen_row_by_row_copy(rank, L, bindings):
     reducible = bindings.get("alpha") == [1, 0] and bindings["beta"] in (0, 1)
     assert (mod.top_excluded is not None) == reducible
     # a nonzero rational alpha: no generator is set to 1 in the rank
-    assert mod._dehomogenize_ok() == (bindings.get("alpha") != Fraction(1, 2))
+    assert mod.unit_var == (None if bindings.get("alpha") == Fraction(1, 2) else rank - 1)
     nonempty = 0
     for radius in (1, 2):
         for i in range(L + 1):

@@ -145,6 +145,23 @@ def test_binding_fixed_at_construction():
     assert ctx2.alpha == ctx2.gen(0)
 
 
+@pytest.mark.parametrize(
+    "alpha, expect",
+    [
+        (None, None),  # free
+        ("free", None),
+        (0, (0, 0)),  # the rational 0 is iota(0)
+        ("0", (0, 0)),
+        (Fraction(1, 2), None),  # a nonzero rational is not structurally in G
+        (1, None),
+        ((1, -2), (1, -2)),
+        ({"element": [0, 3]}, (0, 3)),
+    ],
+)
+def test_alpha_element_for_every_binding_kind(alpha, expect):
+    assert Context.of_rank(2, alpha=alpha).alpha_element() == expect
+
+
 def test_render_parse_roundtrip(ctx):
     rng = random.Random(29)
     for _ in range(80):
