@@ -3,8 +3,11 @@
 A group element is a plain tuple of integer coordinates over the generators
 g1..gn.  Because the generators stay formal indeterminates, the embedding
 x -> sum x_i * g_i is injective by construction and rank questions reduce to
-integer linear algebra.  This module is pure integer arithmetic; embedded
-values are produced through a Context (see scalars).
+integer linear algebra.  This module is integer arithmetic; its one
+determinant, `int_det`, runs `linalg.det` on constant rows, so the
+unimodularity checks of `split` and `classify` take the same Bareiss
+elimination as every other determinant.  Embedded values are produced
+through a Context (see scalars).
 
 G carries one total order compatible with addition, the colex order of
 `colex_key`: the last coordinate compares first.  It sorts the PBW bases of
@@ -16,7 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .linalg import det
+from .scalars import Poly, Registry
 
 
 class SplitError(ValueError):
@@ -105,24 +110,11 @@ class Group:
 
 
 def int_det(rows):
-    """Determinant of a square integer matrix (exact, via Fraction Gaussian)."""
-    n = len(rows)
-    m = [[Fraction(v) for v in r] for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    assert det.denominator == 1
-    return int(det)
+    """Determinant of a square integer matrix: `linalg.det` on constant
+    Polys over a registry with no variables."""
+    reg = Registry(())
+    sparse = [{j: Poly.const(reg, v) for j, v in enumerate(row) if v} for row in rows]
+    return int(det(reg, sparse).const_value())
 
 
 def _identity(n):

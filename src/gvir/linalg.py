@@ -29,7 +29,7 @@ elimination over the rational-function field (tests/oracles.py), slow but
 independent.
 
 Rows enter `symbolic_rank`, `kernel_basis` and `Echelon` divided by their
-monomial gcd and rational content only (`_prepare_row`, `strip_row`).
+monomial gcd and rational content only (`_prepare_row`).
 Dividing a row by a nonzero polynomial is a unit scaling over the fraction
 field, so no rank or kernel needs a polynomial gcd there, and on probe rows
 the gcd cost more than the elimination it was meant to shrink.  One pass
@@ -39,9 +39,9 @@ and collects the exponents and coefficients; the content is the one of
 `Poly.content` (`scalars._content`), and the degree tops that size the
 packed fields fall out of the same exponents.
 
-Rows are sparse dicts {column index -> Poly}, zero entries absent; `det`
-takes dense lists and `kernel_basis` either, with entries that `to_poly`
-coerces (int, Fraction, Poly, denominator-free Scalar).
+Every routine takes one input format: rows as sparse dicts
+{column index -> Poly}, zero entries absent.  `det` is the one determinant
+of the package; `groups.int_det` runs it on constant rows.
 """
 
 from __future__ import annotations
@@ -51,29 +51,8 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
-from .scalars import Poly, Scalar, _content, _degree_top, _descending, _divide, _FieldOverflow
+from .scalars import Poly, _content, _degree_top, _descending, _divide, _FieldOverflow
 from .scalars import _gcd_many, _grlex, _norm_coeff, _Packing
-
-
-def to_poly(reg, v):
-    """Coerce an int, Fraction, Poly, or denominator-free Scalar to Poly."""
-    if isinstance(v, Poly):
-        return v
-    if isinstance(v, Scalar):
-        if not v._den_is_one():
-            raise ValueError("entry has a nontrivial denominator; clear it first")
-        return v.num
-    return Poly.const(reg, v)
-
-
-def row_from_list(reg, entries):
-    """Sparse row dict from a dense list of entries."""
-    row = {}
-    for j, v in enumerate(entries):
-        p = to_poly(reg, v)
-        if not p.is_zero():
-            row[j] = p
-    return row
 
 
 def _prepare_row(row, unit_var=None):
@@ -135,17 +114,6 @@ def _prepare_row(row, unit_var=None):
             terms = {e: div(c) for e, c in terms.items()}
         stripped[j] = Poly(reg, terms)
     return stripped, top
-
-
-def strip_row(row):
-    """Divide a row by its monomial gcd and its rational content, so that
-    its first entry has a positive leading coefficient; zero entries go.
-
-    No polynomial gcd is taken: dividing a row by a nonzero polynomial is a
-    unit scaling over the fraction field, so no rank depends on it, and a
-    common factor that is not a monomial simply stays in the row.
-    """
-    return _prepare_row(row)[0]
 
 
 class Echelon:
@@ -267,8 +235,7 @@ def kernel_basis(reg, rows, ncols):
     work = []
     tops = []
     for row in rows:
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        r, top = _prepare_row({j: to_poly(reg, v) for j, v in items})
+        r, top = _prepare_row(row)
         if r:
             work.append(r)
             tops.append(top)
@@ -296,33 +263,32 @@ def kernel_basis(reg, rows, ncols):
 def _primitive(vec):
     """A nonzero Poly vector divided by the gcd of its entries, then by their
     rational content, first nonzero entry with a positive graded-lex lead
-    (`strip_row`; no monomial factor is left to strip after the gcd)."""
+    (`_prepare_row`; no monomial factor is left to strip after the gcd)."""
     g = _gcd_many([p for p in vec if not p.is_zero()])
     if not g.is_const():
         vec = [p if p.is_zero() else p.exact_div(g) for p in vec]
-    stripped = strip_row({j: p for j, p in enumerate(vec) if not p.is_zero()})
+    stripped, _ = _prepare_row({j: p for j, p in enumerate(vec) if not p.is_zero()})
     return tuple(stripped.get(j, p) for j, p in enumerate(vec))
 
 
 def det(reg, rows):
-    """Determinant of a square matrix by fraction-free Bareiss elimination."""
+    """Determinant of the square matrix of the len(rows) sparse rows, by the
+    forward half of `_fraction_free` (1 with no rows); a column index
+    outside range(len(rows)) raises ValueError."""
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return Poly.const(reg, 1)
-    m = [[to_poly(reg, v) for v in row] for row in rows]
-    if n == 1:
-        return m[0][0]
+    if any(not 0 <= j < n for row in rows for j in row):
+        raise ValueError(f"matrix must be square: a column index is outside range({n})")
 
     def run(pk):
-        packed = [{j: t for j, t in enumerate(map(pk.pack, row)) if t} for row in m]
+        packed = [{j: pk.pack(p) for j, p in row.items() if p.terms} for row in rows]
         pivots, last, odd = _fraction_free(packed, pk.guard, False)
         if len(pivots) < n:
             return Poly.zero(reg)
+        if last is None:
+            return Poly.const(reg, 1)
         return pk.unpack(reg, _neg(last) if odd else last)
 
-    return _with_fields(len(reg), [_degree_top(len(reg), row) for row in m], run)
+    return _with_fields(len(reg), [_degree_top(len(reg), row.values()) for row in rows], run)
 
 
 def minor_gcd(reg, rows, ncols):
@@ -346,26 +312,23 @@ def minor_gcd(reg, rows, ncols):
         if len(pivots) < ncols:
             return None
         free = sorted(set(range(len(rows))) - set(pivots))
-        zero = Poly.zero(reg)
-        y = [[pk.unpack(reg, row[f]) if f in row else zero for f in free] for row in packed]
-        return pk.unpack(reg, last), y
+        y = [{c: pk.unpack(reg, row[f]) for c, f in enumerate(free) if f in row} for row in packed]
+        return pk.unpack(reg, last), y, len(free)
 
     found = _with_fields(len(reg), [_degree_top(len(reg), col.values()) for col in cols], run)
     if found is None:
         return Poly.zero(reg)
-    d, y = found
+    d, y, k = found
 
     def minors():
         yield d
-        k = len(y[0])
         for t in range(1, k + 1):
             scale = d ** (t - 1)
             for ri in combinations(range(ncols), t):
                 for ci in combinations(range(k), t):
-                    if t == 1:
-                        yield y[ri[0]][ci[0]]
-                    else:
-                        yield det(reg, [[y[i][j] for j in ci] for i in ri]).exact_div(scale)
+                    sub = [{a: y[i][j] for a, j in enumerate(ci) if j in y[i]} for i in ri]
+                    if all(sub):
+                        yield sub[0][0] if t == 1 else det(reg, sub).exact_div(scale)
 
     return _gcd_many(m for m in minors() if not m.is_zero()).primitive_int()[1]
 

@@ -11,21 +11,18 @@ the PRS gcd, the way conditions were formed before `linalg.minor_gcd`.
 import itertools
 from functools import reduce
 
-from gvir.linalg import det, to_poly
+from gvir.linalg import det
 from gvir.scalars import Poly, Scalar, _gcd_prs
 
 
 def _dense_scalar_rows(reg, rows, ncols):
+    """Sparse rows {column: Poly} as dense lists of Scalars."""
     zero = Scalar.make(Poly.zero(reg))
     out = []
     for row in rows:
-        if isinstance(row, dict):
-            dense = [zero] * ncols
-            for j, v in row.items():
-                dense[j] = Scalar.make(to_poly(reg, v))
-        else:
-            dense = [v if isinstance(v, Scalar) else Scalar.make(to_poly(reg, v)) for v in row]
-            dense += [zero] * (ncols - len(dense))
+        dense = [zero] * ncols
+        for j, p in row.items():
+            dense[j] = Scalar.make(p)
         out.append(dense)
     return out
 
@@ -64,8 +61,6 @@ def field_rank(reg, rows, ncols):
 def minor_gcd_by_enumeration(reg, rows, ncols):
     """gcd of every maximal minor of sparse rows, made `primitive_int`;
     zero when all vanish."""
-    zero = Poly.zero(reg)
-    dense = [[row.get(j, zero) for j in range(ncols)] for row in rows]
-    minors = [det(reg, list(sub)) for sub in itertools.combinations(dense, ncols)]
+    minors = [det(reg, list(sub)) for sub in itertools.combinations(rows, ncols)]
     nonzero = [d for d in minors if not d.is_zero()]
-    return reduce(_gcd_prs, nonzero).primitive_int()[1] if nonzero else zero
+    return reduce(_gcd_prs, nonzero).primitive_int()[1] if nonzero else Poly.zero(reg)

@@ -179,8 +179,8 @@ def test_5_singular_vector_conditions():
         h = Poly.symbol(reg, "h")
         c = Poly.symbol(reg, "c")
         rows = [
-            [Poly.const(reg, -3), Poly.const(reg, -4) * h + Poly.const(reg, 2)],
-            [Poly.const(reg, -4) * h + c.scale(Fraction(1, 2)), Poly.const(reg, 6) * h],
+            {0: Poly.const(reg, -3), 1: Poly.const(reg, -4) * h + Poly.const(reg, 2)},
+            {0: Poly.const(reg, -4) * h + c.scale(Fraction(1, 2)), 1: Poly.const(reg, 6) * h},
         ]
         oracle = det(reg, rows)
         _, prim = oracle.primitive_int()

@@ -25,7 +25,7 @@ from gvir.classical import (
     partitions,
     verma_dims,
 )
-from gvir.linalg import kernel_basis, minor_gcd, to_poly
+from gvir.linalg import kernel_basis, minor_gcd
 from gvir.scalars import Context, Poly, Scalar
 from oracles import field_rank, minor_gcd_by_enumeration
 
@@ -130,8 +130,8 @@ def test_level2_condition_matches_hand_oracle():
     assert rep.conditions == [prim]
     # the same matrix, rebuilt from the docstring oracle entries
     rows = [
-        [Poly.const(ctx.reg, -3), Poly.const(ctx.reg, -4) * h + 2 * one],
-        [Poly.const(ctx.reg, -4) * h + c.scale(Fraction(1, 2)), Poly.const(ctx.reg, 6) * h],
+        {0: Poly.const(ctx.reg, -3), 1: Poly.const(ctx.reg, -4) * h + 2 * one},
+        {0: Poly.const(ctx.reg, -4) * h + c.scale(Fraction(1, 2)), 1: Poly.const(ctx.reg, 6) * h},
     ]
     from gvir.linalg import det
 
@@ -278,7 +278,9 @@ def _full_stack_rows(M, n):
         targets = {w: {} for w in M.basis(n - k)}
         for w, i in cols.items():
             for w2, c2 in M.act(k, {w: M.ctx.one()}).items():
-                targets[w2][i] = to_poly(reg, c2)
+                # raising maps have polynomial entries
+                assert c2.den == Poly.const(reg, 1)
+                targets[w2][i] = c2.num
         rows.extend(targets[w] for w in M.basis(n - k))
     return rows
 

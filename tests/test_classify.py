@@ -347,6 +347,22 @@ def test_classify_inconclusive_cases():
         classify(external({}))
 
 
+def test_classify_unimodularity_check_can_fail():
+    # dim 1 on the half-plane x + 2y >= 0: the bounded directions +-(2, -1)
+    # span the complement, and the truncated-above direction (-1, -1)
+    # reduces to b = (1, -2), which spans a sublattice of index 3 with it
+    rows = {(x, y): int(x + 2 * y >= 0) for x in range(-3, 4) for y in range(-3, 4)}
+    report = classify(external(rows))
+    assert report.case == "inconclusive"
+    assert report.detected_b is None and report.detected_G0_basis is None
+    assert report.certificates[-1] == "unimodularity of (complement basis, b): det = -3"
+    # the half-plane y <= 0 splits: the same check passes with det = 1
+    rows = {(x, y): int(y <= 0) for x in range(-3, 4) for y in range(-3, 4)}
+    report = classify(external(rows))
+    assert report.case == "induced_type" and report.detected_b == (0, 1)
+    assert report.certificates[-1] == "unimodularity of (complement basis, b): det = 1"
+
+
 def test_classify_never_emits_unverified_induced_type():
     # every induced_type report carries a determinant certificate and a
     # basis of the right corank

@@ -393,6 +393,8 @@ def _exit_and_stderr(tmp_path, capsys, command, config):
         ({"b": [0, 1], "bindings": {"alpha": [1.5, 0]}}, "bad binding for alpha"),
         ({"b": [0, 1], "bindings": {"alpha": True}}, "bad binding for alpha"),
         ({"b": [0, 1], "bindings": {"beta": False}}, "bad binding for beta"),
+        ([{"b": [0, 1]}], "config must be a JSON object"),
+        ({"group": {"rank": 1}, "b": [1]}, "induce needs a group of rank >= 2"),
     ],
 )
 def test_malformed_induce_configs_exit_2_with_diagnostic(tmp_path, capsys, config, needle):
@@ -418,10 +420,16 @@ def test_stray_positional_inputs_exit_2(tmp_path, capsys, argv, got):
 
 
 def test_bracket_non_integer_coordinates_exit_2(tmp_path, capsys):
-    for x in (["a", 1], [True, 0], [0.5, 1]):
+    for x, needle in (
+        (["a", 1], "integer coordinates"),
+        ([True, 0], "integer coordinates"),
+        ([0.5, 1], "integer coordinates"),
+        ("d[1,x]", "cannot parse element 'd[1,x]'"),
+        ("d[]", "cannot parse element 'd[]'"),
+    ):
         rc, err = _exit_and_stderr(tmp_path, capsys, "bracket", {"x": x, "y": [0, 1]})
         assert rc == EXIT_VALIDATION
-        assert "integer coordinates" in err and "Traceback" not in err
+        assert needle in err and "Traceback" not in err
 
 
 _CLASSIFY_DESCRIPTOR = {

@@ -28,6 +28,14 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 REPORTS = os.path.join(GOLDEN, "cli_reports.json")
 WORDS = os.path.join(GOLDEN, "pbw_words.json")
 
+
+def _halfplane(inside):
+    """External rank-2 descriptor over the box of radius 3: dim 1 where
+    inside(x, y) holds, else 0."""
+    rows = [["alpha", [x, y], int(inside(x, y))] for x in range(-3, 4) for y in range(-3, 4)]
+    return {"group": {"rank": 2}, "provenance": "external", "rows": rows}
+
+
 # name -> (command, config); b = [1, 2] for the alpha = [1, 0], beta = 1/2
 # top because b = [0, 1] hits the known ExactDivisionError already at L = 1
 CASES = {
@@ -61,6 +69,18 @@ CASES = {
         },
     ),
     "bracket": ("bracket", {"group": {"rank": 2}, "x": [2, -1], "y": [-2, 1]}),
+    # three unstable entries at the top radius, so the stability hint is pinned
+    "induce_unstable_top_radius_1": (
+        "induce",
+        {
+            "b": [0, 1],
+            "bindings": {"alpha": [0, 0], "beta": 1},
+            "window": {"L": 2, "N": 1, "top_radius": 1},
+        },
+    ),
+    # the unimodularity certificate fails (det = -3) and passes (det = 1)
+    "classify_det_minus_3": ("classify", {"descriptor": _halfplane(lambda x, y: x + 2 * y >= 0)}),
+    "classify_det_1": ("classify", {"descriptor": _halfplane(lambda x, y: y <= 0)}),
 }
 
 

@@ -8,21 +8,23 @@ from fractions import Fraction
 import pytest
 
 from gvir import linalg
-from gvir.linalg import (
-    Echelon,
-    det,
-    kernel_basis,
-    row_from_list,
-    strip_row,
-    symbolic_rank,
-    to_poly,
-)
+from gvir.linalg import Echelon, _prepare_row, det, kernel_basis, symbolic_rank
 from gvir.scalars import Context, ExactDivisionError, Poly, Scalar, ScalarDivisionError, _gcd_many
 from oracles import field_rank, field_rref, minor_gcd_by_enumeration
 
 
 def _ctx():
     return Context.of_rank(2)
+
+
+def _sparse(reg, dense):
+    """Sparse rows {column: Poly} of a dense matrix of ints, Fractions or
+    Polys, zero entries dropped: the one input format of `linalg`."""
+    rows = []
+    for entries in dense:
+        polys = (v if isinstance(v, Poly) else Poly.const(reg, v) for v in entries)
+        rows.append({j: p for j, p in enumerate(polys) if not p.is_zero()})
+    return rows
 
 
 def _rand_poly(ctx, rng, maxdeg=1, maxc=4):
@@ -67,7 +69,7 @@ def test_rank_matches_field_oracle_int():
     for _ in range(200):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         dense = [[rng.choice([0, 0, 1, -1, rng.randint(-5, 5)]) for _ in range(n)] for _ in range(m)]
-        rows = [row_from_list(ctx.reg, r) for r in dense]
+        rows = _sparse(ctx.reg, dense)
         r = field_rank(ctx.reg, rows, n)
         assert _engine_ranks(ctx.reg, rows, n) == (r, r)
 
@@ -105,7 +107,7 @@ def test_rank_with_forced_dependencies():
             [a * base[0][j] + b * base[1][j] for j in range(n)]
             for a, b in [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
         ]
-        rows = [row_from_list(ctx.reg, r) for r in base + combos]
+        rows = _sparse(ctx.reg, base + combos)
         rng.shuffle(rows)
         r = field_rank(ctx.reg, rows, n)
         assert r <= 2
@@ -120,7 +122,7 @@ def test_echelon_rows_stay_semi_echelon():
     rng = random.Random(404)
     for _ in range(40):
         m, n = rng.randint(2, 6), rng.randint(2, 6)
-        rows = [row_from_list(ctx.reg, [rng.randint(-3, 3) for _ in range(n)]) for _ in range(m)]
+        rows = _sparse(ctx.reg, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
         ech = Echelon(n)
         for row in rows:
             ech.add_row(row)
@@ -204,7 +206,7 @@ def test_det_matches_permutation_oracle():
     for _ in range(120):
         n = rng.randint(1, 4)
         dense = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        d = det(ctx.reg, dense)
+        d = det(ctx.reg, _sparse(ctx.reg, dense))
         assert d.is_const() or d.is_zero()
         got = Fraction(d.const_value()) if not d.is_zero() else Fraction(0)
         assert got == _perm_det(dense)
@@ -214,7 +216,7 @@ def test_det_symbolic_vandermonde():
     ctx = Context.of_rank(3)
     g = [Poly.symbol(ctx.reg, n) for n in ctx.gen_names]
     one = Poly.const(ctx.reg, 1)
-    rows = [[one, gi, gi * gi] for gi in g]
+    rows = _sparse(ctx.reg, [[one, gi, gi * gi] for gi in g])
     d = det(ctx.reg, rows)
     expect = (g[1] - g[0]) * (g[2] - g[0]) * (g[2] - g[1])
     assert d == expect
@@ -222,32 +224,49 @@ def test_det_symbolic_vandermonde():
 
 def test_det_singular_and_empty():
     ctx = _ctx()
-    g1 = Poly.symbol(ctx.reg, "g1")
-    rows = [[g1, g1], [g1, g1]]
-    assert det(ctx.reg, rows).is_zero()
-    assert det(ctx.reg, []).is_const()
+    reg = ctx.reg
+    g1 = Poly.symbol(reg, "g1")
+    rows = [{0: g1, 1: g1}, {0: g1, 1: g1}]
+    assert det(reg, rows).is_zero()
+    assert det(reg, []) == Poly.const(reg, 1)
+    # one row: its entry, or zero for an empty row
+    assert det(reg, [{0: g1}]) == g1
+    assert det(reg, [{}]).is_zero()
+    assert det(reg, [{}, {0: g1, 1: g1}]).is_zero()
+    # the size is len(rows): a column index outside range(len(rows)) is not
+    # a square matrix
+    for bad in (
+        [{0: g1, 2: g1}, {1: g1}],
+        [{1: g1}],
+        [{0: g1}, {0: g1, 1: g1}, {3: g1}],
+        [{-1: g1}, {0: g1}],
+    ):
+        with pytest.raises(ValueError, match="must be square"):
+            det(reg, bad)
 
 
-def test_strip_row_removes_common_factor():
+def test_prepare_row_removes_common_factor():
     ctx = _ctx()
     g1 = Poly.symbol(ctx.reg, "g1")
     g2 = Poly.symbol(ctx.reg, "g2")
     two = Poly.const(ctx.reg, 2)
     row = {0: two * g1 * g2, 2: two * g1 * (g1 + g2)}
-    out = strip_row(row)
+    out, top = _prepare_row(row)
     assert out[0] == g2 and out[2] == g1 + g2
+    assert top[:2] == [1, 1]
     # a lone entry is its own gcd, so it normalizes to 1
     row = {1: -(two * g1)}
-    out = strip_row(row)
+    out, _ = _prepare_row(row)
     assert out[1].is_const() and out[1].const_value() == 1
     # sign normalization: leading entry ends up with a positive lead
     row = {0: -(two * g1), 1: two * g2}
-    out = strip_row(row)
+    out, _ = _prepare_row(row)
     assert out[0] == g1 and out[1] == -g2
-    assert strip_row({}) == {}
+    assert _prepare_row({}) == ({}, None)
+    assert _prepare_row({0: Poly.zero(ctx.reg)}) == ({}, None)
 
 
-def test_strip_row_keeps_non_monomial_common_factor():
+def test_prepare_row_keeps_non_monomial_common_factor():
     # only the monomial gcd and the rational content go: a common factor
     # that is not a monomial cannot change a rank over the fraction field
     ctx = _ctx()
@@ -256,19 +275,19 @@ def test_strip_row_keeps_non_monomial_common_factor():
     one = Poly.const(ctx.reg, 1)
     f = g1 + one
     row = {0: f.scale(-2), 3: (f * g2).scale(4), 5: (f * g1 * g2).scale(6)}
-    out = strip_row(row)
+    out, _ = _prepare_row(row)
     assert out == {0: f, 3: (f * g2).scale(-2), 5: (f * g1 * g2).scale(-3)}
     # a monomial and a non-monomial factor together: the monomial goes
     row = {1: f * g1 * g2, 2: (f * g1 * g1).scale(Fraction(1, 2))}
-    out = strip_row(row)
+    out, _ = _prepare_row(row)
     assert out == {1: (f * g2).scale(2), 2: f * g1}
     for r in (row, out):
-        assert _reference_strip_row(dict(r)) == strip_row(dict(r))
+        assert _reference_strip_row(dict(r)) == _prepare_row(dict(r))[0]
 
 
 def test_field_rref_shape():
     ctx = _ctx()
-    rows = [row_from_list(ctx.reg, r) for r in [[1, 2, 3], [2, 4, 6], [0, 1, 1]]]
+    rows = _sparse(ctx.reg, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     rank, pivots, rref = field_rref(ctx.reg, rows, 3)
     assert rank == 2 and pivots == [0, 1]
     # pivot columns are unit columns
@@ -279,22 +298,13 @@ def test_field_rref_shape():
                 assert rref[k][pc].is_zero()
 
 
-def test_to_poly_rejects_denominator():
-    import pytest
-
-    ctx = _ctx()
-    s = ctx.symbol("g1") / ctx.symbol("g2")
-    with pytest.raises(ValueError):
-        to_poly(ctx.reg, s)
-    assert to_poly(ctx.reg, ctx.symbol("g1")) == Poly.symbol(ctx.reg, "g1")
-
-
 # -- symbolic_rank and det on the packed-term kernel --------------------------
 
 
 def _reference_strip_row(row):
     """Monomial-gcd and rational-content strip with a positive leading
-    coefficient in the first column; a frozen copy of strip_row's contract."""
+    coefficient in the first column; a frozen copy of the strip that
+    `_prepare_row` applies."""
     if not row:
         return row
     m = None
@@ -366,7 +376,7 @@ def test_prepare_row_matches_strip_of_substituted_row():
         else:
             sub = {j: p.substitute({unit_var: 1}) for j, p in row.items()}
         sub = {j: p for j, p in sub.items() if not p.is_zero()}
-        got, top = linalg._prepare_row(row, unit_var)
+        got, top = _prepare_row(row, unit_var)
         expect = _reference_strip_row(dict(sub))
         assert got == expect
         assert list(got) == list(expect)
@@ -374,7 +384,7 @@ def test_prepare_row_matches_strip_of_substituted_row():
             assert {e: type(c) for e, c in p.terms.items()} == {
                 e: type(c) for e, c in expect[j].terms.items()
             }
-        assert strip_row(dict(sub)) == expect
+        assert _prepare_row(dict(sub))[0] == expect
         if not expect:
             assert top is None
             seen.add("empty")
@@ -563,7 +573,7 @@ def test_field_overflow_retries_with_wider_fields(monkeypatch):
     # det: the same retry, the same determinant
     g = [Poly.symbol(reg, n) for n in ("g1", "g2", "g3")]
     one = Poly.const(reg, 1)
-    rows = [[one, gi, gi * gi * gi] for gi in g]
+    rows = _sparse(reg, [[one, gi, gi * gi * gi] for gi in g])
     del attempts[:]
     d = det(reg, rows)
     assert len(attempts) > 1
@@ -599,7 +609,7 @@ def test_det_matches_permutation_oracle_multivariate():
         ]
         if case % 7 == 0:
             rows[-1] = list(rows[0])  # singular
-        d = det(reg, rows)
+        d = det(reg, _sparse(reg, rows))
         assert d == _perm_det_poly(reg, rows)
         assert str(d) == str(_perm_det_poly(reg, rows))
 
@@ -746,18 +756,19 @@ def _exact_terms(vectors):
 
 
 def _kernel_corpus():
-    """Seeded matrices in 1-4 variables with int, Fraction and Poly entries,
-    as dense lists or sparse dicts, and the shapes an elimination can trip
-    on: no rows, zero rows, a zero matrix, zero columns, no columns, full
+    """Seeded sparse matrices in 1-4 variables with integer, rational and
+    polynomial entries, and the shapes an elimination can trip on: no rows,
+    zero rows, zero entries, a zero matrix, zero columns, no columns, full
     column rank and rank deficiency."""
     reg = Context.of_rank(4).reg
     rng = random.Random(11235)
+    zero = Poly.zero(reg)
     cases = [
         ([], 3),
         ([{}, {}], 2),
-        ([[0, 0, 0], [0, 0, 0]], 3),
+        ([{0: zero, 2: zero}, {1: zero}], 3),
         ([{}, {}], 0),
-        ([[1, 2], [2, 4]], 2),
+        (_sparse(reg, [[1, 2], [2, 4]]), 2),
         ([{1: Poly.symbol(reg, "g1")}], 3),
     ]
     for case in range(150):
@@ -768,17 +779,15 @@ def _kernel_corpus():
             dense = [[rng.choice([0, 0, 1, -1, rng.randint(-5, 5)]) for _ in range(n)] for _ in range(m)]
             if case % 4 == 0 and m >= 2:
                 dense[-1] = [2 * a - b for a, b in zip(dense[0], dense[1])]
-            cases.append((dense, n))
+            cases.append((_sparse(reg, dense), n))
         elif kind == 1:
             m, n = rng.randint(1, 5), rng.randint(1, 5)
-            rows = []
-            for _ in range(m):
-                rows.append({
-                    j: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                    for j in range(n)
-                    if rng.random() < 0.6
-                })
-            cases.append((rows, n))
+            dense = [
+                [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.6 else 0
+                 for _ in range(n)]
+                for _ in range(m)
+            ]
+            cases.append((_sparse(reg, dense), n))
         else:
             # fewer terms per entry the more variables: the frozen field
             # engine's multivariate gcds blow up quickly
@@ -798,7 +807,7 @@ def test_kernel_basis_matches_frozen_reference():
         expect = _reference_kernel_basis(reg, rows, ncols)
         assert _exact_terms(got) == _exact_terms(expect)
         rank = ncols - len(got)
-        nonzero = sum(1 for r in rows if any((r.values() if isinstance(r, dict) else r)))
+        nonzero = sum(1 for r in rows if any(not p.is_zero() for p in r.values()))
         if not rows:
             seen.add("no rows")
         if ncols and rank == 0:
@@ -811,9 +820,9 @@ def test_kernel_basis_matches_frozen_reference():
             seen.add("full column rank")
         elif rank < min(nonzero, ncols):
             seen.add("deficient")
-        for r in rows:
-            entries = r.values() if isinstance(r, dict) else r
-            seen.add(type(next((v for v in entries if v), 0)).__name__)
+        for p in (p for r in rows for p in r.values() if not p.is_zero()):
+            # a constant entry's one coefficient is an int or a Fraction
+            seen.add(type(next(iter(p.terms.values()))).__name__ if p.is_const() else "Poly")
     assert seen >= {
         "no rows", "no pivot", "no columns", "full row rank", "full column rank",
         "deficient", "int", "Fraction", "Poly",
@@ -823,7 +832,7 @@ def test_kernel_basis_matches_frozen_reference():
 def test_kernel_basis_with_no_pivot_returns_unit_vectors():
     reg = _ctx().reg
     one, zero = Poly.const(reg, 1), Poly.zero(reg)
-    for rows in ([], [{}], [{}, {1: zero}], [[0, 0, 0]]):
+    for rows in ([], [{}], [{}, {1: zero}], [{0: zero, 1: zero, 2: zero}]):
         assert kernel_basis(reg, rows, 3) == [
             (one, zero, zero), (zero, one, zero), (zero, zero, one)
         ]
@@ -858,7 +867,7 @@ def test_kernel_basis_degree_one_in_four_variables():
             v = [[linear() for _ in range(4)] for _ in range(2)]
             dense = [[v[0][j].scale(a) + v[1][j].scale(b) for j in range(4)] for a, b in u]
             minors = (
-                det(reg, [[dense[i][j] for j in cols] for i in rows_])
+                det(reg, _sparse(reg, [[dense[i][j] for j in cols] for i in rows_]))
                 for rows_ in itertools.combinations(range(4), 2)
                 for cols in itertools.combinations(range(4), 2)
             )
@@ -866,7 +875,7 @@ def test_kernel_basis_degree_one_in_four_variables():
             rank = 2
         else:
             dense = [[linear() for _ in range(4)] for _ in range(4)]
-            assert not det(reg, dense).is_zero()
+            assert not det(reg, _sparse(reg, dense)).is_zero()
             rank = 4
         rows = [{j: p for j, p in enumerate(r) if not p.is_zero()} for r in dense]
         kern = kernel_basis(reg, rows, 4)

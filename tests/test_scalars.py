@@ -1,5 +1,7 @@
 """Exact field arithmetic: canonical forms, gcd reduction, parsing."""
 
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -133,6 +135,35 @@ def test_specialize_denominator_vanishes(ctx):
         s.specialize({"alpha": 0})
     ok = s.specialize({"alpha": 1, "g2": 3})
     assert ok == 4
+
+
+def test_rational_function_arithmetic_matches_specialization(ctx):
+    # operands with nontrivial denominators take the general branch of each
+    # field operation; at seeded rational points every result specializes
+    # to the same operation on the specialized operands
+    g1, g2 = ctx.gen(0), ctx.gen(1)
+    one = ctx.one()
+    quotients = [one / g1, (g1 - g2) / (g1 * g2), (g1 + one) / (g2 - 2), g1 * g1 / (g1 + g2), g2]
+    assert one / g1 + one / g2 == (g1 + g2) / (g1 * g2)
+    assert one / g2 - one / g1 == quotients[1]
+    assert quotients[1] * (g1 * g2) == g1 - g2
+    assert (one / g1) / (one / g2) == g2 / g1
+    rng = random.Random(1729)
+    checked = 0
+    for _ in range(12):
+        point = {name: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for name in ("g1", "g2")}
+        try:
+            values = [q.specialize(point) for q in quotients]
+        except SpecializationError:
+            continue
+        for (a, va), (b, vb) in itertools.product(zip(quotients, values), repeat=2):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                if op is operator.truediv and vb.is_zero():
+                    continue
+                assert op(a, b).specialize(point) == op(va, vb), (a, b, op, point)
+                checked += 1
+    # most points avoid every denominator
+    assert checked > 900
 
 
 def test_binding_fixed_at_construction():
