@@ -35,7 +35,7 @@ V = IntermediateSeriesModule(Context.of_rank(2, alpha=[1, 0], beta=1), G)
 desc = V.subquotient()
 print(f"V' is the {desc.kind} piece; the weight space at y = {desc.excluded} is gone:")
 for y in [(-2, 0), (-1, 0), (0, 0)]:
-    print(f"  dim V'_(alpha + {y}) = {V.weight_dim(y, desc)}")
-coeff, target = V.act_reduced((-1, 0), (0, 0), desc)
+    print(f"  dim V'_(alpha + {y}) = {V.weight_dim(y)}")
+coeff, target = V.act_reduced((-1, 0), (0, 0))
 print(f"acting toward the hole: d[-1,0] v[0,0] = ({coeff}) v[{target[0]},{target[1]}]")
 print("  -> the coefficient vanishes exactly on the dropped line")

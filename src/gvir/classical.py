@@ -193,13 +193,15 @@ class TruncatedVermaModule:
 
         The kernel is computed under the current bindings; the condition is
         the normalized gcd of all maximal minors of the stacked d_1, d_2
-        matrix, which equals that of the full stack d_1..d_n (a nonzero
-        constant means no kernel for any nearby values).
+        matrix, which equals that of the full stack d_1..d_n.  A nonzero
+        condition means a nonzero maximal minor and so an empty kernel, which
+        is then not computed (a nonzero constant: none for nearby values).
         """
         self._check_level(n)
         rows = self.raising_rows(n)
         condition = minor_gcd(self.ctx.reg, rows, partition_count(n))
-        vectors = [_as_scalars(vec) for vec in self._kernel(n, rows)]
+        kernel = self._kernel(n, rows) if condition.is_zero() else []
+        vectors = [_as_scalars(vec) for vec in kernel]
         return SingularVectorReport(n, self.basis(n), vectors, [condition])
 
     def _check_level(self, n):

@@ -36,6 +36,7 @@ from .groups import (
     int_det,
     is_primitive,
     is_zero,
+    reduce_modulo,
 )
 from .scalars import is_int, is_list_of
 
@@ -396,17 +397,6 @@ def _candidate_directions(rank, bound):
     return sorted(vs, key=lambda v: (max(abs(a) for a in v), v))
 
 
-def _hermite_reduce(b, basis):
-    """Canonical representative of b modulo the lattice rows in basis."""
-    b = list(b)
-    for h in basis:
-        c = next(i for i, a in enumerate(h) if a)
-        q = b[c] // h[c]
-        if q:
-            b = [x - q * y for x, y in zip(b, h)]
-    return tuple(b)
-
-
 # -- the decision procedure ------------------------------------------------------
 
 
@@ -517,7 +507,7 @@ def _classify_higher_rank(d, certs, direction_bound):
         )
         return ClassificationReport("inconclusive", None, None, tuple(certs))
 
-    b = _hermite_reduce(first_up, g0)
+    b = reduce_modulo(first_up, g0)
     if b != first_up:
         certs.append(f"b canonicalized modulo the complement: {first_up} -> {b}")
     if _direction_verdict(d, b) != "truncated_above":
@@ -537,7 +527,7 @@ def _classify_higher_rank(d, certs, direction_bound):
 def descriptor_from_interseries(module, radius=3):
     """Dimension table of the irreducible sub-quotient V' over a box window."""
     desc = module.subquotient()
-    rows = {y: dim for y, dim in module.dims_row(box(radius, module.group.rank), desc)}
+    rows = {y: dim for y, dim in module.dims_row(box(radius, module.group.rank))}
     return ModuleDescriptor(
         group=module.group,
         rows=rows,

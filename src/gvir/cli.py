@@ -85,7 +85,7 @@ def load_config(path):
             payload = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, > 4300 digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"config {path} nests too deeply to read") from exc
@@ -361,7 +361,7 @@ def run_bracket(ctx, group, x, y):
 def run_interseries(ctx, group, radius, trials, seed):
     module = IntermediateSeriesModule(ctx, group)
     desc = module.subquotient()
-    dims = module.dims_row(box(radius, ctx.rank), desc)
+    dims = module.dims_row(box(radius, ctx.rank))
 
     rng = random.Random(seed)
     closed = 0
@@ -370,7 +370,7 @@ def run_interseries(ctx, group, radius, trials, seed):
         y = tuple(rng.randint(-2, 2) for _ in range(ctx.rank))
         if desc.excluded is not None and y == desc.excluded:
             continue
-        module.act_reduced(x, y, desc)
+        module.act_reduced(x, y)
         closed += 1
     payload = {
         "bindings": _binding_echo(ctx),

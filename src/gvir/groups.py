@@ -6,7 +6,9 @@ x -> sum x_i * g_i is injective by construction and rank questions reduce to
 integer linear algebra.  This module is integer arithmetic; its one
 determinant, `int_det`, runs `linalg.det` on constant rows, so the
 unimodularity checks of `split` and `classify` take the same Bareiss
-elimination as every other determinant.  Embedded values are produced
+elimination as every other determinant.  Its one Hermite reduction step,
+`reduce_modulo`, gives the canonical pass of `hermite_basis` and the
+canonical splitting direction b of `classify`.  Embedded values are produced
 through a Context (see scalars).
 
 G carries one total order compatible with addition, the colex order of
@@ -56,10 +58,7 @@ def is_zero(x):
 
 
 def element_gcd(x):
-    g = 0
-    for a in x:
-        g = math.gcd(g, a)
-    return g
+    return math.gcd(*x)
 
 
 def is_primitive(x):
@@ -210,16 +209,22 @@ def hermite_basis(vectors, n):
                 for i in range(n):
                     r[i] -= q * piv[i]
         rows = [r for r in rows if not is_zero(r)]
-    # canonical form: reduce entries above each pivot into [0, pivot)
-    for j in range(1, len(basis)):
-        piv = basis[j]
-        col = next(i for i in range(n) if piv[i])
-        for r in basis[:j]:
-            q = r[col] // piv[col]
-            if q:
-                for i in range(n):
-                    r[i] -= q * piv[i]
+    # canonical form: each row reduced modulo the (already reduced) rows below it
+    for j in range(len(basis) - 2, -1, -1):
+        basis[j] = reduce_modulo(basis[j], basis[j + 1:])
     return tuple(tuple(r) for r in basis)
+
+
+def reduce_modulo(v, basis):
+    """Canonical representative of v modulo the echelon rows in basis: v's
+    entry at each row's pivot column (its first, positive entry) in [0, pivot)."""
+    v = list(v)
+    for h in basis:
+        c = next(i for i, a in enumerate(h) if a)
+        q = v[c] // h[c]
+        if q:
+            v = [x - q * y for x, y in zip(v, h)]
+    return tuple(v)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,7 @@ entry are those of applying each sequence separately.
 from __future__ import annotations
 
 import marshal
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -95,10 +96,7 @@ def _signal():
 
 def double_factorial_odd(i):
     """(2i+1)!! = 1*3*5*...*(2i+1)."""
-    out = 1
-    for j in range(i + 1):
-        out *= 2 * j + 1
-    return out
+    return math.prod(range(1, 2 * i + 2, 2))
 
 
 @dataclass(frozen=True)

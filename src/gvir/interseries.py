@@ -11,6 +11,8 @@ y = -a (alpha = iota(a)): for beta = 0 that line spans a trivial submodule
 and V' is the quotient, for beta = 1 the complement is itself a submodule.
 
 Membership alpha in G is structural and read from `Context.alpha_element`.
+The bindings of a module are fixed when it is built, so V' is decided once,
+in `IntermediateSeriesModule.__init__`, and every method on V' reads it.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ class IntermediateSeriesModule:
         self.group = group
         self.alpha = ctx.alpha
         self.beta = ctx.beta
+        self._subquotient = subquotient_of(ctx.alpha_element(), ctx.binding("beta"))
 
     # -- action on the full module ------------------------------------------
 
@@ -83,22 +86,20 @@ class IntermediateSeriesModule:
     # -- reducibility ----------------------------------------------------------
 
     def is_reducible(self):
-        return self.subquotient().excluded is not None
+        return self._subquotient.excluded is not None
 
     def subquotient(self):
         """Descriptor of the unique nontrivial irreducible sub-quotient V'."""
-        return subquotient_of(self.ctx.alpha_element(), self.ctx.binding("beta"))
+        return self._subquotient
 
     # -- action on V' ------------------------------------------------------------
 
-    def act_reduced(self, x, y, desc=None):
+    def act_reduced(self, x, y):
         """Action on the sub-quotient basis; components on the dropped line
         vanish (identically for the submodule case, by passing to the
         quotient otherwise).  Returns (coeff, target)."""
-        desc = desc or self.subquotient()
+        desc = self._subquotient
         coeff, target = self.act(x, y)
-        if desc.excluded is None:
-            return coeff, target
         if y == desc.excluded:
             raise ValueError(f"basis index {y} is not part of the sub-quotient")
         if target == desc.excluded:
@@ -107,13 +108,10 @@ class IntermediateSeriesModule:
             return self.ctx.zero(), target
         return coeff, target
 
-    def weight_dim(self, y, desc=None):
+    def weight_dim(self, y):
         """Dimension (0 or 1) of the V' weight space indexed by y."""
-        desc = desc or self.subquotient()
-        y = self.group.validate(y)
-        return 0 if y == desc.excluded else 1
+        return 0 if self.group.validate(y) == self._subquotient.excluded else 1
 
-    def dims_row(self, window, desc=None):
+    def dims_row(self, window):
         """(y, dim) pairs over an iterable coordinate window."""
-        desc = desc or self.subquotient()
-        return [(self.group.validate(y), self.weight_dim(y, desc)) for y in window]
+        return [(self.group.validate(y), self.weight_dim(y)) for y in window]

@@ -116,6 +116,12 @@ def _prepare_row(row, unit_var=None):
     return stripped, top
 
 
+def _prepare_rows(rows, unit_var=None):
+    """The nonzero rows after `_prepare_row`, and their degree tops."""
+    pairs = [rt for rt in (_prepare_row(row, unit_var) for row in rows) if rt[0]]
+    return [r for r, _ in pairs], [top for _, top in pairs]
+
+
 class Echelon:
     """Incremental semi-echelon basis of a row space; the module docstring
     says why one pass in insertion order decides span membership.
@@ -184,13 +190,7 @@ def symbolic_rank(reg, rows, unit_var=None):
     before it passes unit_var.  Each row goes through `_prepare_row` once,
     which also gives the degree tops that size the packed fields.
     """
-    work = []
-    tops = []
-    for row in rows:
-        r, top = _prepare_row(row, unit_var)
-        if r:
-            work.append(r)
-            tops.append(top)
+    work, tops = _prepare_rows(rows, unit_var)
 
     def run(pk):
         return _rank_kernel([{j: pk.pack(p) for j, p in r.items()} for r in work], pk.guard)
@@ -232,13 +232,7 @@ def kernel_basis(reg, rows, ncols):
     row i (D the last pivot, 1 without one), so the vector of free column f
     is D at f and -row_i[f] at row i's pivot column, made `_primitive`.
     """
-    work = []
-    tops = []
-    for row in rows:
-        r, top = _prepare_row(row)
-        if r:
-            work.append(r)
-            tops.append(top)
+    work, tops = _prepare_rows(rows)
 
     def run(pk):
         packed = [{j: pk.pack(p) for j, p in r.items()} for r in work]

@@ -9,8 +9,9 @@ Context is created.
 
 A Scalar is always stored in canonical form -- num/den with gcd(num, den) = 1
 and den monic under the graded-lex term order -- so structural equality
-decides mathematical equality and is_zero is exact.  No floating point
-anywhere.
+decides mathematical equality and is_zero is exact.  Arithmetic reads that
+form: a difference is a sum with the negation, and s**n (n >= 0) is
+num**n / den**n, canonical with no gcd.  No floating point anywhere.
 
 Polynomials have one exact division, `_divide`, heap-ordered on packed
 monomials: `Poly.exact_div`, the gcd certificate and every fraction-free
@@ -20,6 +21,8 @@ step of `linalg` run it.
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
@@ -194,15 +197,7 @@ class Poly:
         return Poly(self.reg, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = _norm_coeff(s)
-            else:
-                out.pop(e, None)
-        return Poly(self.reg, out)
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -728,16 +723,11 @@ class Scalar:
     @staticmethod
     def make(num, den=None):
         reg = num.reg
-        if den is None:
+        if den is not None and den.is_zero():
+            raise ScalarDivisionError("zero denominator")
+        if den is None or num.is_zero():
             # a polynomial is already canonical over the denominator 1
             return Scalar(num, Poly.const(reg, 1))
-        if den.is_zero():
-            raise ScalarDivisionError("zero denominator")
-        if num.is_zero():
-            return Scalar(num, Poly.const(reg, 1))
-        if den.is_const():
-            q = Fraction(den.const_value())
-            return Scalar(num.scale(Fraction(1) / q), Poly.const(reg, 1))
         g = _gcd_prim(num, den)
         if not g.is_const():
             num = num.exact_div(g)
@@ -792,12 +782,7 @@ class Scalar:
         return Scalar(-self.num, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.make(Poly.const(self.reg, other))
-        if self._den_is_one() and other._den_is_one():
-            return Scalar(self.num - other.num, self.den)
-        num = self.num * other.den - other.num * self.den
-        return Scalar.make(num, self.den * other.den)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -832,15 +817,8 @@ class Scalar:
     def __pow__(self, n):
         if n < 0:
             return self.inv() ** (-n)
-        out = Scalar.make(Poly.const(self.reg, 1))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return out
+        # powers of coprime parts stay coprime, of a monic den stay monic
+        return Scalar(self.num**n, self.den**n)
 
     # -- equality / display -----------------------------------------------
 
@@ -900,9 +878,9 @@ def _tokenize(text):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # not isdigit, which also takes "²" and "١"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(("num", int(text[i:j])))
             i = j
@@ -1015,22 +993,16 @@ class _Parser:
 SYMBOLS = ("alpha", "beta", "c", "h")  # bindable parameters; no generator takes these names
 
 
+@dataclass(frozen=True)
 class Binding:
     """How one of alpha/beta/c/h is fixed for a session."""
 
-    __slots__ = ("kind", "value")
+    kind: str
+    value: object = None
 
-    def __init__(self, kind, value=None):
-        if kind not in ("free", "rational", "element"):
-            raise ValueError(f"unknown binding kind {kind!r}")
-        self.kind = kind
-        self.value = value
-
-    def __repr__(self):
-        return f"Binding({self.kind}, {self.value!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, Binding) and (self.kind, self.value) == (other.kind, other.value)
+    def __post_init__(self):
+        if self.kind not in ("free", "rational", "element"):
+            raise ValueError(f"unknown binding kind {self.kind!r}")
 
 
 def is_int(v):
@@ -1056,7 +1028,9 @@ def _parse_binding(name, spec, rank):
     if is_int(spec) or isinstance(spec, Fraction):
         return Binding("rational", Fraction(spec))
     if isinstance(spec, str):
-        try:
+        try:  # the README grammar, not Fraction's, which takes "1e99999999"
+            if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", spec):
+                raise ValueError(spec)
             return Binding("rational", Fraction(spec))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad binding for {name}: {spec!r}") from exc
@@ -1171,7 +1145,10 @@ class Context:
         return self.bound_value("h")
 
     def parse(self, text):
-        return _Parser(self, text).parse()
+        try:
+            return _Parser(self, text).parse()
+        except RecursionError:
+            raise ParseError("expression nests too deeply") from None
 
     def __repr__(self):
         bound = {k: v for k, v in self.bindings.items() if v.kind != "free"}

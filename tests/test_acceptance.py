@@ -123,7 +123,7 @@ def test_3_reducibility_grid_and_closure():
                     if y == desc.excluded:
                         continue
                     x = _coords(rng, 2)
-                    coeff, target = V.act_reduced(x, y, desc)
+                    coeff, target = V.act_reduced(x, y)
                     assert target == gadd(x, y)
                     if target == desc.excluded:
                         assert coeff.is_zero()

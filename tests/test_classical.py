@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from gvir import classical
 from gvir.classical import (
     TruncatedVermaModule,
     partition_count,
@@ -360,3 +361,38 @@ def test_minor_gcd_matches_combinatorial_minors(bindings):
         conditions.append(str(expect))
     if "h" in bindings:
         assert conditions == ["1", "0", "1", "0", "1", "1"]
+
+
+@pytest.mark.parametrize(
+    "bindings, zero_conditions",
+    [
+        ({}, []),
+        ({"c": Fraction(1, 2)}, []),
+        ({"c": Fraction(1, 2), "h": Fraction(-1, 16)}, [2, 4]),
+        ({"c": 0, "h": 0}, [1, 2, 5]),
+    ],
+    ids=["free", "c=1/2", "c=1/2,h=-1/16", "c=0,h=0"],
+)
+def test_find_singular_skips_the_kernel_under_a_nonzero_condition(monkeypatch, bindings, zero_conditions):
+    # a nonzero condition is a nonzero maximal minor, so the kernel is empty
+    # and kernel_basis is not run; the reports stay those of the full kernel
+    ctx, M = _verma(L=5, **bindings)
+    expect = {n: M.singular_vectors(n) for n in range(1, 6)}
+    calls = []
+
+    def counted(reg, rows, ncols):
+        calls.append(ncols)
+        return kernel_basis(reg, rows, ncols)
+
+    monkeypatch.setattr(classical, "kernel_basis", counted)
+    zero_levels = []
+    for n in range(1, 6):
+        del calls[:]
+        rep = M.find_singular(n)
+        assert rep.vectors == expect[n], n
+        if rep.conditions[0].is_zero():
+            zero_levels.append(n)
+            assert calls == [partition_count(n)], n
+        else:
+            assert calls == [] and rep.vectors == [], n
+    assert zero_levels == zero_conditions

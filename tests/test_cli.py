@@ -298,7 +298,7 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     assert (target / "verma.json").exists()
 
 
-def _cli_in_fresh_process(*argv):
+def _cli_in_fresh_process(*argv, timeout=120):
     """gvir argv run as `python -m gvir.cli` in a new interpreter."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -309,7 +309,7 @@ def _cli_in_fresh_process(*argv):
         capture_output=True,
         text=True,
         env=env,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -955,13 +955,15 @@ def test_classify_config_bindings_keep_their_diagnostics(tmp_path, capsys, bindi
         b'\xff\xfe{"group": {"rank": 1}}',
         b'{"group": ' + b"[" * 5000 + b"]" * 5000 + b"}",
         b"[" * 100000,
+        b'{"bindings": {"alpha": ' + b"9" * 5000 + b"}}",
     ],
-    ids=["not-utf8", "nested-5000", "nested-100000"],
+    ids=["not-utf8", "nested-5000", "nested-100000", "int-5000-digits"],
 )
 @pytest.mark.parametrize("entry", ["config", "descriptor"])
 def test_unreadable_json_exits_2_without_a_traceback(tmp_path, capsys, entry, content):
-    # a --config file or a classify descriptor path that is not UTF-8, or
-    # nests deeper than the JSON decoder recurses, is a validation failure
+    # a --config file or a classify descriptor path that is not UTF-8, nests
+    # deeper than the JSON decoder recurses, or holds an integer past Python's
+    # 4,300-digit conversion limit, is a validation failure
     path = tmp_path / "input.json"
     path.write_bytes(content)
     argv = ["verma", "--config", str(path)] if entry == "config" else ["classify", str(path)]
@@ -969,3 +971,18 @@ def test_unreadable_json_exits_2_without_a_traceback(tmp_path, capsys, entry, co
     err = capsys.readouterr().err
     assert rc == EXIT_VALIDATION
     assert f"error: config {path}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["1e99999999", "1e5000"])
+def test_exponent_binding_strings_exit_2_at_once(tmp_path, capsys, spec):
+    # the README grammar has no exponents; Fraction alone would build
+    # 10**99999999 (a hang) or overflow the digit limit at run time (exit 3).
+    # The fresh process bounds a regression's hang by its timeout.
+    config = write_config(tmp_path, {"bindings": {"beta": spec}})
+    proc = _cli_in_fresh_process("interseries", "--config", config, "--out", str(tmp_path), timeout=20)
+    needle = f"error: bad binding for beta: {spec!r}"
+    assert proc.returncode == EXIT_VALIDATION and needle in proc.stderr, proc.stderr
+    started = time.monotonic()
+    rc, err = _exit_and_stderr(tmp_path, capsys, "interseries", {"bindings": {"beta": spec}})
+    assert time.monotonic() - started < 1.0
+    assert rc == EXIT_VALIDATION and needle in err and "Traceback" not in err

@@ -14,6 +14,8 @@ from gvir.groups import (
     hermite_basis,
     int_det,
     is_primitive,
+    is_zero,
+    reduce_modulo,
     split,
     unimodular_completion,
 )
@@ -149,6 +151,83 @@ def test_hermite_membership_random():
                 for i in range(n):
                     r[i] -= q * row[i]
         assert not any(r), (vecs, basis, x)
+
+
+def _frozen_hermite_basis(vectors, n):
+    """hermite_basis as it was with its own canonical pass (each pivot row
+    reducing every row above it, top pivot first), frozen as a reference."""
+    rows = [list(v) for v in vectors if not is_zero(v)]
+    basis = []
+    for col in range(n):
+        pool = [r for r in rows if r[col] != 0]
+        if not pool:
+            continue
+        while True:
+            pool.sort(key=lambda r: abs(r[col]))
+            piv = pool[0]
+            reduced = False
+            for r in pool[1:]:
+                q = r[col] // piv[col]
+                for i in range(n):
+                    r[i] -= q * piv[i]
+                if r[col] != 0:
+                    reduced = True
+            pool = [piv] + [r for r in pool[1:] if r[col] != 0]
+            if not reduced or len(pool) == 1:
+                break
+        piv = pool[0]
+        if piv[col] < 0:
+            piv[:] = [-a for a in piv]
+        basis.append(piv)
+        rows = [r for r in rows if r is not piv and not is_zero(r)]
+        for r in rows:
+            if r[col] != 0 and r[col] % piv[col] == 0:
+                q = r[col] // piv[col]
+                for i in range(n):
+                    r[i] -= q * piv[i]
+        rows = [r for r in rows if not is_zero(r)]
+    for j in range(1, len(basis)):
+        piv = basis[j]
+        col = next(i for i in range(n) if piv[i])
+        for r in basis[:j]:
+            q = r[col] // piv[col]
+            if q:
+                for i in range(n):
+                    r[i] -= q * piv[i]
+    return tuple(tuple(r) for r in basis)
+
+
+def test_hermite_basis_matches_frozen_canonical_pass():
+    # the Hermite normal form is unique, so the bottom-up pass through
+    # reduce_modulo must give the frozen top-down pass's basis exactly
+    rng = random.Random(17017)
+    full = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        m = rng.randint(0, 5)
+        vecs = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m)]
+        basis = hermite_basis(vecs, n)
+        assert basis == _frozen_hermite_basis(vecs, n), vecs
+        full += len(basis) == n
+    assert full > 500
+
+
+def test_reduce_modulo_is_canonical_and_stays_in_the_coset():
+    rng = random.Random(4242)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        vecs = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        basis = hermite_basis(vecs, n)
+        v = tuple(rng.randint(-20, 20) for _ in range(n))
+        r = reduce_modulo(v, basis)
+        for h in basis:
+            c = next(i for i, a in enumerate(h) if a)
+            assert 0 <= r[c] < h[c]
+        # v - r lies in the lattice: adding a lattice vector gives the same r
+        ks = [rng.randint(-3, 3) for _ in basis]
+        shifted = tuple(a + sum(k * h[i] for k, h in zip(ks, basis)) for i, a in enumerate(v))
+        assert reduce_modulo(shifted, basis) == r
+        assert hermite_basis(list(basis) + [tuple(a - b for a, b in zip(v, r))], n) == basis
 
 
 def test_group_order_default_colex():

@@ -131,11 +131,11 @@ def test_subquotient_closure_random():
             y = tuple(rng.randint(-3, 3) for _ in range(2))
             if y == ex:
                 continue
-            coeff, target = M.act_reduced(x, y, desc)
+            coeff, target = M.act_reduced(x, y)
             if target == ex:
                 assert coeff.is_zero()
         with pytest.raises(ValueError):
-            M.act_reduced((1, 0), ex, desc)
+            M.act_reduced((1, 0), ex)
 
 
 def test_weight_dims_at_most_one_and_uniform_off_zero():
@@ -145,7 +145,7 @@ def test_weight_dims_at_most_one_and_uniform_off_zero():
         for b in [None, 0, 1]:
             ctx, M = _mod(alpha=a, beta=b)
             desc = M.subquotient()
-            dims = dict(M.dims_row(window, desc))
+            dims = dict(M.dims_row(window))
             assert set(dims.values()) <= {0, 1}
             # nonzero-weight spaces all share the same dimension
             off_zero = [v for y, v in dims.items() if y != desc.excluded]

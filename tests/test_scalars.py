@@ -166,6 +166,58 @@ def test_rational_function_arithmetic_matches_specialization(ctx):
     assert checked > 900
 
 
+def test_power_matches_repeated_products_and_inverses(ctx, monkeypatch):
+    # s ** n read from the canonical form against n products of s (or of
+    # its inverse), each normalized by Scalar.make; n >= 0 needs no make
+    rng = random.Random(8111)
+    make = Scalar.make
+    calls = []
+
+    def counted(num, den=None):
+        calls.append(den)
+        return make(num, den)
+
+    for _ in range(60):
+        s = _rand_scalar(ctx, rng, nonzero=True) / _rand_scalar(ctx, rng, nonzero=True)
+        for n in range(-3, 6):
+            expect = ctx.one()
+            for _ in range(abs(n)):
+                expect = expect * (s if n > 0 else s.inv())
+            monkeypatch.setattr(Scalar, "make", staticmethod(counted))
+            del calls[:]
+            got = s**n
+            monkeypatch.setattr(Scalar, "make", staticmethod(make))
+            assert got == expect, (s, n)
+            assert got.den.lead()[1] == 1
+            assert n < 0 or not calls, (s, n)
+    zero = ctx.zero()
+    assert zero**0 == 1 and (zero**3).is_zero()
+    with pytest.raises(ScalarDivisionError):
+        zero ** -1
+
+
+@pytest.mark.parametrize("spec", ["3", "-3", "+3", "3/4", "-12/5", "007/2"])
+def test_binding_strings_in_the_grammar(spec):
+    assert Context.of_rank(1, c=spec).binding("c").value == Fraction(spec)
+
+
+@pytest.mark.parametrize(
+    "spec", ["1e5000", "1.5", " 3", "3 ", "1_000", "٣", "3/-4", "1/0", "inf", "9" * 5000]
+)
+def test_binding_strings_outside_the_grammar(spec):
+    # only an optional sign, ASCII digits and an optional /digits; Fraction
+    # alone takes exponents ("1e99999999", which it would expand, is checked
+    # in a fresh process with a timeout in test_cli)
+    with pytest.raises(ValueError, match="bad binding for c"):
+        Context.of_rank(1, c=spec)
+
+
+def test_binding_kind_is_checked():
+    with pytest.raises(ValueError, match="unknown binding kind"):
+        scalars.Binding("symbolic")
+    assert scalars.Binding("free") == scalars.Binding("free", None)
+
+
 def test_binding_fixed_at_construction():
     ctx = Context.of_rank(2, alpha=Fraction(1, 2), beta=0)
     assert ctx.alpha == Fraction(1, 2)
@@ -217,6 +269,17 @@ def test_parse_errors(ctx):
         ctx.parse("q17")
     with pytest.raises(ParseError):
         ctx.parse("g1 $ g2")
+    # number tokens are ASCII digits only: int() would take "١٢" as 12
+    # and raise a bare ValueError on "²", which str.isdigit also accepts
+    for text in ("²", "١٢", "g1 + ٣", "2^²"):
+        with pytest.raises(ParseError):
+            ctx.parse(text)
+    # nesting deeper than the recursion limit is a ParseError too
+    with pytest.raises(ParseError):
+        ctx.parse("(" * 3000 + "g1" + ")" * 3000)
+    with pytest.raises(ParseError):
+        ctx.parse("-(" * 3000 + "1" + ")" * 3000)
+    assert ctx.parse("(" * 50 + "g1" + ")" * 50) == ctx.gen(0)
 
 
 def test_parse_rational_and_power(ctx):
