@@ -102,7 +102,12 @@ class TruncatedVermaModule:
 
     Vectors are {partition word: Scalar} dictionaries.  c and h come from the
     context bindings (free symbols or rationals).  The module is immutable
-    after construction; the action is memoized.
+    after construction, so everything it builds is memoized: the action, the
+    bracket constants, and per level the basis, the raising rows and the
+    kernel.  `find_singular` and `quotient_dims_after_singular` thus build
+    each level once between them, and an empty kernel that a nonzero
+    condition proves is recorded without an elimination.  The memoized rows
+    and kernels are shared; callers read them and do not change them.
     """
 
     def __init__(self, ctx, level_cap):
@@ -115,11 +120,18 @@ class TruncatedVermaModule:
         # d_j carries the label -j, so d_{-k} is the partition part k
         self._one = Poly.const(ctx.reg, 1)
         self._straight = Straightener(self._one, _part_first, self._bracket, self._top)
+        self._brackets = {}  # (a, k) -> [(label, Poly)]
+        self._bases = {}  # level -> tuple of partitions
+        self._rows = {}  # level -> raising rows
+        self._kernels = {}  # level -> kernel vectors {word: Poly}
 
     # -- basis -------------------------------------------------------------
 
     def basis(self, n):
-        return list(partitions(n))
+        words = self._bases.get(n)
+        if words is None:
+            words = self._bases[n] = tuple(partitions(n))
+        return list(words)
 
     def dims(self):
         return verma_dims(self.level_cap)
@@ -135,12 +147,14 @@ class TruncatedVermaModule:
 
     def _bracket(self, a, k):
         # [d_{-a}, d_{-k}] = (a - k) d_{-(a+k)} + delta_{a,-k} (k^3 - k)/12 C
-        reg = self.ctx.reg
-        out = []
-        if a != k:
-            out.append((a + k, Poly.const(reg, a - k)))
-        if a == -k and k > 1:
-            out.append((CENTER, Poly.const(reg, Fraction(k**3 - k, 12))))
+        out = self._brackets.get((a, k))
+        if out is None:
+            reg = self.ctx.reg
+            out = self._brackets[a, k] = []
+            if a != k:
+                out.append((a + k, Poly.const(reg, a - k)))
+            if a == -k and k > 1:
+                out.append((CENTER, Poly.const(reg, Fraction(k**3 - k, 12))))
         return out
 
     def _top(self, a, v):
@@ -170,8 +184,11 @@ class TruncatedVermaModule:
         columns by the level-n basis; entries are Polys in the bound/free
         c, h.  d_1 and d_2 generate every d_k with k >= 1, so these rows have
         the kernel and the minor gcd of the full stack d_1..d_n (see the
-        module docstring).
+        module docstring).  Built once per level; the rows are shared.
         """
+        rows = self._rows.get(n)
+        if rows is not None:
+            return rows
         cols = {w: i for i, w in enumerate(self.basis(n))}
         rows = []
         for k in range(1, min(n, 2) + 1):
@@ -179,14 +196,15 @@ class TruncatedVermaModule:
             for w, i in cols.items():
                 for (w2, _), p in self._straight.lmul(-k, (w, None)).items():
                     targets[w2][i] = p
-            rows.extend(targets[w] for w in self.basis(n - k))
+            rows.extend(targets.values())
+        self._rows[n] = rows
         return rows
 
     def singular_vectors(self, n):
         """Joint kernel of d_1..d_n at level n under the current bindings,
         as {word: Scalar} vectors; no existence condition is formed."""
         self._check_level(n)
-        return [_as_scalars(vec) for vec in self._kernel(n, self.raising_rows(n))]
+        return [_as_scalars(vec) for vec in self._kernel(n)]
 
     def find_singular(self, n):
         """Joint kernel of d_1..d_n at level n, with the existence condition.
@@ -195,26 +213,31 @@ class TruncatedVermaModule:
         the normalized gcd of all maximal minors of the stacked d_1, d_2
         matrix, which equals that of the full stack d_1..d_n.  A nonzero
         condition means a nonzero maximal minor and so an empty kernel, which
-        is then not computed (a nonzero constant: none for nearby values).
+        is then not computed but recorded for the level (a nonzero constant:
+        none for nearby values).
         """
         self._check_level(n)
-        rows = self.raising_rows(n)
-        condition = minor_gcd(self.ctx.reg, rows, partition_count(n))
-        kernel = self._kernel(n, rows) if condition.is_zero() else []
-        vectors = [_as_scalars(vec) for vec in kernel]
+        condition = minor_gcd(self.ctx.reg, self.raising_rows(n), partition_count(n))
+        if not condition.is_zero():
+            self._kernels.setdefault(n, [])
+        vectors = [_as_scalars(vec) for vec in self._kernel(n)]
         return SingularVectorReport(n, self.basis(n), vectors, [condition])
 
     def _check_level(self, n):
         if not 0 < n <= self.level_cap:
             raise ValueError("level must satisfy 0 < n <= level_cap")
 
-    def _kernel(self, n, rows):
-        """Kernel vectors as {partition word: Poly}."""
-        basis = self.basis(n)
-        return [
-            {w: p for w, p in zip(basis, vec) if not p.is_zero()}
-            for vec in kernel_basis(self.ctx.reg, rows, len(basis))
-        ]
+    def _kernel(self, n):
+        """Kernel vectors at level n as {partition word: Poly}, computed once
+        per level; the vectors are shared."""
+        kernel = self._kernels.get(n)
+        if kernel is None:
+            basis = self.basis(n)
+            kernel = self._kernels[n] = [
+                {w: p for w, p in zip(basis, vec) if not p.is_zero()}
+                for vec in kernel_basis(self.ctx.reg, self.raising_rows(n), len(basis))
+            ]
+        return kernel
 
     # -- quotient by singular vectors ------------------------------------------
 
@@ -227,7 +250,7 @@ class TruncatedVermaModule:
         L = self.level_cap
         singular = {}
         for n in range(1, L + 1):
-            vectors = self._kernel(n, self.raising_rows(n))
+            vectors = self._kernel(n)
             if vectors:
                 singular[n] = vectors
         dims = [1]

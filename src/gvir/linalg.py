@@ -17,6 +17,11 @@ Three policies choose the pivots and divisors:
   before it, so one pass in insertion order reduces a new row to zero
   exactly when it lies in their span.
 
+Before it eliminates, `kernel_basis` tries to certify an empty kernel: full
+column rank of the rows evaluated at a fixed point modulo a fixed prime
+proves full column rank over the fraction field (`_full_column_rank` says
+why), and then no elimination runs.
+
 All of them run on one packed-term kernel.  Each call packs its rows once
 to {monomial int: coefficient} dicts (the packed format of `scalars`, beside
 `Poly`), fuses every update into one accumulation and divides with the
@@ -228,10 +233,14 @@ def kernel_basis(reg, rows, ncols):
     """Basis of the right kernel over the fraction field.
 
     Returns primitive Poly vectors, one per free column, in column order.
-    After the Gauss-Jordan `_fraction_free`, pivot row i is D times RREF
-    row i (D the last pivot, 1 without one), so the vector of free column f
-    is D at f and -row_i[f] at row i's pivot column, made `_primitive`.
+    An empty kernel is first certified modulo a prime (`_full_column_rank`)
+    and then needs no elimination.  Otherwise, after the Gauss-Jordan
+    `_fraction_free`, pivot row i is D times RREF row i (D the last pivot, 1
+    without one), so the vector of free column f is D at f and -row_i[f] at
+    row i's pivot column, made `_primitive`.
     """
+    if _full_column_rank(rows, ncols):
+        return []
     work, tops = _prepare_rows(rows)
 
     def run(pk):
@@ -252,6 +261,76 @@ def kernel_basis(reg, rows, ncols):
         return vectors
 
     return [_primitive(vec) for vec in _with_fields(len(reg), tops, run)]
+
+
+# the certificate of an empty kernel: a fixed prime, and a fixed point whose
+# coordinate for the variable of index i is _CERT_POINT ** (i + 1) modulo it
+_CERT_PRIME = (1 << 61) - 1
+_CERT_POINT = 1_000_003
+
+
+def _full_column_rank(rows, ncols):
+    """True when the rows, evaluated at a fixed point modulo a fixed prime,
+    have rank ncols; then the kernel over the fraction field is empty.
+
+    Why that is exact: reducing modulo the prime and evaluating at the point
+    is a ring map from the polynomials whose coefficient denominators the
+    prime does not divide, and it commutes with determinants.  An ncols x
+    ncols minor that is nonzero at the point is thus a nonzero polynomial,
+    and specialization never raises rank, so the rank over the fraction
+    field is ncols too.  The answer is deterministic, the prime and the
+    point being constants; False only means no certificate, also when a
+    coefficient's denominator is divisible by the prime, and the caller
+    then eliminates.  Full column rank needs no upper bound on the rank,
+    which a check of this kind cannot give.
+    """
+    if len(rows) < ncols:
+        return False
+    p = _CERT_PRIME
+    powers = {}  # (variable, exponent) -> value at the point
+    image = []
+    for row in rows:
+        out = {}
+        for j, poly in row.items():
+            v = 0
+            for e, c in poly.terms.items():
+                if type(c) is not int:
+                    if c.denominator % p == 0:
+                        return False
+                    c = c.numerator * pow(c.denominator, -1, p)
+                for i, k in enumerate(e):
+                    if k:
+                        x = powers.get((i, k))
+                        if x is None:
+                            x = powers[i, k] = pow(_CERT_POINT, (i + 1) * k, p)
+                        c = c * x % p
+                v = (v + c) % p
+            if v:
+                out[j] = v
+        if out:
+            image.append(out)
+    rank = 0
+    while image and rank < ncols:
+        prow = image.pop()
+        col, piv = next(iter(prow.items()))
+        inv = pow(piv, -1, p)
+        reduced = []
+        for r in image:
+            c = r.pop(col, None)
+            if c is not None:
+                f = c * inv % p
+                for j, u in prow.items():
+                    if j != col:
+                        w = (r.get(j, 0) - f * u) % p
+                        if w:
+                            r[j] = w
+                        else:
+                            r.pop(j, None)
+            if r:
+                reduced.append(r)
+        image = reduced
+        rank += 1
+    return rank == ncols
 
 
 def _primitive(vec):
@@ -302,7 +381,8 @@ def minor_gcd(reg, rows, ncols):
 
     def run(pk):
         packed = [{i: pk.pack(p) for i, p in col.items()} for col in cols]
-        pivots, last, _ = _fraction_free(packed, pk.guard, True)
+        # with no free column there is no Y to read: the forward half will do
+        pivots, last, _ = _fraction_free(packed, pk.guard, len(rows) > ncols)
         if len(pivots) < ncols:
             return None
         free = sorted(set(range(len(rows))) - set(pivots))

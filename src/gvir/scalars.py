@@ -10,8 +10,9 @@ Context is created.
 A Scalar is always stored in canonical form -- num/den with gcd(num, den) = 1
 and den monic under the graded-lex term order -- so structural equality
 decides mathematical equality and is_zero is exact.  Arithmetic reads that
-form: a difference is a sum with the negation, and s**n (n >= 0) is
-num**n / den**n, canonical with no gcd.  No floating point anywhere.
+form: a sum and a difference share one term loop (`Poly._plus`), and
+s**n (n >= 0) is num**n / den**n, canonical with no gcd.  No floating
+point anywhere.
 
 Polynomials have one exact division, `_divide`, heap-ordered on packed
 monomials: `Poly.exact_div`, the gcd certificate and every fraction-free
@@ -182,10 +183,15 @@ class Poly:
         if self.reg is not other.reg and self.reg != other.reg:
             raise ValueError("polynomials from different registries")
 
-    def __add__(self, other):
+    def _plus(self, other, subtract=False):
+        """self + other, or self - other with subtract: one term loop, so a
+        difference builds no negated copy."""
         self._check(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
+        terms = other.terms.items()
+        if subtract:
+            terms = ((e, -c) for e, c in terms)
+        for e, c in terms:
             s = out.get(e, 0) + c
             if s:
                 out[e] = _norm_coeff(s)
@@ -193,11 +199,13 @@ class Poly:
                 out.pop(e, None)
         return Poly(self.reg, out)
 
+    __add__ = _plus
+
     def __neg__(self):
         return Poly(self.reg, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, True)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -206,6 +214,15 @@ class Poly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # one term times a Poly: a scale, shifted unless the term is a
+            # constant; distinct terms stay distinct, so nothing cancels
+            ((e1, c1),) = a.items()
+            if not any(e1):
+                return Poly(self.reg, {e: _norm_coeff(c1 * c) for e, c in b.items()})
+            return Poly(
+                self.reg, {tuple(map(int.__add__, e1, e)): _norm_coeff(c1 * c) for e, c in b.items()}
+            )
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -543,10 +560,29 @@ def _uni_sub(a, b):
 
 def _gcd_many(polys):
     """gcd of an iterable of Polys (`_gcd_prim`); stops at the first
-    constant gcd, so a lazy iterable is only read that far."""
+    constant gcd, so a lazy iterable is only read that far.  One input is
+    returned as it is.
+
+    Before each `_gcd_prim`, one exact division tests whether the running
+    gcd g divides the next input p.  If it does, gcd(g, p) is g up to a
+    rational unit, so g stays and only its normalized form (`primitive_int`,
+    as `_gcd_prim` returns it) is taken; a failed division costs a packed
+    division that stops at the first term it cannot divide.  The Verma minors
+    of one level often share their gcd, so most of the chain ends there.
+    """
     g = None
     for p in polys:
-        g = p if g is None else _gcd_prim(g, p)
+        if g is None:
+            g = p
+        elif g.is_zero():
+            g = _gcd_prim(g, p)
+        else:
+            try:
+                p.exact_div(g)
+            except ExactDivisionError:
+                g = _gcd_prim(g, p)
+            else:
+                g = g.primitive_int()[1]
         if g.is_const() and not g.is_zero():
             return Poly.const(g.reg, 1)
     return g
@@ -768,21 +804,22 @@ class Scalar:
 
     # -- field operations ------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, subtract=False):
+        """self + other, or self - other with subtract, on `Poly._plus`."""
         if isinstance(other, (int, Fraction)):
             other = Scalar.make(Poly.const(self.reg, other))
         if self._den_is_one() and other._den_is_one():
-            return Scalar(self.num + other.num, self.den)
-        num = self.num * other.den + other.num * self.den
+            return Scalar(self.num._plus(other.num, subtract), self.den)
+        num = (self.num * other.den)._plus(other.num * self.den, subtract)
         return Scalar.make(num, self.den * other.den)
 
-    __radd__ = __add__
+    __add__ = __radd__ = _plus
 
     def __neg__(self):
         return Scalar(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -871,6 +908,9 @@ class Scalar:
 # ---------------------------------------------------------------------------
 
 
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def _tokenize(text):
     toks = []
     i, n = 0, len(text)
@@ -884,12 +924,9 @@ def _tokenize(text):
                 j += 1
             toks.append(("num", int(text[i:j])))
             i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j]))
-            i = j
+        elif name := _NAME.match(text, i):  # ASCII, not isalpha, which takes "²"
+            toks.append(("name", name.group()))
+            i = name.end()
         elif text.startswith("**", i):
             toks.append(("op", "^"))
             i += 2

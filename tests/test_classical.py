@@ -375,9 +375,12 @@ def test_minor_gcd_matches_combinatorial_minors(bindings):
 )
 def test_find_singular_skips_the_kernel_under_a_nonzero_condition(monkeypatch, bindings, zero_conditions):
     # a nonzero condition is a nonzero maximal minor, so the kernel is empty
-    # and kernel_basis is not run; the reports stay those of the full kernel
-    ctx, M = _verma(L=5, **bindings)
-    expect = {n: M.singular_vectors(n) for n in range(1, 6)}
+    # and kernel_basis is not run; the reports stay those of the full kernel.
+    # The expected kernels come from a second module: the counted one must
+    # start with no level built, or its kernel memo would hide the calls
+    _, M = _verma(L=5, **bindings)
+    _, reference = _verma(L=5, **bindings)
+    expect = {n: reference.singular_vectors(n) for n in range(1, 6)}
     calls = []
 
     def counted(reg, rows, ncols):

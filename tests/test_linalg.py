@@ -755,11 +755,24 @@ def _exact_terms(vectors):
     ]
 
 
+def _uncertified(reg):
+    """Matrices of full column rank that the modular certificate of
+    `kernel_basis` cannot see: a denominator divisible by its prime, and a
+    nonzero entry that vanishes at its point (g1 sits at _CERT_POINT)."""
+    g1 = Poly.symbol(reg, "g1")
+    return [
+        (_sparse(reg, [[Fraction(1, linalg._CERT_PRIME), 1], [1, 0]]), 2),
+        (_sparse(reg, [[g1 - Poly.const(reg, linalg._CERT_POINT)]]), 1),
+    ]
+
+
 def _kernel_corpus():
     """Seeded sparse matrices in 1-4 variables with integer, rational and
     polynomial entries, and the shapes an elimination can trip on: no rows,
     zero rows, zero entries, a zero matrix, zero columns, no columns, full
-    column rank and rank deficiency."""
+    column rank and rank deficiency; then full column rank with constant and
+    polynomial entries, also where the modular certificate fails, and a
+    deficient matrix with a denominator divisible by its prime."""
     reg = Context.of_rank(4).reg
     rng = random.Random(11235)
     zero = Poly.zero(reg)
@@ -796,6 +809,15 @@ def _kernel_corpus():
             if case % 5 == 0:
                 n += 1  # a column that no row touches
             cases.append((rows, n))
+    g1, g2 = Poly.symbol(reg, "g1"), Poly.symbol(reg, "g2")
+    big = linalg._CERT_PRIME
+    cases += [
+        (_sparse(reg, [[2, -1, 0], [1, 1, 3], [0, 5, Fraction(1, 2)], [4, 0, 1]]), 3),
+        (_sparse(reg, [[g1, 1, 0], [0, g2, g1 * g2], [g1 + g2, 0, 3]]), 3),
+        (_sparse(reg, [[g1 * g1, Fraction(1, 3)], [g2, g1 - g2], [1, 0]]), 2),
+        (_sparse(reg, [[Fraction(1, big), 1], [1, big]]), 2),
+        *_uncertified(reg),
+    ]
     return reg, cases
 
 
@@ -827,6 +849,29 @@ def test_kernel_basis_matches_frozen_reference():
         "no rows", "no pivot", "no columns", "full row rank", "full column rank",
         "deficient", "int", "Fraction", "Poly",
     }
+
+
+def test_kernel_basis_certifies_an_empty_kernel_without_elimination(monkeypatch):
+    # every empty kernel of the corpus but the planted uncertified ones is
+    # certified modulo the prime, so it needs no elimination; those two and
+    # every nonempty kernel still reach it
+    reg, cases = _kernel_corpus()
+    expected = [kernel_basis(reg, rows, ncols) for rows, ncols in cases]
+    uncertified = _uncertified(reg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel_basis ran the elimination")
+
+    monkeypatch.setattr(linalg, "_fraction_free", refuse)
+    certified = 0
+    for (rows, ncols), expect in zip(cases, expected):
+        if expect or (rows, ncols) in uncertified:
+            with pytest.raises(AssertionError, match="elimination"):
+                kernel_basis(reg, rows, ncols)
+        else:
+            assert kernel_basis(reg, rows, ncols) == []
+            certified += ncols > 0
+    assert certified >= 40
 
 
 def test_kernel_basis_with_no_pivot_returns_unit_vectors():

@@ -68,6 +68,36 @@ def test_gcd_cancellation_example(ctx):
     assert s._den_is_one()
 
 
+def test_difference_is_the_sum_with_the_negation(ctx):
+    # one term loop serves both: the same result, coefficient types included
+    rng = random.Random(4242)
+    for _ in range(300):
+        a, b = _rand_scalar(ctx, rng), _rand_scalar(ctx, rng)
+        if rng.random() < 0.3:
+            b = b / _rand_scalar(ctx, rng, nonzero=True)
+        if rng.random() < 0.2:
+            b = a
+        for x, y in ((a.num, b.num), (a, b)):
+            got, expect = x - y, x + (-y)
+            assert got == expect and str(got) == str(expect)
+        assert (a.num - b.num).terms.keys() == (a.num + (-b.num)).terms.keys()
+        assert all(type(c) is int or c.denominator != 1 for c in (a.num - b.num).terms.values())
+        q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        assert a - q == a + (-q) and q - a == -(a - q)
+
+
+def test_constant_times_poly_is_a_scale(ctx):
+    rng = random.Random(5353)
+    reg = ctx.reg
+    for _ in range(100):
+        p = _rand_scalar(ctx, rng).num
+        k = rng.choice([1, -1, 3, Fraction(2, 3), Fraction(-6, 2)])
+        const = Poly.const(reg, k)
+        assert const * p == p * const == p.scale(k)
+        assert all(type(c) is int or c.denominator != 1 for c in (const * p).terms.values())
+        assert (const * Poly.zero(reg)).is_zero() and (Poly.zero(reg) * const).is_zero()
+
+
 def test_canonical_form_uniqueness(ctx):
     rng = random.Random(7)
     for _ in range(120):
@@ -274,6 +304,11 @@ def test_parse_errors(ctx):
     for text in ("²", "١٢", "g1 + ٣", "2^²"):
         with pytest.raises(ParseError):
             ctx.parse(text)
+    # names are ASCII too, so a non-ASCII letter or digit is the same
+    # ParseError with or without a space before it
+    for text in ("g1²", "g1 ²", "g1١", "é", "gé + 1"):
+        with pytest.raises(ParseError):
+            ctx.parse(text)
     # nesting deeper than the recursion limit is a ParseError too
     with pytest.raises(ParseError):
         ctx.parse("(" * 3000 + "g1" + ")" * 3000)
@@ -460,3 +495,64 @@ def test_gcd_falls_back_to_prs(monkeypatch):
     monkeypatch.setattr(scalars, "_gcd_prs", lambda x, y: calls.append(1) or prs(x, y))
     assert scalars._gcd_prim(a, b) == common
     assert calls
+
+
+def _gcd_chain(polys):
+    """The pairwise `_gcd_prim` chain, with `_gcd_many`'s early exit and its
+    one-input rule."""
+    g = None
+    for p in polys:
+        g = p if g is None else scalars._gcd_prim(g, p)
+        if g.is_const() and not g.is_zero():
+            return Poly.const(g.reg, 1)
+    return g
+
+
+def test_gcd_many_matches_the_pairwise_chain(monkeypatch):
+    # the divisibility step must give the normalized gcd of the chain, on
+    # inputs where the running gcd does and does not divide a later entry,
+    # on single inputs and on zeros
+    reg = Context.of_rank(3).reg
+    rng = random.Random(60613)
+    prim = scalars._gcd_prim
+    steps = []
+    seen = set()
+
+    def poly(maxterms=3):
+        while True:
+            p = _rand_poly(reg, rng, 1 + rng.randrange(3), 2, maxterms)
+            if not p.is_zero():
+                return p
+
+    for case in range(200):
+        common = poly()
+        first = (common * poly()).scale(rng.choice([1, -1, Fraction(-3, 2), 6]))
+        polys = [first]
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.choice(["multiple", "multiple", "cofactor", "zero"])
+            if kind == "multiple":
+                polys.append((first * poly(2)).scale(rng.choice([1, -2, Fraction(1, 3)])))
+            elif kind == "cofactor":
+                polys.append(common * poly())
+            else:
+                polys.append(Poly.zero(reg))
+        if case % 10 == 0:
+            polys.insert(0, Poly.zero(reg))
+        if case % 25 == 0:
+            polys = [Poly.zero(reg)] * rng.randint(1, 2)
+        expect = _gcd_chain(polys)
+        monkeypatch.setattr(scalars, "_gcd_prim", lambda a, b: steps.append(1) or prim(a, b))
+        del steps[:]
+        got = scalars._gcd_many(iter(polys))
+        monkeypatch.setattr(scalars, "_gcd_prim", prim)
+        assert got == expect and str(got) == str(expect), polys
+        if len(polys) == 1:
+            assert got is polys[0]
+            seen.add("single")
+        elif len(steps) < len(polys) - 1 and not expect.is_const():
+            seen.add("divides")
+        if steps and not expect.is_const():
+            seen.add("does not divide")
+        if any(p.is_zero() for p in polys):
+            seen.add("zero")
+    assert seen == {"single", "divides", "does not divide", "zero"}

@@ -1,0 +1,147 @@
+"""Paired benchmark runs of two checkouts: a parent and a change.
+
+    python3 tools/bench_pairs.py --parent ../gvir-parent --change ../gvir-change \
+        --workload verma --seeds 101-110 --out BENCH_19.json
+
+Each seed is one pair: `perfbench/run.py` runs once from each checkout with
+that seed, in a fresh process, and the side that runs first alternates from
+pair to pair.  Place both checkouts side by side (the same parent
+directory): where a checkout sits moved paired results by a few percent, so
+the script warns when they are not siblings.  The run length is the
+`run_seconds` of the change's BENCHMARK.json, and each metric's direction
+and bound come from there too.
+
+For every workload and end-to-end metric it prints both sides' medians and
+quartiles, the change's relative shift of the median, its wins, losses and
+ties over the pairs, and whether a gain holds: the change wins at least
+nine tenths of the pairs and the medians differ by more than the parent's
+interquartile range.  The JSON file written with --out holds the same
+summary and every run's metrics; committed as BENCH_<change>.json beside
+the change, its parent commit is the parent that was run.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+
+def parse_seeds(text):
+    """'101-110' or '1,5,9' (or a mix) to a list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def run_once(checkout, workload, seed, seconds):
+    """The result object of one benchmark run (the last line of its stdout)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {out.returncode}: {out.stderr[-500:]}")
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs, spec):
+    """Per metric: both sides' quartiles, relative median shift, wins and
+    whether a gain holds.  pairs is a list of (parent, change) results."""
+    out = {}
+    for metric in spec["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        a = [p["metrics"][name]["value"] for p, _ in pairs]
+        b = [c["metrics"][name]["value"] for _, c in pairs]
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        ties = sum(x == y for x, y in zip(a, b))
+        pa, pb = quartiles(a), quartiles(b)
+        iqr = pa[2] - pa[0]
+        better = (pb[1] < pa[1]) if lower else (pb[1] > pa[1])
+        shift = (pb[1] - pa[1]) / pa[1] if pa[1] else 0.0
+        worse = shift if lower else -shift
+        out[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "parent": {"q1": pa[0], "median": pa[1], "q3": pa[2]},
+            "change": {"q1": pb[0], "median": pb[1], "q3": pb[2]},
+            "relative_shift": shift,
+            "bound": metric["bound"],
+            "within_bound": worse <= metric["bound"],
+            "wins": wins,
+            "losses": len(pairs) - wins - ties,
+            "ties": ties,
+            "pairs": len(pairs),
+            "gain": better and wins >= 0.9 * len(pairs) and abs(pb[1] - pa[1]) > iqr,
+        }
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True, help="repeat for several")
+    parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 101-110: one pair each")
+    parser.add_argument("--out", help="write the summary and every run to this JSON file")
+    args = parser.parse_args(argv)
+
+    parent, change = os.path.realpath(args.parent), os.path.realpath(args.change)
+    if os.path.dirname(parent) != os.path.dirname(change):
+        print("warning: the checkouts are not side by side; placement can move results",
+              file=sys.stderr)
+    with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    seconds = spec["run_seconds"]
+
+    report = {
+        "host": {"python": platform.python_version(), "machine": platform.machine(),
+                 "cpus": os.cpu_count()},
+        "run_seconds": seconds,
+        "workloads": {},
+    }
+    for workload in args.workload:
+        pairs, runs = [], []
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            got = {}
+            for side in order:
+                got[side] = run_once(parent if side == "parent" else change, workload, seed, seconds)
+            pairs.append((got["parent"], got["change"]))
+            runs.append({"seed": seed, "first": order[0], **got})
+            wall = [got[s]["metrics"]["wall_s"]["value"] for s in ("parent", "change")]
+            print(f"{workload} seed {seed} ({order[0]} first): wall_s {wall[0]:.6g} -> {wall[1]:.6g}",
+                  file=sys.stderr, flush=True)
+        summary = summarize(pairs, spec)
+        report["workloads"][workload] = {"summary": summary, "runs": runs}
+        print(f"\n{workload}: {len(pairs)} pairs")
+        for name, m in summary.items():
+            p, c = m["parent"], m["change"]
+            print(f"  {name:12} {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}] -> "
+                  f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {m['unit']}  "
+                  f"{100 * m['relative_shift']:+.1f}%  wins {m['wins']}/{m['pairs']} "
+                  f"ties {m['ties']}  gain {m['gain']}  within bound {m['within_bound']}")
+        correct = all(r[s]["correct"] for r in runs for s in ("parent", "change"))
+        print(f"  every run correct: {correct}")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
