@@ -257,19 +257,17 @@ class TruncatedVermaModule:
         for lvl in range(1, L + 1):
             cols = {w: i for i, w in enumerate(self.basis(lvl))}
             ech = Echelon(len(cols))
-            for n, vecs in singular.items():
-                if n > lvl:
-                    continue
-                for svec in vecs:
-                    for mu in partitions(lvl - n):
-                        moved = {(w, None): p for w, p in svec.items()}
-                        for m in reversed(mu):
-                            moved = self._straight.act(m, moved)
-                        row = {cols[w]: p for (w, _), p in moved.items()}
-                        if row:
-                            ech.add_row(row)
-                        if ech.is_full():
-                            break
+            moves = ((svec, mu) for n, vecs in singular.items() if n <= lvl
+                     for svec in vecs for mu in partitions(lvl - n))
+            for svec, mu in moves:
+                if ech.is_full():
+                    break
+                moved = {(w, None): p for w, p in svec.items()}
+                for m in reversed(mu):
+                    moved = self._straight.act(m, moved)
+                row = {cols[w]: p for (w, _), p in moved.items()}
+                if row:
+                    ech.add_row(row)
             dims.append(len(cols) - ech.rank)
         return dims
 

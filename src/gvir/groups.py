@@ -272,5 +272,5 @@ def split(group, b):
     assert cols[0] == b
     det = int_det(V)
     if det not in (1, -1):
-        raise SplitError("completion is not unimodular")  # pragma: no cover
+        raise SplitError("completion is not unimodular")
     return Splitting(group=group, b=b, g0_basis=tuple(cols[1:]), to_split=tuple(U))

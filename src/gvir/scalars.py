@@ -16,7 +16,9 @@ point anywhere.
 
 Polynomials have one exact division, `_divide`, heap-ordered on packed
 monomials: `Poly.exact_div`, the gcd certificate and every fraction-free
-step of `linalg` run it.
+step of `linalg` run it.  They have one gcd, the heuristic gcd of Char,
+Geddes & Gonnet (`_gcd_prim`), which tries evaluation points until that
+division certifies its answer.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from heapq import heapify, heappop, heappush
 
 
@@ -158,11 +159,6 @@ class Poly:
         if any(e):
             raise ValueError("not a constant polynomial")
         return Fraction(c)
-
-    def degree_in(self, i):
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
 
     def variables(self):
         used = set()
@@ -317,22 +313,6 @@ class Poly:
             return cont, Poly(self.reg, {e: c // cont for e, c in self.terms.items()})
         prim = Poly(self.reg, {e: _norm_coeff(Fraction(c) / cont) for e, c in self.terms.items()})
         return cont, prim
-
-    def monomial_gcd(self):
-        """Componentwise minimum exponent vector over all terms."""
-        it = iter(self.terms)
-        m = list(next(it))
-        for e in it:
-            for i, p in enumerate(e):
-                if p < m[i]:
-                    m[i] = p
-        return tuple(m)
-
-    def shift_down(self, m):
-        """Divide by the monomial with exponent vector m (must divide all terms)."""
-        if not any(m):
-            return self
-        return Poly(self.reg, {tuple(map(int.__sub__, e, m)): c for e, c in self.terms.items()})
 
     def exact_div(self, d):
         """Exact polynomial quotient self/d; raises ExactDivisionError otherwise.
@@ -515,47 +495,8 @@ def _divide(f, d, guard):
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd: heuristic gcd with a division certificate, primitive PRS
-# as its fallback
+# multivariate gcd: the heuristic gcd, run until its division certificate holds
 # ---------------------------------------------------------------------------
-
-
-def _as_univar(p, v):
-    """View p as univariate in symbol v: dict degree -> Poly coefficient."""
-    out = {}
-    for e, c in p.terms.items():
-        d = e[v]
-        e0 = list(e)
-        e0[v] = 0
-        coeff = out.setdefault(d, {})
-        coeff[tuple(e0)] = c
-    return {d: Poly(p.reg, t) for d, t in out.items()}
-
-
-def _from_univar(reg, u, v):
-    out = {}
-    for d, coeff in u.items():
-        for e, c in coeff.terms.items():
-            e2 = list(e)
-            e2[v] += d
-            out[tuple(e2)] = c
-    return Poly(reg, out)
-
-
-def _uni_mul_poly(u, f):
-    return {d: coeff * f for d, coeff in u.items() if not coeff.is_zero()}
-
-
-def _uni_sub(a, b):
-    out = dict(a)
-    for d, coeff in b.items():
-        s = out.get(d)
-        s = coeff.__neg__() if s is None else s - coeff
-        if s.is_zero():
-            out.pop(d, None)
-        else:
-            out[d] = s
-    return out
 
 
 def _gcd_many(polys):
@@ -588,62 +529,28 @@ def _gcd_many(polys):
     return g
 
 
-def _pseudo_rem(F, G, reg, v):
-    """Pseudo-remainder of univariate views F by G (coefficients are Polys)."""
-    dG = max(G)
-    lcg = G[dG]
-    r = F
-    while r and max(r) >= dG:
-        d = max(r)
-        lcr = r[d]
-        shifted = {d - dG + dd: coeff for dd, coeff in G.items()}
-        r = _uni_sub(_uni_mul_poly(r, lcg), _uni_mul_poly(shifted, lcr))
-        if r and max(r) >= d:
-            raise AssertionError("pseudo-remainder failed to reduce degree")
-    return r
-
-
-def _uni_primitive(u, reg, v):
-    """Strip the content (gcd of coefficient polys) from a univariate view."""
-    if not u:
-        return u
-    cont = reduce(_gcd_prs, u.values())
-    if not cont.is_const():
-        u = {d: coeff.exact_div(cont) for d, coeff in u.items()}
-    whole = _from_univar(reg, u, v)
-    _, prim = whole.primitive_int()
-    return _as_univar(prim, v)
-
-
-_HEU_TRIES = 6
-
-
 def _gcd_prim(a, b):
     """gcd of two Polys, primitive with integer coefficients and a positive
     graded-lex leading coefficient; with a zero input, the primitive part
     of the other one (zero for two zeros).
 
     The heuristic gcd GCDHEU of Char, Geddes & Gonnet (J. Symb. Comput. 7
-    (1989) 31-48) runs first, on the primitive integer parts (`_heu_gcd`):
-    it evaluates a variable at an integer xi >= 2 min(|a|, |b|) + 2, takes
-    the gcd of the images and rebuilds a candidate from its xi-adic digits,
-    which it accepts only when it divides both inputs exactly.  So it is
-    never wrong, only sometimes missing: after _HEU_TRIES values of xi it
-    gives up and the primitive PRS `_gcd_prs` answers instead.
+    (1989) 31-48) on the primitive integer parts (`_heu_gcd`): it evaluates
+    a variable at an integer xi >= 2 min(|a|, |b|) + 2, takes the gcd of
+    the images and rebuilds a candidate from its xi-adic digits, which it
+    accepts only when it divides both inputs exactly.  A rejected candidate
+    only moves xi up, so every answer is the gcd and one always comes.
     """
     if a.is_zero():
         return b.primitive_int()[1]
     if b.is_zero():
         return a.primitive_int()[1]
-    g = _heu_gcd(a.primitive_int()[1], b.primitive_int()[1])
-    if g is None:
-        return _gcd_prs(a, b)
-    return g.primitive_int()[1]
+    return _heu_gcd(a.primitive_int()[1], b.primitive_int()[1]).primitive_int()[1]
 
 
 def _heu_gcd(a, b):
     """Full gcd, integer content included, of two nonzero Polys with integer
-    coefficients, or None.
+    coefficients.
 
     The last variable x that occurs is set to xi >= 2 min(|a|, |b|) + 2, |.|
     the largest coefficient size; the gcd gamma of the two images is taken
@@ -652,31 +559,40 @@ def _heu_gcd(a, b):
     gamma's coefficients, in (-xi/2, xi/2], as the coefficients of x^0,
     x^1, ...  When the primitive part of G divides a and b exactly, it is
     the gcd of their primitive parts, and times the gcd of their contents
-    the full gcd.  The bound on xi and a gamma that is the full gcd of the
+    the full gcd (CGG's Theorem 1; xi starts at the bound and never
+    shrinks).  The bound on xi and a gamma that is the full gcd of the
     images, content included, make it greatest: a gamma short of its
     content can rebuild a proper divisor that passes the division check.
+
+    Otherwise xi grows by a factor of about 2.73 and the loop runs again.
+    It ends: write a = g a', b = g b' with a', b' coprime.  Taken as
+    polynomials in the other variables, a' and b' have coefficients in Z[x]
+    with no common factor, so a combination of them with multipliers in
+    Z[x] is a fixed nonzero integer r, and the integer gcd of the images
+    a'(xi), b'(xi) divides r.  Apart from
+    finitely many xi, where an image vanishes or the images share a factor
+    in the other variables, gamma is then +-h g(xi) with h dividing r (by
+    induction on the number of variables for the recursive gcd), and once
+    xi > 2 |r| |g| the digits rebuild +-h g, which passes the certificate.
     """
     cont = math.gcd(a.content(), b.content())
     if a.is_const() or b.is_const():
         return Poly.const(a.reg, cont)
     v = max(a.variables() | b.variables())
     xi = 2 * min(max(map(abs, a.terms.values())), max(map(abs, b.terms.values()))) + 2
-    for _ in range(_HEU_TRIES):
+    while True:
         image_a = a.substitute({v: xi})
         image_b = b.substitute({v: xi})
         if not (image_a.is_zero() or image_b.is_zero()):
-            gamma = _heu_gcd(image_a, image_b)
-            if gamma is not None:
-                g = _heu_rebuild(gamma, v, xi).primitive_int()[1]
-                try:
-                    a.exact_div(g)
-                    b.exact_div(g)
-                except ExactDivisionError:
-                    pass
-                else:
-                    return g.scale(cont)
+            g = _heu_rebuild(_heu_gcd(image_a, image_b), v, xi).primitive_int()[1]
+            try:
+                a.exact_div(g)
+                b.exact_div(g)
+            except ExactDivisionError:
+                pass
+            else:
+                return g.scale(cont)
         xi = xi * 73794 // 27011
-    return None
 
 
 def _heu_rebuild(gamma, v, xi):
@@ -694,47 +610,6 @@ def _heu_rebuild(gamma, v, xi):
             c = (c - d) // xi
             k += 1
     return Poly(gamma.reg, out)
-
-
-def _gcd_prs(a, b):
-    """gcd by the primitive PRS over the variable of least degree, with
-    contents by recursion; returned like `_gcd_prim`, for nonzero inputs.
-    Slow on multivariate inputs, but it needs no bound and no luck."""
-    reg = a.reg
-    # common monomial factor
-    ma, mb = a.monomial_gcd(), b.monomial_gcd()
-    m = tuple(map(min, ma, mb))
-    if any(m):
-        g = _gcd_prs(a.shift_down(ma), b.shift_down(mb))
-        shell = Poly.monomial(reg, m, 1)
-        return g * shell if not g.is_zero() else shell
-    if a.is_const() or b.is_const():
-        return Poly.const(reg, 1)
-    common = a.variables() & b.variables()
-    if not common:
-        return Poly.const(reg, 1)
-    v = min(common, key=lambda i: max(a.degree_in(i), b.degree_in(i)))
-    A, B = _as_univar(a, v), _as_univar(b, v)
-    ca = reduce(_gcd_prs, A.values())
-    cb = reduce(_gcd_prs, B.values())
-    pa = {d: c.exact_div(ca) for d, c in A.items()}
-    pb = {d: c.exact_div(cb) for d, c in B.items()}
-    cont = _gcd_prs(ca, cb)
-    f, g = (pa, pb) if max(pa) >= max(pb) else (pb, pa)
-    while g:
-        r = _pseudo_rem(f, g, reg, v)
-        if not r:
-            break
-        f, g = g, _uni_primitive(r, reg, v)
-    else:
-        g = f
-    if not g:
-        g = f
-    result = _from_univar(reg, g, v)
-    _, result = result.primitive_int()
-    out = result * cont
-    _, out = out.primitive_int()
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,90 @@
+"""The pure parts of tools/bench_pairs.py: seed lists, quartiles, and the
+gain and bound verdicts of `summarize`.  No benchmark process runs."""
+
+import importlib.util
+import pathlib
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPEC = {
+    "end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "ok_ratio", "unit": "1", "better": "higher", "bound": 0.001},
+    ]
+}
+
+
+def _pairs(parent, change, metric="wall_s"):
+    """(parent, change) results holding one metric, with ok_ratio 1 where
+    the metric is wall_s and wall_s 1 where it is ok_ratio."""
+    other = "ok_ratio" if metric == "wall_s" else "wall_s"
+
+    def result(v):
+        return {"metrics": {metric: {"value": v}, other: {"value": 1.0}}}
+
+    return [(result(a), result(b)) for a, b in zip(parent, change)]
+
+
+def test_parse_seeds_reads_ranges_and_single_seeds():
+    assert bench_pairs.parse_seeds("101-103,7") == [101, 102, 103, 7]
+    assert bench_pairs.parse_seeds("5") == [5]
+
+
+def test_quartiles_of_one_value():
+    assert bench_pairs.quartiles([0.5]) == (0.5, 0.5, 0.5)
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+
+
+def test_gain_needs_nine_tenths_of_the_pairs():
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+    nine = [0.80] * 9 + [1.20]
+    m = bench_pairs.summarize(_pairs(parent, nine), SPEC)["wall_s"]
+    assert (m["wins"], m["losses"], m["ties"], m["pairs"]) == (9, 1, 0, 10)
+    assert m["gain"]
+    eight = [0.80] * 8 + [1.20] * 2
+    m = bench_pairs.summarize(_pairs(parent, eight), SPEC)["wall_s"]
+    assert (m["wins"], m["losses"]) == (8, 2)
+    assert not m["gain"]
+
+
+def test_ties_count_for_neither_side():
+    # eight wins and two ties: 8 of 10 pairs won, short of nine tenths
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+    change = [0.80] * 8 + parent[8:]
+    m = bench_pairs.summarize(_pairs(parent, change), SPEC)["wall_s"]
+    assert (m["wins"], m["losses"], m["ties"]) == (8, 0, 2)
+    assert not m["gain"]
+
+
+def test_gain_needs_a_shift_beyond_the_parent_iqr():
+    # every pair won, but the medians differ by less than the parent's IQR
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8]
+    change = [v - 0.05 for v in parent]
+    m = bench_pairs.summarize(_pairs(parent, change), SPEC)["wall_s"]
+    assert m["wins"] == 10
+    assert abs(m["change"]["median"] - m["parent"]["median"]) < m["parent"]["q3"] - m["parent"]["q1"]
+    assert not m["gain"]
+
+
+def test_within_bound_for_a_lower_is_better_metric():
+    parent = [1.0] * 10
+    m = bench_pairs.summarize(_pairs(parent, [1.2] * 10), SPEC)["wall_s"]
+    assert m["relative_shift"] > 0 and m["within_bound"] and not m["gain"]
+    m = bench_pairs.summarize(_pairs(parent, [1.3] * 10), SPEC)["wall_s"]
+    assert not m["within_bound"]
+    m = bench_pairs.summarize(_pairs(parent, [0.5] * 10), SPEC)["wall_s"]
+    assert m["within_bound"] and m["gain"]
+
+
+def test_within_bound_for_ok_ratio_which_is_higher_is_better():
+    parent = [1.0] * 10
+    m = bench_pairs.summarize(_pairs(parent, [0.9995] * 10, "ok_ratio"), SPEC)["ok_ratio"]
+    assert m["within_bound"] and m["wins"] == 0 and m["losses"] == 10
+    m = bench_pairs.summarize(_pairs(parent, [0.99] * 10, "ok_ratio"), SPEC)["ok_ratio"]
+    assert not m["within_bound"]
+    low = [0.5] * 10
+    m = bench_pairs.summarize(_pairs(low, [0.6] * 10, "ok_ratio"), SPEC)["ok_ratio"]
+    assert m["within_bound"] and m["wins"] == 10 and m["gain"]

@@ -26,7 +26,7 @@ from gvir.classical import (
     partitions,
     verma_dims,
 )
-from gvir.linalg import kernel_basis, minor_gcd
+from gvir.linalg import Echelon, kernel_basis, minor_gcd
 from gvir.scalars import Context, Poly, Scalar
 from oracles import field_rank, minor_gcd_by_enumeration
 
@@ -187,6 +187,22 @@ def test_quotient_trivial_module_at_origin():
     dims = M.quotient_dims_after_singular()
     assert dims == [1, 0, 0, 0, 0]
     assert M.is_trivial_quotient(dims)
+
+
+def test_quotient_dims_add_no_row_to_a_full_level(monkeypatch):
+    # at c = h = 0 every positive level dies; once a level is full, later
+    # singular vectors must not be moved into it
+    ctx, M = _verma(L=6, c=0, h=0)
+    add_row = Echelon.add_row
+    calls = []
+
+    def counted(self, row):
+        calls.append(self.is_full())
+        return add_row(self, row)
+
+    monkeypatch.setattr(Echelon, "add_row", counted)
+    assert M.quotient_dims_after_singular() == [1, 0, 0, 0, 0, 0, 0]
+    assert calls and not any(calls)
 
 
 def test_quotient_level_cap_zero():

@@ -2,6 +2,7 @@
 
 import random
 
+from gvir import groups
 from gvir.groups import (
     Group,
     SplitError,
@@ -107,6 +108,16 @@ def test_split_round_trip():
         cols = [b] + list(sp.g0_basis)
         mat = [[cols[j][i] for j in range(n)] for i in range(n)]
         assert int_det(mat) in (1, -1)
+
+
+def test_split_rejects_a_completion_that_is_not_unimodular(monkeypatch):
+    # a completion whose first column is b but whose determinant is 2 spans
+    # a sublattice of index 2; split must refuse it
+    import pytest
+
+    monkeypatch.setattr(groups, "unimodular_completion", lambda b: ([[1, 0], [0, 1]], [[1, 0], [0, 2]]))
+    with pytest.raises(SplitError, match="completion is not unimodular"):
+        split(Group.of_rank(2), (1, 0))
 
 
 def test_split_rank_one():

@@ -307,11 +307,9 @@ def _reference_strip_row(row):
     `_prepare_row` applies."""
     if not row:
         return row
-    m = None
-    for p in row.values():
-        pm = p.monomial_gcd()
-        m = pm if m is None else tuple(min(a, b) for a, b in zip(m, pm))
-    row = {j: p.shift_down(m) for j, p in row.items()}
+    m = tuple(map(min, zip(*(e for p in row.values() for e in p.terms))))
+    row = {j: Poly(p.reg, {tuple(map(int.__sub__, e, m)): c for e, c in p.terms.items()})
+           for j, p in row.items()}
     num, den = 0, 1
     for p in row.values():
         for c in p.terms.values():

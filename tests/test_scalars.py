@@ -1,6 +1,7 @@
 """Exact field arithmetic: canonical forms, gcd reduction, parsing."""
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from gvir.scalars import (
     ScalarDivisionError,
     SpecializationError,
 )
+from oracles import gcd_prs
 
 
 @pytest.fixture
@@ -450,27 +452,22 @@ def _gcd_case(reg, rng, nvars):
     return a, b, common, features
 
 
-def test_heuristic_gcd_matches_prs_reference(monkeypatch):
-    # uni-, bi- and trivariate pairs; the heuristic must answer (no PRS
-    # fallback) and agree with the PRS, and the planted factor must divide it
+def test_heuristic_gcd_matches_prs_reference():
+    # uni-, bi- and trivariate pairs; the heuristic gcd must agree with the
+    # PRS, and the planted factor must divide it
     reg = Context.of_rank(3).reg
     rng = random.Random(20261018)
-    fallbacks = []
-    prs = scalars._gcd_prs
     seen = set()
     for case in range(240):
         nvars = 1 + case % 3
         a, b, common, features = _gcd_case(reg, rng, nvars)
         seen |= features | {nvars}
-        monkeypatch.setattr(scalars, "_gcd_prs", lambda x, y: fallbacks.append(case) or prs(x, y))
         got = scalars._gcd_prim(a, b)
-        monkeypatch.setattr(scalars, "_gcd_prs", prs)
-        expect = prs(a, b)
+        expect = gcd_prs(a, b)
         assert got == expect and str(got) == str(expect), (a, b)
         for f in (a, b):
             f.exact_div(got)
         got.exact_div(common)
-    assert not fallbacks
     assert seen == {1, 2, 3, "monomial", "content", "negative", "fraction"}
 
 
@@ -481,20 +478,28 @@ def test_heuristic_gcd_keeps_integer_content_of_images():
     c, h = Poly.symbol(reg, "c"), Poly.symbol(reg, "h")
     f = Poly.const(reg, 2) * c * c - Poly.const(reg, 3) * h
     a, b = h * f, Poly.const(reg, 2) * h * h * f
-    assert scalars._gcd_prim(a, b) == h * f == scalars._gcd_prs(a, b)
+    assert scalars._gcd_prim(a, b) == h * f == gcd_prs(a, b)
 
 
-def test_gcd_falls_back_to_prs(monkeypatch):
+@pytest.mark.parametrize("bivariate", [False, True], ids=["univariate", "bivariate"])
+def test_heuristic_gcd_runs_past_points_with_a_stray_factor(bivariate):
+    # a = g (x + 1), b = g (x + 1 + m) with x the evaluated variable and m
+    # divisible by xi + 1 at each of the first seven points xi: every one of
+    # those images has the stray factor xi + 1, so the digits rebuild a,
+    # which does not divide b; the gcd still comes, from a later point
     reg = Context.of_rank(2).reg
     g1, g2 = Poly.symbol(reg, "g1"), Poly.symbol(reg, "g2")
-    common = g1 * g1 - Poly.const(reg, 3) * g2
-    a, b = common * (g1 + g2), common.scale(Fraction(-2, 3)) * (g1 - g2) * g2
-    calls = []
-    prs = scalars._gcd_prs
-    monkeypatch.setattr(scalars, "_HEU_TRIES", 0)
-    monkeypatch.setattr(scalars, "_gcd_prs", lambda x, y: calls.append(1) or prs(x, y))
-    assert scalars._gcd_prim(a, b) == common
-    assert calls
+    one, three = Poly.const(reg, 1), Poly.const(reg, 3)
+    points = [8]
+    for _ in range(6):
+        points.append(points[-1] * 73794 // 27011)
+    assert points == [8, 21, 57, 155, 423, 1155, 3155]
+    m = Poly.const(reg, math.lcm(*(xi + 1 for xi in points)))
+    x, g = (g2, g1 * g1 + three * g2) if bivariate else (g1, g1 * g1 + three)
+    a, b = g * (x + one), g * (x + one + m)
+    got = scalars._heu_gcd(a, b)
+    assert got == g == gcd_prs(a, b)
+    assert scalars._gcd_prim(a, b) == g
 
 
 def _gcd_chain(polys):
