@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .groups import colex_key, gadd, is_zero
+from .groups import colex_key, gadd, gsub, is_zero
 from .scalars import Poly, Scalar
 
 
@@ -216,20 +216,26 @@ class TriangularPart:
 # -- PBW straightening ---------------------------------------------------------
 
 CENTER = "C"
+_TWELFTH = Fraction(1, 12)
 
 
 def structure_constants(embed, x, y):
     """[d_x, d_y] = (y - x) d_{x+y} + delta_{x,-y} (x^3 - x)/12 C as
     (label, Poly) pairs, CENTER labelling C; embed maps an index to its
-    embedded value as a Poly."""
+    embedded value as a Poly, additively, so y - x is embedded once.
+
+    `AlgebraElement.bracket`, `pbw_normalize` and the Verma module (G = Z)
+    read it.  `induced` keeps its own: C acts there as 0 and its labels are
+    (level, G0 coordinates) pairs, so sharing it would branch on the caller.
+    """
     out = []
-    ex = embed(x)
     z = gadd(x, y)
-    factor = embed(y) - ex
+    factor = embed(gsub(y, x))
     if not factor.is_zero():
         out.append((z, factor))
     if is_zero(z):
-        central = (ex**3 - ex).scale(Fraction(1, 12))
+        ex = embed(x)
+        central = (ex * ex * ex - ex).scale(_TWELFTH)
         if not central.is_zero():
             out.append((CENTER, central))
     return out

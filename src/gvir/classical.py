@@ -1,8 +1,9 @@
 """Highest-weight machinery over the rank-1 algebra (indices in Z).
 
 Works with the classical convention [d_m, d_n] = (n - m) d_{m+n}
-+ delta_{m,-n} (m^3 - m)/12 C (so [d_1, d_{-1}] = -2 d_0), the central
-element acting by c and d_0 on the highest weight vector by h.
++ delta_{m,-n} (m^3 - m)/12 C (so [d_1, d_{-1}] = -2 d_0), the bracket of
+`algebra.structure_constants` on G = Z, the central element acting by c and
+d_0 on the highest weight vector by h.
 
 A truncated Verma module keeps levels 0..L; the level-n basis is the set of
 partitions (k_1 >= ... >= k_r >= 1) of n standing for d_{-k_1}... d_{-k_r} v.
@@ -40,9 +41,8 @@ appear only in `act`, `singular_vectors` and `find_singular`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import CENTER, Straightener, accumulate
+from .algebra import CENTER, Straightener, accumulate, structure_constants
 from .linalg import Echelon, kernel_basis, minor_gcd
 from .scalars import Poly, Scalar
 
@@ -146,15 +146,11 @@ class TruncatedVermaModule:
     # -- action ------------------------------------------------------------
 
     def _bracket(self, a, k):
-        # [d_{-a}, d_{-k}] = (a - k) d_{-(a+k)} + delta_{a,-k} (k^3 - k)/12 C
+        # [d_{-a}, d_{-k}] by `structure_constants` on G = Z, d_j labelled -j
         out = self._brackets.get((a, k))
         if out is None:
-            reg = self.ctx.reg
-            out = self._brackets[a, k] = []
-            if a != k:
-                out.append((a + k, Poly.const(reg, a - k)))
-            if a == -k and k > 1:
-                out.append((CENTER, Poly.const(reg, Fraction(k**3 - k, 12))))
+            pairs = structure_constants(lambda x: self._one.scale(x[0]), (-a,), (-k,))
+            out = self._brackets[a, k] = [(y if y == CENTER else -y[0], p) for y, p in pairs]
         return out
 
     def _top(self, a, v):

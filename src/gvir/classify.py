@@ -42,6 +42,7 @@ from .scalars import is_int, is_list_of
 
 PROVENANCES = ("interseries", "induced", "verma", "external")
 FLAGS = ("is_Z", "rank1_not_Z", "infinitely_generated_rank1")
+EMPTY_WINDOW = "cannot classify an empty window"
 
 CASES = (
     "trivial",
@@ -58,6 +59,23 @@ REPORT_SCHEMA = "gvir.classification/1"
 
 class MalformedDescriptorError(ValueError):
     """The descriptor violates a structural invariant."""
+
+
+def _check_tags(provenance, flags, rank):
+    """The descriptor checks that read no coordinates."""
+    if provenance not in PROVENANCES:
+        raise MalformedDescriptorError(
+            f"unknown provenance {provenance!r}; expected one of {PROVENANCES}"
+        )
+    bad_flags = set(flags) - set(FLAGS)
+    if bad_flags:
+        raise MalformedDescriptorError(f"unknown flags {sorted(bad_flags)}")
+    if flags and rank > 1:
+        raise MalformedDescriptorError(
+            f"rank-1 flags contradict a coordinate lattice of rank {rank}"
+        )
+    if "is_Z" in flags and ("rank1_not_Z" in flags or "infinitely_generated_rank1" in flags):
+        raise MalformedDescriptorError("is_Z contradicts the non-Z rank-1 flags")
 
 
 @dataclass(frozen=True)
@@ -83,22 +101,7 @@ class ModuleDescriptor:
     def __post_init__(self):
         if not isinstance(self.offset, str):
             raise MalformedDescriptorError(f"offset must be a string, got {self.offset!r}")
-        if self.provenance not in PROVENANCES:
-            raise MalformedDescriptorError(
-                f"unknown provenance {self.provenance!r}; expected one of {PROVENANCES}"
-            )
-        bad_flags = set(self.flags) - set(FLAGS)
-        if bad_flags:
-            raise MalformedDescriptorError(f"unknown flags {sorted(bad_flags)}")
-        if self.flags and self.group.rank > 1:
-            raise MalformedDescriptorError(
-                "rank-1 flags contradict a coordinate lattice of rank "
-                f"{self.group.rank}"
-            )
-        if "is_Z" in self.flags and (
-            "rank1_not_Z" in self.flags or "infinitely_generated_rank1" in self.flags
-        ):
-            raise MalformedDescriptorError("is_Z contradicts the non-Z rank-1 flags")
+        _check_tags(self.provenance, self.flags, self.group.rank)
         rows = {}
         for coords, dim in self.rows.items():
             coords = self._coords(coords)
@@ -223,10 +226,15 @@ class ModuleDescriptor:
         flags = payload.get("flags", [])
         if not is_list_of(flags, str):
             raise MalformedDescriptorError(f"flags must be a list of strings, got {flags!r}")
+        provenance = payload.get("provenance", "external")
+        if not rows:
+            # refused as classify refuses it, before the group is built
+            _check_tags(provenance, flags, rank)
+            raise MalformedDescriptorError(EMPTY_WINDOW)
         return ModuleDescriptor(
             group=Group(rank, tuple(names)) if names else Group.of_rank(rank),
             rows=rows,
-            provenance=payload.get("provenance", "external"),
+            provenance=provenance,
             offset=offset if offset is not None else "alpha",
             offset_element=off_elem,
             flags=frozenset(flags),
@@ -411,7 +419,7 @@ def classify(d, direction_bound=2):
     together with b spans the whole lattice (determinant +-1).
     """
     if not d.rows:
-        raise MalformedDescriptorError("cannot classify an empty window")
+        raise MalformedDescriptorError(EMPTY_WINDOW)
     certs = []
     support = d.support()
     certs.append(f"window: {len(d.rows)} weights, {len(support)} supported")

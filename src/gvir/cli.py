@@ -43,7 +43,7 @@ from .classify import MalformedDescriptorError, ModuleDescriptor, classify
 from .groups import Group, box, is_primitive, is_zero
 from .induced import InducedModule, Window
 from .interseries import IntermediateSeriesModule
-from .scalars import SYMBOLS, Context, _parse_binding, is_int, is_list_of
+from .scalars import SYMBOLS, Context, _parse_binding, ascii_int, is_int, is_list_of
 
 RUN_SCHEMA = "gvir.run/1"
 EXIT_OK = 0
@@ -309,7 +309,7 @@ def _parse_element_spec(spec):
             return "C", None
         if text.startswith("d[") and text.endswith("]"):
             try:
-                coords = tuple(int(v) for v in text[2:-1].split(","))
+                coords = tuple(ascii_int(v) for v in text[2:-1].split(","))
             except ValueError as exc:
                 raise ConfigError(f"cannot parse element {spec!r}") from exc
             return "d", coords
@@ -546,9 +546,9 @@ def build_parser():
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory (default $GVIR_OUT or .)")
     parser.add_argument("--format", choices=["json", "csv"])
-    parser.add_argument("--window-L", type=int, dest="window_L", help="window level cap")
-    parser.add_argument("--window-N", type=int, dest="window_N", help="window box radius")
-    parser.add_argument("--seed", type=int, help="seed for randomized spot checks")
+    parser.add_argument("--window-L", type=ascii_int, dest="window_L", help="window level cap")
+    parser.add_argument("--window-N", type=ascii_int, dest="window_N", help="window box radius")
+    parser.add_argument("--seed", type=ascii_int, help="seed for randomized spot checks")
     return parser
 
 

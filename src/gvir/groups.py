@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .linalg import det
-from .scalars import Poly, Registry
+from .scalars import Poly
 
 
 class SplitError(ValueError):
@@ -111,9 +111,8 @@ class Group:
 def int_det(rows):
     """Determinant of a square integer matrix: `linalg.det` on constant
     Polys over a registry with no variables."""
-    reg = Registry(())
-    sparse = [{j: Poly.const(reg, v) for j, v in enumerate(row) if v} for row in rows]
-    return int(det(reg, sparse).const_value())
+    sparse = [{j: Poly.const((), v) for j, v in enumerate(row) if v} for row in rows]
+    return int(det((), sparse).const_value())
 
 
 def _identity(n):
@@ -236,7 +235,6 @@ class Splitting:
     x = k*b + sum u_i * g0_basis[i].
     """
 
-    group: Group
     b: tuple
     g0_basis: tuple
     to_split: tuple
@@ -273,4 +271,4 @@ def split(group, b):
     det = int_det(V)
     if det not in (1, -1):
         raise SplitError("completion is not unimodular")
-    return Splitting(group=group, b=b, g0_basis=tuple(cols[1:]), to_split=tuple(U))
+    return Splitting(b=b, g0_basis=tuple(cols[1:]), to_split=tuple(U))

@@ -578,13 +578,6 @@ class QuotientDims:
             raise ValueError("direction must be nonzero")
         return _direction_verdict(descriptor_from_induced(self), g)
 
-    def to_rows(self):
-        """Sorted (level, coords, dim, stable) tuples for serialization."""
-        out = []
-        for (i, x) in sorted(self.entries):
-            out.append((i, x, self.entries[(i, x)], self.stable[(i, x)]))
-        return out
-
     def to_json(self):
         w = self.window
         sc = self.support_check()
@@ -602,7 +595,7 @@ class QuotientDims:
                 str(i): self.max_level_dim(i) for i in range(w.level_cap + 1)
             },
             "rows": [
-                {"level": i, "coords": list(x), "dim": d, "stable": s}
-                for i, x, d, s in self.to_rows()
+                {"level": i, "coords": list(x), "dim": d, "stable": self.stable[i, x]}
+                for (i, x), d in sorted(self.entries.items())
             ],
         }

@@ -22,16 +22,16 @@ column rank of the rows evaluated at a fixed point modulo a fixed prime
 proves full column rank over the fraction field (`_full_column_rank` says
 why), and then no elimination runs.
 
-All of them run on one packed-term kernel.  Each call packs its rows once
-to {monomial int: coefficient} dicts (the packed format of `scalars`, beside
-`Poly`), fuses every update into one accumulation and divides with the
-heap-ordered `scalars._divide`, the division of `Poly.exact_div` too.  Each
-variable that occurs gets a bit field sized from a proven bound (twice the
-sum over rows of the row's largest degree in it) plus a guard bit; a
-product that sets a guard bit starts the call over with wider fields, so an
-overflow never passes silently.  The tests check them against a dense
-elimination over the rational-function field (tests/oracles.py), slow but
-independent.
+All of them run on one packed-term kernel.  `_with_fields` packs the rows
+of a call to {monomial int: coefficient} dicts (the packed format of
+`scalars`, beside `Poly`); each update fuses into one accumulation and
+divides with the heap-ordered `scalars._divide`, the division of
+`Poly.exact_div` too.  Each variable that occurs gets a bit field sized from
+a proven bound (twice the sum over rows of the row's largest degree in it)
+plus a guard bit; a product that sets a guard bit makes `_with_fields`
+repack with wider fields and start over, so no overflow passes silently.
+The tests check them against a dense elimination over the rational-function
+field (tests/oracles.py), slow but independent.
 
 Rows enter `symbolic_rank`, `kernel_basis` and `Echelon` divided by their
 monomial gcd and rational content only (`_prepare_row`).
@@ -140,7 +140,6 @@ class Echelon:
     def __init__(self, ncols):
         self.ncols = ncols
         self.rows = []  # (pivot column, stripped row), in insertion order
-        self._tops = []  # degree top of each kept row
 
     @property
     def rank(self):
@@ -151,24 +150,22 @@ class Echelon:
 
     def add_row(self, row):
         """Reduce and keep a row; returns True iff the rank grew."""
-        r, top = _prepare_row(row)
+        r, _ = _prepare_row(row)
         if not r:
             return False
         reg = next(iter(r.values())).reg
 
-        def run(pk):
-            res = {j: pk.pack(p) for j, p in r.items()}
-            for pc, prow in self.rows:
+        def run(packed, pk):
+            res = packed[0]
+            for (pc, _), prow in zip(self.rows, packed[1:]):
                 if pc in res:
-                    packed = {j: pk.pack(p) for j, p in prow.items()}
-                    res = _combine(res, packed, pc, packed[pc], None, pk.guard)
+                    res = _combine(res, prow, pc, prow[pc], None, pk.guard)
             return {j: pk.unpack(reg, t) for j, t in res.items()}
 
-        r, top = _prepare_row(_with_fields(len(reg), self._tops + [top], run))
+        r, _ = _prepare_row(_with_fields(len(reg), [r] + [prow for _, prow in self.rows], run))
         if not r:
             return False
         self.rows.append((min(r, key=lambda j: (len(r[j].terms), j)), r))
-        self._tops.append(top)
         return True
 
 
@@ -196,11 +193,7 @@ def symbolic_rank(reg, rows, unit_var=None):
     which also gives the degree tops that size the packed fields.
     """
     work, tops = _prepare_rows(rows, unit_var)
-
-    def run(pk):
-        return _rank_kernel([{j: pk.pack(p) for j, p in r.items()} for r in work], pk.guard)
-
-    return _with_fields(len(reg), tops, run)
+    return _with_fields(len(reg), work, lambda packed, pk: _rank_kernel(packed, pk.guard), tops)
 
 
 def _rank_kernel(work, guard):
@@ -243,8 +236,7 @@ def kernel_basis(reg, rows, ncols):
         return []
     work, tops = _prepare_rows(rows)
 
-    def run(pk):
-        packed = [{j: pk.pack(p) for j, p in r.items()} for r in work]
+    def run(packed, pk):
         pivots, last, _ = _fraction_free(packed, pk.guard, True)
         last = Poly.const(reg, 1) if last is None else pk.unpack(reg, last)
         vectors = []
@@ -260,7 +252,7 @@ def kernel_basis(reg, rows, ncols):
             vectors.append(vec)
         return vectors
 
-    return [_primitive(vec) for vec in _with_fields(len(reg), tops, run)]
+    return [_primitive(vec) for vec in _with_fields(len(reg), work, run, tops)]
 
 
 # the certificate of an empty kernel: a fixed prime, and a fixed point whose
@@ -352,8 +344,7 @@ def det(reg, rows):
     if any(not 0 <= j < n for row in rows for j in row):
         raise ValueError(f"matrix must be square: a column index is outside range({n})")
 
-    def run(pk):
-        packed = [{j: pk.pack(p) for j, p in row.items() if p.terms} for row in rows]
+    def run(packed, pk):
         pivots, last, odd = _fraction_free(packed, pk.guard, False)
         if len(pivots) < n:
             return Poly.zero(reg)
@@ -361,7 +352,7 @@ def det(reg, rows):
             return Poly.const(reg, 1)
         return pk.unpack(reg, _neg(last) if odd else last)
 
-    return _with_fields(len(reg), [_degree_top(len(reg), row.values()) for row in rows], run)
+    return _with_fields(len(reg), rows, run)
 
 
 def minor_gcd(reg, rows, ncols):
@@ -379,8 +370,7 @@ def minor_gcd(reg, rows, ncols):
     """
     cols = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(ncols)]
 
-    def run(pk):
-        packed = [{i: pk.pack(p) for i, p in col.items()} for col in cols]
+    def run(packed, pk):
         # with no free column there is no Y to read: the forward half will do
         pivots, last, _ = _fraction_free(packed, pk.guard, len(rows) > ncols)
         if len(pivots) < ncols:
@@ -389,7 +379,7 @@ def minor_gcd(reg, rows, ncols):
         y = [{c: pk.unpack(reg, row[f]) for c, f in enumerate(free) if f in row} for row in packed]
         return pk.unpack(reg, last), y, len(free)
 
-    found = _with_fields(len(reg), [_degree_top(len(reg), col.values()) for col in cols], run)
+    found = _with_fields(len(reg), cols, run)
     if found is None:
         return Poly.zero(reg)
     d, y, k = found
@@ -460,13 +450,16 @@ def _field_bounds(nvars, tops):
     return [2 * t for t in total]
 
 
-def _with_fields(nvars, tops, run):
-    """run(packing) with fields sized for rows of the given degree tops,
-    widened until none overflows."""
+def _with_fields(nvars, rows, run, tops=None):
+    """run(packed rows, packing), zero entries dropped, in fields sized for
+    the rows' degree tops (read unless given) and widened until none overflows."""
+    if tops is None:
+        tops = [_degree_top(nvars, row.values()) for row in rows]
     bounds = _field_bounds(nvars, tops)
     while True:
+        pk = _Packing(bounds)
         try:
-            return run(_Packing(bounds))
+            return run([{j: pk.pack(p) for j, p in row.items() if p.terms} for row in rows], pk)
         except _FieldOverflow:
             bounds = [2 * b for b in bounds]
 

@@ -5,7 +5,8 @@ sparse multivariate polynomials over Q together with their fraction field.
 Group generators stay formal indeterminates, which makes them Q-linearly
 independent by construction; alpha, beta, c and h may each be bound to a
 value (a rational, or for alpha the embedded value of a group element) when a
-Context is created.
+Context is created.  Its registry, carried by every Poly, is the tuple of
+symbol names (generators, then SYMBOLS), one exponent slot per name.
 
 A Scalar is always stored in canonical form -- num/den with gcd(num, den) = 1
 and den monic under the graded-lex term order -- so structural equality
@@ -74,31 +75,6 @@ def _content(coeffs):
     )
 
 
-class Registry:
-    """Fixed ordered list of indeterminate names for one session."""
-
-    __slots__ = ("names", "index")
-
-    def __init__(self, names):
-        names = tuple(names)
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate symbol names in registry")
-        self.names = names
-        self.index = {n: i for i, n in enumerate(names)}
-
-    def __len__(self):
-        return len(self.names)
-
-    def __eq__(self, other):
-        return isinstance(other, Registry) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
-
-    def __repr__(self):
-        return f"Registry{self.names!r}"
-
-
 class Poly:
     """Sparse multivariate polynomial over Q.
 
@@ -130,11 +106,10 @@ class Poly:
 
     @staticmethod
     def symbol(reg, name):
-        i = reg.index.get(name)
-        if i is None:
-            raise KeyError(f"unknown symbol {name!r}; registry has {reg.names}")
+        if name not in reg:
+            raise KeyError(f"unknown symbol {name!r}; registry has {reg}")
         e = [0] * len(reg)
-        e[i] = 1
+        e[reg.index(name)] = 1
         return Poly(reg, {tuple(e): 1})
 
     @staticmethod
@@ -256,11 +231,11 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.reg.names == other.reg.names and self.terms == other.terms
+        return self.reg == other.reg and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.reg.names, frozenset(self.terms.items())))
+            self._hash = hash((self.reg, frozenset(self.terms.items())))
         return self._hash
 
     def sorted_terms(self):
@@ -270,11 +245,10 @@ class Poly:
     def __str__(self):
         if not self.terms:
             return "0"
-        names = self.reg.names
         parts = []
         for e, c in self.sorted_terms():
             syms = "*".join(
-                n if p == 1 else f"{n}^{p}" for n, p in zip(names, e) if p
+                n if p == 1 else f"{n}^{p}" for n, p in zip(self.reg, e) if p
             )
             neg = c < 0
             mag = -c if neg else c
@@ -761,8 +735,7 @@ class Scalar:
         reg = self.reg
         values = {}
         for name, v in bindings.items():
-            i = reg.index.get(name)
-            if i is None:
+            if name not in reg:
                 raise KeyError(f"unknown symbol {name!r}")
             if isinstance(v, Scalar):
                 if not v._den_is_one():
@@ -770,7 +743,7 @@ class Scalar:
                 v = v.num
             elif not isinstance(v, Poly):
                 v = Poly.const(reg, v)
-            values[i] = v
+            values[reg.index(name)] = v
         num = self.num.substitute(values)
         den = self.den.substitute(values)
         if den.is_zero():
@@ -903,6 +876,7 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 SYMBOLS = ("alpha", "beta", "c", "h")  # bindable parameters; no generator takes these names
+_INT_TEXT = "[+-]?[0-9]+"  # ASCII digits only: int() also takes "1_0" and other scripts
 
 
 @dataclass(frozen=True)
@@ -930,6 +904,13 @@ def is_list_of(value, kind):
     )
 
 
+def ascii_int(text):
+    """int(text) in the ASCII grammar of binding strings, spaces around it allowed."""
+    if not re.fullmatch(rf"\s*{_INT_TEXT}\s*", text, re.ASCII):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_binding(name, spec, rank):
     if spec is None or spec == "free":
         return Binding("free")
@@ -941,7 +922,7 @@ def _parse_binding(name, spec, rank):
         return Binding("rational", Fraction(spec))
     if isinstance(spec, str):
         try:  # the README grammar, not Fraction's, which takes "1e99999999"
-            if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", spec):
+            if not re.fullmatch(rf"{_INT_TEXT}(/[0-9]+)?", spec):
                 raise ValueError(spec)
             return Binding("rational", Fraction(spec))
         except (ValueError, ZeroDivisionError) as exc:
@@ -969,7 +950,9 @@ class Context:
                 raise ValueError(f"generator name {n!r} is reserved")
         self.gen_names = gen_names
         self.rank = len(gen_names)
-        self.reg = Registry(gen_names + SYMBOLS)
+        self.reg = gen_names + SYMBOLS
+        if len(set(self.reg)) != len(self.reg):
+            raise ValueError("duplicate symbol names in registry")
         self.bindings = {
             "alpha": _parse_binding("alpha", alpha, self.rank),
             "beta": _parse_binding("beta", beta, self.rank),

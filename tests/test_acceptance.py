@@ -188,7 +188,7 @@ def test_5_singular_vector_conditions():
         assert rep2.kernel_dim() == 0
         assert rep2.conditions == [prim]
         # a point on the vanishing locus of the oracle really has a kernel
-        at_point = oracle.substitute({reg.index["h"]: 1, reg.index["c"]: 26})
+        at_point = oracle.substitute({reg.index("h"): 1, reg.index("c"): 26})
         assert at_point.is_zero()
         Mp = TruncatedVermaModule(Context.of_rank(1, h=1, c=26), 2)
         repp = Mp.find_singular(2)

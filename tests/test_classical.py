@@ -250,7 +250,7 @@ def _uni_mul(a, b):
 
 def _at_kac_point(reg, poly, t):
     """poly(c = c(t), h -> -h) as h-coefficients, lowest degree first."""
-    ic, ih = reg.index["c"], reg.index["h"]
+    ic, ih = reg.index("c"), reg.index("h")
     out = {}
     for exps, coeff in poly.terms.items():
         assert all(e == 0 for i, e in enumerate(exps) if i not in (ic, ih))

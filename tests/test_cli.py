@@ -395,6 +395,7 @@ def _exit_and_stderr(tmp_path, capsys, command, config):
         ({"b": [0, 1], "bindings": {"beta": False}}, "bad binding for beta"),
         ([{"b": [0, 1]}], "config must be a JSON object"),
         ({"group": {"rank": 1}, "b": [1]}, "induce needs a group of rank >= 2"),
+        ({"group": {"rank": 2, "names": ["x", "x"]}, "b": [0, 1]}, "duplicate symbol names in registry"),
     ],
 )
 def test_malformed_induce_configs_exit_2_with_diagnostic(tmp_path, capsys, config, needle):
@@ -426,10 +427,39 @@ def test_bracket_non_integer_coordinates_exit_2(tmp_path, capsys):
         ([0.5, 1], "integer coordinates"),
         ("d[1,x]", "cannot parse element 'd[1,x]'"),
         ("d[]", "cannot parse element 'd[]'"),
+        # int() takes these; the ASCII grammar of binding strings does not
+        ("d[1_0,0]", "cannot parse element 'd[1_0,0]'"),
+        ("d[\u0661,0]", "cannot parse element 'd[\u0661,0]'"),
+        ("d[0,+\uff13]", "cannot parse element 'd[0,+\uff13]'"),
     ):
         rc, err = _exit_and_stderr(tmp_path, capsys, "bracket", {"x": x, "y": [0, 1]})
         assert rc == EXIT_VALIDATION
         assert needle in err and "Traceback" not in err
+
+
+def test_bracket_coordinates_allow_a_sign_and_spaces(tmp_path, capsys):
+    rc, err = _exit_and_stderr(tmp_path, capsys, "bracket", {"x": "d[ +1, -2 ]", "y": [0, 1]})
+    assert rc == EXIT_OK, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verma", "--window-L", "\u0663"],
+        ["verma", "--window-L", "1_0"],
+        ["induce", "--window-N", "\u0661"],
+        ["interseries", "--seed", "1_0"],
+        ["interseries", "--seed", "+ 1"],
+    ],
+)
+def test_integer_flags_take_ascii_digits_only(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--out", str(tmp_path)])
+    assert err.value.code == EXIT_VALIDATION
+    assert f"argument {argv[1]}: invalid ascii_int value: {argv[2]!r}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    # a sign and surrounding spaces are part of the grammar
+    assert main(["verma", "--window-L", " +1 ", "--out", str(tmp_path)]) == EXIT_OK
 
 
 _CLASSIFY_DESCRIPTOR = {
@@ -891,6 +921,18 @@ _HUGE = 10**9
             {"descriptor": dict(_CLASSIFY_DESCRIPTOR, group={"rank": _HUGE}, flags=[], rows=[], offset_element=[0])},
             f"element (0,) has wrong length for rank {_HUGE}",
         ),
+        # no coordinates at all: the diagnostics of a small rank, and no group
+        ("classify", {"descriptor": dict(_CLASSIFY_DESCRIPTOR, group={"rank": _HUGE}, flags=[], rows=[])}, "cannot classify an empty window"),
+        (
+            "classify",
+            {"descriptor": dict(_CLASSIFY_DESCRIPTOR, group={"rank": _HUGE}, rows=[])},
+            f"rank-1 flags contradict a coordinate lattice of rank {_HUGE}",
+        ),
+        (
+            "classify",
+            {"descriptor": dict(_CLASSIFY_DESCRIPTOR, group={"rank": _HUGE}, flags=[], rows=[], provenance="x")},
+            "unknown provenance 'x'",
+        ),
     ],
 )
 def test_rank_mismatch_exits_2_before_building_the_rank(tmp_path, capsys, monkeypatch, command, config, needle):
@@ -904,6 +946,22 @@ def test_rank_mismatch_exits_2_before_building_the_rank(tmp_path, capsys, monkey
     rc, err = _exit_and_stderr(tmp_path, capsys, command, config)
     assert rc == EXIT_VALIDATION and needle in err, err
     assert not built
+
+
+@pytest.mark.parametrize(
+    "descriptor, needle",
+    [
+        (dict(_CLASSIFY_DESCRIPTOR, rows=[]), "cannot classify an empty window"),
+        (dict(_CLASSIFY_DESCRIPTOR, group={"rank": 3}, flags=[], rows=[]), "cannot classify an empty window"),
+        (dict(_CLASSIFY_DESCRIPTOR, group={"rank": 3}, rows=[]), "rank-1 flags contradict a coordinate lattice of rank 3"),
+        (dict(_CLASSIFY_DESCRIPTOR, flags=[], rows=[], provenance="x"), "unknown provenance 'x'"),
+    ],
+)
+def test_empty_window_exits_2(tmp_path, capsys, descriptor, needle):
+    # the diagnostics that the rank-10**9 cases above pin, at ranks built cheaply
+    rc, err = _exit_and_stderr(tmp_path, capsys, "classify", {"descriptor": descriptor})
+    assert rc == EXIT_VALIDATION and needle in err, err
+    assert "Traceback" not in err and "computation failed" not in err
 
 
 def _refuse_contexts_and_groups(monkeypatch):

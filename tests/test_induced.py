@@ -447,7 +447,7 @@ def test_dims_bound_specialized_rank():
     # a rational specialization of the probe matrix can only lose rank
     mod = rank2_module(L=2, N=1)
     rng = random.Random(11)
-    vals = [Fraction(rng.randint(2, 400), rng.randint(1, 11)) for _ in mod.ctx.reg.names]
+    vals = [Fraction(rng.randint(2, 400), rng.randint(1, 11)) for _ in mod.ctx.reg]
     for (i, x) in [(1, (0,)), (2, (0,))]:
         cols = mod.basis_at(i, x, 1)
         rows = mod._probe_rows(i, x, cols, 1)
@@ -500,7 +500,7 @@ def test_level2_kernel_closed_under_raising_at_a_point():
     mod = rank2_module(L=2, N=2)
     reg = mod.ctx.reg
     rng = random.Random(23)
-    vals = [Fraction(rng.randint(2, 300), rng.randint(1, 7)) for _ in reg.names]
+    vals = [Fraction(rng.randint(2, 300), rng.randint(1, 7)) for _ in reg]
     i, x, N = 2, (0,), 2
     cols = mod.basis_at(i, x, N)
     rows = mod._probe_rows(i, x, cols, N)

@@ -897,7 +897,7 @@ def test_kernel_basis_forms_no_scalar(monkeypatch):
 def test_kernel_basis_degree_one_in_four_variables():
     # the dense field engine did not finish such a 4x4 matrix in 120 s
     reg = Context.of_rank(4).reg
-    gens = [Poly.const(reg, 1)] + [Poly.symbol(reg, name) for name in reg.names]
+    gens = [Poly.const(reg, 1)] + [Poly.symbol(reg, name) for name in reg]
     rng = random.Random(4444)
 
     def linear():
