@@ -8,6 +8,8 @@ set -e
 cd "$(dirname "$0")/.."
 GVIR="env PYTHONPATH=src python3 -m gvir.cli"
 OUT=$(mktemp -d)
+# removed however the script ends, a failing step under set -e included
+trap 'rm -rf "$OUT"' EXIT
 
 echo '== bracket: positional element tokens =='
 # the report goes to a file first: piped into head, a failing run would
@@ -50,4 +52,3 @@ $GVIR classify "$OUT/desc.json" --out "$OUT" \
 echo
 echo "artifacts written to $OUT:"
 ls "$OUT" | grep -v '\.in$'
-rm -rf "$OUT"

@@ -46,9 +46,12 @@ calling process keeps one share of the units and forks one helper process
 per extra CPU for the others; helpers send their (key, rank) pairs back over
 a pipe into the rank memo.  Every matrix is the one a single process would
 rank, so tables, errors and reports do not change.  A bound alpha gives one
-unit per report weight, and these split evenly.  A free alpha gives one unit
-per level, and its top level holds nearly all the cost; no split takes a
-quarter of the work off the caller, so such a table stays in one process.
+unit per report weight, and these split evenly once the table's estimated
+cost is above a measured floor.  A free alpha gives one unit per level, and
+its top level holds nearly all the cost; no split takes a quarter of the
+work off the caller, so such a table stays one share, and its large ranks
+split their rows between the caller and forked peers instead
+(`symbolic_rank`).  `taskset -c 0` leaves one CPU, and then one process.
 
 Probe rows share prefixes.  The probe sequences are nondecreasing tuples and
 a sequence acts first operator first, so, per basis monomial, the vector
@@ -63,35 +66,23 @@ from __future__ import annotations
 
 import marshal
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 from .algebra import Straightener, accumulate
 from .classify import _direction_verdict, descriptor_from_induced
+from .forks import Children, usable_cpus
 from .groups import box, gadd, gsub, gzero, split
 from .interseries import subquotient_of
 from .linalg import kernel_basis, symbolic_rank
 from .scalars import Poly, Scalar
 
 
-def _usable_cpus():
-    """CPUs this process may run on, or 1 where ranks must stay in this
-    process: no fork, or a second live thread (forking a threaded process
-    can copy a lock that another thread holds)."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _signal():
-    # imported only by a run that forks, so a single-process run does not
-    # pay for the import
-    import signal
-
-    return signal
+# the estimated cost (sum |basis_at|^3 over a table's units and radii) below
+# which a table stays in one process: among alpha-bound tables timed alone
+# and with one helper on a 2-core host, every table above it ranked faster
+# with the helper, and below it some did not (a fork costs about 3 ms, and
+# a helper repeats the straightening that units share)
+_HELPER_FLOOR = 20_000
 
 
 def double_factorial_odd(i):
@@ -336,8 +327,10 @@ class InducedModule:
                     row[j] = val
         return [row for row in rows if row]
 
-    def dims_at(self, i, x, radius=None):
-        """Quotient dimension at (level i, G0-weight x) for one box radius."""
+    def dims_at(self, i, x, radius=None, cpus=1):
+        """Quotient dimension at (level i, G0-weight x) for one box radius;
+        cpus > 1 lets a large rank share its rows with forked peers
+        (`symbolic_rank`)."""
         radius = self.window.box_radius if radius is None else radius
         x = tuple(x)
         key = (i, x, radius)
@@ -347,7 +340,7 @@ class InducedModule:
         cols = self.basis_at(i, x, radius)
         if cols:
             rows = self._probe_rows(i, x, cols, radius)
-            d = symbolic_rank(self.ctx.reg, rows, unit_var=self.unit_var)
+            d = symbolic_rank(self.ctx.reg, rows, unit_var=self.unit_var, cpus=cpus)
         else:
             d = 0
         self._dims_memo[key] = d
@@ -373,15 +366,18 @@ class InducedModule:
 
         Units go longest first, by the estimated cost sum |basis_at|^3 over
         the radii, to the share with the least cost so far; each share keeps
-        table order.  A split that would take less than a quarter of the
-        estimated cost off the caller is not worth a fork (an alpha-free
-        table, where the top level dominates, never is), so that case and a
-        single usable CPU give one share."""
-        cpus = _usable_cpus()
+        table order.  A fork is not worth it for a table whose whole cost is
+        below _HELPER_FLOOR, nor for a split that would take less than a
+        quarter of the cost off the caller (an alpha-free table, where the
+        top level dominates, never is), so those cases and a single usable
+        CPU give one share."""
+        cpus = usable_cpus()
         todo = [u for u in units if any((*u, r) not in self._dims_memo for r in radii)]
         if cpus < 2 or len(todo) < 2:
             return [todo]
         cost = {u: sum(len(self.basis_at(*u, r)) ** 3 for r in radii) for u in todo}
+        if sum(cost.values()) < _HELPER_FLOOR:
+            return [todo]
         loads = [0] * cpus
         owner = {}
         for u in sorted(todo, key=cost.__getitem__, reverse=True):
@@ -402,64 +398,44 @@ class InducedModule:
         pairs back over a pipe.  A helper that fails (the known
         ExactDivisionError, or death) sends what it finished; the caller
         recomputes the rest, so an error surfaces there with its own type.
-        No helper outlives this call."""
+        A table that stays one share may instead split each large rank
+        between the caller and forked peers (`symbolic_rank`).  No helper
+        or peer outlives this call."""
         shares = self._shares(units, radii)
-        helpers = {}  # pid -> read end of its pipe
-        try:
+        cpus = usable_cpus() if len(shares) == 1 else 1
+        with Children() as helpers:
+            pipes = []
             for share in shares[1:]:
                 try:
-                    self._fork_helper(share, radii, helpers)
+                    pipes.append(self._fork_helper(helpers, share, radii))
                 except OSError:
                     pass  # no helper: the caller ranks this share later
             for i, x in shares[0]:
                 for radius in radii:
-                    self.dims_at(i, x, radius)
-            for fd in helpers.values():
+                    self.dims_at(i, x, radius, cpus)
+            for fd in pipes:
                 with open(fd, "rb", closefd=False) as pipe:
                     data = pipe.read()
                 try:
                     self._dims_memo.update(marshal.loads(data))
                 except (EOFError, ValueError, TypeError):
                     pass  # a helper that died mid-write
-        finally:
-            # a helper that sent its result is exiting already; any other
-            # one is stopped (an error or a timeout in the caller)
-            for pid, fd in helpers.items():
-                os.close(fd)
-                os.kill(pid, _signal().SIGKILL)
-                os.waitpid(pid, 0)
 
-    def _fork_helper(self, share, radii, helpers):
-        """Fork one helper that ranks share and registers it in helpers.
+    def _fork_helper(self, helpers, share, radii):
+        """Fork into helpers (a `forks.Children`) one helper that ranks
+        share; returns the read end of its pipe."""
 
-        Signals stay blocked from the fork until the helper is registered,
-        so a handler that raises (a job timeout) cannot lose its pid."""
-        signal = _signal()
-        r, w = os.pipe()
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-        try:
-            pid = os.fork()
-            if pid == 0:
-                try:  # a helper never returns into the caller
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    os.close(r)
-                    done = {}
-                    try:
-                        for i, x in share:
-                            for radius in radii:
-                                done[(i, x, radius)] = self.dims_at(i, x, radius)
-                    finally:
-                        with open(w, "wb") as pipe:
-                            pipe.write(marshal.dumps(done))
-                finally:
-                    os._exit(0)
-            helpers[pid] = r
-        except BaseException:
-            os.close(r)
-            raise
-        finally:
-            os.close(w)
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        def rank_share(out, _):
+            done = {}
+            try:
+                for i, x in share:
+                    for radius in radii:
+                        done[(i, x, radius)] = self.dims_at(i, x, radius)
+            finally:
+                with open(out, "wb", closefd=False) as pipe:
+                    pipe.write(marshal.dumps(done))
+
+        return helpers.fork(rank_share)[0]
 
     def quotient_dims(self):
         """Dimension table at radius N plus the N+1 rerun for stability.

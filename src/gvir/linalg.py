@@ -47,17 +47,26 @@ packed fields fall out of the same exponents.
 Every routine takes one input format: rows as sparse dicts
 {column index -> Poly}, zero entries absent.  `det` is the one determinant
 of the package; `groups.int_det` runs it on constant rows.
+
+`symbolic_rank` can spread one large elimination over every CPU the
+process may run on (`forks.usable_cpus`, which a caller passes as cpus):
+the caller keeps the rows i = 0 modulo k and each of k - 1 forked peers
+the rows of one other residue, and at each step the sides agree on the
+pivot, the owner of the pivot row ships it, and each side updates its own
+rows (`_rank_kernel`).  Only a prepared matrix above a measured floor is
+worth the forks; `taskset -c 0` leaves one CPU, and then one process.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 from operator import or_
 
-from .scalars import Poly, _content, _degree_top, _descending, _divide, _FieldOverflow
-from .scalars import _gcd_many, _grlex, _norm_coeff, _Packing
+from .forks import Children
+from .scalars import ExactDivisionError, Poly, _content, _degree_top, _descending, _divide
+from .scalars import _FieldOverflow, _gcd_many, _grlex, _norm_coeff, _Packing
 
 
 def _prepare_row(row, unit_var=None):
@@ -169,7 +178,7 @@ class Echelon:
         return True
 
 
-def symbolic_rank(reg, rows, unit_var=None):
+def symbolic_rank(reg, rows, unit_var=None, cpus=1):
     """Exact rank of a sparse polynomial matrix over the fraction field.
 
     Fraction-free elimination with per-row delayed divisors: each pivot
@@ -177,7 +186,7 @@ def symbolic_rank(reg, rows, unit_var=None):
     column, dividing by the pivot that last updated that row; a row with a
     zero multiplier is skipped and keeps its old divisor.  This keeps entry
     growth at the size of the pivot minors.  Pivots minimize term count
-    (first found wins a tie).
+    (the smallest row index, then the first column found, wins a tie).
 
     Every update is an invertible row operation over the field, so a run
     that completes returns the exact rank.  Known defect: a run need not
@@ -185,41 +194,188 @@ def symbolic_rank(reg, rows, unit_var=None):
     it later becomes the pivot row, the numerator of a row whose divisor is
     that skipped pivot need not contain it, and the division raises
     ExactDivisionError.  (No determinant identity makes it exact; see the
-    strict-xfail tests.)
+    strict-xfail tests.)  Peers reproduce the defect: they take the same
+    pivots and updates, so the error is raised at the same step, by the
+    same row.
 
     With unit_var given, that variable is set to 1 first.  This keeps the
     rank only when every minor is homogeneous; `InducedModule` checks that
     before it passes unit_var.  Each row goes through `_prepare_row` once,
     which also gives the degree tops that size the packed fields.
+
+    With cpus > 1 the rows of a large prepared matrix are split between
+    this process and cpus - 1 forked peers (`_rank_kernel`); the rank, and
+    any error, is the one of a single process.  Large means at least
+    _PEER_ROWS rows and a cost of at least _PEER_COST, the cost being the
+    number of terms times the number of variables that occur.
     """
     work, tops = _prepare_rows(rows, unit_var)
-    return _with_fields(len(reg), work, lambda packed, pk: _rank_kernel(packed, pk.guard), tops)
+    if cpus > 1 and not _worth_peers(len(reg), work, tops):
+        cpus = 1
+    return _with_fields(len(reg), work, lambda packed, pk: _spread_rank(packed, pk.guard, cpus), tops)
 
 
-def _rank_kernel(work, guard):
+# forking a peer costs about 3 ms; among the induce probe matrices, timed
+# alone and with one peer on a 2-core host, every matrix at or above both
+# floors ranked faster with the peer, and below them some did not
+_PEER_ROWS = 8
+_PEER_COST = 5000
+
+
+def _worth_peers(nvars, work, tops):
+    """Whether prepared rows are large enough to share with peers."""
+    if len(work) < _PEER_ROWS:
+        return False
+    fields = sum(1 for b in _field_bounds(nvars, tops) if b)
+    return fields * sum(len(p.terms) for row in work for p in row.values()) >= _PEER_COST
+
+
+def _rank_kernel(work, guard, side=None):
+    """The rank of packed rows by `symbolic_rank`'s elimination.
+
+    This process updates only the rows it owns: with side None all of them,
+    else those of index side.index modulo side.stride.  At each step it
+    offers its fewest-terms candidate (terms, row, column) to side.pivot,
+    which returns the pivot of the whole matrix with its row (None once no
+    row is left), and applies `_combine` to its own rows.  An update that
+    raises ends the step and goes to side.pivot too, which raises the
+    error of the lowest row.  So the pivots, the updates and the first
+    error are those of one process running every row in order.
+    """
+    side = side or _Alone
+    own = list(range(side.index, len(work), side.stride))
     divisors = [None] * len(work)  # None stands for 1
-    act = list(range(len(work)))
     rank = 0
-    while act:
+    failed = None  # (row, error) of the update that raised
+    while True:
         best = None
-        for ri in act:
+        for ri in own:
             for j, p in work[ri].items():
                 k = len(p)
                 if best is None or k < best[0]:
                     best = (k, ri, j)
-        _, pr, pc = best
-        prow = work[pr]
+        step = side.pivot(best, failed, work)
+        if step is None:
+            return rank
+        pr, pc, prow = step
         piv = prow[pc]
         piv_desc = _descending(piv)
-        act.remove(pr)
+        if pr in own:
+            own.remove(pr)
         rank += 1
-        for ri in act:
+        for ri in own:
             r = work[ri]
             if pc in r:
-                work[ri] = _combine(r, prow, pc, piv, divisors[ri], guard)
+                try:
+                    work[ri] = _combine(r, prow, pc, piv, divisors[ri], guard)
+                except (ExactDivisionError, _FieldOverflow) as exc:
+                    failed = (ri, exc)
+                    break
                 divisors[ri] = piv_desc
-        act = [ri for ri in act if work[ri]]
-    return rank
+        own = [ri for ri in own if work[ri]]
+
+
+class _Alone:
+    """The side of a process that owns every row."""
+
+    index, stride = 0, 1
+
+    @staticmethod
+    def pivot(best, failed, work):
+        if failed:
+            raise failed[1]
+        return None if best is None else (best[1], best[2], work[best[1]])
+
+
+def _spread_rank(work, guard, cpus):
+    """`_rank_kernel` on the packed rows, split between this process and
+    cpus - 1 forked peers when cpus > 1.  A peer that cannot be forked or
+    dies (a broken or closed pipe) makes this process rank the rows alone,
+    from the start."""
+    if cpus < 2:
+        return _rank_kernel(work, guard)
+    # pickle is imported here and in _send and _recv, by ranks that fork
+    # peers only, so that other runs do not pay for the import
+    import pickle
+
+    alone = list(work)  # updates replace rows, never change them
+    try:
+        with Children() as peers:
+            links = [peers.fork(partial(_run_peer, work, guard, k, cpus)) for k in range(1, cpus)]
+            return _rank_kernel(work, guard, _Caller(links, cpus))
+    except (OSError, EOFError, pickle.UnpicklingError):
+        return _rank_kernel(alone, guard)
+
+
+def _send(fd, obj):
+    import pickle
+
+    with open(fd, "wb", closefd=False) as pipe:
+        pickle.dump(obj, pipe, pickle.HIGHEST_PROTOCOL)
+
+
+def _recv(pipe):
+    import pickle
+
+    return pickle.load(pipe)
+
+
+class _Caller:
+    """The side of the calling process: rows 0 modulo stride.  It gathers
+    every side's candidate (or error), picks the pivot, and passes the
+    pivot row on from the side that owns it to the others."""
+
+    index = 0
+
+    def __init__(self, links, stride):
+        self.stride = stride
+        self.peers = [(open(r, "rb", closefd=False), w) for r, w in links]
+
+    def pivot(self, best, failed, work):
+        reports = [(best, failed)] + [_recv(inp) for inp, _ in self.peers]
+        errors = [f for _, f in reports if f]
+        if errors:
+            raise min(errors, key=lambda e: e[0])[1]
+        cands = [b for b, _ in reports if b]
+        if not cands:
+            return None  # the peers wait for a next step until they are stopped
+        _, pr, pc = min(cands, key=lambda c: c[:2])
+        owner = pr % self.stride
+        if owner:
+            inp, out = self.peers[owner - 1]
+            _send(out, (pr, pc, None))
+            prow = _recv(inp)
+        else:
+            prow = work[pr]
+        for k, (_, out) in enumerate(self.peers, 1):
+            if k != owner:
+                _send(out, (pr, pc, prow))
+        return pr, pc, prow
+
+
+class _Peer:
+    """The side of a forked peer: rows index modulo stride.  It reports its
+    candidate (or error), takes the pivot back, and ships the pivot row
+    when it owns it.  It never returns: the caller stops it."""
+
+    def __init__(self, index, stride, out, inp):
+        self.index, self.stride = index, stride
+        self.out = out
+        self.inp = open(inp, "rb", closefd=False)
+
+    def pivot(self, best, failed, work):
+        _send(self.out, (best, failed))
+        if failed:
+            raise failed[1]
+        pr, pc, prow = _recv(self.inp)
+        if prow is None:
+            prow = work[pr]
+            _send(self.out, prow)
+        return pr, pc, prow
+
+
+def _run_peer(work, guard, index, stride, out, inp):
+    _rank_kernel(work, guard, _Peer(index, stride, out, inp))
 
 
 def kernel_basis(reg, rows, ncols):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gvir import induced, scalars
+from gvir import induced, linalg, scalars
 from gvir.algebra import AlgebraElement, TriangularPart, bracket
 from gvir.groups import Group, gadd, gzero
 from gvir.induced import (
@@ -600,8 +600,10 @@ def test_json_report_shape():
 
 # -- helper processes of quotient_dims -------------------------------------------
 #
-# quotient_dims forks one helper per extra CPU of os.sched_getaffinity(0);
-# pinning that to {0} gives the single-process reference table.
+# quotient_dims forks one helper per extra CPU of os.sched_getaffinity(0) for
+# a table above induced._HELPER_FLOOR; a table that stays one share may fork
+# rank peers instead (linalg.symbolic_rank).  Pinning the CPUs to {0} gives
+# the single-process reference table.
 
 
 def _one_cpu(monkeypatch):
@@ -638,24 +640,35 @@ REDUCIBLE_L2 = (2, (0, 1), {"alpha": (1, 0), "beta": 0}, Window.make(2, 1))
 
 
 @pytest.mark.parametrize(
-    "rank, b, bindings, window",
+    "rank, b, bindings, window, helpers",
     [
-        REDUCIBLE_L2,
-        (2, (0, 1), {"alpha": (1, 0), "beta": 1}, Window.make(2, 1)),
-        (2, (0, 1), {"alpha": (0, 1), "beta": Fraction(1, 2)}, Window.make(1, 1)),
-        (2, (1, 2), {"alpha": (1, 1)}, Window.make(1, 1)),
-        (3, (0, 0, 1), {"alpha": (1, 0, 0), "beta": 0}, Window.make(1, 1, 1)),
-        (2, (0, 1), {"alpha": Fraction(1, 2), "beta": 0}, Window.make(1, 2)),
+        (*REDUCIBLE_L2, True),
+        (2, (0, 1), {"alpha": (1, 0), "beta": 1}, Window.make(2, 1), True),
+        (2, (0, 1), {"alpha": (0, 1), "beta": Fraction(1, 2)}, Window.make(1, 1), False),
+        (2, (1, 2), {"alpha": (1, 1)}, Window.make(1, 1), False),
+        (3, (0, 0, 1), {"alpha": (1, 0, 0), "beta": 0}, Window.make(1, 1, 1), True),
+        (2, (0, 1), {"alpha": Fraction(1, 2), "beta": 0}, Window.make(1, 2), False),
     ],
     ids=["reducible-beta0-L2", "reducible-beta1-L2", "alpha-outside-g0", "beta-free", "rank3", "alpha-rational"],
 )
-def test_helpers_give_the_single_process_table(monkeypatch, forks, rank, b, bindings, window):
+def test_helpers_give_the_single_process_table(monkeypatch, forks, rank, b, bindings, window, helpers):
+    module = InducedModule(Context.of_rank(rank, **bindings), Group.of_rank(rank), b, window)
+    N = window.box_radius
+    cost = sum(
+        len(module.basis_at(i, x, r)) ** 3
+        for i in range(window.level_cap + 1)
+        for x in module.report_weights(i)
+        for r in (N, N + 1)
+    )
+    assert (cost >= induced._HELPER_FLOOR) == helpers
     tables = {}
     for cpus in (2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         before = len(forks)
         tables[cpus] = _table(rank, b, bindings, window)
-        assert len(forks) - before == cpus - 1  # one helper per extra CPU
+        # one helper per extra CPU above the floor; below it, no fork at all
+        # (these small tables have no matrix above the peer floor either)
+        assert len(forks) - before == (cpus - 1 if helpers else 0)
     _one_cpu(monkeypatch)
     before = len(forks)
     alone = _table(rank, b, bindings, window)
@@ -665,11 +678,46 @@ def test_helpers_give_the_single_process_table(monkeypatch, forks, rank, b, bind
     assert set(entries) == set(next_entries) == set(stable) and any(entries.values())
 
 
-def test_alpha_free_table_stays_in_one_process(forks):
-    # the top level holds nearly all the cost: a split is not worth a fork
-    q = rank2_module(L=2, N=1, beta=2).quotient_dims()
-    assert not forks
+def _above_peer_floor(rows, unit_var):
+    """The prepared matrix's size against the peer floor, counted here."""
+    work = [r for r in (linalg._prepare_row(row, unit_var)[0] for row in rows) if r]
+    terms = sum(len(p.terms) for row in work for p in row.values())
+    occurring = {v for row in work for p in row.values() for e in p.terms for v, k in enumerate(e) if k}
+    return len(work) >= linalg._PEER_ROWS and terms * len(occurring) >= linalg._PEER_COST
+
+
+def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
+    # the top level holds nearly all the cost, so no split of the units is
+    # worth a helper; the large ranks share their rows with peers instead
+    ranks = []  # (forks during the rank, whether its matrix is above the floor)
+    real_rank = induced.symbolic_rank
+
+    def rank(reg, rows, unit_var=None, cpus=1):
+        before = len(forks)
+        d = real_rank(reg, rows, unit_var=unit_var, cpus=cpus)
+        ranks.append((len(forks) - before, _above_peer_floor(rows, unit_var)))
+        return d
+
+    monkeypatch.setattr(induced, "symbolic_rank", rank)
+    tables = {}
+    for cpus in (2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        del ranks[:]
+        before = len(forks)
+        q = rank2_module(L=2, N=1, beta=2).quotient_dims()
+        tables[cpus] = q.entries, q.next_entries, q.stable
+        peered = [n for n, above in ranks if above]
+        assert peered and all(n == cpus - 1 for n in peered)
+        assert all(n == 0 for n, above in ranks if not above)
+        assert len(forks) - before == sum(n for n, _ in ranks)  # no unit helper
+        _no_child_left()
     assert [len(set(q.level_row(i).values())) for i in range(3)] == [1, 1, 1]
+    monkeypatch.setattr(induced, "symbolic_rank", real_rank)
+    _one_cpu(monkeypatch)
+    before = len(forks)
+    alone = rank2_module(L=2, N=1, beta=2).quotient_dims()
+    assert len(forks) == before
+    assert tables[2] == tables[3] == (alone.entries, alone.next_entries, alone.stable)
 
 
 @pytest.mark.parametrize("failure", ["exit", "garbage"])
@@ -726,7 +774,9 @@ def test_no_helper_outlives_quotient_dims(monkeypatch, forks):
     _table(*REDUCIBLE_L2)
     assert len(forks) == 1
     _no_child_left()
-    # the known defect raises in the caller, with its own type
+    # the known defect raises in the caller, with its own type (this small
+    # table forks a helper only with the floor lowered)
+    monkeypatch.setattr(induced, "_HELPER_FLOOR", 0)
     with pytest.raises(ExactDivisionError, match="division is not exact"):
         rank2_module(L=1, N=1, alpha=(1, 0), beta=Fraction(1, 2)).quotient_dims()
     assert len(forks) == 2

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import pickle
 import random
 from fractions import Fraction
 
@@ -544,7 +546,7 @@ def _narrow_fields(monkeypatch):
     return attempts
 
 
-def test_field_overflow_retries_with_wider_fields(monkeypatch):
+def _overflow_cases():
     reg = Context.of_rank(3).reg
     rng = random.Random(4242)
     cases = []
@@ -557,17 +559,26 @@ def test_field_overflow_retries_with_wider_fields(monkeypatch):
         except ExactDivisionError:
             expect = ExactDivisionError
         cases.append((rows, ncols, expect))
-    attempts = _narrow_fields(monkeypatch)
+    return reg, cases
+
+
+def _check_overflow_retries(reg, cases, attempts, cpus=1):
     retried = 0
     for rows, ncols, expect in cases:
         del attempts[:]
         if expect is ExactDivisionError:
             with pytest.raises(ExactDivisionError):
-                symbolic_rank(reg, [dict(r) for r in rows])
+                symbolic_rank(reg, [dict(r) for r in rows], cpus=cpus)
         else:
-            assert symbolic_rank(reg, [dict(r) for r in rows]) == expect
+            assert symbolic_rank(reg, [dict(r) for r in rows], cpus=cpus) == expect
         retried += len(attempts) > 1
     assert retried >= 20
+
+
+def test_field_overflow_retries_with_wider_fields(monkeypatch):
+    reg, cases = _overflow_cases()
+    attempts = _narrow_fields(monkeypatch)
+    _check_overflow_retries(reg, cases, attempts)
     # det: the same retry, the same determinant
     g = [Poly.symbol(reg, n) for n in ("g1", "g2", "g3")]
     one = Poly.const(reg, 1)
@@ -577,6 +588,182 @@ def test_field_overflow_retries_with_wider_fields(monkeypatch):
     assert len(attempts) > 1
     vander = (g[1] - g[0]) * (g[2] - g[0]) * (g[2] - g[1])
     assert d == vander * (g[0] + g[1] + g[2])
+
+
+# -- rank peers: the rows of one symbolic_rank split between processes -------------
+#
+# With the floor at 0 every matrix is split, so each of these runs forks
+# cpus - 1 peers; the ranks and errors must be those of one process.
+
+
+@pytest.fixture
+def peers_always(monkeypatch):
+    monkeypatch.setattr(linalg, "_PEER_ROWS", 0)
+    monkeypatch.setattr(linalg, "_PEER_COST", 0)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _steps(monkeypatch, side):
+    """Count the pivot steps that side (`_Alone` or `_Caller`) takes."""
+    calls = []
+    real = side.pivot
+
+    def pivot(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(side, "pivot", pivot)
+    return calls
+
+
+def _outcome(reg, rows, cpus, steps):
+    del steps[:]
+    try:
+        return symbolic_rank(reg, [dict(r) for r in rows], cpus=cpus), len(steps)
+    except ExactDivisionError as exc:
+        return (type(exc), str(exc)), len(steps)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_peers_give_the_single_process_rank_and_error(monkeypatch, peers_always, cpus):
+    reg = Context.of_rank(4).reg
+    rng = random.Random(23)
+    alone_steps = _steps(monkeypatch, linalg._Alone)
+    caller_steps = _steps(monkeypatch, linalg._Caller)
+    outcomes = set()
+    for case in range(120):
+        nvars = 1 + case % 4
+        maxdeg, maxterms = ((3, 3), (2, 2), (2, 1), (1, 1))[nvars - 1]
+        rows, _ = _sparse_matrix(reg, rng, nvars, maxdeg, case % 3 == 0, 6, maxterms)
+        alone = _outcome(reg, rows, 1, alone_steps)
+        # the same rank, or the same error raised at the same pivot step
+        assert _outcome(reg, rows, cpus, caller_steps) == alone
+        outcomes.add(type(alone[0]))
+    assert outcomes == {int, tuple}
+    _no_child_left()
+
+
+def test_field_overflow_in_a_peer_widens_the_fields(monkeypatch, peers_always):
+    reg, cases = _overflow_cases()
+    attempts = _narrow_fields(monkeypatch)
+    from_peers = []
+    real_pivot = linalg._Caller.pivot
+
+    def pivot(self, best, failed, work):
+        try:
+            return real_pivot(self, best, failed, work)
+        except linalg._FieldOverflow:
+            if failed is None:
+                from_peers.append(None)
+            raise
+
+    monkeypatch.setattr(linalg._Caller, "pivot", pivot)
+    _check_overflow_retries(reg, cases, attempts, cpus=2)
+    assert from_peers  # some overflows were a peer's
+    _no_child_left()
+
+
+class _Stop(BaseException):
+    """Stands in for a signal handler that ends the run (a job timeout)."""
+
+
+def _matrices(count):
+    """count dense 6 x 6 matrices that the elimination ranks, with their ranks."""
+    reg = Context.of_rank(3).reg
+    rng = random.Random(7)
+    found = []
+    while len(found) < count:
+        rows = [{j: _sparse_poly(reg, rng, 2, 2, False, 2) for j in range(6)} for _ in range(6)]
+        try:
+            found.append((rows, _reference_symbolic_rank(reg, [dict(r) for r in rows])))
+        except ExactDivisionError:
+            continue
+    return reg, found
+
+
+def test_no_peer_outlives_symbolic_rank(monkeypatch, peers_always):
+    reg, found = _matrices(5)
+    _no_child_left()
+    # a return
+    for rows, expect in found:
+        assert symbolic_rank(reg, [dict(r) for r in rows], cpus=3) == expect
+        _no_child_left()
+    # the known defect, raised in the caller
+    g1 = Poly.symbol(reg, "g1")
+    g2 = Poly.symbol(reg, "g2")
+    defect = [
+        {0: g2.scale(3), 1: g1.scale(-3), 2: Poly.const(reg, -2)},
+        {2: Poly.const(reg, -4)},
+        {0: g1, 1: g1.scale(2)},
+    ]
+    for cpus in (2, 3):
+        with pytest.raises(ExactDivisionError, match="division is not exact"):
+            symbolic_rank(reg, [dict(r) for r in defect], cpus=cpus)
+        _no_child_left()
+    # a BaseException in the caller mid-elimination, while the peers wait
+    caller = os.getpid()
+    calls = []
+    real_combine = linalg._combine
+
+    def combine(*args):
+        if os.getpid() == caller:
+            calls.append(None)
+            if len(calls) == 2:
+                raise _Stop()
+        return real_combine(*args)
+
+    monkeypatch.setattr(linalg, "_combine", combine)
+    with pytest.raises(_Stop):
+        symbolic_rank(reg, [dict(r) for r in found[0][0]], cpus=2)
+    assert len(calls) == 2
+    _no_child_left()
+
+
+def test_a_peer_that_dies_leaves_the_rank_to_the_caller(monkeypatch, peers_always):
+    reg, found = _matrices(6)
+    caller = os.getpid()
+    real_combine = linalg._combine
+
+    def combine(*args):
+        if os.getpid() != caller:
+            os._exit(0)  # dies without a word, mid-elimination
+        return real_combine(*args)
+
+    monkeypatch.setattr(linalg, "_combine", combine)
+    packed = []  # the rows the caller's kernel starts from, per run
+    real_kernel = linalg._rank_kernel
+
+    def kernel(work, guard, side=None):
+        if os.getpid() == caller:
+            packed.append(list(work))
+        return real_kernel(work, guard, side)
+
+    monkeypatch.setattr(linalg, "_rank_kernel", kernel)
+    for rows, expect in found:
+        del packed[:]
+        assert symbolic_rank(reg, [dict(r) for r in rows], cpus=2) == expect
+        _no_child_left()
+        # the peered run, then one rerun alone from the same packed rows
+        assert len(packed) == 2 and packed[1] == packed[0]
+
+
+def test_the_lowest_failing_row_gives_the_error():
+    # one step in which the caller's row 2 overflowed and a peer's row 1 or
+    # row 3 failed to divide: the error of the lower row is raised
+    for peer_row, raised in ((1, ExactDivisionError), (3, linalg._FieldOverflow)):
+        r, w = os.pipe()
+        with open(w, "wb") as pipe:
+            pickle.dump((None, (peer_row, ExactDivisionError("division is not exact"))), pipe)
+        try:
+            caller = linalg._Caller([(r, None)], 2)
+            with pytest.raises(raised):
+                caller.pivot((1, 0, 0), (2, linalg._FieldOverflow()), [])
+        finally:
+            os.close(r)
 
 
 def _perm_det_poly(reg, rows):
