@@ -16,9 +16,11 @@ elements, and its positive and negative cones are the triangular parts
 PBW straightening has one implementation, `Straightener`: memoized left
 multiplication of a generator onto a sorted monomial on a top, by
 x f R = f (x R) + [x, f] R.  Its owner supplies only the factor order, the
-bracket and the action on the top; `pbw_normalize` (top: a power of C),
-the Verma module of `classical` and the induced module of `induced` use
-it with Poly coefficients and turn them into Scalars only in results.
+bracket and the action on the top, and a coefficient type with +, * and
+is_zero: `pbw_normalize` (top: a power of C) and the Verma module of
+`classical` use Poly, the induced module of `induced` packed polynomials
+(`scalars.Packed`), and all of them turn coefficients into Scalars only in
+results.
 """
 
 from __future__ import annotations
@@ -219,24 +221,27 @@ CENTER = "C"
 _TWELFTH = Fraction(1, 12)
 
 
-def structure_constants(embed, x, y):
+def structure_constants(embed, x, y, vanishes=Poly.is_zero):
     """[d_x, d_y] = (y - x) d_{x+y} + delta_{x,-y} (x^3 - x)/12 C as
-    (label, Poly) pairs, CENTER labelling C; embed maps an index to its
-    embedded value as a Poly, additively, so y - x is embedded once.
+    (label, value) pairs, CENTER labelling C; embed maps an index to its
+    embedded value, additively, so y - x is embedded once, and the values
+    for which vanishes holds are left out.  The values are Polys, or
+    rationals for a constant embedding with vanishes=operator.not_.
 
-    `AlgebraElement.bracket`, `pbw_normalize` and the Verma module (G = Z)
-    read it.  `induced` keeps its own: C acts there as 0 and its labels are
-    (level, G0 coordinates) pairs, so sharing it would branch on the caller.
+    `AlgebraElement.bracket` and `pbw_normalize` read it with Poly values,
+    the Verma module (G = Z) with rationals.  `induced` keeps its own: C
+    acts there as 0 and its labels are (level, G0 coordinates) pairs, so
+    sharing it would branch on the caller.
     """
     out = []
     z = gadd(x, y)
     factor = embed(gsub(y, x))
-    if not factor.is_zero():
+    if not vanishes(factor):
         out.append((z, factor))
     if is_zero(z):
         ex = embed(x)
-        central = (ex * ex * ex - ex).scale(_TWELFTH)
-        if not central.is_zero():
+        central = (ex * ex * ex - ex) * _TWELFTH
+        if not vanishes(central):
             out.append((CENTER, central))
     return out
 

@@ -41,6 +41,7 @@ appear only in `act`, `singular_vectors` and `find_singular`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import not_
 
 from .algebra import CENTER, Straightener, accumulate, structure_constants
 from .linalg import Echelon, kernel_basis, minor_gcd
@@ -146,11 +147,15 @@ class TruncatedVermaModule:
     # -- action ------------------------------------------------------------
 
     def _bracket(self, a, k):
-        # [d_{-a}, d_{-k}] by `structure_constants` on G = Z, d_j labelled -j
+        # [d_{-a}, d_{-k}] by `structure_constants` on G = Z, d_j labelled -j;
+        # the embedding is the rational j, so each value is one Poly.const
         out = self._brackets.get((a, k))
         if out is None:
-            pairs = structure_constants(lambda x: self._one.scale(x[0]), (-a,), (-k,))
-            out = self._brackets[a, k] = [(y if y == CENTER else -y[0], p) for y, p in pairs]
+            pairs = structure_constants(lambda x: x[0], (-a,), (-k,), not_)
+            reg = self.ctx.reg
+            out = self._brackets[a, k] = [
+                (y if y == CENTER else -y[0], Poly.const(reg, q)) for y, q in pairs
+            ]
         return out
 
     def _top(self, a, v):

@@ -32,12 +32,15 @@ one generator := 1 preserves the rank exactly and removes a variable
 whenever the bound alpha is itself homogeneous (free, a group element, or
 zero).  No coefficient ever needs division and all entries stay polynomial,
 so the action (the `algebra.Straightener` kernel, memoized in `_act_memo`)
-and the probe rows carry Poly coefficients straight into `symbolic_rank`,
-with no Scalar and no gcd on the way; the generator := 1 substitution
-happens in `symbolic_rank`'s single pass over each row.
-Scalars appear only at the public boundary: `act_on_induced` takes and
-returns Scalar combinations, and `kernel_at` returns them.
-All evaluators are pure and memoized per module instance.
+and the probe rows compute on packed polynomials (`scalars.Packed`) and
+carry them straight into `symbolic_rank`, with no Poly, no Scalar and no
+gcd on the way.  The module has one packed layout: a bit field per
+registry symbol it uses, sized from the proven degree bound (`_fit`), with
+guard bits, so an overflow raises and never wraps.  The generator := 1
+substitution is a mask of its field in `symbolic_rank`'s single pass over
+each row.  Poly and Scalar appear only at the public boundary:
+`act_on_induced` takes and returns Scalar combinations, and `kernel_at`
+returns them.  All evaluators are pure and memoized per module instance.
 
 Ranks at distinct weights are independent, and `quotient_dims` ranks them on
 every CPU the process may run on.  One unit of work is a (level, weight)
@@ -74,7 +77,7 @@ from .forks import Children, usable_cpus
 from .groups import box, gadd, gsub, gzero, split
 from .interseries import subquotient_of
 from .linalg import kernel_basis, symbolic_rank
-from .scalars import Poly, Scalar
+from .scalars import Packed, Scalar, _mul_into, _Packing, _settle
 
 
 # the estimated cost (sum |basis_at|^3 over a table's units and radii) below
@@ -155,20 +158,20 @@ class InducedModule:
         self.group = group
         self.split = split(group, b)
         self.window = window
-        # bound values are polynomial (a symbol, a rational or an embedded
-        # group element), so the action works on Poly coefficients
-        self.alpha = ctx.alpha.num
-        self.beta = ctx.beta.num
         self.g0_rank = self.split.g0_rank()
-        self._iota_b = ctx.embed(self.split.b).num
-        self._g0_embed = [ctx.embed(g).num for g in self.split.g0_basis]
-        self._one = Poly.const(ctx.reg, 1)
-        self._iota0_memo = {}
+        # bound values are polynomial (a symbol, a rational or an embedded
+        # group element), so the action works on packed polynomials built
+        # from them and from the generators, in the layout of `_fit`
+        self._alpha_beta = (ctx.alpha.num, ctx.beta.num)
+        self._used = set(range(ctx.rank)).union(*(p.variables() for p in self._alpha_beta))
+        self._iota0_memo = {}  # iota(y + t b) per (t, y)
         self._dims_memo = {}
         # a factor (k, u) stands for d_{u - k b}; a generator d_{y + t b}
         # carries the same label (-t, y), so lowering operators are factors
-        self._straight = Straightener(self._one, _factor_first, self._bracket, self._top)
+        self._straight = Straightener(None, _factor_first, self._bracket, self._top)
         self._act_memo = self._straight.memo
+        self._degree = 0
+        self._fit(max(2 * window.level_cap, 1))
         a = ctx.alpha_element()
         # alpha = iota(a) with a in G0, in G0 coordinates; else None
         self.alpha_g0 = (
@@ -184,24 +187,37 @@ class InducedModule:
         # symbolic_rank sets the last generator to 1 without changing a rank
         self.unit_var = ctx.rank - 1 if self.alpha_free or a is not None else None
 
-    # -- embedded values -----------------------------------------------------
+    # -- packed layout and embedded values ---------------------------------------
 
-    def _iota0(self, u):
-        hit = self._iota0_memo.get(u)
-        if hit is None:
-            hit = Poly.zero(self.ctx.reg)
-            for ui, gi in zip(u, self._g0_embed):
-                if ui:
-                    hit = hit + gi * ui
-            self._iota0_memo[u] = hit
-        return hit
+    def _fit(self, degree):
+        """Lay out packed monomials for coefficients of degree at most degree
+        in each variable, unless the layout already holds them.
+
+        Each registry symbol the module uses gets a field.  Every
+        coefficient is a product of factors of degree at most 1 in each
+        variable (bracket values iota(z), top values alpha + iota(mu) +
+        iota(y) beta), one factor per operator it consumes: at most 2i in a
+        probe entry at level i, and 1 + (number of factors) in the action on
+        a monomial.  A new layout empties the memos of packed values."""
+        if degree <= self._degree:
+            return
+        self._degree = degree
+        pk = self._pk = _Packing([degree if i in self._used else 0 for i in range(len(self.ctx.reg))])
+        self._alpha, self._beta = (Packed.of(pk, p) for p in self._alpha_beta)
+        shifts = {i: s for i, s, _ in pk.fields}
+        self._gens = [1 << shifts[i] for i in range(self.ctx.rank)]
+        self._one = self._straight.one = Packed(pk, {0: 1})
+        self._iota0_memo.clear()
+        self._act_memo.clear()
 
     def _embed_gen(self, t, y):
-        """iota of the index y + t*b (y in G0 coordinates)."""
-        v = self._iota0(y)
-        if t:
-            v = v + self._iota_b * t
-        return v
+        """iota of the index y + t*b (y in G0 coordinates), memoized per
+        (t, y): sum z_i g_i for z = y + t*b, as `Context.embed`."""
+        hit = self._iota0_memo.get((t, y))
+        if hit is None:
+            z = self.split.compose(t, y)
+            hit = self._iota0_memo[t, y] = Packed(self._pk, {m: k for m, k in zip(self._gens, z) if k})
+        return hit
 
     # -- action ----------------------------------------------------------------
 
@@ -211,7 +227,7 @@ class InducedModule:
         nu = gadd(y, mu)
         if self.top_excluded is not None and nu == self.top_excluded:
             return {}
-        coeff = self.alpha + self._iota0(mu) + self._iota0(y) * self.beta
+        coeff = self._alpha + self._embed_gen(0, mu) + self._embed_gen(0, y) * self._beta
         if coeff.is_zero():
             return {}
         return {((), nu): coeff}
@@ -236,8 +252,10 @@ class InducedModule:
         return (((k + k1, gadd(u, u1)), br),)
 
     def _act(self, gen, mono):
-        """d_{y + t b} (gen = (t, y)) applied to one basis monomial."""
+        """d_{y + t b} (gen = (t, y)) applied to one basis monomial, with
+        Packed coefficients."""
         t, y = gen
+        self._fit(len(mono[0]) + 1)
         return self._straight.lmul((-t, y), mono)
 
     # -- bases -------------------------------------------------------------------
@@ -283,10 +301,12 @@ class InducedModule:
     # -- quotient dimensions -------------------------------------------------------
 
     def _probe_rows(self, i, x, cols, radius):
-        """Rows {column: Poly} of the probe matrix at (level i, G0-weight x):
-        one per probe sequence that lands on a kept top line, in probe
+        """Rows {column: Packed} of the probe matrix at (level i, G0-weight
+        x): one per probe sequence that lands on a kept top line, in probe
         order, holding each column monomial's coefficient on that line.
         Prefix vectors are shared per column (see the module docstring)."""
+        self._fit(2 * i)
+        pk = self._pk
         lmul = self._straight.lmul
         act = self._straight.act
         probes = []
@@ -316,13 +336,13 @@ class InducedModule:
                 elif not head:
                     val = lmul(last, mono).get(target)
                 else:
-                    val = None
+                    acc = {}
                     for m, c in after(prefixes, mono, head).items():
                         c2 = lmul(last, m).get(target)
                         if c2 is not None:
-                            val = c * c2 if val is None else val + c * c2
-                    if val is not None and val.is_zero():
-                        val = None
+                            _mul_into(acc, c.terms, c2.terms)
+                    terms = _settle(acc, pk.guard, True)
+                    val = Packed(pk, terms) if terms else None
                 if val is not None:
                     row[j] = val
         return [row for row in rows if row]
@@ -354,8 +374,9 @@ class InducedModule:
         cols = self.basis_at(i, x, radius)
         if not cols:
             return []
-        rows = self._probe_rows(i, x, cols, radius)
-        vectors = kernel_basis(self.ctx.reg, rows, len(cols))
+        reg = self.ctx.reg
+        rows = [{j: p.poly(reg) for j, p in row.items()} for row in self._probe_rows(i, x, cols, radius)]
+        vectors = kernel_basis(reg, rows, len(cols))
         return [
             {mono: Scalar.make(p) for mono, p in zip(cols, vec) if not p.is_zero()}
             for vec in vectors
@@ -483,7 +504,7 @@ class InducedModule:
             gen = (self.split.level(z), self.split.g0_coords(z))
             for mono, s in vec.items():
                 for mono2, p in self._act(gen, mono).items():
-                    accumulate(out, mono2, coeff * s * Scalar.make(p))
+                    accumulate(out, mono2, coeff * s * Scalar.make(p.poly(self.ctx.reg)))
         escaped = any(self._escapes(mono) for mono in out)
         return out, escaped
 

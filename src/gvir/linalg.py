@@ -24,7 +24,7 @@ why), and then no elimination runs.
 
 All of them run on one packed-term kernel.  `_with_fields` packs the rows
 of a call to {monomial int: coefficient} dicts (the packed format of
-`scalars`, beside `Poly`); each update fuses into one accumulation and
+`scalars`, beside `Poly` and `Packed`); each update fuses into one accumulation and
 divides with the heap-ordered `scalars._divide`, the division of
 `Poly.exact_div` too.  Each variable that occurs gets a bit field sized from
 a proven bound (twice the sum over rows of the row's largest degree in it)
@@ -34,19 +34,23 @@ The tests check them against a dense elimination over the rational-function
 field (tests/oracles.py), slow but independent.
 
 Rows enter `symbolic_rank`, `kernel_basis` and `Echelon` divided by their
-monomial gcd and rational content only (`_prepare_row`).
-Dividing a row by a nonzero polynomial is a unit scaling over the fraction
-field, so no rank or kernel needs a polynomial gcd there, and on probe rows
-the gcd cost more than the elimination it was meant to shrink.  One pass
-over a row's terms sets an optional variable to 1 (the induced module
-dehomogenizes its probe matrices this way), drops the entries that vanish
-and collects the exponents and coefficients; the content is the one of
-`Poly.content` (`scalars._content`), and the degree tops that size the
-packed fields fall out of the same exponents.
+monomial gcd and rational content only (`_Prepared`; `_prepare_row` reads
+one row back as Polys).  Dividing a row by a nonzero polynomial is a unit
+scaling over the fraction field, so no rank or kernel needs a polynomial
+gcd there, and on probe rows the gcd cost more than the elimination it was
+meant to shrink.  The preparation runs on packed terms: Poly rows are
+packed once on entry, and the induced module hands over `Packed` rows as
+it computed them.  One pass over a row's terms sets an optional variable
+to 1 by masking its field (the induced module dehomogenizes its probe
+matrices this way), drops the entries that vanish, and reads the monomial
+gcd from the per-field minima, the degree tops that size the kernel
+fields, the content of `Poly.content` (`scalars._content`) and the sign;
+the rows are divided while they are narrowed into the kernel's fields.
 
 Every routine takes one input format: rows as sparse dicts
-{column index -> Poly}, zero entries absent.  `det` is the one determinant
-of the package; `groups.int_det` runs it on constant rows.
+{column index -> Poly}, zero entries absent; `symbolic_rank` also takes
+`Packed` entries of one layout.  `det` is the one determinant of the
+package; `groups.int_det` runs it on constant rows.
 
 `symbolic_rank` can spread one large elimination over every CPU the
 process may run on (`forks.usable_cpus`, which a caller passes as cpus):
@@ -60,80 +64,132 @@ worth the forks; `taskset -c 0` leaves one CPU, and then one process.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from itertools import combinations
-from operator import or_
 
 from .forks import Children
-from .scalars import ExactDivisionError, Poly, _content, _degree_top, _descending, _divide
-from .scalars import _FieldOverflow, _gcd_many, _grlex, _norm_coeff, _Packing
+from .scalars import ExactDivisionError, Packed, Poly, _content, _degree_top, _descending, _divide
+from .scalars import _fit, _FieldOverflow, _gcd_many, _mul_into, _norm_coeff, _Packing, _settle
+
+
+class _Prepared:
+    """Sparse rows prepared for elimination in one pass over their packed terms.
+
+    Entries are Packed, all of one layout and taken as they are (a Packed
+    keeps its coefficients in `Poly`'s normal form), or Poly, packed here
+    once into the layout that just holds their exponents (`scalars._fit`).
+    Per row the pass sets the variable unit_var (if given) to 1 by masking
+    its field, drops the entries that vanish, and takes the monomial gcd from
+    the per-field minima, the degree tops (per variable, the largest
+    exponent left after the gcd), the rational content (`_content`), and
+    the sign that gives the first entry a positive graded-lex leading
+    coefficient.  Empty rows are dropped.  `pack` then divides each row by
+    its monomial gcd and signed content while it narrows the terms into the
+    fields of a kernel layout; `divided` does the division once, for rows
+    that are packed again and again (`Echelon`).
+    """
+
+    def __init__(self, nvars, rows, unit_var=None):
+        src = next((p.pk for row in rows for p in row.values() if type(p) is Packed), None)
+        if src is None:
+            src = _fit(nvars, [p for row in rows for p in row.values()])
+            rows = [{j: src.pack(p) for j, p in row.items()} for row in rows]
+        else:
+            rows = [{j: p.terms for j, p in row.items()} for row in rows]
+        self.src = src
+        self.fields = [(i, s, limit - 1) for i, s, limit in src.fields if i != unit_var]
+        unit = sum((limit - 1) << s for i, s, limit in src.fields if i == unit_var)
+        keep = ~unit
+        self.rows = []  # (entries {col: packed terms}, monomial gcd, signed content)
+        self.tops = []
+        for row in rows:
+            entries = {}
+            coeffs = []
+            for j, terms in row.items():
+                if unit_var is not None:
+                    out = {}
+                    for m, c in terms.items():
+                        m &= keep
+                        out[m] = out.get(m, 0) + c
+                    terms = {m: c if type(c) is int else _norm_coeff(c) for m, c in out.items() if c}
+                if terms:
+                    entries[j] = terms
+                    coeffs += terms.values()
+            if not entries:
+                continue
+            low = 0
+            top = [0] * nvars
+            for i, s, mask in self.fields:
+                vals = [m >> s & mask for terms in entries.values() for m in terms]
+                least = min(vals)
+                low |= least << s
+                top[i] = max(vals) - least
+            lead = entries[min(entries)]
+            cont = _content(coeffs)
+            if lead[max(lead, key=self._grlex)] < 0:
+                cont = -cont
+            self.rows.append((entries, low, cont))
+            self.tops.append(top)
+
+    def _grlex(self, m):
+        # packed integer order is lex order, so this orders as `scalars._grlex`
+        return sum(m >> s & mask for _, s, mask in self.fields), m
+
+    def pack(self, pk):
+        """The prepared rows in the layout pk; _FieldOverflow if a degree
+        top does not fit its field."""
+        dst = {i: (s, limit) for i, s, limit in pk.fields}
+        moves = []
+        for i, s, mask in self.fields:
+            need = max((top[i] for top in self.tops), default=0)
+            if need:
+                if i not in dst or need >= dst[i][1]:
+                    raise _FieldOverflow
+                moves.append((s, mask, dst[i][0]))
+        out = []
+        for entries, low, cont in self.rows:
+            if cont == 1 and (not low or type(cont) is int):
+                div = None  # nothing to strip: the row stays as it came
+            elif type(cont) is int:
+                div = cont.__rfloordiv__
+            else:
+                div = partial(_scaled, Fraction(1) / cont)
+            row = {}
+            for j, terms in entries.items():
+                packed = {}
+                for m, c in terms.items():
+                    m -= low
+                    n = 0
+                    for s, mask, d in moves:
+                        n |= (m >> s & mask) << d
+                    packed[n] = c if div is None else div(c)
+                row[j] = packed
+            out.append(row)
+        return out
+
+    def divided(self):
+        """The rows divided once, in their own layout; they stay here so,
+        and a later `pack` only narrows them."""
+        rows = self.pack(self.src)
+        self.rows = [(row, 0, 1) for row in rows]
+        return rows
+
+
+def _scaled(q, c):
+    return _norm_coeff(c * q)
 
 
 def _prepare_row(row, unit_var=None):
-    """Strip one row {col: Poly} for elimination, in one pass over its terms.
-
-    The pass sets the variable unit_var (if given) to 1, drops the entries
-    that vanish, and collects the exponents and coefficients; the row is
-    then divided by its monomial gcd and its rational content (`_content`),
-    signed so that its first entry has a positive leading coefficient.
-    Returns the stripped row and its degree top (per variable, the largest
-    exponent left in the row; None for an empty row).
-    """
-    entries = {}
-    exps = []
-    coeffs = []
-    for j, p in row.items():
-        terms = p.terms
-        if unit_var is not None:
-            out = {}
-            for e, c in terms.items():
-                if e[unit_var]:
-                    e = e[:unit_var] + (0,) + e[unit_var + 1:]
-                out[e] = out.get(e, 0) + c
-            terms = {e: _norm_coeff(c) for e, c in out.items() if c}
-        if terms:
-            reg = p.reg
-            entries[j] = terms
-            exps += terms
-            coeffs += terms.values()
-    if not entries:
+    """One row {col: Poly} through `_Prepared`, read back as Polys: the
+    stripped row and its degree top, or ({}, None) for a row that vanishes."""
+    if not row:
         return {}, None
-    per_var = list(zip(*exps))
-    low = tuple(map(min, per_var))
-    top = [max(v) - m for v, m in zip(per_var, low)]
-    lead_terms = entries[min(entries)]
-    negative = lead_terms[max(lead_terms, key=_grlex)] < 0
-    cont = _content(coeffs)
-    if negative:
-        cont = -cont
-    shift = any(low)
-    if not shift and cont == 1:
-        return {j: Poly(reg, terms) for j, terms in entries.items()}, top
-    if type(cont) is int:
-
-        def div(c):
-            return c // cont
-
-    else:
-        inv = Fraction(1) / cont
-
-        def div(c):
-            return _norm_coeff(c * inv)
-
-    stripped = {}
-    for j, terms in entries.items():
-        if shift:
-            terms = {tuple(map(int.__sub__, e, low)): div(c) for e, c in terms.items()}
-        else:
-            terms = {e: div(c) for e, c in terms.items()}
-        stripped[j] = Poly(reg, terms)
-    return stripped, top
-
-
-def _prepare_rows(rows, unit_var=None):
-    """The nonzero rows after `_prepare_row`, and their degree tops."""
-    pairs = [rt for rt in (_prepare_row(row, unit_var) for row in rows) if rt[0]]
-    return [r for r, _ in pairs], [top for _, top in pairs]
+    reg = next(iter(row.values())).reg
+    prep = _Prepared(len(reg), [row], unit_var)
+    if not prep.rows:
+        return {}, None
+    (packed,) = prep.divided()
+    return {j: prep.src.unpack(reg, terms) for j, terms in packed.items()}, prep.tops[0]
 
 
 class Echelon:
@@ -143,12 +199,14 @@ class Echelon:
     A new row is stripped, reduced against the kept rows in insertion order
     on the packed kernel, stripped again and, if anything is left, kept
     under the column of its entry with the fewest terms, which keeps
-    cross-multiplications small; a kept row is never touched again.
+    cross-multiplications small; a kept row is never touched again.  Kept
+    rows stay packed and divided (`_Prepared.divided`), so each reduction
+    only narrows them into its fields.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []  # (pivot column, stripped row), in insertion order
+        self.rows = []  # (pivot column, the stripped row as a one-row _Prepared), in insertion order
 
     @property
     def rank(self):
@@ -158,23 +216,30 @@ class Echelon:
         return self.rank >= self.ncols
 
     def add_row(self, row):
-        """Reduce and keep a row; returns True iff the rank grew."""
-        r, _ = _prepare_row(row)
-        if not r:
+        """Reduce and keep a row {col: Poly}; returns True iff the rank grew."""
+        if not row:
             return False
-        reg = next(iter(r.values())).reg
+        nvars = len(next(iter(row.values())).reg)
+        new = _Prepared(nvars, [row])
+        if not new.rows:
+            return False
+        preps = [new] + [prep for _, prep in self.rows]
+
+        def pack(pk):
+            return [prep.pack(pk)[0] for prep in preps]
 
         def run(packed, pk):
             res = packed[0]
             for (pc, _), prow in zip(self.rows, packed[1:]):
                 if pc in res:
                     res = _combine(res, prow, pc, prow[pc], None, pk.guard)
-            return {j: pk.unpack(reg, t) for j, t in res.items()}
+            return {j: Packed(pk, {m: _norm_coeff(c) for m, c in t.items()}) for j, t in res.items()}
 
-        r, _ = _prepare_row(_with_fields(len(reg), [r] + [prow for _, prow in self.rows], run))
-        if not r:
+        kept = _Prepared(nvars, [_with_fields(nvars, [prep.tops[0] for prep in preps], pack, run)])
+        if not kept.rows:
             return False
-        self.rows.append((min(r, key=lambda j: (len(r[j].terms), j)), r))
+        (r,) = kept.divided()
+        self.rows.append((min(r, key=lambda j: (len(r[j]), j)), kept))
         return True
 
 
@@ -198,10 +263,13 @@ def symbolic_rank(reg, rows, unit_var=None, cpus=1):
     pivots and updates, so the error is raised at the same step, by the
     same row.
 
-    With unit_var given, that variable is set to 1 first.  This keeps the
-    rank only when every minor is homogeneous; `InducedModule` checks that
-    before it passes unit_var.  Each row goes through `_prepare_row` once,
-    which also gives the degree tops that size the packed fields.
+    Entries are Poly, or `Packed` of one layout (the induced module's probe
+    rows); Poly rows are packed once on entry.  With unit_var given, that
+    variable is set to 1 first, by masking its field.  This keeps the rank
+    only when every minor is homogeneous; `InducedModule` checks that
+    before it passes unit_var.  The rows are prepared in one pass over
+    their packed terms (`_Prepared`), which also gives the degree tops that
+    size the kernel's fields.
 
     With cpus > 1 the rows of a large prepared matrix are split between
     this process and cpus - 1 forked peers (`_rank_kernel`); the rank, and
@@ -209,10 +277,10 @@ def symbolic_rank(reg, rows, unit_var=None, cpus=1):
     _PEER_ROWS rows and a cost of at least _PEER_COST, the cost being the
     number of terms times the number of variables that occur.
     """
-    work, tops = _prepare_rows(rows, unit_var)
-    if cpus > 1 and not _worth_peers(len(reg), work, tops):
+    prep = _Prepared(len(reg), rows, unit_var)
+    if cpus > 1 and not _worth_peers(len(reg), prep):
         cpus = 1
-    return _with_fields(len(reg), work, lambda packed, pk: _spread_rank(packed, pk.guard, cpus), tops)
+    return _with_fields(len(reg), prep.tops, prep.pack, lambda packed, pk: _spread_rank(packed, pk.guard, cpus))
 
 
 # forking a peer costs about 3 ms; among the induce probe matrices, timed
@@ -222,12 +290,13 @@ _PEER_ROWS = 8
 _PEER_COST = 5000
 
 
-def _worth_peers(nvars, work, tops):
-    """Whether prepared rows are large enough to share with peers."""
-    if len(work) < _PEER_ROWS:
+def _worth_peers(nvars, prep):
+    """Whether `_Prepared` rows are large enough to share with peers."""
+    if len(prep.rows) < _PEER_ROWS:
         return False
-    fields = sum(1 for b in _field_bounds(nvars, tops) if b)
-    return fields * sum(len(p.terms) for row in work for p in row.values()) >= _PEER_COST
+    fields = sum(1 for b in _field_bounds(nvars, prep.tops) if b)
+    terms = sum(len(t) for entries, _, _ in prep.rows for t in entries.values())
+    return fields * terms >= _PEER_COST
 
 
 def _rank_kernel(work, guard, side=None):
@@ -390,7 +459,7 @@ def kernel_basis(reg, rows, ncols):
     """
     if _full_column_rank(rows, ncols):
         return []
-    work, tops = _prepare_rows(rows)
+    prep = _Prepared(len(reg), rows)
 
     def run(packed, pk):
         pivots, last, _ = _fraction_free(packed, pk.guard, True)
@@ -408,7 +477,7 @@ def kernel_basis(reg, rows, ncols):
             vectors.append(vec)
         return vectors
 
-    return [_primitive(vec) for vec in _with_fields(len(reg), work, run, tops)]
+    return [_primitive(vec) for vec in _with_fields(len(reg), prep.tops, prep.pack, run)]
 
 
 # the certificate of an empty kernel: a fixed prime, and a fixed point whose
@@ -508,7 +577,7 @@ def det(reg, rows):
             return Poly.const(reg, 1)
         return pk.unpack(reg, _neg(last) if odd else last)
 
-    return _with_fields(len(reg), rows, run)
+    return _with_fields(len(reg), *_plain(len(reg), rows), run)
 
 
 def minor_gcd(reg, rows, ncols):
@@ -535,7 +604,7 @@ def minor_gcd(reg, rows, ncols):
         y = [{c: pk.unpack(reg, row[f]) for c, f in enumerate(free) if f in row} for row in packed]
         return pk.unpack(reg, last), y, len(free)
 
-    found = _with_fields(len(reg), cols, run)
+    found = _with_fields(len(reg), *_plain(len(reg), cols), run)
     if found is None:
         return Poly.zero(reg)
     d, y, k = found
@@ -606,18 +675,23 @@ def _field_bounds(nvars, tops):
     return [2 * t for t in total]
 
 
-def _with_fields(nvars, rows, run, tops=None):
-    """run(packed rows, packing), zero entries dropped, in fields sized for
-    the rows' degree tops (read unless given) and widened until none overflows."""
-    if tops is None:
-        tops = [_degree_top(nvars, row.values()) for row in rows]
+def _with_fields(nvars, tops, pack, run):
+    """run(pack(packing), packing) in fields sized for the rows' degree tops,
+    widened until none overflows."""
     bounds = _field_bounds(nvars, tops)
     while True:
         pk = _Packing(bounds)
         try:
-            return run([{j: pk.pack(p) for j, p in row.items() if p.terms} for row in rows], pk)
+            return run(pack(pk), pk)
         except _FieldOverflow:
             bounds = [2 * b for b in bounds]
+
+
+def _plain(nvars, rows):
+    """The degree tops of sparse Poly rows, and a pack for `_with_fields`
+    that packs them as they are, zero entries dropped."""
+    tops = [_degree_top(nvars, row.values()) for row in rows]
+    return tops, lambda pk: [{j: pk.pack(p) for j, p in row.items() if p.terms} for row in rows]
 
 
 def _combine(r, prow, col, piv, div, guard):
@@ -652,24 +726,3 @@ def _combine(r, prow, col, piv, div, guard):
 
 def _neg(a):
     return {m: -c for m, c in a.items()}
-
-
-def _mul_into(acc, a, b):
-    """acc += a * b on packed term dicts; zero sums stay until _settle."""
-    if len(a) > len(b):
-        a, b = b, a
-    get = acc.get
-    terms = b.items()
-    for ma, ca in a.items():
-        for mb, cb in terms:
-            m = ma + mb
-            acc[m] = get(m, 0) + ca * cb
-    return acc
-
-
-def _settle(acc, guard):
-    """Drop zero terms; raise _FieldOverflow if a product set a guard bit."""
-    out = {m: c for m, c in acc.items() if c}
-    if reduce(or_, out, 0) & guard:
-        raise _FieldOverflow
-    return out

@@ -20,6 +20,9 @@ monomials: `Poly.exact_div`, the gcd certificate and every fraction-free
 step of `linalg` run it.  They have one gcd, the heuristic gcd of Char,
 Geddes & Gonnet (`_gcd_prim`), which tries evaluation points until that
 division certifies its answer.
+
+`Packed` is a polynomial on packed monomials with the ring operations of
+PBW straightening; the induced module computes its action on it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
+from operator import or_
 
 
 class ScalarError(ArithmeticError):
@@ -297,7 +302,7 @@ class Poly:
         """
         if d.is_zero():
             raise ScalarDivisionError("polynomial division by zero")
-        pk = _Packing(_degree_top(len(self.reg), (self, d)))
+        pk = _fit(len(self.reg), (self, d))
         return pk.unpack(self.reg, _divide(pk.pack(self), _descending(pk.pack(d)), pk.guard))
 
     def substitute(self, values):
@@ -405,6 +410,75 @@ def _degree_top(nvars, polys):
     if not exps:
         return [0] * nvars
     return list(map(max, zip(*exps)))
+
+
+def _fit(nvars, polys):
+    """The layout whose fields just hold every exponent of the polys."""
+    return _Packing(_degree_top(nvars, polys))
+
+
+def _mul_into(acc, a, b):
+    """acc += a * b on packed term dicts; zero sums stay until _settle."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    terms = b.items()
+    for ma, ca in a.items():
+        for mb, cb in terms:
+            m = ma + mb
+            acc[m] = get(m, 0) + ca * cb
+    return acc
+
+
+def _settle(acc, guard, normal=False):
+    """Drop zero terms; raise _FieldOverflow if a product set a guard bit.
+    With normal, the coefficients come in `Poly`'s normal form (a Fraction
+    of denominator 1 becomes an int)."""
+    if normal:
+        out = {m: c if type(c) is int else _norm_coeff(c) for m, c in acc.items() if c}
+    else:
+        out = {m: c for m, c in acc.items() if c}
+    if reduce(or_, out, 0) & guard:
+        raise _FieldOverflow
+    return out
+
+
+class Packed:
+    """A polynomial on the packed monomials of one layout pk (a `_Packing`):
+    terms maps packed monomials to nonzero int/Fraction coefficients in
+    `Poly`'s normal form.  It has the ring operations `algebra.Straightener`
+    needs (+, *, is_zero); a product that sets a guard bit raises
+    _FieldOverflow, so an exponent past its field never wraps.  `Packed.of`
+    and `poly` convert from and to Poly."""
+
+    __slots__ = ("pk", "terms")
+
+    def __init__(self, pk, terms):
+        self.pk = pk
+        self.terms = terms
+
+    @staticmethod
+    def of(pk, poly):
+        return Packed(pk, pk.pack(poly))
+
+    def poly(self, reg):
+        return self.pk.unpack(reg, self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m, 0) + c
+            if s:
+                out[m] = s if type(s) is int else _norm_coeff(s)
+            else:
+                del out[m]
+        return Packed(self.pk, out)
+
+    def __mul__(self, other):
+        return Packed(self.pk, _settle(_mul_into({}, self.terms, other.terms), self.pk.guard, True))
 
 
 def _descending(a):

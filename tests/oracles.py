@@ -10,13 +10,24 @@ digits: it needs no bound and no luck, and the gcd tests compare against
 it.  The minor gcd takes one `det` per row subset (itself checked against
 permutation expansions) and the PRS gcd, the way conditions were formed
 before `linalg.minor_gcd`.
+
+The induced module computes on packed monomials; `poly_action` restates its
+action rules with `Poly` coefficients (the embedding of `Context.embed`,
+no packed layout), and `poly_probe_rows` applies every probe sequence to
+every column on it, one operator at a time.  `prepare_row` is the row
+preparation of `linalg` as it was on `Poly` rows, and `packed_reference`
+packs its rows the way the elimination used to receive them.
 """
 
 import itertools
+from fractions import Fraction
 from functools import reduce
 
-from gvir.linalg import det
-from gvir.scalars import Poly, Scalar
+from gvir.algebra import Straightener
+from gvir.groups import gadd, gsub, gzero
+from gvir.induced import _factor_first
+from gvir.linalg import _field_bounds, det
+from gvir.scalars import Poly, Scalar, _content, _grlex, _norm_coeff, _Packing
 
 
 def _dense_scalar_rows(reg, rows, ncols):
@@ -202,3 +213,126 @@ def gcd_prs(a, b):
     out = result * cont
     _, out = out.primitive_int()
     return out
+
+
+# -- the induced module on Poly coefficients, and the old row preparation ------
+
+
+def poly_action(mod):
+    """A `Straightener` for the action of the induced module mod with Poly
+    coefficients, from the rules of `InducedModule._bracket` and `_top`."""
+    ctx = mod.ctx
+    one = Poly.const(ctx.reg, 1)
+    alpha, beta = ctx.alpha.num, ctx.beta.num
+
+    def iota(t, y):
+        return ctx.embed(mod.split.compose(t, y)).num
+
+    def bracket(x, f):
+        (k, u), (k1, u1) = x, f
+        br = iota(k - k1, gsub(u1, u))
+        return () if br.is_zero() else (((k + k1, gadd(u, u1)), br),)
+
+    def top(x, mu):
+        k, u = x
+        if k > 0:
+            return {((x,), mu): one}
+        if k < 0:
+            return {}
+        nu = gadd(u, mu)
+        coeff = alpha + iota(0, mu) + iota(0, u) * beta
+        if nu == mod.top_excluded or coeff.is_zero():
+            return {}
+        return {((), nu): coeff}
+
+    return Straightener(one, _factor_first, bracket, top)
+
+
+def poly_probe_rows(mod, i, x, cols, radius):
+    """The probe rows of `InducedModule._probe_rows` with Poly entries,
+    without prefix sharing: every probe sequence acts on every column from
+    scratch, one operator at a time, on `poly_action`."""
+    action = poly_action(mod)
+    rows = []
+    for seq in mod.probe_multisets(i, radius):
+        shift = gzero(mod.g0_rank)
+        for _, y in seq:
+            shift = gadd(shift, y)
+        target = ((), gadd(x, shift))
+        if target[1] == mod.top_excluded:
+            continue
+        row = {}
+        for j, mono in enumerate(cols):
+            vec = {mono: action.one}
+            for k, y in seq:
+                vec = action.act((-k, y), vec)
+            if target in vec:
+                row[j] = vec[target]
+        if row:
+            rows.append(row)
+    return rows
+
+
+def prepare_row(row, unit_var=None):
+    """`linalg._prepare_row` as it was on Poly terms, frozen: set unit_var
+    to 1, drop vanishing entries, divide by the monomial gcd and the signed
+    rational content; returns the row and its degree top (None if empty)."""
+    entries = {}
+    exps = []
+    coeffs = []
+    for j, p in row.items():
+        terms = p.terms
+        if unit_var is not None:
+            out = {}
+            for e, c in terms.items():
+                if e[unit_var]:
+                    e = e[:unit_var] + (0,) + e[unit_var + 1:]
+                out[e] = out.get(e, 0) + c
+            terms = {e: _norm_coeff(c) for e, c in out.items() if c}
+        if terms:
+            reg = p.reg
+            entries[j] = terms
+            exps += terms
+            coeffs += terms.values()
+    if not entries:
+        return {}, None
+    per_var = list(zip(*exps))
+    low = tuple(map(min, per_var))
+    top = [max(v) - m for v, m in zip(per_var, low)]
+    lead_terms = entries[min(entries)]
+    negative = lead_terms[max(lead_terms, key=_grlex)] < 0
+    cont = _content(coeffs)
+    if negative:
+        cont = -cont
+    shift = any(low)
+    if not shift and cont == 1:
+        return {j: Poly(reg, terms) for j, terms in entries.items()}, top
+    if type(cont) is int:
+
+        def div(c):
+            return c // cont
+
+    else:
+        inv = Fraction(1) / cont
+
+        def div(c):
+            return _norm_coeff(c * inv)
+
+    stripped = {}
+    for j, terms in entries.items():
+        if shift:
+            terms = {tuple(map(int.__sub__, e, low)): div(c) for e, c in terms.items()}
+        else:
+            terms = {e: div(c) for e, c in terms.items()}
+        stripped[j] = Poly(reg, terms)
+    return stripped, top
+
+
+def packed_reference(nvars, rows, unit_var=None):
+    """Rows as the elimination received them from `prepare_row`: the
+    nonzero prepared rows packed in fields sized by `linalg._field_bounds`;
+    returns the packed rows and the layout's fields."""
+    prepared = [rt for rt in (prepare_row(row, unit_var) for row in rows) if rt[0]]
+    pk = _Packing(_field_bounds(nvars, [top for _, top in prepared]))
+    return [{j: pk.pack(p) for j, p in r.items()} for r, _ in prepared], pk.fields
+

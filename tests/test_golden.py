@@ -78,6 +78,17 @@ CASES = {
             "window": {"L": 2, "N": 1, "top_radius": 1},
         },
     ),
+    # the median job of the benchmark's induce-pointwise workload, as it
+    # runs there
+    "induce_pointwise_reducible_L2": (
+        "induce",
+        {
+            "group": {"rank": 2},
+            "b": [0, 1],
+            "bindings": {"alpha": [1, 0], "beta": 0},
+            "window": {"L": 2, "N": 1},
+        },
+    ),
     # the unimodularity certificate fails (det = -3) and passes (det = 1)
     "classify_det_minus_3": ("classify", {"descriptor": _halfplane(lambda x, y: x + 2 * y >= 0)}),
     "classify_det_1": ("classify", {"descriptor": _halfplane(lambda x, y: y <= 0)}),

@@ -10,7 +10,7 @@ import pytest
 
 from gvir import induced, linalg, scalars
 from gvir.algebra import AlgebraElement, TriangularPart, bracket
-from gvir.groups import Group, gadd, gzero
+from gvir.groups import Group, gzero
 from gvir.induced import (
     InducedModule,
     QuotientDims,
@@ -19,8 +19,8 @@ from gvir.induced import (
 )
 from gvir.interseries import IntermediateSeriesModule
 from gvir.linalg import symbolic_rank
-from gvir.scalars import Context, ExactDivisionError, Poly, Scalar
-from oracles import field_rank
+from gvir.scalars import Context, ExactDivisionError, Packed, Poly, Scalar
+from oracles import field_rank, packed_reference, poly_action, poly_probe_rows, prepare_row
 
 
 def rank2_module(L=1, N=1, **bindings):
@@ -37,14 +37,24 @@ def add_into(out, key, s):
         out[key] = t
 
 
+def as_poly(mod, p):
+    """A coefficient of the module's action as a Poly; it must be a nonzero
+    Packed in the module's layout."""
+    assert type(p) is Packed and p.pk is mod._pk and not p.is_zero()
+    return p.poly(mod.ctx.reg)
+
+
+def poly_rows(mod, rows):
+    return [{j: as_poly(mod, p) for j, p in row.items()} for row in rows]
+
+
 def apply_gen(mod, gen, vec):
     """mod._act on a combination with Poly coefficients; every coefficient
-    the action returns is a nonzero Poly."""
+    the action returns is a nonzero Packed, read back as a Poly."""
     out = {}
     for mono, s in vec.items():
         for m2, s2 in mod._act(gen, mono).items():
-            assert type(s2) is Poly and not s2.is_zero()
-            add_into(out, m2, s * s2)
+            add_into(out, m2, s * as_poly(mod, s2))
     return out
 
 
@@ -134,19 +144,24 @@ def test_basis_excludes_dropped_top_line():
 def test_raising_kills_top_and_top_action_formula():
     mod = rank2_module()
     ctx = mod.ctx
-    one = Poly.const(ctx.reg, 1)
+
+    def iota(t, y):
+        return ctx.embed(mod.split.compose(t, y))
+
     # level +1 generator on the top line
     assert mod._act((1, (2,)), ((), (3,))) == {}
-    # level 0 generator: the intermediate-series coefficient, as a Poly
+    # level 0 generator: the intermediate-series coefficient, as a Packed
     out = mod._act((0, (2,)), ((), (3,)))
     top = IntermediateSeriesModule(ctx, mod.group)
     coeff, _ = top.act(mod.split.compose(0, (2,)), mod.split.compose(0, (3,)))
     ((mono, p),) = out.items()
-    assert mono == ((), (5,)) and type(p) is Poly
+    assert mono == ((), (5,))
+    p = as_poly(mod, p)
     assert Scalar.make(p) == coeff
-    assert p == ctx.alpha.num + mod._iota0((3,)) + mod._iota0((2,)) * ctx.beta.num
+    assert p == ctx.alpha.num + iota(0, (3,)).num + iota(0, (2,)).num * ctx.beta.num
     # lowering generator prepends a factor
-    assert mod._act((-1, (2,)), ((), (3,))) == {(((1, (2,)),), (3,)): one}
+    ((mono, p),) = mod._act((-1, (2,)), ((), (3,))).items()
+    assert mono == (((1, (2,)),), (3,)) and as_poly(mod, p) == Poly.const(ctx.reg, 1)
 
 
 def test_mixed_bracket_action_example():
@@ -160,11 +175,16 @@ def test_mixed_bracket_action_example():
     br = ctx.embed(compose(-1, x)) - ctx.embed(compose(1, y))
     top, _ = IntermediateSeriesModule(ctx, mod.group).act(compose(0, (3,)), compose(0, mu))
     ((mono, p),) = out.items()
-    assert mono == ((), (6,)) and type(p) is Poly
+    assert mono == ((), (6,))
+    p = as_poly(mod, p)
     assert Scalar.make(p) == br * top
-    assert p == (mod._embed_gen(-1, x) - mod._embed_gen(1, y)) * (
-        ctx.alpha.num + mod._iota0(mu) + mod._iota0((3,)) * ctx.beta.num
+    assert p == (ctx.embed(compose(-1, x)).num - ctx.embed(compose(1, y)).num) * (
+        ctx.alpha.num + ctx.embed(compose(0, mu)).num + ctx.embed(compose(0, (3,))).num * ctx.beta.num
     )
+    # the memoized embedding of y + t b
+    for t, z in ((-1, x), (1, y), (0, mu)):
+        assert mod._embed_gen(t, z) is mod._embed_gen(t, z)
+        assert mod._embed_gen(t, z).poly(ctx.reg) == ctx.embed(compose(t, z)).num
 
 
 @pytest.mark.parametrize("rank,b,trials", [(2, (0, 1), 40), (3, (0, 0, 1), 8)])
@@ -208,6 +228,21 @@ def test_action_is_a_lie_module_action(rank, b, trials):
         assert scaled == {m: weight * s for m, s in rhs.items()}
         nonzero += bool(rhs)
     assert nonzero >= trials // 2
+
+
+def test_action_widens_the_layout_for_longer_monomials():
+    # an L=1 module lays out degree 2; a monomial with four factors needs
+    # degree 5, so the layout widens and the memos of packed values restart
+    mod = rank2_module(L=1, N=1)
+    assert mod._degree == 2 and mod.dims_at(1, (0,), 1) == 3
+    mono = (((1, (-1,)), (1, (0,)), (1, (1,)), (2, (0,))), (1,))
+    oracle = poly_action(mod)
+    for gen in ((3, (1,)), (2, (-1,)), (0, (2,))):
+        got = {m: as_poly(mod, p) for m, p in mod._act(gen, mono).items()}
+        assert got and got == oracle.lmul((-gen[0], gen[1]), mono)
+    assert mod._degree == 5 and len(mod._act_memo) > 0
+    mod._dims_memo.clear()
+    assert mod.dims_at(1, (0,), 1) == 3
 
 
 def test_central_element_acts_as_zero():
@@ -319,42 +354,14 @@ def test_dims_against_independent_field_oracle_level1():
     cols = mod.basis_at(1, (1,), 2)
     rows = mod._probe_rows(1, (1,), cols, 2)
     assert symbolic_rank(mod.ctx.reg, [dict(r) for r in rows]) == field_rank(
-        mod.ctx.reg, rows, len(cols)
+        mod.ctx.reg, poly_rows(mod, rows), len(cols)
     )
 
 
-def _reference_probe_rows(mod, i, x, cols, radius):
-    """InducedModule._probe_rows before prefix sharing, frozen: every probe
-    sequence acts on every column from scratch, one operator at a time."""
-    rows = []
-    for seq in mod.probe_multisets(i, radius):
-        shift = gzero(mod.g0_rank)
-        for _, y in seq:
-            shift = gadd(shift, y)
-        nu = gadd(x, shift)
-        if nu == mod.top_excluded:
-            continue
-        target = ((), nu)
-        row = {}
-        for j, mono in enumerate(cols):
-            vec = {mono: mod._one}
-            for k, y in seq:
-                vec = mod._straight.act((-k, y), vec)
-                if not vec:
-                    break
-            val = vec.get(target)
-            if val is not None:
-                row[j] = val
-        if row:
-            rows.append(row)
-    return rows
-
-
 def _coefficient_types(rows):
-    return [
-        {j: sorted((e, type(c).__name__) for e, c in p.terms.items()) for j, p in r.items()}
-        for r in rows
-    ]
+    """Per entry, its terms (monomial, coefficient type) in monomial order;
+    entries are packed term dicts."""
+    return [{j: sorted((m, type(c).__name__) for m, c in t.items()) for j, t in r.items()} for r in rows]
 
 
 @pytest.mark.parametrize(
@@ -394,15 +401,87 @@ def test_probe_rows_match_frozen_row_by_row_copy(rank, L, bindings):
         for i in range(L + 1):
             for x in weights:
                 cols = mod.basis_at(i, x, radius)
-                got = mod._probe_rows(i, x, cols, radius)
-                expect = _reference_probe_rows(mod, i, x, cols, radius)
+                packed = mod._probe_rows(i, x, cols, radius)
+                got = poly_rows(mod, packed)
+                expect = poly_probe_rows(mod, i, x, cols, radius)
                 # the same rows in the same order, columns inserted in the
-                # same order, and equal Poly values with equal coefficient types
+                # same order, and equal Poly values; the coefficient types are
+                # those of the rows symbolic_rank receives, read before any
+                # unpacking, against the Poly rows packed in the same layout
                 assert got == expect
                 assert [list(r) for r in got] == [list(r) for r in expect]
-                assert _coefficient_types(got) == _coefficient_types(expect)
+                assert _coefficient_types([{j: p.terms for j, p in r.items()} for r in packed]) == (
+                    _coefficient_types([{j: mod._pk.pack(p) for j, p in r.items()} for r in expect])
+                )
                 nonempty += bool(got)
     assert nonempty >= len(radii) * (L + 1)
+
+
+@pytest.mark.parametrize(
+    "rank, b, bindings, L",
+    [
+        (2, (0, 1), {"alpha": (1, 0), "beta": 0}, 2),
+        (2, (0, 1), {"alpha": (1, 0), "beta": Fraction(1, 2)}, 2),
+        (2, (0, 1), {"alpha": (1, 0)}, 2),
+        (2, (1, -1), {"beta": Fraction(1, 2)}, 2),
+        (2, (1, 2), {"beta": 2}, 1),
+        (2, (0, 1), {"alpha": Fraction(1, 2), "beta": 1}, 2),
+        (3, (0, 0, 1), {}, 1),
+        (3, (0, 0, 1), {"alpha": (1, 0, 0), "beta": 0}, 1),
+    ],
+    ids=["reducible", "beta-half", "beta-free", "free-beta-half", "free-beta2", "alpha-half", "rank3", "rank3-bound"],
+)
+def test_prepared_probe_rows_match_the_old_way(rank, b, bindings, L):
+    # the packed probe rows, prepared on packed terms for the elimination,
+    # against rows built the old way: the action on Poly coefficients, row
+    # by row, then the Poly preparation and a packing
+    ctx = Context.of_rank(rank, **bindings)
+    mod = InducedModule(ctx, Group.of_rank(rank), b, Window.make(L, 1))
+    nvars = len(ctx.reg)
+    weights = [gzero(mod.g0_rank)] if mod.alpha_free else mod.report_weights(L)[:3]
+    checked = 0
+    for radius in (1, 2):
+        for i in range(L + 1):
+            for x in weights:
+                cols = mod.basis_at(i, x, radius)
+                rows = mod._probe_rows(i, x, cols, radius)
+                prep = linalg._Prepared(nvars, rows, mod.unit_var)
+                pk = linalg._Packing(linalg._field_bounds(nvars, prep.tops))
+                expect, fields = packed_reference(nvars, poly_probe_rows(mod, i, x, cols, radius), mod.unit_var)
+                got = prep.pack(pk)
+                assert got == expect and pk.fields == fields
+                assert _coefficient_types(got) == _coefficient_types(expect)
+                checked += bool(expect)
+    assert checked >= 2 * L
+
+
+def test_a_layout_too_narrow_raises_and_never_wraps(monkeypatch):
+    # exponents two apart in one field: the product sets the guard bit
+    pk = scalars._Packing([1, 1])
+    reg = Context.of_rank(1).reg[:2]
+    g = Packed.of(pk, Poly.monomial(reg, (1, 0)))
+    assert (g * Packed.of(pk, Poly.monomial(reg, (0, 1)))).poly(reg) == Poly.monomial(reg, (1, 1))
+    with pytest.raises(scalars._FieldOverflow):
+        g * g
+    # a module whose layout holds degree 1 only, kept from widening: the
+    # level-2 probe entries (degree up to 4) raise instead of wrapping
+    mod = rank2_module(L=2, N=1, alpha=(1, 0), beta=0)
+    mod._degree = 0
+    mod._fit(1)
+    monkeypatch.setattr(mod, "_fit", lambda degree: None)
+    with pytest.raises(scalars._FieldOverflow):
+        mod.dims_at(2, (0,), 1)
+
+
+@pytest.mark.parametrize("beta", [Fraction(1, 2), 2, None], ids=["beta-half", "beta2", "beta-free"])
+def test_known_defect_configs_still_raise(monkeypatch, beta):
+    # the three delayed-divisor configs of the benchmark: b=[0,1],
+    # alpha=[1,0], L=2, N=1; the packed path hands the elimination the same
+    # rows, so it raises at the same step
+    _one_cpu(monkeypatch)
+    bindings = {"alpha": (1, 0)} | ({} if beta is None else {"beta": beta})
+    with pytest.raises(ExactDivisionError, match="division is not exact"):
+        rank2_module(L=2, N=1, **bindings).quotient_dims()
 
 
 def test_induced_ranks_form_no_gcd(monkeypatch):
@@ -450,7 +529,7 @@ def test_dims_bound_specialized_rank():
     vals = [Fraction(rng.randint(2, 400), rng.randint(1, 11)) for _ in mod.ctx.reg]
     for (i, x) in [(1, (0,)), (2, (0,))]:
         cols = mod.basis_at(i, x, 1)
-        rows = mod._probe_rows(i, x, cols, 1)
+        rows = poly_rows(mod, mod._probe_rows(i, x, cols, 1))
         from gvir.linalg import Echelon
         from gvir.scalars import Poly
 
@@ -503,7 +582,7 @@ def test_level2_kernel_closed_under_raising_at_a_point():
     vals = [Fraction(rng.randint(2, 300), rng.randint(1, 7)) for _ in reg]
     i, x, N = 2, (0,), 2
     cols = mod.basis_at(i, x, N)
-    rows = mod._probe_rows(i, x, cols, N)
+    rows = poly_rows(mod, mod._probe_rows(i, x, cols, N))
     # Fraction kernel of the specialized probe matrix
     dense = [[eval_point(r.get(j, None) or None, vals) if j in r else Fraction(0) for j in range(len(cols))] for r in rows]
     # gaussian elimination
@@ -535,7 +614,7 @@ def test_level2_kernel_closed_under_raising_at_a_point():
             img = {}
             for mono, w in vec.items():
                 for m2, s2 in mod._act((1, y), mono).items():
-                    img[m2] = img.get(m2, Fraction(0)) + w * eval_point(s2, vals)
+                    img[m2] = img.get(m2, Fraction(0)) + w * eval_point(as_poly(mod, s2), vals)
             img = {m: v for m, v in img.items() if v != 0}
             for y2 in [(-1,), (0,), (1,)]:
                 val = Fraction(0)
@@ -543,7 +622,7 @@ def test_level2_kernel_closed_under_raising_at_a_point():
                     got = mod._act((1, y2), mono)
                     for (fs, nu), s2 in got.items():
                         assert fs == ()
-                        val += w * eval_point(s2, vals)
+                        val += w * eval_point(as_poly(mod, s2), vals)
                 assert val == 0
 
 
@@ -678,9 +757,11 @@ def test_helpers_give_the_single_process_table(monkeypatch, forks, rank, b, bind
     assert set(entries) == set(next_entries) == set(stable) and any(entries.values())
 
 
-def _above_peer_floor(rows, unit_var):
-    """The prepared matrix's size against the peer floor, counted here."""
-    work = [r for r in (linalg._prepare_row(row, unit_var)[0] for row in rows) if r]
+def _above_peer_floor(reg, rows, unit_var):
+    """The prepared matrix's size against the peer floor, counted here on
+    the rows read back as Polys and prepared the old way."""
+    rows = [{j: p.poly(reg) for j, p in row.items()} for row in rows]
+    work = [r for r in (prepare_row(row, unit_var)[0] for row in rows) if r]
     terms = sum(len(p.terms) for row in work for p in row.values())
     occurring = {v for row in work for p in row.values() for e in p.terms for v, k in enumerate(e) if k}
     return len(work) >= linalg._PEER_ROWS and terms * len(occurring) >= linalg._PEER_COST
@@ -695,7 +776,7 @@ def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
     def rank(reg, rows, unit_var=None, cpus=1):
         before = len(forks)
         d = real_rank(reg, rows, unit_var=unit_var, cpus=cpus)
-        ranks.append((len(forks) - before, _above_peer_floor(rows, unit_var)))
+        ranks.append((len(forks) - before, _above_peer_floor(reg, rows, unit_var)))
         return d
 
     monkeypatch.setattr(induced, "symbolic_rank", rank)

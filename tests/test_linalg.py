@@ -12,7 +12,7 @@ import pytest
 from gvir import linalg
 from gvir.linalg import Echelon, _prepare_row, det, kernel_basis, symbolic_rank
 from gvir.scalars import Context, ExactDivisionError, Poly, Scalar, ScalarDivisionError, _gcd_many
-from oracles import field_rank, field_rref, minor_gcd_by_enumeration
+from oracles import field_rank, field_rref, minor_gcd_by_enumeration, packed_reference
 
 
 def _ctx():
@@ -128,9 +128,10 @@ def test_echelon_rows_stay_semi_echelon():
         ech = Echelon(n)
         for row in rows:
             ech.add_row(row)
-        for i, (pc, row) in enumerate(ech.rows):
+        for i, (pc, kept) in enumerate(ech.rows):
+            ((row, _, _),) = kept.rows
             assert pc in row
-            for pc2, _row2 in ech.rows[:i]:
+            for pc2, _kept2 in ech.rows[:i]:
                 assert pc2 not in row
         assert ech.rank == field_rank(ctx.reg, rows, n)
 
@@ -398,6 +399,38 @@ def test_prepare_row_matches_strip_of_substituted_row():
         if all(p.is_const() for p in sub.values()):
             seen.add("constant")
     assert seen == {"empty", "int", "fraction", "negative lead", "positive lead", "zero entry", "constant"}
+
+
+def _prepared_in_kernel_fields(nvars, rows, unit_var=None):
+    """The rows as `symbolic_rank` hands them to the elimination, and the
+    fields of its first layout."""
+    prep = linalg._Prepared(nvars, rows, unit_var)
+    pk = linalg._Packing(linalg._field_bounds(nvars, prep.tops))
+    return prep.pack(pk), pk.fields
+
+
+def test_prepared_rows_match_the_old_preparation():
+    # Poly rows are packed once on entry and prepared on packed terms; the
+    # elimination gets what the Poly preparation and a packing gave it
+    reg = Context.of_rank(3).reg
+    nvars = len(reg)
+    rng = random.Random(2024)
+    seen = set()
+    for case in range(300):
+        nv = 1 + case % 3
+        maxdeg, maxterms = ((3, 3), (2, 2), (2, 2))[nv - 1]
+        rows, _ = _sparse_matrix(reg, rng, nv, maxdeg, case % 2 == 0, 5, maxterms)
+        unit_var = (None, 0, nv - 1)[case % 3]
+        got, fields = _prepared_in_kernel_fields(nvars, rows, unit_var)
+        expect, expect_fields = packed_reference(nvars, rows, unit_var)
+        assert got == expect and fields == expect_fields
+        assert [list(r) for r in got] == [list(r) for r in expect]
+        for row, ref in zip(got, expect):
+            for j, terms in row.items():
+                assert [type(c) for c in terms.values()] == [type(ref[j][m]) for m in terms]
+        seen.add("unit" if unit_var is not None else "plain")
+        seen.add("dropped row" if len(got) < sum(1 for r in rows if r) else "all rows")
+    assert seen == {"unit", "plain", "dropped row", "all rows"}
 
 
 def _reference_symbolic_rank(reg, rows):
