@@ -43,18 +43,19 @@ each row.  Poly and Scalar appear only at the public boundary:
 returns them.  All evaluators are pure and memoized per module instance.
 
 Ranks at distinct weights are independent, and `quotient_dims` ranks them on
-every CPU the process may run on.  One unit of work is a (level, weight)
-pair at both radii N and N+1, so the two share the straightening memo.  The
-calling process keeps one share of the units and forks one helper process
-per extra CPU for the others; helpers send their (key, rank) pairs back over
-a pipe into the rank memo.  Every matrix is the one a single process would
-rank, so tables, errors and reports do not change.  A bound alpha gives one
-unit per report weight, and these split evenly once the table's estimated
-cost is above a measured floor.  A free alpha gives one unit per level, and
-its top level holds nearly all the cost; no split takes a quarter of the
-work off the caller, so such a table stays one share, and its large ranks
-split their rows between the caller and forked peers instead
-(`symbolic_rank`).  `taskset -c 0` leaves one CPU, and then one process.
+every CPU that `forks.usable_cpus` grants.  One unit of work is a (level,
+weight) pair at both radii N and N+1, so the two share the straightening
+memo.  The calling process keeps one share of the units and forks one helper
+process per extra CPU for the others; helpers send their (key, rank) pairs
+back over a pipe into the rank memo.  Every matrix is the one a single
+process would rank, so tables, errors and reports do not change.  A bound
+alpha gives one unit per report weight, and these split evenly once the
+table's estimated cost is above a measured floor.  A free alpha gives one
+unit per level, and its top level holds nearly all the cost; no split takes
+a quarter of the work off the caller, so such a table stays one share, and
+its large ranks split their rows between the caller and forked peers
+instead (`symbolic_rank`); `usable_cpus` answers 1 inside a helper and
+while helpers are live.  `taskset -c 0` leaves one CPU, and then one process.
 
 Probe rows share prefixes.  The probe sequences are nondecreasing tuples and
 a sequence acts first operator first, so, per basis monomial, the vector
@@ -67,13 +68,13 @@ entry are those of applying each sequence separately.
 
 from __future__ import annotations
 
-import marshal
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .algebra import Straightener, accumulate
 from .classify import _direction_verdict, descriptor_from_induced
-from .forks import Children, usable_cpus
+from .forks import Children, recv, send, usable_cpus
 from .groups import box, gadd, gsub, gzero, split
 from .interseries import subquotient_of
 from .linalg import kernel_basis, symbolic_rank
@@ -347,10 +348,8 @@ class InducedModule:
                     row[j] = val
         return [row for row in rows if row]
 
-    def dims_at(self, i, x, radius=None, cpus=1):
-        """Quotient dimension at (level i, G0-weight x) for one box radius;
-        cpus > 1 lets a large rank share its rows with forked peers
-        (`symbolic_rank`)."""
+    def dims_at(self, i, x, radius=None):
+        """Quotient dimension at (level i, G0-weight x) for one box radius."""
         radius = self.window.box_radius if radius is None else radius
         x = tuple(x)
         key = (i, x, radius)
@@ -360,7 +359,7 @@ class InducedModule:
         cols = self.basis_at(i, x, radius)
         if cols:
             rows = self._probe_rows(i, x, cols, radius)
-            d = symbolic_rank(self.ctx.reg, rows, unit_var=self.unit_var, cpus=cpus)
+            d = symbolic_rank(self.ctx.reg, rows, unit_var=self.unit_var)
         else:
             d = 0
         self._dims_memo[key] = d
@@ -418,45 +417,39 @@ class InducedModule:
         helper process ranks each other share, sending its (key, rank)
         pairs back over a pipe.  A helper that fails (the known
         ExactDivisionError, or death) sends what it finished; the caller
-        recomputes the rest, so an error surfaces there with its own type.
-        A table that stays one share may instead split each large rank
-        between the caller and forked peers (`symbolic_rank`).  No helper
-        or peer outlives this call."""
-        shares = self._shares(units, radii)
-        cpus = usable_cpus() if len(shares) == 1 else 1
-        with Children() as helpers:
-            pipes = []
-            for share in shares[1:]:
-                try:
-                    pipes.append(self._fork_helper(helpers, share, radii))
-                except OSError:
-                    pass  # no helper: the caller ranks this share later
-            for i, x in shares[0]:
-                for radius in radii:
-                    self.dims_at(i, x, radius, cpus)
-            for fd in pipes:
-                with open(fd, "rb", closefd=False) as pipe:
-                    data = pipe.read()
-                try:
-                    self._dims_memo.update(marshal.loads(data))
-                except (EOFError, ValueError, TypeError):
-                    pass  # a helper that died mid-write
+        ranks the rest in table order while its helpers are still live, so
+        no rank forks peers and an error surfaces with its own type.  No
+        helper or peer outlives this call."""
 
-    def _fork_helper(self, helpers, share, radii):
-        """Fork into helpers (a `forks.Children`) one helper that ranks
-        share; returns the read end of its pipe."""
-
-        def rank_share(out, _):
+        def rank_share(share, out, _):
             done = {}
             try:
                 for i, x in share:
                     for radius in radii:
                         done[(i, x, radius)] = self.dims_at(i, x, radius)
             finally:
-                with open(out, "wb", closefd=False) as pipe:
-                    pipe.write(marshal.dumps(done))
+                send(out, done)
 
-        return helpers.fork(rank_share)[0]
+        shares = self._shares(units, radii)
+        with Children() as helpers:
+            pipes = []
+            for share in shares[1:]:
+                try:
+                    pipes.append(helpers.fork(partial(rank_share, share))[0])
+                except OSError:
+                    pass  # no helper: the caller ranks this share below
+            for i, x in shares[0]:
+                for radius in radii:
+                    self.dims_at(i, x, radius)
+            for fd in pipes:
+                with open(fd, "rb", closefd=False) as pipe:
+                    try:
+                        self._dims_memo.update(recv(pipe))
+                    except EOFError:
+                        pass  # a helper that died mid-write
+            for i, x in units:
+                for radius in radii:
+                    self.dims_at(i, x, radius)
 
     def quotient_dims(self):
         """Dimension table at radius N plus the N+1 rerun for stability.
@@ -468,7 +461,7 @@ class InducedModule:
         weight otherwise, go to `_rank_units`: with more than one usable
         CPU, forked helpers rank some of them (see the module docstring).
         A single-process run ranks them in table order, as the table reads
-        them."""
+        them from the memo."""
         N = self.window.box_radius
         origin = gzero(self.g0_rank)
         levels = range(self.window.level_cap + 1)
@@ -477,8 +470,6 @@ class InducedModule:
         else:
             units = [(i, x) for i in levels for x in self.report_weights(i)]
         self._rank_units(units, (N, N + 1))
-        # every rank is memoized now, except those of a share whose helper
-        # delivered nothing; those are recomputed here, in table order
         entries = {}
         next_entries = {}
         for i in levels:

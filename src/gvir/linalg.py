@@ -3,62 +3,54 @@
 Every elimination here takes one step, the fraction-free row update of
 Bareiss (1968): a row r becomes (r * piv - prow * r[col]) / div, which
 clears column col with the pivot piv of the pivot row prow (`_combine`).
-Three policies choose the pivots and divisors:
+Three routines choose the pivots and divisors, one rule each:
 
 - `symbolic_rank` pivots on the entry with the fewest terms and keeps a
   delayed divisor per row, the pivot that last updated it;
-- `_fraction_free` pivots on the leftmost column and its first row and
-  divides every row by one global divisor, the previous pivot, exact by
-  Sylvester's identity; `det` runs its forward half, and `kernel_basis` and
-  `minor_gcd` (on the transpose) its Gauss-Jordan form, so a kernel forms no
-  Scalar and takes one polynomial gcd per vector;
-- `Echelon` keeps a semi-echelon basis, grown one row at a time with no
-  divisor: each kept row is zero on the pivot columns of the rows kept
-  before it, so one pass in insertion order reduces a new row to zero
-  exactly when it lies in their span.
+- `Echelon` and `det` run the forward half of Bareiss, fed one row at a
+  time: a new row takes every kept step, divided by the pivot of the step
+  before, and whatever is left becomes the next pivot row;
+- `kernel_basis` and `minor_gcd` (on the transpose) run the Gauss-Jordan
+  `_fraction_free` on the leftmost column and its first row, with the
+  previous pivot as the one global divisor, so a kernel forms no Scalar and
+  takes one polynomial gcd per vector.
 
 Before it eliminates, `kernel_basis` tries to certify an empty kernel: full
 column rank of the rows evaluated at a fixed point modulo a fixed prime
 proves full column rank over the fraction field (`_full_column_rank` says
 why), and then no elimination runs.
 
-All of them run on one packed-term kernel.  `_with_fields` packs the rows
-of a call to {monomial int: coefficient} dicts (the packed format of
-`scalars`, beside `Poly` and `Packed`); each update fuses into one accumulation and
-divides with the heap-ordered `scalars._divide`, the division of
-`Poly.exact_div` too.  Each variable that occurs gets a bit field sized from
-a proven bound (twice the sum over rows of the row's largest degree in it)
-plus a guard bit; a product that sets a guard bit makes `_with_fields`
-repack with wider fields and start over, so no overflow passes silently.
-The tests check them against a dense elimination over the rational-function
-field (tests/oracles.py), slow but independent.
+All of them run on one packed-term kernel: rows are {monomial int:
+coefficient} dicts (the packed format of `scalars`, beside `Poly` and
+`Packed`), each update fuses into one accumulation and divides with the
+heap-ordered `scalars._divide`, the division of `Poly.exact_div` too.  Each
+variable that occurs gets a bit field sized from a proven bound (twice the
+sum over rows of the row's largest degree in it) plus a guard bit; a
+product that sets a guard bit makes `_with_fields` repack with wider fields
+and start over (`Echelon` lays out its kept rows again), so no overflow
+passes silently.  The tests check them against a dense elimination over the
+rational-function field (tests/oracles.py), slow but independent.
 
-Rows enter `symbolic_rank`, `kernel_basis` and `Echelon` divided by their
-monomial gcd and rational content only (`_Prepared`; `_prepare_row` reads
-one row back as Polys).  Dividing a row by a nonzero polynomial is a unit
-scaling over the fraction field, so no rank or kernel needs a polynomial
-gcd there, and on probe rows the gcd cost more than the elimination it was
-meant to shrink.  The preparation runs on packed terms: Poly rows are
-packed once on entry, and the induced module hands over `Packed` rows as
-it computed them.  One pass over a row's terms sets an optional variable
-to 1 by masking its field (the induced module dehomogenizes its probe
-matrices this way), drops the entries that vanish, and reads the monomial
-gcd from the per-field minima, the degree tops that size the kernel
-fields, the content of `Poly.content` (`scalars._content`) and the sign;
-the rows are divided while they are narrowed into the kernel's fields.
+Rows enter `symbolic_rank` and `kernel_basis` divided by their monomial gcd
+and rational content only (`_Prepared` says how): dividing a row by a
+nonzero polynomial is a unit scaling over the fraction field, so no rank or
+kernel needs a polynomial gcd there, and on probe rows the gcd cost more
+than the elimination it was meant to shrink.  `Echelon` and `det` take rows
+as they come and never scale what is left of one, since the divisions hold
+for the minors themselves.
 
 Every routine takes one input format: rows as sparse dicts
 {column index -> Poly}, zero entries absent; `symbolic_rank` also takes
 `Packed` entries of one layout.  `det` is the one determinant of the
 package; `groups.int_det` runs it on constant rows.
 
-`symbolic_rank` can spread one large elimination over every CPU the
-process may run on (`forks.usable_cpus`, which a caller passes as cpus):
-the caller keeps the rows i = 0 modulo k and each of k - 1 forked peers
-the rows of one other residue, and at each step the sides agree on the
-pivot, the owner of the pivot row ships it, and each side updates its own
-rows (`_rank_kernel`).  Only a prepared matrix above a measured floor is
-worth the forks; `taskset -c 0` leaves one CPU, and then one process.
+`symbolic_rank` spreads one large elimination over the CPUs that
+`forks.usable_cpus` grants: the caller keeps the rows i = 0 modulo k and
+each of k - 1 forked peers the rows of one other residue, and at each step
+the sides agree on the pivot, the owner of the pivot row ships it, and each
+side updates its own rows (`_rank_kernel`).  Only a prepared matrix above a
+measured floor is worth the forks; `taskset -c 0` leaves one CPU, and then
+one process.
 """
 
 from __future__ import annotations
@@ -67,7 +59,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 
-from .forks import Children
+from .forks import Children, recv, send, usable_cpus
 from .scalars import ExactDivisionError, Packed, Poly, _content, _degree_top, _descending, _divide
 from .scalars import _fit, _FieldOverflow, _gcd_many, _mul_into, _norm_coeff, _Packing, _settle
 
@@ -85,8 +77,7 @@ class _Prepared:
     the sign that gives the first entry a positive graded-lex leading
     coefficient.  Empty rows are dropped.  `pack` then divides each row by
     its monomial gcd and signed content while it narrows the terms into the
-    fields of a kernel layout; `divided` does the division once, for rows
-    that are packed again and again (`Echelon`).
+    fields of a kernel layout.
     """
 
     def __init__(self, nvars, rows, unit_var=None):
@@ -167,13 +158,6 @@ class _Prepared:
             out.append(row)
         return out
 
-    def divided(self):
-        """The rows divided once, in their own layout; they stay here so,
-        and a later `pack` only narrows them."""
-        rows = self.pack(self.src)
-        self.rows = [(row, 0, 1) for row in rows]
-        return rows
-
 
 def _scaled(q, c):
     return _norm_coeff(c * q)
@@ -188,25 +172,31 @@ def _prepare_row(row, unit_var=None):
     prep = _Prepared(len(reg), [row], unit_var)
     if not prep.rows:
         return {}, None
-    (packed,) = prep.divided()
+    (packed,) = prep.pack(prep.src)
     return {j: prep.src.unpack(reg, terms) for j, terms in packed.items()}, prep.tops[0]
 
 
 class Echelon:
-    """Incremental semi-echelon basis of a row space; the module docstring
-    says why one pass in insertion order decides span membership.
+    """The forward half of Bareiss's elimination, fed one row at a time.
 
-    A new row is stripped, reduced against the kept rows in insertion order
-    on the packed kernel, stripped again and, if anything is left, kept
-    under the column of its entry with the fewest terms, which keeps
-    cross-multiplications small; a kept row is never touched again.  Kept
-    rows stay packed and divided (`_Prepared.divided`), so each reduction
-    only narrows them into its fields.
+    The k-th kept row holds its pivot p_k in its pivot column c_k and is
+    zero on c_1..c_{k-1}.  A new row r takes every kept step in order,
+    r <- (r * p_k - (k-th row) * r[c_k]) / p_{k-1} (no divisor at the
+    first).  Then every entry of r is a minor of the input on the kept rows
+    and r (Sylvester's identity), so every division is exact, and r ends at
+    zero exactly when the row lies in the span of the kept rows.  Whatever
+    is left is kept under its entry with the fewest terms (the smallest
+    column on a tie).  The rows stay packed in one layout, laid out again
+    only when the degree bound (`_field_bounds`) of the kept rows and the
+    new one outgrows it, or a product overflows it.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []  # (pivot column, the stripped row as a one-row _Prepared), in insertion order
+        self.rows = []  # (pivot column, packed pivot row), in insertion order
+        self._tops = []  # the degree tops of the kept input rows
+        self._bounds = []  # the field bounds of the layout _pk
+        self._pk = _Packing(self._bounds)
 
     @property
     def rank(self):
@@ -217,33 +207,43 @@ class Echelon:
 
     def add_row(self, row):
         """Reduce and keep a row {col: Poly}; returns True iff the rank grew."""
+        return self._add(row)
+
+    def _add(self, row):
+        # `det` steps in here, so the rows of a determinant are not add_row calls
+        row = {j: p for j, p in row.items() if p.terms}
         if not row:
             return False
-        nvars = len(next(iter(row.values())).reg)
-        new = _Prepared(nvars, [row])
-        if not new.rows:
-            return False
-        preps = [new] + [prep for _, prep in self.rows]
-
-        def pack(pk):
-            return [prep.pack(pk)[0] for prep in preps]
-
-        def run(packed, pk):
-            res = packed[0]
-            for (pc, _), prow in zip(self.rows, packed[1:]):
-                if pc in res:
-                    res = _combine(res, prow, pc, prow[pc], None, pk.guard)
-            return {j: Packed(pk, {m: _norm_coeff(c) for m, c in t.items()}) for j, t in res.items()}
-
-        kept = _Prepared(nvars, [_with_fields(nvars, [prep.tops[0] for prep in preps], pack, run)])
-        if not kept.rows:
-            return False
-        (r,) = kept.divided()
-        self.rows.append((min(r, key=lambda j: (len(r[j]), j)), kept))
+        reg = next(iter(row.values())).reg
+        top = _degree_top(len(reg), row.values())
+        need = _field_bounds(len(reg), self._tops + [top])
+        while True:
+            limits = {i: limit for i, _, limit in self._pk.fields}
+            if any(b >= limits.get(i, 1) for i, b in enumerate(need)):
+                self._lay_out(reg, need)
+            try:
+                r = {j: self._pk.pack(p) for j, p in row.items()}
+                div = None
+                for col, prow in self.rows:
+                    r = _combine(r, prow, col, prow[col], div, self._pk.guard)
+                    if not r:
+                        return False
+                    div = _descending(prow[col])
+                break
+            except _FieldOverflow:
+                need = [2 * b for b in self._bounds]
+        self.rows.append((min(r, key=lambda j: (len(r[j]), j)), r))
+        self._tops.append(top)
         return True
 
+    def _lay_out(self, reg, bounds):
+        bounds = list(map(max, bounds, self._bounds or bounds))  # never narrower
+        old, pk = self._pk, _Packing(bounds)
+        self.rows = [(c, {j: pk.pack(old.unpack(reg, t)) for j, t in prow.items()}) for c, prow in self.rows]
+        self._bounds, self._pk = bounds, pk
 
-def symbolic_rank(reg, rows, unit_var=None, cpus=1):
+
+def symbolic_rank(reg, rows, unit_var=None):
     """Exact rank of a sparse polynomial matrix over the fraction field.
 
     Fraction-free elimination with per-row delayed divisors: each pivot
@@ -271,15 +271,14 @@ def symbolic_rank(reg, rows, unit_var=None, cpus=1):
     their packed terms (`_Prepared`), which also gives the degree tops that
     size the kernel's fields.
 
-    With cpus > 1 the rows of a large prepared matrix are split between
-    this process and cpus - 1 forked peers (`_rank_kernel`); the rank, and
-    any error, is the one of a single process.  Large means at least
-    _PEER_ROWS rows and a cost of at least _PEER_COST, the cost being the
-    number of terms times the number of variables that occur.
+    The rows of a large prepared matrix are split between this process
+    and one forked peer per extra CPU of `forks.usable_cpus` (`_rank_kernel`);
+    the rank, and any error, is the one of a single process.  Large means
+    at least _PEER_ROWS rows and a cost of at least _PEER_COST, the cost
+    being the number of terms times the number of variables that occur.
     """
     prep = _Prepared(len(reg), rows, unit_var)
-    if cpus > 1 and not _worth_peers(len(reg), prep):
-        cpus = 1
+    cpus = usable_cpus() if _worth_peers(len(reg), prep) else 1
     return _with_fields(len(reg), prep.tops, prep.pack, lambda packed, pk: _spread_rank(packed, pk.guard, cpus))
 
 
@@ -358,35 +357,18 @@ class _Alone:
 
 def _spread_rank(work, guard, cpus):
     """`_rank_kernel` on the packed rows, split between this process and
-    cpus - 1 forked peers when cpus > 1.  A peer that cannot be forked or
-    dies (a broken or closed pipe) makes this process rank the rows alone,
-    from the start."""
+    cpus - 1 forked peers when cpus > 1; messages go through the pickle
+    codec of `forks`.  A peer that cannot be forked or dies (a broken or
+    closed pipe) makes this process rank the rows alone, from the start."""
     if cpus < 2:
         return _rank_kernel(work, guard)
-    # pickle is imported here and in _send and _recv, by ranks that fork
-    # peers only, so that other runs do not pay for the import
-    import pickle
-
     alone = list(work)  # updates replace rows, never change them
     try:
         with Children() as peers:
             links = [peers.fork(partial(_run_peer, work, guard, k, cpus)) for k in range(1, cpus)]
             return _rank_kernel(work, guard, _Caller(links, cpus))
-    except (OSError, EOFError, pickle.UnpicklingError):
+    except (OSError, EOFError):
         return _rank_kernel(alone, guard)
-
-
-def _send(fd, obj):
-    import pickle
-
-    with open(fd, "wb", closefd=False) as pipe:
-        pickle.dump(obj, pipe, pickle.HIGHEST_PROTOCOL)
-
-
-def _recv(pipe):
-    import pickle
-
-    return pickle.load(pipe)
 
 
 class _Caller:
@@ -401,7 +383,7 @@ class _Caller:
         self.peers = [(open(r, "rb", closefd=False), w) for r, w in links]
 
     def pivot(self, best, failed, work):
-        reports = [(best, failed)] + [_recv(inp) for inp, _ in self.peers]
+        reports = [(best, failed)] + [recv(inp) for inp, _ in self.peers]
         errors = [f for _, f in reports if f]
         if errors:
             raise min(errors, key=lambda e: e[0])[1]
@@ -412,13 +394,13 @@ class _Caller:
         owner = pr % self.stride
         if owner:
             inp, out = self.peers[owner - 1]
-            _send(out, (pr, pc, None))
-            prow = _recv(inp)
+            send(out, (pr, pc, None))
+            prow = recv(inp)
         else:
             prow = work[pr]
         for k, (_, out) in enumerate(self.peers, 1):
             if k != owner:
-                _send(out, (pr, pc, prow))
+                send(out, (pr, pc, prow))
         return pr, pc, prow
 
 
@@ -433,13 +415,13 @@ class _Peer:
         self.inp = open(inp, "rb", closefd=False)
 
     def pivot(self, best, failed, work):
-        _send(self.out, (best, failed))
+        send(self.out, (best, failed))
         if failed:
             raise failed[1]
-        pr, pc, prow = _recv(self.inp)
+        pr, pc, prow = recv(self.inp)
         if prow is None:
             prow = work[pr]
-            _send(self.out, prow)
+            send(self.out, prow)
         return pr, pc, prow
 
 
@@ -462,7 +444,7 @@ def kernel_basis(reg, rows, ncols):
     prep = _Prepared(len(reg), rows)
 
     def run(packed, pk):
-        pivots, last, _ = _fraction_free(packed, pk.guard, True)
+        pivots, last = _fraction_free(packed, pk.guard)
         last = Poly.const(reg, 1) if last is None else pk.unpack(reg, last)
         vectors = []
         for f in range(ncols):
@@ -562,49 +544,51 @@ def _primitive(vec):
 
 
 def det(reg, rows):
-    """Determinant of the square matrix of the len(rows) sparse rows, by the
-    forward half of `_fraction_free` (1 with no rows); a column index
+    """Determinant of the square matrix of the len(rows) sparse rows (1 with
+    no rows), by `Echelon`'s forward elimination: a row left at zero makes
+    it zero, else the last pivot is the determinant of the columns taken in
+    pivot order, so the parity of that order gives the sign.  A column index
     outside range(len(rows)) raises ValueError."""
     n = len(rows)
     if any(not 0 <= j < n for row in rows for j in row):
         raise ValueError(f"matrix must be square: a column index is outside range({n})")
-
-    def run(packed, pk):
-        pivots, last, odd = _fraction_free(packed, pk.guard, False)
-        if len(pivots) < n:
-            return Poly.zero(reg)
-        if last is None:
-            return Poly.const(reg, 1)
-        return pk.unpack(reg, _neg(last) if odd else last)
-
-    return _with_fields(len(reg), *_plain(len(reg), rows), run)
+    ech = Echelon(n)
+    if not all(ech._add(row) for row in rows):
+        return Poly.zero(reg)
+    if not n:
+        return Poly.const(reg, 1)
+    col, last = ech.rows[-1]
+    odd = sum(a > b for (a, _), (b, _) in combinations(ech.rows, 2)) % 2
+    return ech._pk.unpack(reg, _neg(last[col]) if odd else last[col])
 
 
 def minor_gcd(reg, rows, ncols):
     """gcd of the maximal (ncols x ncols) minors of a sparse matrix M with
     len(rows) >= ncols rows, made `primitive_int`; zero when all vanish.
 
-    One Gauss-Jordan `_fraction_free` on the transpose gives every maximal
-    minor as +-D, D the last pivot, or +-(a t x t minor of Y) / D^(t-1),
-    where Y holds the pivot rows on the k = len(rows) - ncols free columns
-    (the `classical` module docstring derives it); below full rank all are
-    zero.  So no determinant is formed for k <= 1, and the minors are read
-    lazily, up to the first constant gcd.  The rows of the transpose are not
-    stripped: scaling a column of M by a monomial scales every maximal minor
-    by it.
+    A square M has one maximal minor, its `det`.  Otherwise one Gauss-Jordan
+    `_fraction_free` on the transpose gives every maximal minor as +-D, D
+    the last pivot, or +-(a t x t minor of Y) / D^(t-1), where Y holds the
+    pivot rows on the k = len(rows) - ncols free columns (the `classical`
+    module docstring derives it); below full rank all are zero.  So no
+    determinant is formed for k = 1, and the minors are read lazily, up to
+    the first constant gcd.  The rows of the transpose are not stripped:
+    scaling a column of M by a monomial scales every maximal minor by it.
     """
-    cols = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(ncols)]
+    if len(rows) == ncols:
+        return det(reg, rows).primitive_int()[1]
+    cols = [{i: row[j] for i, row in enumerate(rows) if j in row and row[j].terms} for j in range(ncols)]
 
     def run(packed, pk):
-        # with no free column there is no Y to read: the forward half will do
-        pivots, last, _ = _fraction_free(packed, pk.guard, len(rows) > ncols)
+        pivots, last = _fraction_free(packed, pk.guard)
         if len(pivots) < ncols:
             return None
         free = sorted(set(range(len(rows))) - set(pivots))
         y = [{c: pk.unpack(reg, row[f]) for c, f in enumerate(free) if f in row} for row in packed]
         return pk.unpack(reg, last), y, len(free)
 
-    found = _with_fields(len(reg), *_plain(len(reg), cols), run)
+    tops = [_degree_top(len(reg), col.values()) for col in cols]
+    found = _with_fields(len(reg), tops, lambda pk: [{i: pk.pack(p) for i, p in c.items()} for c in cols], run)
     if found is None:
         return Poly.zero(reg)
     d, y, k = found
@@ -622,21 +606,20 @@ def minor_gcd(reg, rows, ncols):
     return _gcd_many(m for m in minors() if not m.is_zero()).primitive_int()[1]
 
 
-def _fraction_free(rows, guard, reduce_above):
-    """Fraction-free elimination with one global divisor, in place on packed
-    sparse rows; returns the pivot columns, the last pivot (None if none)
-    and whether the row swaps were odd.
+def _fraction_free(rows, guard):
+    """Fraction-free Gauss-Jordan elimination with one global divisor, in
+    place on packed sparse rows; returns the pivot columns and the last
+    pivot (None if none).
 
-    Step k takes the leftmost column nonzero in rows k.., its first such row
-    as pivot row, and replaces every row r below (and with reduce_above,
-    above) by (r * pivot - pivot row * r[column]) / previous pivot.  Every
-    entry stays a minor of the input (Sylvester's identity below, Cramer's
-    rule above: the last pivot times the RREF entry), so every division is
-    exact.  The pivot column leaves every row; in a pivot row it would hold
-    the last pivot.
+    Step k takes the leftmost column nonzero in rows k.., moves its first
+    such row to place k as pivot row, and replaces every other row r by
+    (r * pivot - pivot row * r[column]) / previous pivot.  Every entry stays
+    a minor of the input (Sylvester's identity below, Cramer's rule above:
+    the last pivot times the RREF entry), so every division is exact.  The
+    pivot column leaves every row; in a pivot row it would hold the last
+    pivot.
     """
     pivots = []
-    odd = False
     piv = None
     prev = None  # None stands for 1
     for k in range(len(rows)):
@@ -644,17 +627,15 @@ def _fraction_free(rows, guard, reduce_above):
         if col is None:
             break
         i = next(i for i in range(k, len(rows)) if col in rows[i])
-        if i != k:
-            rows[k], rows[i] = rows[i], rows[k]
-            odd = not odd
+        rows[k], rows[i] = rows[i], rows[k]
         prow = rows[k]
         piv = prow.pop(col)
-        for i in range(0 if reduce_above else k + 1, len(rows)):
+        for i in range(len(rows)):
             if i != k and rows[i]:
                 rows[i] = _combine(rows[i], prow, col, piv, prev, guard)
         pivots.append(col)
         prev = _descending(piv)
-    return pivots, piv, odd
+    return pivots, piv
 
 
 # -- packed-term kernel of the fraction-free eliminations ---------------------
@@ -663,8 +644,8 @@ def _fraction_free(rows, guard, reduce_above):
 # beside `Poly`.  Why the field bound holds: every entry of a fraction-free
 # elimination is a minor of the input, so its degree in a variable is at most
 # the sum over rows of the row's largest degree; a product taken before its
-# division multiplies two such entries.  `Echelon` never divides, and each of
-# its updates adds at most one row's degree, so the same bound holds for it.
+# division multiplies two such entries.  In `Echelon` the rows are the kept
+# ones and the new one.
 
 
 def _field_bounds(nvars, tops):
@@ -685,13 +666,6 @@ def _with_fields(nvars, tops, pack, run):
             return run(pack(pk), pk)
         except _FieldOverflow:
             bounds = [2 * b for b in bounds]
-
-
-def _plain(nvars, rows):
-    """The degree tops of sparse Poly rows, and a pack for `_with_fields`
-    that packs them as they are, zero entries dropped."""
-    tops = [_degree_top(nvars, row.values()) for row in rows]
-    return tops, lambda pk: [{j: pk.pack(p) for j, p in row.items() if p.terms} for row in rows]
 
 
 def _combine(r, prow, col, piv, div, guard):

@@ -84,7 +84,9 @@ class Poly:
     """Sparse multivariate polynomial over Q.
 
     terms maps exponent tuples (one slot per registry symbol) to nonzero
-    int/Fraction coefficients.  Instances are immutable by convention.
+    int/Fraction coefficients.  Instances are immutable by convention.  The
+    raw constructor expects coefficients in `_norm_coeff` form; the int fast
+    paths rely on it for speed, not for values.
     """
 
     __slots__ = ("reg", "terms", "_hash")

@@ -1,10 +1,10 @@
 """Windowed induced modules: action, bases, quotient dimensions, supports."""
 
 import os
+import pickle
 import random
 import threading
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -773,9 +773,9 @@ def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
     ranks = []  # (forks during the rank, whether its matrix is above the floor)
     real_rank = induced.symbolic_rank
 
-    def rank(reg, rows, unit_var=None, cpus=1):
+    def rank(reg, rows, unit_var=None):
         before = len(forks)
-        d = real_rank(reg, rows, unit_var=unit_var, cpus=cpus)
+        d = real_rank(reg, rows, unit_var=unit_var)
         ranks.append((len(forks) - before, _above_peer_floor(reg, rows, unit_var)))
         return d
 
@@ -817,10 +817,32 @@ def test_helper_that_reports_nothing_still_gives_the_table(monkeypatch, forks, f
 
         monkeypatch.setattr(InducedModule, "dims_at", dims_at)
     else:
-        loads = induced.marshal.loads
-        monkeypatch.setattr(induced, "marshal", SimpleNamespace(dumps=lambda obj: b"\x00junk", loads=loads))
+        # the helper's pickle ends early, as if it died mid-write
+        monkeypatch.setattr(induced, "send", lambda fd, obj: os.write(fd, pickle.dumps(obj)[:-2]))
     assert _table(*REDUCIBLE_L2) == expect
     assert len(forks) == 1
+    _no_child_left()
+
+
+def test_a_caller_with_live_helpers_forks_no_peers(monkeypatch, forks):
+    # with the peer floor at 0 every rank of two usable CPUs splits its rows;
+    # but the caller ranks its own share, and then the share of a helper
+    # that reported nothing, while that helper is live, so the helper is
+    # the one fork
+    _one_cpu(monkeypatch)
+    expect = _table(*REDUCIBLE_L2)
+    monkeypatch.setattr(linalg, "_PEER_ROWS", 0)
+    monkeypatch.setattr(linalg, "_PEER_COST", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(induced, "send", lambda fd, obj: None)
+    assert _table(*REDUCIBLE_L2) == expect
+    assert len(forks) == 1
+    _no_child_left()
+    # with the helper floor out of reach the table stays one share, and
+    # its ranks fork peers
+    monkeypatch.setattr(induced, "_HELPER_FLOOR", float("inf"))
+    assert _table(*REDUCIBLE_L2) == expect
+    assert len(forks) > 2
     _no_child_left()
 
 

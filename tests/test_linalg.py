@@ -117,21 +117,23 @@ def test_rank_with_forced_dependencies():
 
 
 def test_echelon_rows_stay_semi_echelon():
-    # each kept row holds its pivot column and is zero on the pivot column
-    # of every row kept before it, which is what lets one pass in insertion
-    # order decide membership in their span
+    # each packed pivot row holds its pivot column and is zero on the pivot
+    # column of every row kept before it: each step of the forward
+    # elimination clears its column from the rows that come after it
     ctx = _ctx()
     rng = random.Random(404)
-    for _ in range(40):
+    for case in range(60):
         m, n = rng.randint(2, 6), rng.randint(2, 6)
-        rows = _sparse(ctx.reg, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+        if case % 2:
+            rows = _sparse(ctx.reg, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+        else:
+            rows = [{j: p for j in range(n) if not (p := _rand_poly(ctx, rng)).is_zero()} for _ in range(m)]
         ech = Echelon(n)
         for row in rows:
             ech.add_row(row)
-        for i, (pc, kept) in enumerate(ech.rows):
-            ((row, _, _),) = kept.rows
-            assert pc in row
-            for pc2, _kept2 in ech.rows[:i]:
+        for i, (pc, row) in enumerate(ech.rows):
+            assert pc in row and all(row.values())
+            for pc2, _ in ech.rows[:i]:
                 assert pc2 not in row
         assert ech.rank == field_rank(ctx.reg, rows, n)
 
@@ -213,6 +215,74 @@ def test_det_matches_permutation_oracle():
         assert d.is_const() or d.is_zero()
         got = Fraction(d.const_value()) if not d.is_zero() else Fraction(0)
         assert got == _perm_det(dense)
+
+
+def _inversions(perm):
+    return sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+
+
+def test_det_sign_follows_the_pivot_columns():
+    # the last pivot of the forward elimination is the determinant of the
+    # columns in pivot order, so det must multiply it by that order's sign;
+    # a wrong parity fails on the odd permutation matrices and on the seeded
+    # matrices whose pivots leave column order
+    reg = Context.of_rank(3).reg
+    one = Poly.const(reg, 1)
+    for n in range(1, 6):
+        for perm in itertools.permutations(range(n)):
+            rows = [{perm[i]: one} for i in range(n)]
+            assert det(reg, rows) == Poly.const(reg, (-1) ** _inversions(perm))
+    rng = random.Random(1968)
+    parities = set()
+    for case in range(80):
+        n = rng.randint(2, 5)
+        if case % 2:
+            dense = [[rng.choice([0, 0, 1, -1, rng.randint(-5, 5)]) for _ in range(n)] for _ in range(n)]
+            rows = _sparse(reg, dense)
+            assert det(reg, rows) == Poly.const(reg, _perm_det(dense))
+        else:
+            dense = [
+                [Poly.zero(reg) if rng.random() < 0.3 else _sparse_poly(reg, rng, 2, 1, case % 4 == 0) for _ in range(n)]
+                for _ in range(n)
+            ]
+            rows = _sparse(reg, dense)
+            assert det(reg, rows) == _perm_det_poly(reg, dense)
+        ech = Echelon(n)
+        if all(ech.add_row(row) for row in rows):
+            parities.add(_inversions([c for c, _ in ech.rows]) % 2)
+    assert parities == {0, 1}
+
+
+def test_raw_poly_with_integral_fractions_gives_the_normal_results():
+    # Poly() takes its terms as they come, so Fraction(2, 1) can stand where
+    # _norm_coeff would give 2; every result must be the normal form's
+    reg = Context.of_rank(3).reg
+    rng = random.Random(2101)
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except ExactDivisionError:
+            return ExactDivisionError
+
+    for case in range(80):
+        rows, ncols = _sparse_matrix(reg, rng, 1 + case % 3, 2, case % 4 == 0, 4, 2)
+        raw = [{j: Poly(reg, {e: Fraction(c) for e, c in p.terms.items()}) for j, p in row.items()} for row in rows]
+        for row, raw_row in zip(rows, raw):
+            for j, p in row.items():
+                q = raw_row[j]
+                assert q == p and hash(q) == hash(p) and str(q) == str(p)
+        assert outcome(symbolic_rank, reg, raw) == outcome(symbolic_rank, reg, rows)
+        got, expect = kernel_basis(reg, raw, ncols), kernel_basis(reg, rows, ncols)
+        assert got == expect and [list(map(str, v)) for v in got] == [list(map(str, v)) for v in expect]
+        n = min(len(rows), ncols)
+        square = [{j: p for j, p in row.items() if j < n} for row in rows[:n]]
+        raw_square = [{j: p for j, p in row.items() if j < n} for row in raw[:n]]
+        d = det(reg, raw_square)
+        assert d == det(reg, square) and str(d) == str(det(reg, square))
+        echelons = Echelon(ncols), Echelon(ncols)
+        for row, raw_row in zip(rows, raw):
+            assert echelons[0].add_row(raw_row) == echelons[1].add_row(row)
 
 
 def test_det_symbolic_vandermonde():
@@ -595,22 +665,28 @@ def _overflow_cases():
     return reg, cases
 
 
-def _check_overflow_retries(reg, cases, attempts, cpus=1):
+def _check_overflow_retries(reg, cases, attempts):
     retried = 0
     for rows, ncols, expect in cases:
         del attempts[:]
         if expect is ExactDivisionError:
             with pytest.raises(ExactDivisionError):
-                symbolic_rank(reg, [dict(r) for r in rows], cpus=cpus)
+                symbolic_rank(reg, [dict(r) for r in rows])
         else:
-            assert symbolic_rank(reg, [dict(r) for r in rows], cpus=cpus) == expect
+            assert symbolic_rank(reg, [dict(r) for r in rows]) == expect
         retried += len(attempts) > 1
     assert retried >= 20
+
+
+def _usable(monkeypatch, cpus):
+    """Let this process run on cpus CPUs, as `forks.usable_cpus` reads them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 def test_field_overflow_retries_with_wider_fields(monkeypatch):
     reg, cases = _overflow_cases()
     attempts = _narrow_fields(monkeypatch)
+    _usable(monkeypatch, 1)
     _check_overflow_retries(reg, cases, attempts)
     # det: the same retry, the same determinant
     g = [Poly.symbol(reg, n) for n in ("g1", "g2", "g3")]
@@ -625,8 +701,9 @@ def test_field_overflow_retries_with_wider_fields(monkeypatch):
 
 # -- rank peers: the rows of one symbolic_rank split between processes -------------
 #
-# With the floor at 0 every matrix is split, so each of these runs forks
-# cpus - 1 peers; the ranks and errors must be those of one process.
+# With the floor at 0 every matrix is split, so each of these runs forks one
+# peer per extra CPU of the patched os.sched_getaffinity; the ranks and
+# errors must be those of one process.
 
 
 @pytest.fixture
@@ -653,10 +730,11 @@ def _steps(monkeypatch, side):
     return calls
 
 
-def _outcome(reg, rows, cpus, steps):
+def _outcome(monkeypatch, reg, rows, cpus, steps):
+    _usable(monkeypatch, cpus)
     del steps[:]
     try:
-        return symbolic_rank(reg, [dict(r) for r in rows], cpus=cpus), len(steps)
+        return symbolic_rank(reg, [dict(r) for r in rows]), len(steps)
     except ExactDivisionError as exc:
         return (type(exc), str(exc)), len(steps)
 
@@ -672,9 +750,9 @@ def test_peers_give_the_single_process_rank_and_error(monkeypatch, peers_always,
         nvars = 1 + case % 4
         maxdeg, maxterms = ((3, 3), (2, 2), (2, 1), (1, 1))[nvars - 1]
         rows, _ = _sparse_matrix(reg, rng, nvars, maxdeg, case % 3 == 0, 6, maxterms)
-        alone = _outcome(reg, rows, 1, alone_steps)
+        alone = _outcome(monkeypatch, reg, rows, 1, alone_steps)
         # the same rank, or the same error raised at the same pivot step
-        assert _outcome(reg, rows, cpus, caller_steps) == alone
+        assert _outcome(monkeypatch, reg, rows, cpus, caller_steps) == alone
         outcomes.add(type(alone[0]))
     assert outcomes == {int, tuple}
     _no_child_left()
@@ -695,7 +773,8 @@ def test_field_overflow_in_a_peer_widens_the_fields(monkeypatch, peers_always):
             raise
 
     monkeypatch.setattr(linalg._Caller, "pivot", pivot)
-    _check_overflow_retries(reg, cases, attempts, cpus=2)
+    _usable(monkeypatch, 2)
+    _check_overflow_retries(reg, cases, attempts)
     assert from_peers  # some overflows were a peer's
     _no_child_left()
 
@@ -722,8 +801,9 @@ def test_no_peer_outlives_symbolic_rank(monkeypatch, peers_always):
     reg, found = _matrices(5)
     _no_child_left()
     # a return
+    _usable(monkeypatch, 3)
     for rows, expect in found:
-        assert symbolic_rank(reg, [dict(r) for r in rows], cpus=3) == expect
+        assert symbolic_rank(reg, [dict(r) for r in rows]) == expect
         _no_child_left()
     # the known defect, raised in the caller
     g1 = Poly.symbol(reg, "g1")
@@ -734,8 +814,9 @@ def test_no_peer_outlives_symbolic_rank(monkeypatch, peers_always):
         {0: g1, 1: g1.scale(2)},
     ]
     for cpus in (2, 3):
+        _usable(monkeypatch, cpus)
         with pytest.raises(ExactDivisionError, match="division is not exact"):
-            symbolic_rank(reg, [dict(r) for r in defect], cpus=cpus)
+            symbolic_rank(reg, [dict(r) for r in defect])
         _no_child_left()
     # a BaseException in the caller mid-elimination, while the peers wait
     caller = os.getpid()
@@ -750,8 +831,9 @@ def test_no_peer_outlives_symbolic_rank(monkeypatch, peers_always):
         return real_combine(*args)
 
     monkeypatch.setattr(linalg, "_combine", combine)
+    _usable(monkeypatch, 2)
     with pytest.raises(_Stop):
-        symbolic_rank(reg, [dict(r) for r in found[0][0]], cpus=2)
+        symbolic_rank(reg, [dict(r) for r in found[0][0]])
     assert len(calls) == 2
     _no_child_left()
 
@@ -776,9 +858,10 @@ def test_a_peer_that_dies_leaves_the_rank_to_the_caller(monkeypatch, peers_alway
         return real_kernel(work, guard, side)
 
     monkeypatch.setattr(linalg, "_rank_kernel", kernel)
+    _usable(monkeypatch, 2)
     for rows, expect in found:
         del packed[:]
-        assert symbolic_rank(reg, [dict(r) for r in rows], cpus=2) == expect
+        assert symbolic_rank(reg, [dict(r) for r in rows]) == expect
         _no_child_left()
         # the peered run, then one rerun alone from the same packed rows
         assert len(packed) == 2 and packed[1] == packed[0]
