@@ -171,6 +171,7 @@ def validate(command, config, refused=()):
         elif not all(names):
             missing = [i + 1 for i, n in enumerate(names) if not n]
             error(f"generator names missing at positions {missing}")
+            names = None  # the rest is checked under the default names
     if command == "verma" and rank not in (None, 1):
         rank_error("verma works over G = Z and needs a group of rank 1")
     if command == "induce" and rank is not None and rank < 2:

@@ -10,8 +10,9 @@ no child outlives the call.  A child talks to the caller over pipes only, in
 pickles (`send`, `recv`), runs its body and leaves through os._exit; it
 never returns into the caller's stack.
 
-`induced` forks helpers that rank whole shares of a table, `linalg` forks
-peers that share the rows of one large elimination; both go through here.
+`induced` forks helpers that rank whole shares of a table, one per extra
+CPU; `linalg` forks one peer, two halves: the peer and the caller share the
+rows of one large elimination.  Both go through here.
 """
 
 from __future__ import annotations

@@ -53,9 +53,10 @@ alpha gives one unit per report weight, and these split evenly once the
 table's estimated cost is above a measured floor.  A free alpha gives one
 unit per level, and its top level holds nearly all the cost; no split takes
 a quarter of the work off the caller, so such a table stays one share, and
-its large ranks split their rows between the caller and forked peers
-instead (`symbolic_rank`); `usable_cpus` answers 1 inside a helper and
-while helpers are live.  `taskset -c 0` leaves one CPU, and then one process.
+each of its large ranks runs as one peer, two halves instead: the caller
+and one forked peer share its rows (`symbolic_rank`).  `usable_cpus`
+answers 1 inside a helper and while helpers are live.  `taskset -c 0`
+leaves one CPU, and then one process.
 
 Probe rows share prefixes.  The probe sequences are nondecreasing tuples and
 a sequence acts first operator first, so, per basis monomial, the vector
@@ -418,7 +419,7 @@ class InducedModule:
         pairs back over a pipe.  A helper that fails (the known
         ExactDivisionError, or death) sends what it finished; the caller
         ranks the rest in table order while its helpers are still live, so
-        no rank forks peers and an error surfaces with its own type.  No
+        no rank forks a peer and an error surfaces with its own type.  No
         helper or peer outlives this call."""
 
         def rank_share(share, out, _):

@@ -44,12 +44,12 @@ Every routine takes one input format: rows as sparse dicts
 `Packed` entries of one layout.  `det` is the one determinant of the
 package; `groups.int_det` runs it on constant rows.
 
-`symbolic_rank` spreads one large elimination over the CPUs that
-`forks.usable_cpus` grants: the caller keeps the rows i = 0 modulo k and
-each of k - 1 forked peers the rows of one other residue, and at each step
-the sides agree on the pivot, the owner of the pivot row ships it, and each
-side updates its own rows (`_rank_kernel`).  Only a prepared matrix above a
-measured floor is worth the forks; `taskset -c 0` leaves one CPU, and then
+`symbolic_rank` shares one large elimination with one peer, two halves:
+when `forks.usable_cpus` grants a second CPU, the caller keeps the even
+rows and one forked peer the odd ones, and at each step the two halves
+agree on the pivot, the owner of the pivot row sends it, and each half
+updates its own rows (`_rank_kernel`).  Only a prepared matrix above a
+measured floor is worth the fork; `taskset -c 0` leaves one CPU, and then
 one process.
 """
 
@@ -259,9 +259,9 @@ def symbolic_rank(reg, rows, unit_var=None):
     it later becomes the pivot row, the numerator of a row whose divisor is
     that skipped pivot need not contain it, and the division raises
     ExactDivisionError.  (No determinant identity makes it exact; see the
-    strict-xfail tests.)  Peers reproduce the defect: they take the same
-    pivots and updates, so the error is raised at the same step, by the
-    same row.
+    strict-xfail tests.)  Two halves reproduce the defect: they take the
+    same pivots and updates, so the error is raised at the same step, by
+    the same row.
 
     Entries are Poly, or `Packed` of one layout (the induced module's probe
     rows); Poly rows are packed once on entry.  With unit_var given, that
@@ -271,15 +271,16 @@ def symbolic_rank(reg, rows, unit_var=None):
     their packed terms (`_Prepared`), which also gives the degree tops that
     size the kernel's fields.
 
-    The rows of a large prepared matrix are split between this process
-    and one forked peer per extra CPU of `forks.usable_cpus` (`_rank_kernel`);
-    the rank, and any error, is the one of a single process.  Large means
-    at least _PEER_ROWS rows and a cost of at least _PEER_COST, the cost
-    being the number of terms times the number of variables that occur.
+    One peer, two halves: when `forks.usable_cpus` grants a second CPU,
+    the rows of a large prepared matrix are split between this process and
+    one forked peer (`_spread_rank`); the rank, and any error, is the one
+    of a single process.  Large means at least _PEER_ROWS rows and a cost
+    of at least _PEER_COST, the cost being the number of terms times the
+    number of variables that occur.
     """
     prep = _Prepared(len(reg), rows, unit_var)
-    cpus = usable_cpus() if _worth_peers(len(reg), prep) else 1
-    return _with_fields(len(reg), prep.tops, prep.pack, lambda packed, pk: _spread_rank(packed, pk.guard, cpus))
+    rank = _spread_rank if _worth_a_peer(len(reg), prep) and usable_cpus() > 1 else _rank_kernel
+    return _with_fields(len(reg), prep.tops, prep.pack, lambda packed, pk: rank(packed, pk.guard))
 
 
 # forking a peer costs about 3 ms; among the induce probe matrices, timed
@@ -289,8 +290,8 @@ _PEER_ROWS = 8
 _PEER_COST = 5000
 
 
-def _worth_peers(nvars, prep):
-    """Whether `_Prepared` rows are large enough to share with peers."""
+def _worth_a_peer(nvars, prep):
+    """Whether `_Prepared` rows are large enough to share with a peer."""
     if len(prep.rows) < _PEER_ROWS:
         return False
     fields = sum(1 for b in _field_bounds(nvars, prep.tops) if b)
@@ -355,78 +356,49 @@ class _Alone:
         return None if best is None else (best[1], best[2], work[best[1]])
 
 
-def _spread_rank(work, guard, cpus):
-    """`_rank_kernel` on the packed rows, split between this process and
-    cpus - 1 forked peers when cpus > 1; messages go through the pickle
-    codec of `forks`.  A peer that cannot be forked or dies (a broken or
-    closed pipe) makes this process rank the rows alone, from the start."""
-    if cpus < 2:
-        return _rank_kernel(work, guard)
+def _spread_rank(work, guard):
+    """`_rank_kernel` on the packed rows, split into two halves: this
+    process and one forked peer, each a `_Half`; messages go through the
+    pickle codec of `forks`.  A peer that cannot be forked or dies (a broken
+    or closed pipe) makes this process rank the rows alone, from the start."""
     alone = list(work)  # updates replace rows, never change them
     try:
-        with Children() as peers:
-            links = [peers.fork(partial(_run_peer, work, guard, k, cpus)) for k in range(1, cpus)]
-            return _rank_kernel(work, guard, _Caller(links, cpus))
+        with Children() as peer:
+            inp, out = peer.fork(lambda out, inp: _rank_kernel(work, guard, _Half(1, out, inp)))
+            return _rank_kernel(work, guard, _Half(0, out, inp))
     except (OSError, EOFError):
         return _rank_kernel(alone, guard)
 
 
-class _Caller:
-    """The side of the calling process: rows 0 modulo stride.  It gathers
-    every side's candidate (or error), picks the pivot, and passes the
-    pivot row on from the side that owns it to the others."""
+class _Half:
+    """One of the two processes that share an elimination: rows index
+    modulo 2.  Each step both halves send their candidate (or error) and
+    read the other's, so both raise the error of the lower row, or pick the
+    same pivot by the smallest (terms, row); the half that owns the pivot
+    row sends it to the other."""
 
-    index = 0
+    stride = 2
 
-    def __init__(self, links, stride):
-        self.stride = stride
-        self.peers = [(open(r, "rb", closefd=False), w) for r, w in links]
-
-    def pivot(self, best, failed, work):
-        reports = [(best, failed)] + [recv(inp) for inp, _ in self.peers]
-        errors = [f for _, f in reports if f]
-        if errors:
-            raise min(errors, key=lambda e: e[0])[1]
-        cands = [b for b, _ in reports if b]
-        if not cands:
-            return None  # the peers wait for a next step until they are stopped
-        _, pr, pc = min(cands, key=lambda c: c[:2])
-        owner = pr % self.stride
-        if owner:
-            inp, out = self.peers[owner - 1]
-            send(out, (pr, pc, None))
-            prow = recv(inp)
-        else:
-            prow = work[pr]
-        for k, (_, out) in enumerate(self.peers, 1):
-            if k != owner:
-                send(out, (pr, pc, prow))
-        return pr, pc, prow
-
-
-class _Peer:
-    """The side of a forked peer: rows index modulo stride.  It reports its
-    candidate (or error), takes the pivot back, and ships the pivot row
-    when it owns it.  It never returns: the caller stops it."""
-
-    def __init__(self, index, stride, out, inp):
-        self.index, self.stride = index, stride
-        self.out = out
+    def __init__(self, index, out, inp):
+        self.index, self.out = index, out
         self.inp = open(inp, "rb", closefd=False)
 
     def pivot(self, best, failed, work):
+        # both halves write before they read: a report takes a few bytes,
+        # which the pipe holds, so neither blocks on the other's write
         send(self.out, (best, failed))
-        if failed:
-            raise failed[1]
-        pr, pc, prow = recv(self.inp)
-        if prow is None:
-            prow = work[pr]
-            send(self.out, prow)
-        return pr, pc, prow
-
-
-def _run_peer(work, guard, index, stride, out, inp):
-    _rank_kernel(work, guard, _Peer(index, stride, out, inp))
+        other_best, other_failed = recv(self.inp)
+        errors = [f for f in (failed, other_failed) if f]
+        if errors:
+            raise min(errors, key=lambda e: e[0])[1]
+        cands = [b for b in (best, other_best) if b]
+        if not cands:
+            return None
+        _, pr, pc = min(cands, key=lambda c: c[:2])
+        if pr % 2 == self.index:
+            send(self.out, work[pr])
+            return pr, pc, work[pr]
+        return pr, pc, recv(self.inp)
 
 
 def kernel_basis(reg, rows, ncols):

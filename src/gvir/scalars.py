@@ -104,8 +104,8 @@ class Poly:
 
     @staticmethod
     def const(reg, q):
-        if isinstance(q, float):
-            raise TypeError("floating point is not allowed; use Fraction")
+        if isinstance(q, (bool, float)):
+            raise TypeError(f"{q!r} is not an exact number; use int or Fraction")
         q = _norm_coeff(q if isinstance(q, (int, Fraction)) else Fraction(q))
         if q == 0:
             return Poly(reg, {})
@@ -1017,6 +1017,8 @@ class Context:
 
     Generators g1..gn are always formal.  alpha/beta/c/h are free symbols
     unless bound here; a bound symbol never appears in any computed Scalar.
+    A generator name follows the name grammar of parsed text (`_NAME`), so
+    every rendered Scalar parses back to itself.
     """
 
     def __init__(self, gen_names, *, alpha=None, beta=None, c=None, h=None):
@@ -1024,6 +1026,8 @@ class Context:
         for n in gen_names:
             if n in SYMBOLS:
                 raise ValueError(f"generator name {n!r} is reserved")
+            if not _NAME.fullmatch(n):
+                raise ValueError(f"generator name {n!r} is not a name of parsed text: [A-Za-z_][A-Za-z0-9_]*")
         self.gen_names = gen_names
         self.rank = len(gen_names)
         self.reg = gen_names + SYMBOLS

@@ -257,3 +257,32 @@ def test_render():
     assert "d[1,0]*d[0,1]" in txt and "d[1,1]" in txt
     assert render_pbw({}) == "0"
     assert AlgebraElement.zero(ctx, G).render() == "0"
+
+
+def test_rendered_coefficients_parse_back_under_custom_names():
+    # every coefficient of a bracket or a PBW normal form, rendered, parses
+    # back to itself at ranks 1-3 with generator names that are not g1..gn;
+    # Context refuses names outside the grammar, which would not read back
+    rng = random.Random(97)
+    checks = 0
+    for names, radius in ((("t",), 3), (("x", "y_1"), 2), (("a", "B2", "_c"), 1)):
+        ctx = Context(names)
+        G = Group(len(names), names)
+        rank = len(names)
+
+        def index():
+            return tuple(rng.randint(-radius, radius) for _ in range(rank))
+
+        coeffs = []
+        for _ in range(60):
+            x = index()
+            y = tuple(-k for k in x) if rng.random() < 0.3 else index()
+            out = AlgebraElement.d(ctx, G, x).bracket(AlgebraElement.d(ctx, G, y))
+            coeffs += [*out.d_terms.values(), out.c_coeff]
+        for _ in range(40):
+            word = [index() for _ in range(rng.randint(2, 4))]
+            coeffs += pbw_normalize(ctx, G, word).values()
+        for s in coeffs:
+            assert ctx.parse(str(s)) == s, (names, str(s))
+        checks += len(coeffs)
+    assert checks >= 700

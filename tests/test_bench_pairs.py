@@ -1,5 +1,6 @@
-"""The pure parts of tools/bench_pairs.py: seed lists, quartiles, and the
-gain and bound verdicts of `summarize`.  No benchmark process runs."""
+"""The pure parts of tools/bench_pairs.py: seed lists, quartiles, the
+gain and bound verdicts of `summarize`, and the busy-CPU mark of a pair.
+No benchmark process runs."""
 
 import importlib.util
 import pathlib
@@ -88,3 +89,21 @@ def test_within_bound_for_ok_ratio_which_is_higher_is_better():
     low = [0.5] * 10
     m = bench_pairs.summarize(_pairs(low, [0.6] * 10, "ok_ratio"), SPEC)["ok_ratio"]
     assert m["within_bound"] and m["wins"] == 10 and m["gain"]
+
+
+def _run(before, after):
+    result = {"metrics": {"wall_s": {"value": 1.0}}}
+    return {"seed": 3, "first": "parent", "cpu_ratio": [before, after], "parent": result, "change": result}
+
+
+def test_a_pair_is_busy_when_either_cpu_ratio_exceeds_the_limit():
+    assert bench_pairs.BUSY_RATIO == 1.5
+    assert not bench_pairs.busy([1.0, 1.1])
+    assert not bench_pairs.busy([1.5, 1.5])  # the limit itself is not busy
+    assert bench_pairs.busy([1.6, 1.0]) and bench_pairs.busy([1.0, 2.1])
+
+
+def test_progress_line_marks_a_busy_pair():
+    line = bench_pairs.progress("verma", _run(1.04, 1.12))
+    assert line == "verma seed 3 (parent first): wall_s 1 -> 1  cpu 2:1 1.04, 1.12"
+    assert bench_pairs.progress("verma", _run(1.04, 1.98)).endswith("cpu 2:1 1.04, 1.98  BUSY CPU")

@@ -396,6 +396,12 @@ def _exit_and_stderr(tmp_path, capsys, command, config):
         ([{"b": [0, 1]}], "config must be a JSON object"),
         ({"group": {"rank": 1}, "b": [1]}, "induce needs a group of rank >= 2"),
         ({"group": {"rank": 2, "names": ["x", "x"]}, "b": [0, 1]}, "duplicate symbol names in registry"),
+        # names outside the grammar of parsed text would render coefficients
+        # that read back as something else
+        ({"group": {"rank": 2, "names": ["1x", "y"]}, "b": [0, 1]}, "generator name '1x'"),
+        ({"group": {"rank": 2, "names": ["g*1", "g2"]}, "b": [0, 1]}, "generator name 'g*1'"),
+        ({"group": {"rank": 2, "names": ["g\u00b2", "g2"]}, "b": [0, 1]}, "generator name 'g\u00b2'"),
+        ({"group": {"rank": 2, "names": ["g 1", "g2"]}, "b": [0, 1]}, "generator name 'g 1'"),
     ],
 )
 def test_malformed_induce_configs_exit_2_with_diagnostic(tmp_path, capsys, config, needle):

@@ -681,8 +681,8 @@ def test_json_report_shape():
 #
 # quotient_dims forks one helper per extra CPU of os.sched_getaffinity(0) for
 # a table above induced._HELPER_FLOOR; a table that stays one share may fork
-# rank peers instead (linalg.symbolic_rank).  Pinning the CPUs to {0} gives
-# the single-process reference table.
+# one rank peer per large rank instead (linalg.symbolic_rank).  Pinning the
+# CPUs to {0} gives the single-process reference table.
 
 
 def _one_cpu(monkeypatch):
@@ -769,7 +769,8 @@ def _above_peer_floor(reg, rows, unit_var):
 
 def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
     # the top level holds nearly all the cost, so no split of the units is
-    # worth a helper; the large ranks share their rows with peers instead
+    # worth a helper; each large rank shares its rows with one peer instead,
+    # however many CPUs are usable
     ranks = []  # (forks during the rank, whether its matrix is above the floor)
     real_rank = induced.symbolic_rank
 
@@ -788,7 +789,7 @@ def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
         q = rank2_module(L=2, N=1, beta=2).quotient_dims()
         tables[cpus] = q.entries, q.next_entries, q.stable
         peered = [n for n, above in ranks if above]
-        assert peered and all(n == cpus - 1 for n in peered)
+        assert peered and all(n == 1 for n in peered)
         assert all(n == 0 for n, above in ranks if not above)
         assert len(forks) - before == sum(n for n, _ in ranks)  # no unit helper
         _no_child_left()
@@ -799,6 +800,20 @@ def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
     alone = rank2_module(L=2, N=1, beta=2).quotient_dims()
     assert len(forks) == before
     assert tables[2] == tables[3] == (alone.entries, alone.next_entries, alone.stable)
+
+
+def test_alpha_bound_table_forks_one_helper_per_extra_cpu(monkeypatch, forks):
+    # a rank has one peer at most, but the units of a table need no exchange
+    # per step: at three usable CPUs a table above the floor forks two
+    # helpers, and the caller's ranks, made while they are live, fork no peer
+    _one_cpu(monkeypatch)
+    expect = _table(*REDUCIBLE_L2)
+    monkeypatch.setattr(linalg, "_PEER_ROWS", 0)
+    monkeypatch.setattr(linalg, "_PEER_COST", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert _table(*REDUCIBLE_L2) == expect
+    assert forks == [os.getpid()] * 2
+    _no_child_left()
 
 
 @pytest.mark.parametrize("failure", ["exit", "garbage"])
@@ -839,7 +854,7 @@ def test_a_caller_with_live_helpers_forks_no_peers(monkeypatch, forks):
     assert len(forks) == 1
     _no_child_left()
     # with the helper floor out of reach the table stays one share, and
-    # its ranks fork peers
+    # each of its large ranks forks a peer
     monkeypatch.setattr(induced, "_HELPER_FLOOR", float("inf"))
     assert _table(*REDUCIBLE_L2) == expect
     assert len(forks) > 2

@@ -699,11 +699,11 @@ def test_field_overflow_retries_with_wider_fields(monkeypatch):
     assert d == vander * (g[0] + g[1] + g[2])
 
 
-# -- rank peers: the rows of one symbolic_rank split between processes -------------
+# -- the rank peer: the rows of one symbolic_rank split into two halves ------------
 #
-# With the floor at 0 every matrix is split, so each of these runs forks one
-# peer per extra CPU of the patched os.sched_getaffinity; the ranks and
-# errors must be those of one process.
+# With the floor at 0 every matrix is split, so each of these runs with two
+# or more CPUs of the patched os.sched_getaffinity forks one peer; the ranks
+# and errors must be those of one process.
 
 
 @pytest.fixture
@@ -718,7 +718,8 @@ def _no_child_left():
 
 
 def _steps(monkeypatch, side):
-    """Count the pivot steps that side (`_Alone` or `_Caller`) takes."""
+    """Count the pivot steps that side (`_Alone` or `_Half`) takes in this
+    process; a forked peer counts its own steps, out of sight."""
     calls = []
     real = side.pivot
 
@@ -744,7 +745,7 @@ def test_peers_give_the_single_process_rank_and_error(monkeypatch, peers_always,
     reg = Context.of_rank(4).reg
     rng = random.Random(23)
     alone_steps = _steps(monkeypatch, linalg._Alone)
-    caller_steps = _steps(monkeypatch, linalg._Caller)
+    caller_steps = _steps(monkeypatch, linalg._Half)
     outcomes = set()
     for case in range(120):
         nvars = 1 + case % 4
@@ -762,7 +763,7 @@ def test_field_overflow_in_a_peer_widens_the_fields(monkeypatch, peers_always):
     reg, cases = _overflow_cases()
     attempts = _narrow_fields(monkeypatch)
     from_peers = []
-    real_pivot = linalg._Caller.pivot
+    real_pivot = linalg._Half.pivot
 
     def pivot(self, best, failed, work):
         try:
@@ -772,7 +773,7 @@ def test_field_overflow_in_a_peer_widens_the_fields(monkeypatch, peers_always):
                 from_peers.append(None)
             raise
 
-    monkeypatch.setattr(linalg._Caller, "pivot", pivot)
+    monkeypatch.setattr(linalg._Half, "pivot", pivot)
     _usable(monkeypatch, 2)
     _check_overflow_retries(reg, cases, attempts)
     assert from_peers  # some overflows were a peer's
@@ -818,7 +819,7 @@ def test_no_peer_outlives_symbolic_rank(monkeypatch, peers_always):
         with pytest.raises(ExactDivisionError, match="division is not exact"):
             symbolic_rank(reg, [dict(r) for r in defect])
         _no_child_left()
-    # a BaseException in the caller mid-elimination, while the peers wait
+    # a BaseException in the caller mid-elimination, while the peer waits
     caller = os.getpid()
     calls = []
     real_combine = linalg._combine
@@ -868,18 +869,29 @@ def test_a_peer_that_dies_leaves_the_rank_to_the_caller(monkeypatch, peers_alway
 
 
 def test_the_lowest_failing_row_gives_the_error():
-    # one step in which the caller's row 2 overflowed and a peer's row 1 or
-    # row 3 failed to divide: the error of the lower row is raised
-    for peer_row, raised in ((1, ExactDivisionError), (3, linalg._FieldOverflow)):
+    # one step in which this half's row failed (a field overflow) and the
+    # other half's row failed to divide: whichever half holds the lower
+    # row, its error is raised
+    for index, own_row, other_row, raised in (
+        (0, 2, 1, ExactDivisionError),
+        (0, 2, 3, linalg._FieldOverflow),
+        (1, 3, 2, ExactDivisionError),
+        (1, 3, 4, linalg._FieldOverflow),
+    ):
         r, w = os.pipe()
         with open(w, "wb") as pipe:
-            pickle.dump((None, (peer_row, ExactDivisionError("division is not exact"))), pipe)
+            pickle.dump((None, (other_row, ExactDivisionError("division is not exact"))), pipe)
+        sent, out = os.pipe()
         try:
-            caller = linalg._Caller([(r, None)], 2)
+            half = linalg._Half(index, out, r)
             with pytest.raises(raised):
-                caller.pivot((1, 0, 0), (2, linalg._FieldOverflow()), [])
+                half.pivot((1, own_row, 0), (own_row, linalg._FieldOverflow()), [])
+            # this half's report went to the other half first
+            with open(sent, "rb", closefd=False) as pipe:
+                assert pickle.load(pipe)[1][0] == own_row
         finally:
-            os.close(r)
+            for fd in (r, sent, out):
+                os.close(fd)
 
 
 def _perm_det_poly(reg, rows):

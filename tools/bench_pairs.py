@@ -19,6 +19,14 @@ interquartile range.  The JSON file written with --out holds the same
 summary and every run's metrics; committed as BENCH_<change>.json beside
 the change, its parent commit is the parent that was run.  Standard
 library only.
+
+Another tenant on the host can hold the second CPU, and then a forked job
+runs at one-process speed while the benchmark's host-speed scale, timed in
+one process, reads the host as fast.  So before and after each pair a
+short CPU loop is timed in one process and in two processes at once; a
+pair whose two-to-one ratio exceeds BUSY_RATIO (2 on a busy second CPU,
+about 1 on a free one) is marked busy in its progress line, and each
+workload's summary counts such pairs.  The verdicts count every pair.
 """
 
 from __future__ import annotations
@@ -30,6 +38,10 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
+
+# above this two-to-one ratio of the CPU loop, a pair ran on a busy CPU
+BUSY_RATIO = 1.5
 
 
 def parse_seeds(text):
@@ -49,6 +61,49 @@ def run_once(checkout, workload, seed, seconds):
     if out.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {out.returncode}: {out.stderr[-500:]}")
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _loop(n):
+    x = 0
+    for i in range(n):
+        x += i * i
+    return x
+
+
+def cpu_ratio(n=500_000, rounds=3):
+    """The least time of n loop steps run in this process and in a forked
+    child at once, over the least time of n steps in this process alone,
+    over a few rounds (the least time is the one that noise moves least)."""
+    one, two = [], []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        _loop(n)
+        one.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                _loop(n)
+            finally:
+                os._exit(0)
+        _loop(n)
+        os.waitpid(pid, 0)
+        two.append(time.perf_counter() - start)
+    return min(two) / min(one)
+
+
+def busy(ratios):
+    """Whether a pair with these CPU-loop ratios ran on a busy CPU."""
+    return max(ratios) > BUSY_RATIO
+
+
+def progress(workload, run):
+    """The progress line of one pair, marked when it ran on a busy CPU."""
+    wall = [run[s]["metrics"]["wall_s"]["value"] for s in ("parent", "change")]
+    before, after = run["cpu_ratio"]
+    mark = "  BUSY CPU" if busy(run["cpu_ratio"]) else ""
+    return (f"{workload} seed {run['seed']} ({run['first']} first): wall_s {wall[0]:.6g} -> {wall[1]:.6g}"
+            f"  cpu 2:1 {before:.2f}, {after:.2f}{mark}")
 
 
 def quartiles(values):
@@ -118,16 +173,17 @@ def main(argv=None):
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             got = {}
+            ratios = [cpu_ratio()]
             for side in order:
                 got[side] = run_once(parent if side == "parent" else change, workload, seed, seconds)
+            ratios.append(cpu_ratio())
             pairs.append((got["parent"], got["change"]))
-            runs.append({"seed": seed, "first": order[0], **got})
-            wall = [got[s]["metrics"]["wall_s"]["value"] for s in ("parent", "change")]
-            print(f"{workload} seed {seed} ({order[0]} first): wall_s {wall[0]:.6g} -> {wall[1]:.6g}",
-                  file=sys.stderr, flush=True)
+            runs.append({"seed": seed, "first": order[0], "cpu_ratio": ratios, **got})
+            print(progress(workload, runs[-1]), file=sys.stderr, flush=True)
         summary = summarize(pairs, spec)
-        report["workloads"][workload] = {"summary": summary, "runs": runs}
-        print(f"\n{workload}: {len(pairs)} pairs")
+        busy_pairs = sum(busy(r["cpu_ratio"]) for r in runs)
+        report["workloads"][workload] = {"summary": summary, "busy_pairs": busy_pairs, "runs": runs}
+        print(f"\n{workload}: {len(pairs)} pairs, {busy_pairs} on a busy CPU (2:1 loop ratio > {BUSY_RATIO})")
         for name, m in summary.items():
             p, c = m["parent"], m["change"]
             print(f"  {name:12} {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}] -> "
