@@ -245,7 +245,7 @@ def validate(command, config, refused=()):
     elif fmt == "csv" and command not in TABLE_COMMANDS:
         error(f"csv applies to dimension tables only, not to {command}")
     out = config.get("out")
-    if out is not None and not isinstance(out, str):
+    if out is not None and not (isinstance(out, str) and out):
         error(f"out must be a directory path, got {out!r}")
     out = out or os.environ.get("GVIR_OUT") or "."
 

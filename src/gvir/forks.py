@@ -1,18 +1,17 @@
-"""Child processes of one call: how many may run, how they fork and stop.
+"""Child processes of one call: whether one may run, how it forks and stops.
 
-`usable_cpus` owns the count of processes a computation may spread over.
-It answers 1 inside a forked child and while the calling process has live
-children, so forks never nest.  `Children` forks them and owns them: signals
-stay blocked from each fork until the child's pid is registered, so a signal
-handler that raises (a job timeout) cannot lose it, and leaving the `with`
-block stops every child still running (SIGKILL) and reaps it (waitpid), so
-no child outlives the call.  A child talks to the caller over pipes only, in
-pickles (`send`, `recv`), runs its body and leaves through os._exit; it
-never returns into the caller's stack.
-
-`induced` forks helpers that rank whole shares of a table, one per extra
-CPU; `linalg` forks one peer, two halves: the peer and the caller share the
-rows of one large elimination.  Both go through here.
+The rule: a call forks at most one child, so a computation runs in at most
+two processes.  `second_cpu` says whether that child may run: not without
+fork, inside a child, while this process has a live child (so forks never
+nest), with a second live thread, or on one usable CPU.  `Child` forks it
+and owns it: signals stay blocked from the fork until the child's pid is
+registered, so a signal handler that raises (a job timeout) cannot lose it;
+a second fork raises; and leaving the `with` block stops the child if it
+still runs (SIGKILL) and reaps it (waitpid), so no child outlives the call.
+A child talks to the caller over pipes only, in pickles (`send`, `recv`),
+runs its body and leaves through os._exit; it never returns into the
+caller's stack.  `induced` forks a helper that ranks a share of a table,
+`linalg` a peer that shares the rows of one large elimination.
 """
 
 from __future__ import annotations
@@ -20,18 +19,17 @@ from __future__ import annotations
 import os
 import threading
 
-# the children of this process not yet reaped; a forked child holds 1 here
-_live = 0
+# whether this process has a child not yet reaped; a forked child holds True
+_live = False
 
 
-def usable_cpus():
-    """CPUs this process may run on, or 1 where work must stay in this
-    process: no fork, a forked child or live children, or a second live
-    thread (forking a threaded process can copy a lock that another thread
-    holds)."""
+def second_cpu():
+    """Whether the one child of a call may run, on a second CPU of this
+    process's affinity (see the module docstring).  A second live thread
+    rules it out: forking a threaded process can copy a held lock."""
     if _live or threading.active_count() > 1 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
+        return False
+    return len(os.sched_getaffinity(0)) > 1
 
 
 def send(fd, obj):
@@ -62,34 +60,38 @@ def _signal():
     return signal
 
 
-class Children:
-    """The children forked inside one `with` block; none outlives it."""
+class Child:
+    """The one child forked inside a `with` block; it does not outlive it."""
 
     def __init__(self):
-        self.fds = {}  # pid -> the caller's ends of its pipes
+        self.pid = None
+        self.fds = ()  # the caller's ends of its pipes
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        # a child that delivered its result is exiting already; any other
-        # one is stopped (an error or a timeout in the caller)
+        # a child that delivered its result is exiting already; otherwise
+        # it is stopped (an error or a timeout in the caller)
         global _live
-        signal = _signal()
-        for pid, fds in self.fds.items():
-            for fd in fds:
-                os.close(fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            _live -= 1
-        self.fds.clear()
+        if self.pid is None:
+            return
+        for fd in self.fds:
+            os.close(fd)
+        os.kill(self.pid, _signal().SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.pid, self.fds = None, ()
+        _live = False
 
     def fork(self, body):
-        """Fork a child that runs body(out, inp), out and inp being its
+        """Fork the child, which runs body(out, inp), out and inp being its
         ends of a pipe to the caller and of one from the caller.  Returns
-        the caller's ends: (read end, write end).  An OSError (no pipe, no
-        process) leaves nothing behind."""
+        the caller's ends: (read end, write end).  RuntimeError while a
+        child is live or inside one; an OSError (no pipe, no process)
+        leaves nothing behind."""
         global _live
+        if _live:
+            raise RuntimeError("a call forks at most one child, and a child forks none")
         signal = _signal()
         mine, theirs = [], []
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
@@ -103,17 +105,17 @@ class Children:
             pid = os.fork()
             if pid == 0:
                 try:
-                    _live = 1
+                    _live = True
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    # no end of another pipe stays open here, so a child
-                    # sees the end of its input when the caller is gone
-                    for fd in mine + [fd for fds in self.fds.values() for fd in fds]:
+                    # the caller's ends close here, so the child sees the
+                    # end of its input when the caller is gone
+                    for fd in mine:
                         os.close(fd)
                     body(*theirs)
                 finally:
                     os._exit(0)
-            self.fds[pid] = mine
-            _live += 1
+            self.pid, self.fds = pid, tuple(mine)
+            _live = True
         except BaseException:
             for fd in mine:
                 os.close(fd)
@@ -122,4 +124,4 @@ class Children:
             for fd in theirs:
                 os.close(fd)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        return tuple(mine)
+        return self.fds

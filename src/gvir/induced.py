@@ -42,21 +42,20 @@ each row.  Poly and Scalar appear only at the public boundary:
 `act_on_induced` takes and returns Scalar combinations, and `kernel_at`
 returns them.  All evaluators are pure and memoized per module instance.
 
-Ranks at distinct weights are independent, and `quotient_dims` ranks them on
-every CPU that `forks.usable_cpus` grants.  One unit of work is a (level,
-weight) pair at both radii N and N+1, so the two share the straightening
-memo.  The calling process keeps one share of the units and forks one helper
-process per extra CPU for the others; helpers send their (key, rank) pairs
-back over a pipe into the rank memo.  Every matrix is the one a single
-process would rank, so tables, errors and reports do not change.  A bound
-alpha gives one unit per report weight, and these split evenly once the
-table's estimated cost is above a measured floor.  A free alpha gives one
-unit per level, and its top level holds nearly all the cost; no split takes
-a quarter of the work off the caller, so such a table stays one share, and
-each of its large ranks runs as one peer, two halves instead: the caller
-and one forked peer share its rows (`symbolic_rank`).  `usable_cpus`
-answers 1 inside a helper and while helpers are live.  `taskset -c 0`
-leaves one CPU, and then one process.
+Ranks at distinct weights are independent, and `quotient_dims` ranks them in
+two processes when `forks.second_cpu` grants a second CPU (one child per
+call, the rule of `forks`).  One unit of work is a (level, weight) pair at
+both radii N and N+1, so the two share the straightening memo.  The calling
+process keeps one share of the units and one forked helper process ranks the
+other; the helper sends its (key, rank) pairs back over a pipe into the rank
+memo.  Every matrix is the one a single process would rank, so tables,
+errors and reports do not change.  A bound alpha gives one unit per report
+weight, and these split in two once the table's estimated cost is above a
+measured floor.  A free alpha gives one unit per level, and its top level
+holds nearly all the cost; no split takes a quarter of the work off the
+caller, so such a table stays one share, and each of its large ranks runs as
+one peer, two halves instead: the caller and one forked peer share its rows
+(`symbolic_rank`).  `taskset -c 0` leaves one CPU, and then one process.
 
 Probe rows share prefixes.  The probe sequences are nondecreasing tuples and
 a sequence acts first operator first, so, per basis monomial, the vector
@@ -75,7 +74,7 @@ from functools import partial
 
 from .algebra import Straightener, accumulate
 from .classify import _direction_verdict, descriptor_from_induced
-from .forks import Children, recv, send, usable_cpus
+from .forks import Child, recv, send, second_cpu
 from .groups import box, gadd, gsub, gzero, split
 from .interseries import subquotient_of
 from .linalg import kernel_basis, symbolic_rank
@@ -383,74 +382,70 @@ class InducedModule:
         ]
 
     def _shares(self, units, radii):
-        """units split into one share per CPU, the caller's share first.
+        """The units not yet ranked, split into the caller's share and one
+        helper's, the helper's empty when a fork does not pay.
 
         Units go longest first, by the estimated cost sum |basis_at|^3 over
-        the radii, to the share with the least cost so far; each share keeps
+        the radii, to the share with the less cost so far; each share keeps
         table order.  A fork is not worth it for a table whose whole cost is
         below _HELPER_FLOOR, nor for a split that would take less than a
         quarter of the cost off the caller (an alpha-free table, where the
-        top level dominates, never is), so those cases and a single usable
-        CPU give one share."""
-        cpus = usable_cpus()
+        top level dominates, never is), so those cases and no second CPU
+        leave the helper nothing."""
         todo = [u for u in units if any((*u, r) not in self._dims_memo for r in radii)]
-        if cpus < 2 or len(todo) < 2:
-            return [todo]
+        if len(todo) < 2 or not second_cpu():
+            return todo, []
         cost = {u: sum(len(self.basis_at(*u, r)) ** 3 for r in radii) for u in todo}
         if sum(cost.values()) < _HELPER_FLOOR:
-            return [todo]
-        loads = [0] * cpus
+            return todo, []
+        loads = [0, 0]
         owner = {}
         for u in sorted(todo, key=cost.__getitem__, reverse=True):
-            k = loads.index(min(loads))
-            owner[u] = k
+            k = owner[u] = 1 if loads[1] < loads[0] else 0
             loads[k] += cost[u]
-        if 4 * (sum(loads) - loads[0]) < sum(loads):
-            return [todo]
-        shares = [[u for u in todo if owner[u] == k] for k in range(cpus)]
-        return [share for share in shares if share]
+        if 4 * loads[1] < sum(loads):
+            return todo, []
+        return [u for u in todo if not owner[u]], [u for u in todo if owner[u]]
 
     def _rank_units(self, units, radii):
         """Memoize the rank of every (level, weight) unit at every radius.
 
         A unit keeps its radii together, so they share the straightening
-        memo.  The caller ranks the first share of `_shares` and one forked
-        helper process ranks each other share, sending its (key, rank)
-        pairs back over a pipe.  A helper that fails (the known
-        ExactDivisionError, or death) sends what it finished; the caller
-        ranks the rest in table order while its helpers are still live, so
-        no rank forks a peer and an error surfaces with its own type.  No
-        helper or peer outlives this call."""
+        memo.  The caller ranks its share of `_shares` and one forked helper
+        process ranks the other, sending its (key, rank) pairs back over a
+        pipe.  A helper that fails (the known ExactDivisionError, or death)
+        sends what it finished; the caller ranks the rest in table order
+        while the helper is still live, so no rank forks a peer and an error
+        surfaces with its own type.  No helper or peer outlives this call."""
+
+        def rank(share, done):
+            for i, x in share:
+                for radius in radii:
+                    done[(i, x, radius)] = self.dims_at(i, x, radius)
 
         def rank_share(share, out, _):
             done = {}
             try:
-                for i, x in share:
-                    for radius in radii:
-                        done[(i, x, radius)] = self.dims_at(i, x, radius)
+                rank(share, done)
             finally:
                 send(out, done)
 
-        shares = self._shares(units, radii)
-        with Children() as helpers:
-            pipes = []
-            for share in shares[1:]:
+        mine, theirs = self._shares(units, radii)
+        with Child() as helper:
+            fd = None
+            if theirs:
                 try:
-                    pipes.append(helpers.fork(partial(rank_share, share))[0])
+                    fd = helper.fork(partial(rank_share, theirs))[0]
                 except OSError:
-                    pass  # no helper: the caller ranks this share below
-            for i, x in shares[0]:
-                for radius in radii:
-                    self.dims_at(i, x, radius)
-            for fd in pipes:
+                    pass  # no helper: the caller ranks its share below
+            rank(mine, {})
+            if fd is not None:
                 with open(fd, "rb", closefd=False) as pipe:
                     try:
                         self._dims_memo.update(recv(pipe))
                     except EOFError:
                         pass  # a helper that died mid-write
-            for i, x in units:
-                for radius in radii:
-                    self.dims_at(i, x, radius)
+            rank(units, {})
 
     def quotient_dims(self):
         """Dimension table at radius N plus the N+1 rerun for stability.
@@ -459,8 +454,8 @@ class InducedModule:
         the matrix at (i, 0) composed with the automorphism
         alpha -> alpha + iota(x), so each level row is constant and one
         rank per level per radius suffices.  Those ranks, or one per report
-        weight otherwise, go to `_rank_units`: with more than one usable
-        CPU, forked helpers rank some of them (see the module docstring).
+        weight otherwise, go to `_rank_units`: with a second usable CPU, a
+        forked helper ranks some of them (see the module docstring).
         A single-process run ranks them in table order, as the table reads
         them from the memo."""
         N = self.window.box_radius

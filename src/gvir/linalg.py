@@ -44,13 +44,12 @@ Every routine takes one input format: rows as sparse dicts
 `Packed` entries of one layout.  `det` is the one determinant of the
 package; `groups.int_det` runs it on constant rows.
 
-`symbolic_rank` shares one large elimination with one peer, two halves:
-when `forks.usable_cpus` grants a second CPU, the caller keeps the even
-rows and one forked peer the odd ones, and at each step the two halves
-agree on the pivot, the owner of the pivot row sends it, and each half
-updates its own rows (`_rank_kernel`).  Only a prepared matrix above a
-measured floor is worth the fork; `taskset -c 0` leaves one CPU, and then
-one process.
+`symbolic_rank` shares one large elimination with one peer, two halves
+(one child per call, the rule of `forks`): the caller keeps the even rows
+and the peer the odd ones, and at each step the two halves agree on the
+pivot, the owner of the pivot row sends it, and each half updates its own
+rows (`_rank_kernel`).  Only a prepared matrix above a measured floor is
+worth the fork; `taskset -c 0` leaves one CPU, and then one process.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 
-from .forks import Children, recv, send, usable_cpus
+from .forks import Child, recv, send, second_cpu
 from .scalars import ExactDivisionError, Packed, Poly, _content, _degree_top, _descending, _divide
 from .scalars import _fit, _FieldOverflow, _gcd_many, _mul_into, _norm_coeff, _Packing, _settle
 
@@ -271,15 +270,15 @@ def symbolic_rank(reg, rows, unit_var=None):
     their packed terms (`_Prepared`), which also gives the degree tops that
     size the kernel's fields.
 
-    One peer, two halves: when `forks.usable_cpus` grants a second CPU,
-    the rows of a large prepared matrix are split between this process and
-    one forked peer (`_spread_rank`); the rank, and any error, is the one
-    of a single process.  Large means at least _PEER_ROWS rows and a cost
-    of at least _PEER_COST, the cost being the number of terms times the
-    number of variables that occur.
+    One peer, two halves: when `forks.second_cpu` grants the one child of
+    the `forks` rule, the rows of a large prepared matrix are split between
+    this process and a forked peer (`_spread_rank`); the rank, and any
+    error, is the one of a single process.  Large means at least _PEER_ROWS
+    rows and a cost of at least _PEER_COST, the cost being the number of
+    terms times the number of variables that occur.
     """
     prep = _Prepared(len(reg), rows, unit_var)
-    rank = _spread_rank if _worth_a_peer(len(reg), prep) and usable_cpus() > 1 else _rank_kernel
+    rank = _spread_rank if _worth_a_peer(len(reg), prep) and second_cpu() else _rank_kernel
     return _with_fields(len(reg), prep.tops, prep.pack, lambda packed, pk: rank(packed, pk.guard))
 
 
@@ -363,7 +362,7 @@ def _spread_rank(work, guard):
     or closed pipe) makes this process rank the rows alone, from the start."""
     alone = list(work)  # updates replace rows, never change them
     try:
-        with Children() as peer:
+        with Child() as peer:
             inp, out = peer.fork(lambda out, inp: _rank_kernel(work, guard, _Half(1, out, inp)))
             return _rank_kernel(work, guard, _Half(0, out, inp))
     except (OSError, EOFError):

@@ -1,6 +1,6 @@
 """The pure parts of tools/bench_pairs.py: seed lists, quartiles, the
-gain and bound verdicts of `summarize`, and the busy-CPU mark of a pair.
-No benchmark process runs."""
+gain and bound verdicts of `summarize`, the busy-CPU mark of a pair and the
+calibration of its CPU loop (on a fake clock).  No benchmark process runs."""
 
 import importlib.util
 import pathlib
@@ -107,3 +107,32 @@ def test_progress_line_marks_a_busy_pair():
     line = bench_pairs.progress("verma", _run(1.04, 1.12))
     assert line == "verma seed 3 (parent first): wall_s 1 -> 1  cpu 2:1 1.04, 1.12"
     assert bench_pairs.progress("verma", _run(1.04, 1.98)).endswith("cpu 2:1 1.04, 1.98  BUSY CPU")
+
+
+def _fake_loop(monkeypatch, step_s, stalls=()):
+    """A CPU loop that advances a fake clock by step_s per step, plus the
+    next of stalls (seconds) on each call while they last."""
+    now, calls, stalls = [0.0], [], list(stalls)
+
+    def loop(n):
+        calls.append(n)
+        now[0] += n * step_s + (stalls.pop(0) if stalls else 0.0)
+
+    monkeypatch.setattr(bench_pairs, "_loop", loop)
+    return (lambda: now[0]), calls
+
+
+def test_calibration_times_one_loop_for_at_least_loop_seconds(monkeypatch):
+    assert bench_pairs.LOOP_SECONDS == 0.25
+    clock, calls = _fake_loop(monkeypatch, 2e-7)  # 0.002 s for the first loop
+    n = bench_pairs.calibrate(clock=clock)
+    assert calls[-1] == n and len(calls) == 2
+    assert 0.25 <= n * 2e-7 < 0.27  # a little past the floor, not double it
+    # a stalled first loop makes too small a guess; the calibration loops
+    # again until one loop, unstalled, takes the floor
+    clock, calls = _fake_loop(monkeypatch, 2e-7, stalls=[0.1])
+    n = bench_pairs.calibrate(clock=clock)
+    assert calls[-1] == n and len(calls) == 3 and 0.25 <= n * 2e-7 < 0.27
+    # a host slower than the floor at the first guess takes it as it is
+    clock, calls = _fake_loop(monkeypatch, 1e-4)
+    assert bench_pairs.calibrate(clock=clock) == 10_000 and len(calls) == 1

@@ -863,6 +863,7 @@ def test_verma_refuses_the_flags_it_does_not_read(tmp_path, capsys):
     [
         (5, "out must be a directory path, got 5"),
         (["x"], "out must be a directory path"),
+        ("", "out must be a directory path, got ''"),
         ("file", "cannot create output directory file"),
         ("file/sub", "cannot create output directory file/sub"),
     ],
@@ -874,6 +875,14 @@ def test_unusable_out_exits_2_and_names_it(tmp_path, capsys, monkeypatch, out, n
     assert main(["interseries", "--config", cfg]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert needle in err and "Traceback" not in err
+
+
+def test_empty_out_flag_exits_2(tmp_path, capsys, monkeypatch):
+    # --out "$DIR" with DIR unset must not write into the current directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["verma", "--window-L", "1", "--out", ""]) == EXIT_VALIDATION
+    assert "out must be a directory path, got ''" in capsys.readouterr().err
+    assert not (tmp_path / "verma.json").exists()
 
 
 def test_unwritable_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch):

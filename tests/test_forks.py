@@ -1,35 +1,71 @@
-"""The process rule of `forks`: one owner of the CPU count, one codec."""
+"""The process rule of `forks`: one child per call, one codec."""
 
 import os
 import pickle
+import threading
 
 import pytest
 
-from gvir.forks import Children, recv, send, usable_cpus
+from gvir.forks import Child, recv, second_cpu, send
 
 
-def test_usable_cpus_is_one_in_a_child_and_while_a_child_lives(monkeypatch):
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_second_cpu_is_false_in_a_child_and_while_a_child_lives(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert usable_cpus() == 3
+    assert second_cpu() is True
 
     def report(out, _):
-        send(out, usable_cpus())
+        send(out, second_cpu())
 
-    with Children() as children:
-        assert usable_cpus() == 3  # no child yet
-        r, _ = children.fork(report)
+    with Child() as child:
+        assert second_cpu()  # no child yet
+        r, _ = child.fork(report)
         with open(r, "rb", closefd=False) as pipe:
-            assert recv(pipe) == 1  # inside the forked child
+            assert recv(pipe) is False  # inside the forked child
         # the child has reported, but it is not reaped until the block ends
-        assert usable_cpus() == 1
-    assert usable_cpus() == 3
-    # an error in the block reaps the children too
+        assert not second_cpu()
+    assert second_cpu()
+    # an error in the block reaps the child too
     with pytest.raises(KeyError):
-        with Children() as children:
-            children.fork(report)
-            assert usable_cpus() == 1
+        with Child() as child:
+            child.fork(report)
+            assert not second_cpu()
             raise KeyError
-    assert usable_cpus() == 3
+    assert second_cpu()
+    _no_child_left()
+    # one usable CPU, or a second live thread, leaves the work here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert second_cpu() is False
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert second_cpu() is False
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert second_cpu() is True
+
+
+def test_a_second_fork_in_one_block_raises_and_leaves_nothing(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    before = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    forks = []
+    with pytest.raises(RuntimeError, match="at most one child"):
+        with Child() as child:
+            forks.append(child.fork(lambda out, inp: None))
+            forks.append(child.fork(lambda out, inp: None))
+    assert len(forks) == 1
+    _no_child_left()
+    if before is not None:  # no pipe end stays open
+        assert set(os.listdir("/proc/self/fd")) == before
+    assert second_cpu()
 
 
 def test_recv_reads_a_cut_pickle_as_the_end_of_the_pipe():

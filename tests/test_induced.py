@@ -679,10 +679,11 @@ def test_json_report_shape():
 
 # -- helper processes of quotient_dims -------------------------------------------
 #
-# quotient_dims forks one helper per extra CPU of os.sched_getaffinity(0) for
-# a table above induced._HELPER_FLOOR; a table that stays one share may fork
-# one rank peer per large rank instead (linalg.symbolic_rank).  Pinning the
-# CPUs to {0} gives the single-process reference table.
+# quotient_dims forks one helper when os.sched_getaffinity(0) holds a second
+# CPU and the table is above induced._HELPER_FLOOR, however many CPUs there
+# are; a table that stays one share may fork one rank peer per large rank
+# instead (linalg.symbolic_rank).  Pinning the CPUs to {0} gives the
+# single-process reference table.
 
 
 def _one_cpu(monkeypatch):
@@ -745,9 +746,9 @@ def test_helpers_give_the_single_process_table(monkeypatch, forks, rank, b, bind
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         before = len(forks)
         tables[cpus] = _table(rank, b, bindings, window)
-        # one helper per extra CPU above the floor; below it, no fork at all
-        # (these small tables have no matrix above the peer floor either)
-        assert len(forks) - before == (cpus - 1 if helpers else 0)
+        # one helper above the floor at 2 and 3 CPUs; below it, no fork at
+        # all (these small tables have no matrix above the peer floor either)
+        assert len(forks) - before == (1 if helpers else 0)
     _one_cpu(monkeypatch)
     before = len(forks)
     alone = _table(rank, b, bindings, window)
@@ -802,17 +803,17 @@ def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
     assert tables[2] == tables[3] == (alone.entries, alone.next_entries, alone.stable)
 
 
-def test_alpha_bound_table_forks_one_helper_per_extra_cpu(monkeypatch, forks):
-    # a rank has one peer at most, but the units of a table need no exchange
-    # per step: at three usable CPUs a table above the floor forks two
-    # helpers, and the caller's ranks, made while they are live, fork no peer
+def test_alpha_bound_table_forks_one_helper_at_three_cpus(monkeypatch, forks):
+    # a call forks one child at most: at three usable CPUs a table above the
+    # floor forks one helper, and the caller's ranks, made while it is live,
+    # fork no peer even with the peer floors at 0
     _one_cpu(monkeypatch)
     expect = _table(*REDUCIBLE_L2)
     monkeypatch.setattr(linalg, "_PEER_ROWS", 0)
     monkeypatch.setattr(linalg, "_PEER_COST", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert _table(*REDUCIBLE_L2) == expect
-    assert forks == [os.getpid()] * 2
+    assert forks == [os.getpid()]
     _no_child_left()
 
 

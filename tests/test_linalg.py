@@ -679,7 +679,7 @@ def _check_overflow_retries(reg, cases, attempts):
 
 
 def _usable(monkeypatch, cpus):
-    """Let this process run on cpus CPUs, as `forks.usable_cpus` reads them."""
+    """Let this process run on cpus CPUs, as `forks.second_cpu` reads them."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 

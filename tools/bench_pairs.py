@@ -22,17 +22,20 @@ library only.
 
 Another tenant on the host can hold the second CPU, and then a forked job
 runs at one-process speed while the benchmark's host-speed scale, timed in
-one process, reads the host as fast.  So before and after each pair a
-short CPU loop is timed in one process and in two processes at once; a
-pair whose two-to-one ratio exceeds BUSY_RATIO (2 on a busy second CPU,
-about 1 on a free one) is marked busy in its progress line, and each
-workload's summary counts such pairs.  The verdicts count every pair.
+one process, reads the host as fast.  So before and after each pair a CPU
+loop is timed in one process and in two processes at once; a pair whose
+two-to-one ratio exceeds BUSY_RATIO (2 on a busy second CPU, about 1 on a
+free one) is marked busy in its progress line, and each workload's summary
+counts such pairs.  The verdicts count every pair.  The loop's step count
+is calibrated once, by time, so that one loop takes at least LOOP_SECONDS:
+loops of a few hundredths of a second read scheduler noise as a busy CPU.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -42,6 +45,10 @@ import time
 
 # above this two-to-one ratio of the CPU loop, a pair ran on a busy CPU
 BUSY_RATIO = 1.5
+# the least time of one CPU loop: on a 2-vCPU Xeon host, 12 ratios of
+# 0.03 s loops read 1.04-2.22 (4 above BUSY_RATIO), and 12 of 0.3 s loops
+# read 0.93-1.46
+LOOP_SECONDS = 0.25
 
 
 def parse_seeds(text):
@@ -70,7 +77,20 @@ def _loop(n):
     return x
 
 
-def cpu_ratio(n=500_000, rounds=3):
+def calibrate(seconds=LOOP_SECONDS, clock=time.perf_counter):
+    """The CPU loop's step count: scaled up from a short loop, a little past
+    the time it takes, until one loop takes at least seconds by clock."""
+    n = 10_000
+    while True:
+        start = clock()
+        _loop(n)
+        took = clock() - start
+        if took >= seconds:
+            return n
+        n = math.ceil(1.05 * n * seconds / max(took, 1e-6))
+
+
+def cpu_ratio(n, rounds=3):
     """The least time of n loop steps run in this process and in a forked
     child at once, over the least time of n steps in this process alone,
     over a few rounds (the least time is the one that noise moves least)."""
@@ -161,11 +181,13 @@ def main(argv=None):
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     seconds = spec["run_seconds"]
+    steps = calibrate()
 
     report = {
         "host": {"python": platform.python_version(), "machine": platform.machine(),
-                 "cpus": os.cpu_count()},
+                 "cpus": os.cpu_count(), "affinity_cpus": len(os.sched_getaffinity(0))},
         "run_seconds": seconds,
+        "cpu_loop_steps": steps,
         "workloads": {},
     }
     for workload in args.workload:
@@ -173,10 +195,10 @@ def main(argv=None):
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             got = {}
-            ratios = [cpu_ratio()]
+            ratios = [cpu_ratio(steps)]
             for side in order:
                 got[side] = run_once(parent if side == "parent" else change, workload, seed, seconds)
-            ratios.append(cpu_ratio())
+            ratios.append(cpu_ratio(steps))
             pairs.append((got["parent"], got["change"]))
             runs.append({"seed": seed, "first": order[0], "cpu_ratio": ratios, **got})
             print(progress(workload, runs[-1]), file=sys.stderr, flush=True)
