@@ -20,6 +20,13 @@ intermediate series, while an unbounded table must expose one primitive
 direction b whose strings are one-side truncated and a corank-1 complement
 whose strings stay bounded; b is then determined only modulo the complement
 and is canonicalized by Hermite reduction.
+
+The search reads the table once per +-pair of directions: along -g the
+strings are the g-strings read backwards, so the verdict of -g is that of g
+with truncated_above and truncated_below swapped.  It covers the
+(2*bound + 1)^rank - 1 vectors of sup-norm <= direction_bound, and a search
+over more than MAX_SEARCH_VECTORS of them is refused before it starts
+(search_refusal), as is a bound below 1, which searches nothing.
 """
 
 from __future__ import annotations
@@ -30,8 +37,6 @@ from .groups import (
     Group,
     box,
     gneg,
-    gscale,
-    gsub,
     hermite_basis,
     int_det,
     is_primitive,
@@ -287,24 +292,77 @@ def is_uniformly_bounded(d):
 # -- string profiles -------------------------------------------------------------
 
 
-def _profile_of_ks(ks, skip=None):
-    """Support pattern of one string from its in-window dimensions.
+def _g_strings(d, g):
+    """The rows grouped into g-strings and summarised: (strings, key).
 
-    ks maps the integer string parameter to a dimension; skip removes the
-    zero-weight point, whose vanishing says nothing about truncation.
+    With p the first nonzero entry of g, a weight's string parameter is k =
+    coords[p] // g[p].  key(coords) reads the residue coords[p] % g[p] and
+    the minors coords[i]*g[p] - coords[p]*g[i] for i != p (at rank 2 packed
+    into the one int minor*g[p] + residue, else a tuple): equal minors make
+    the difference of two weights a rational multiple of g, and an equal
+    residue an integer one, so two weights share a key exactly when they lie
+    on one g-string.  Along -g the strings are the same cosets with k
+    reversed (k -> -k - delta, delta in {0, 1} fixed per string).  strings
+    maps each key to [n, kmin, kmax, smin, smax, zeros]: n counts the
+    string's rows; the rest read every row but the zero weight's, whose
+    vanishing says nothing about truncation: their k range, the k range of
+    their support (None, None without support) and the k's of dimension 0.
+    """
+    p = next(i for i, a in enumerate(g) if a)
+    gp = g[p]
+    others = [(i, a) for i, a in enumerate(g) if i != p]
+    if len(others) == 1:
+        ((i, a),) = others
+
+        def key(coords):
+            c = coords[p]
+            return (coords[i] * gp - c * a) * gp + c % gp
+
+    else:
+
+        def key(coords):
+            c = coords[p]
+            return (c % gp, *[coords[i] * gp - c * a for i, a in others])
+
+    z = d.zero_weight_coords()
+    strings = {}
+    for coords, dim in d.rows.items():
+        if coords == z:
+            continue
+        k = coords[p] // gp
+        s = strings.get(rep := key(coords))
+        if s is None:
+            strings[rep] = [1, k, k, k, k, []] if dim else [1, k, k, None, None, [k]]
+            continue
+        s[0] += 1
+        if k < s[1]:
+            s[1] = k
+        elif k > s[2]:
+            s[2] = k
+        if not dim:
+            s[5].append(k)
+        elif s[3] is None:
+            s[3] = s[4] = k
+        elif k < s[3]:
+            s[3] = k
+        elif k > s[4]:
+            s[4] = k
+    if z in d.rows:
+        strings.setdefault(key(z), [0, None, None, None, None, []])[0] += 1
+    return strings, key
+
+
+def _profile(summary):
+    """Support pattern of one string from its summary: (profile, supported).
+
     Support stopping strictly inside the window on one side certifies
     truncation on that side; stopping inside on both sides is finite, hence
     bounded; running off both edges with an interior zero gap is the only
     pattern a window can exhibit for a genuinely two-sided mixed module.
     """
-    pts = {k: dim for k, dim in ks.items() if skip is None or k != skip}
-    if not pts:
+    _, kmin, kmax, smin, smax, zeros = summary
+    if smin is None:
         return "bounded", False
-    support = [k for k, dim in pts.items() if dim > 0]
-    if not support:
-        return "bounded", False
-    kmin, kmax = min(pts), max(pts)
-    smin, smax = min(support), max(support)
     stops_low = smin > kmin
     stops_high = smax < kmax
     if stops_high and not stops_low:
@@ -313,32 +371,8 @@ def _profile_of_ks(ks, skip=None):
         return "negatively_truncated", True
     if stops_low and stops_high:
         return "bounded", True
-    gap = any(dim == 0 for k, dim in pts.items() if smin < k < smax)
+    gap = any(smin < k < smax for k in zeros)
     return ("mixed" if gap else "bounded"), True
-
-
-def _g_strings(d, g):
-    """The rows grouped into g-strings: (strings, place).
-
-    place(coords) is (rep, k) with coords = rep + k*g and k = coords[p] //
-    g[p] at the first nonzero entry p of g, so two weights share a rep
-    exactly when their difference is a multiple of g.  strings maps each rep
-    to ({k: dim}, skip), skip being the k of the zero weight when it lies on
-    that string (its vanishing says nothing about truncation), else None.
-    """
-    p = next(i for i, a in enumerate(g) if a)
-
-    def place(coords):
-        k = coords[p] // g[p]
-        return gsub(coords, gscale(k, g)), k
-
-    strings = {}
-    for coords, dim in d.rows.items():
-        rep, k = place(coords)
-        strings.setdefault(rep, {})[k] = dim
-    z = d.zero_weight_coords()
-    z_rep, z_k = place(z) if z is not None else (None, None)
-    return {rep: (ks, z_k if rep == z_rep else None) for rep, ks in strings.items()}, place
 
 
 def string_profile(d, g, base_weight):
@@ -352,15 +386,15 @@ def string_profile(d, g, base_weight):
     if is_zero(g):
         raise ValueError("string direction must be nonzero")
     base = d.group.validate(base_weight)
-    strings, place = _g_strings(d, g)
-    ks, skip = strings.get(place(base)[0], ({}, None))
-    if len(ks) < 3:
+    strings, key = _g_strings(d, g)
+    summary = strings.get(key(base))
+    n = summary[0] if summary else 0
+    if n < 3:
         raise ValueError(
             f"the string through {base} along {g} meets the window in only "
-            f"{len(ks)} points (need at least 3)"
+            f"{n} points (need at least 3)"
         )
-    profile, _ = _profile_of_ks(ks, skip)
-    return profile
+    return _profile(summary)[0]
 
 
 def _direction_verdict(d, g):
@@ -372,13 +406,13 @@ def _direction_verdict(d, g):
     vacuous means only zero-dimension strings were seen, unknown means no
     string was long enough.
     """
-    profiles = []
+    profiles = set()
     supported_any = False
-    for ks, skip in _g_strings(d, g)[0].values():
-        if len(ks) < 3:
+    for summary in _g_strings(d, g)[0].values():
+        if summary[0] < 3:
             continue
-        profile, supported = _profile_of_ks(ks, skip)
-        profiles.append(profile)
+        profile, supported = _profile(summary)
+        profiles.add(profile)
         supported_any = supported_any or supported
     if not profiles:
         return "unknown"
@@ -393,6 +427,46 @@ def _direction_verdict(d, g):
     if neg:
         return "truncated_below"
     return "bounded" if supported_any else "vacuous"
+
+
+# the verdict of -g: its strings are those of g read backwards
+_MIRRORED = {"truncated_above": "truncated_below", "truncated_below": "truncated_above"}
+
+
+def _known_verdict(d, v, verdicts):
+    """The verdict of v, mirrored from that of -v when verdicts holds it,
+    else scanned; either way stored in verdicts."""
+    if v not in verdicts:
+        w = verdicts.get(gneg(v))
+        verdicts[v] = _direction_verdict(d, v) if w is None else _MIRRORED.get(w, w)
+    return verdicts[v]
+
+
+# the most box vectors, (2*bound + 1)^rank - 1, that a direction search may
+# cover; see search_refusal
+MAX_SEARCH_VECTORS = 10_000
+
+
+def search_refusal(bound, rank):
+    """Why a direction search of sup-norm <= bound at this rank is refused,
+    or None.  A bound below 1 searches nothing, so the search could not
+    fail; at rank >= 2 the search covers (2*bound + 1)^rank - 1 vectors and
+    may cover at most MAX_SEARCH_VECTORS.  The product is built factor by
+    factor and stops once over the cap, so a bound of thousands of digits
+    or a large rank costs a few multiplications."""
+    if bound < 1:
+        return f"direction_bound must be >= 1, got {bound}"
+    if rank < 2:
+        return None
+    count = 1
+    for _ in range(rank):
+        count *= 2 * bound + 1
+        if count - 1 > MAX_SEARCH_VECTORS:
+            return (
+                f"direction_bound {bound} at rank {rank} would search "
+                f"(2*bound+1)^rank - 1 directions, over the cap of {MAX_SEARCH_VECTORS}"
+            )
+    return None
 
 
 def _candidate_directions(rank, bound):
@@ -420,6 +494,9 @@ def classify(d, direction_bound=2):
     """
     if not d.rows:
         raise MalformedDescriptorError(EMPTY_WINDOW)
+    refusal = search_refusal(direction_bound, d.group.rank)
+    if refusal:
+        raise ValueError(refusal)
     certs = []
     support = d.support()
     certs.append(f"window: {len(d.rows)} weights, {len(support)} supported")
@@ -485,10 +562,11 @@ def _classify_higher_rank(d, certs, direction_bound):
             d, certs, "bounded with dimensions >= 2 matches no irreducible case at rank > 1"
         )
 
+    verdicts = {}
     bounded_dirs = []
     first_up = None
     for v in _candidate_directions(n, direction_bound):
-        verdict = _direction_verdict(d, v)
+        verdict = _known_verdict(d, v, verdicts)
         if verdict == "bounded":
             bounded_dirs.append(v)
         elif verdict == "truncated_above" and first_up is None:
@@ -518,7 +596,7 @@ def _classify_higher_rank(d, certs, direction_bound):
     b = reduce_modulo(first_up, g0)
     if b != first_up:
         certs.append(f"b canonicalized modulo the complement: {first_up} -> {b}")
-    if _direction_verdict(d, b) != "truncated_above":
+    if _known_verdict(d, b, verdicts) != "truncated_above":
         certs.append(f"canonical b {b} is not truncated above: search failed")
         return ClassificationReport("inconclusive", None, None, tuple(certs))
 

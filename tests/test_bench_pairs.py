@@ -1,9 +1,14 @@
 """The pure parts of tools/bench_pairs.py: seed lists, quartiles, the
-gain and bound verdicts of `summarize`, the busy-CPU mark of a pair and the
-calibration of its CPU loop (on a fake clock).  No benchmark process runs."""
+gain and bound verdicts of `summarize`, the busy-CPU mark of a pair, the
+calibration of its CPU loop (on a fake clock) and the recorded state of a
+checkout (in temporary directories).  No benchmark process runs."""
 
 import importlib.util
 import pathlib
+import shutil
+import subprocess
+
+import pytest
 
 _PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -136,3 +141,41 @@ def test_calibration_times_one_loop_for_at_least_loop_seconds(monkeypatch):
     # a host slower than the floor at the first guess takes it as it is
     clock, calls = _fake_loop(monkeypatch, 1e-4)
     assert bench_pairs.calibrate(clock=clock) == 10_000 and len(calls) == 1
+
+
+def test_a_plain_directory_records_its_path_and_no_commit(tmp_path):
+    state = bench_pairs.checkout_state(str(tmp_path))
+    assert state == {"path": str(tmp_path), "commit": None, "dirty": None}
+    assert bench_pairs.header("parent", state) == f"parent: {tmp_path} (not a git checkout)"
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_a_git_checkout_records_its_commit_and_uncommitted_changes(tmp_path):
+    def git(*args, cwd=tmp_path):
+        out = subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=cwd, check=True, capture_output=True, text=True,
+        )
+        return out.stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("a\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "a")
+    head = git("rev-parse", "HEAD")
+    state = bench_pairs.checkout_state(str(tmp_path))
+    assert state == {"path": str(tmp_path), "commit": head, "dirty": False}
+    assert bench_pairs.header("change", state) == f"change: {tmp_path} at {head} (clean)"
+    (tmp_path / "a.txt").write_text("b\n")
+    state = bench_pairs.checkout_state(str(tmp_path))
+    assert state["commit"] == head and state["dirty"] is True
+    assert bench_pairs.header("change", state).endswith("(uncommitted changes)")
+    # a directory inside the checkout is not the top of one
+    (tmp_path / "sub").mkdir()
+    assert bench_pairs.checkout_state(str(tmp_path / "sub"))["commit"] is None
+
+
+def test_without_git_the_commit_and_changes_are_null(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path))  # no git on it
+    state = bench_pairs.checkout_state(str(tmp_path))
+    assert state == {"path": str(tmp_path), "commit": None, "dirty": None}

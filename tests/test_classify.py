@@ -1,6 +1,8 @@
 """Tests for weight-module classification from dimension tables."""
 
 import hashlib
+import importlib
+import itertools
 import json
 import random
 
@@ -21,10 +23,13 @@ from gvir.classify import (
     is_uniformly_bounded,
     string_profile,
 )
-from gvir.groups import Group, hermite_basis
+from gvir.groups import Group, gneg, hermite_basis
 from gvir.induced import InducedModule, QuotientDims, Window
 from gvir.interseries import IntermediateSeriesModule
 from gvir.scalars import Context
+
+# the package exports the function classify under the module's name
+classify_module = importlib.import_module("gvir.classify")
 
 
 def interseries_descriptor(radius=3, **bindings):
@@ -436,4 +441,138 @@ def test_classifier_reading_of_random_tables_is_frozen():
             digest.update(f"{coords}:{profile};".encode())
     assert digest.hexdigest() == (
         "ad162be05d01be0abb26f42c6dd34c8c3582a6ba3fc98d00fe4f93e36c999605"
+    )
+
+
+def test_classify_refuses_a_search_over_no_direction():
+    # a bound below 1 searches nothing, so the search could not fail; the
+    # library refuses it as the command line does, at rank 1 too
+    rows = {(i, j): 1 + (i == j == 1) for i in range(-2, 3) for j in range(-2, 3)}
+    for d in (external(rows), verma_descriptor()):
+        with pytest.raises(ValueError, match="direction_bound must be >= 1, got 0"):
+            classify(d, direction_bound=0)
+    with pytest.raises(ValueError, match="direction_bound 50 at rank 2 would search"):
+        classify(external(rows), direction_bound=50)
+    assert classify(external(rows), direction_bound=49).case == "inconclusive"
+
+
+def _walked_profile(d, g, base):
+    """string_profile restated on the string read by stepping from base in
+    steps of g, so with no coset arithmetic; None below 3 points."""
+    span = 2 * max(abs(a) for c in d.rows for a in c) + 1
+    line = [tuple(b + t * a for b, a in zip(base, g)) for t in range(-span, span + 1)]
+    pts = [(t, d.rows[c]) for t, c in enumerate(line) if c in d.rows]
+    if len(pts) < 3:
+        return None
+    z = d.zero_weight_coords()
+    pts = [(t, dim) for t, dim in pts if line[t] != z]
+    support = [t for t, dim in pts if dim]
+    if not support:
+        return "bounded"
+    low, high = support[0] > pts[0][0], support[-1] < pts[-1][0]
+    if low != high:
+        return "negatively_truncated" if low else "positively_truncated"
+    if low or not any(support[0] < t < support[-1] for t, dim in pts if not dim):
+        return "bounded"
+    return "mixed"
+
+
+def test_string_profile_groups_strings_of_non_primitive_directions():
+    # a canonical b need not be primitive: along k*g the g-strings split
+    # into k strings, one per residue of the string parameter
+    cases = [(d, g) for d in _random_external_tables()[:40] if d.group.rank == 2
+             for g in ((2, 0), (0, 3), (2, 2), (-2, 4), (1, 2))]
+    cases += [(d, g) for d in _rank3_tables()[::4] for g in ((0, 0, -3), (2, 0, 2), (1, 1, 1))]
+    for d, g in cases:
+        for base in d.rows:
+            try:
+                profile = string_profile(d, g, base)
+            except ValueError:
+                profile = None
+            assert profile == _walked_profile(d, g, base), (d.rows, g, base)
+
+
+_MIRROR = {"truncated_above": "truncated_below", "truncated_below": "truncated_above"}
+
+
+def test_the_verdict_of_minus_g_mirrors_that_of_g():
+    # along -g the strings are those of g read backwards: the truncation
+    # sides swap, and every other verdict stays
+    for d in _random_external_tables():
+        for v in _candidate_directions(d.group.rank, 2):
+            verdict = _direction_verdict(d, v)
+            assert _direction_verdict(d, gneg(v)) == _MIRROR.get(verdict, verdict), (d.rows, v)
+
+
+def _catalogue_induced_descriptor(b=(1, 2), g0=(0, 1), dims=(1, 2, 4, 8)):
+    """An induced-type table built as the benchmark's classify catalogue
+    builds it: level i at t*g0 - i*b with dimension dims[i] for |t| <= 2 + i,
+    and zero rows at levels -1 and -2 as wide as the whole table."""
+    rows = {}
+    width = 2 + 3 * len(dims)
+    for i, dim in enumerate(dims):
+        for t in range(-(2 + i), 3 + i):
+            rows[tuple(t * g - i * bb for g, bb in zip(g0, b))] = dim
+    for k in (1, 2):
+        for t in range(-width, width + 1):
+            rows[tuple(t * g + k * bb for g, bb in zip(g0, b))] = 0
+    return ModuleDescriptor(Group.of_rank(2), rows, "induced")
+
+
+def test_the_search_scans_one_direction_of_each_pair(monkeypatch):
+    # 16 primitive directions of sup-norm <= 2 make 8 +- pairs: one scan
+    # each, and one more for the canonical b only when neither b nor -b
+    # was scanned
+    d = _catalogue_induced_descriptor()
+    expected = classify(d, direction_bound=2)
+    assert expected.case == "induced_type" and expected.detected_b == (1, 0)
+    scanned = []
+
+    def counted(d, g):
+        scanned.append(g)
+        return _direction_verdict(d, g)
+
+    monkeypatch.setattr(classify_module, "_direction_verdict", counted)
+    assert classify(d, direction_bound=2) == expected
+    assert len(_candidate_directions(2, 2)) == 16
+    assert len(scanned) <= 9
+    assert not any(gneg(v) in scanned for v in scanned)
+
+
+def _rank3_tables():
+    """24 seeded rank-3 tables, each unbounded off the zero weight: random
+    dimensions, then half-space tables (support where a small linear form is
+    <= a threshold) that give one-side truncated strings, a third of them
+    with an offset_element inside the window."""
+    rng = random.Random(20261020)
+    tables = []
+    for n in range(24):
+        radius = rng.randint(1, 2)
+        coords = list(itertools.product(range(-radius, radius + 1), repeat=3))
+        if n < 8:
+            rows = {c: rng.randint(0, 3) for c in coords}
+        else:
+            form = [rng.randint(-1, 1) for _ in range(2)] + [rng.choice((-1, 1))]
+            cut = rng.randint(-1, 1)
+            rows = {
+                c: rng.randint(1, 3) if sum(a * x for a, x in zip(form, c)) <= cut else 0
+                for c in coords
+            }
+        offset = tuple(rng.randint(-radius, radius) for _ in range(3)) if n % 3 == 2 else None
+        d = external(rows, rank=3, offset_element=offset)
+        assert not is_uniformly_bounded(d).startswith("yes")
+        tables.append(d)
+    return tables
+
+
+def test_classifier_reading_of_rank3_tables_is_frozen():
+    # one digest over every report and every direction verdict with
+    # sup-norm <= 2 (98 directions, 49 +- pairs) of seeded rank-3 tables
+    digest = hashlib.sha256()
+    for d in _rank3_tables():
+        digest.update(json.dumps(classify(d).to_json(), sort_keys=True).encode())
+        for v in _candidate_directions(3, 2):
+            digest.update(f"{v}:{_direction_verdict(d, v)};".encode())
+    assert digest.hexdigest() == (
+        "a2cd9b1771100a96f23d2ad270c15d2f246b4ae2c1f9940718b5987645417530"
     )

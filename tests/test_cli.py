@@ -474,6 +474,12 @@ _CLASSIFY_DESCRIPTOR = {
     "flags": ["is_Z"],
     "rows": [["h", [-n], d] for n, d in enumerate([1, 1, 2, 3])],
 }
+# unbounded at rank 2, so every direction bound is searched
+_SEARCH_DESCRIPTOR = {
+    "group": {"rank": 2},
+    "provenance": "external",
+    "rows": [["alpha", c, d] for c, d in (([0, 0], 1), ([0, 1], 2), ([1, 0], 1), ([0, -1], 3))],
+}
 
 
 @pytest.mark.parametrize(
@@ -489,6 +495,18 @@ _CLASSIFY_DESCRIPTOR = {
         # a search over no direction is a check that cannot succeed
         ("classify", {"descriptor": _CLASSIFY_DESCRIPTOR, "direction_bound": 0}, "direction_bound must be >= 1, got 0"),
         ("classify", {"descriptor": _CLASSIFY_DESCRIPTOR, "direction_bound": -3}, "direction_bound must be >= 1, got -3"),
+        # 101^2 - 1 box vectors, the fewest over the cap: the search itself
+        # would take a tenth of a second
+        (
+            "classify",
+            {"descriptor": _SEARCH_DESCRIPTOR, "direction_bound": 50},
+            "direction_bound 50 at rank 2 would search (2*bound+1)^rank - 1 directions, over the cap of 10000",
+        ),
+        (
+            "classify",
+            {"descriptor": _SEARCH_DESCRIPTOR, "direction_bound": 10**4000},
+            "at rank 2 would search (2*bound+1)^rank - 1 directions, over the cap",
+        ),
     ],
 )
 def test_non_integer_trials_seed_direction_bound_exit_2(tmp_path, capsys, command, config, needle):

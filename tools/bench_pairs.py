@@ -20,6 +20,11 @@ summary and every run's metrics; committed as BENCH_<change>.json beside
 the change, its parent commit is the parent that was run.  Standard
 library only.
 
+The JSON file and the run header also record what was compared: each
+checkout's path, its `git rev-parse HEAD` and whether `git status
+--porcelain` listed uncommitted changes (both null when the path is not the
+top of a git checkout, or git is missing).
+
 Another tenant on the host can hold the second CPU, and then a forked job
 runs at one-process speed while the benchmark's host-speed scale, timed in
 one process, reads the host as fast.  So before and after each pair a CPU
@@ -68,6 +73,36 @@ def run_once(checkout, workload, seed, seconds):
     if out.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {out.returncode}: {out.stderr[-500:]}")
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def checkout_state(path):
+    """{"path", "commit", "dirty"} of a checkout: its HEAD commit and whether
+    git lists uncommitted changes, both None unless path is the top of a git
+    checkout and git runs."""
+    state = {"path": path, "commit": None, "dirty": None}
+
+    def git(*args):
+        out = subprocess.run(["git", *args], cwd=path, capture_output=True, text=True)
+        return out.stdout if out.returncode == 0 else None
+
+    try:
+        top = git("rev-parse", "--show-toplevel")
+        if top is None or os.path.realpath(top.strip()) != os.path.realpath(path):
+            return state
+        commit, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
+    except OSError:  # no git
+        return state
+    if commit is not None and status is not None:
+        state["commit"], state["dirty"] = commit.strip(), bool(status.strip())
+    return state
+
+
+def header(side, state):
+    """The run header's line for one checkout."""
+    if state["commit"] is None:
+        return f"{side}: {state['path']} (not a git checkout)"
+    changes = "uncommitted changes" if state["dirty"] else "clean"
+    return f"{side}: {state['path']} at {state['commit']} ({changes})"
 
 
 def _loop(n):
@@ -183,7 +218,11 @@ def main(argv=None):
     seconds = spec["run_seconds"]
     steps = calibrate()
 
+    checkouts = {"parent": checkout_state(parent), "change": checkout_state(change)}
+    for side, state in checkouts.items():
+        print(header(side, state))
     report = {
+        "checkouts": checkouts,
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count(), "affinity_cpus": len(os.sched_getaffinity(0))},
         "run_seconds": seconds,
