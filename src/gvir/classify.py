@@ -443,7 +443,9 @@ def _known_verdict(d, v, verdicts):
 
 
 # the most box vectors, (2*bound + 1)^rank - 1, that a direction search may
-# cover; see search_refusal
+# cover: at the cap a search takes 0.16-0.24 s on a 90-row rank-2 table and
+# 1.2-1.4 s on a 343-row rank-3 one (2-vCPU host, Python 3.11; README
+# "Output"), and the search time grows with the count
 MAX_SEARCH_VECTORS = 10_000
 
 
