@@ -24,9 +24,10 @@ and is canonicalized by Hermite reduction.
 The search reads the table once per +-pair of directions: along -g the
 strings are the g-strings read backwards, so the verdict of -g is that of g
 with truncated_above and truncated_below swapped.  It covers the
-(2*bound + 1)^rank - 1 vectors of sup-norm <= direction_bound, and a search
-over more than MAX_SEARCH_VECTORS of them is refused before it starts
-(search_refusal), as is a bound below 1, which searches nothing.
+(2*bound + 1)^rank - 1 vectors of sup-norm <= direction_bound.  A bound
+below 1 searches nothing and is refused up front; a search over more than
+MAX_SEARCH_VECTORS vectors is refused where it would start, so a table that
+never reaches it classifies at any bound (search_refusal, SearchRefusedError).
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ REPORT_SCHEMA = "gvir.classification/1"
 
 class MalformedDescriptorError(ValueError):
     """The descriptor violates a structural invariant."""
+
+
+class SearchRefusedError(ValueError):
+    """classify declines a direction search (see search_refusal)."""
 
 
 def _check_tags(provenance, flags, rank):
@@ -297,8 +302,7 @@ def _g_strings(d, g):
 
     With p the first nonzero entry of g, a weight's string parameter is k =
     coords[p] // g[p].  key(coords) reads the residue coords[p] % g[p] and
-    the minors coords[i]*g[p] - coords[p]*g[i] for i != p (at rank 2 packed
-    into the one int minor*g[p] + residue, else a tuple): equal minors make
+    the minors coords[i]*g[p] - coords[p]*g[i] for i != p: equal minors make
     the difference of two weights a rational multiple of g, and an equal
     residue an integer one, so two weights share a key exactly when they lie
     on one g-string.  Along -g the strings are the same cosets with k
@@ -311,18 +315,10 @@ def _g_strings(d, g):
     p = next(i for i, a in enumerate(g) if a)
     gp = g[p]
     others = [(i, a) for i, a in enumerate(g) if i != p]
-    if len(others) == 1:
-        ((i, a),) = others
 
-        def key(coords):
-            c = coords[p]
-            return (coords[i] * gp - c * a) * gp + c % gp
-
-    else:
-
-        def key(coords):
-            c = coords[p]
-            return (c % gp, *[coords[i] * gp - c * a for i, a in others])
+    def key(coords):
+        c = coords[p]
+        return (c % gp, *[coords[i] * gp - c * a for i, a in others])
 
     z = d.zero_weight_coords()
     strings = {}
@@ -443,8 +439,8 @@ def _known_verdict(d, v, verdicts):
 
 
 # the most box vectors, (2*bound + 1)^rank - 1, that a direction search may
-# cover: at the cap a search takes 0.16-0.24 s on a 90-row rank-2 table and
-# 1.2-1.4 s on a 343-row rank-3 one (2-vCPU host, Python 3.11; README
+# cover: at the cap a search takes 0.25 s on a 90-row rank-2 table and
+# 1.2-1.3 s on a 343-row rank-3 one (2-vCPU host, Python 3.11; README
 # "Output"), and the search time grows with the count
 MAX_SEARCH_VECTORS = 10_000
 
@@ -469,6 +465,12 @@ def search_refusal(bound, rank):
                 f"(2*bound+1)^rank - 1 directions, over the cap of {MAX_SEARCH_VECTORS}"
             )
     return None
+
+
+def _check_search(bound, rank):
+    refusal = search_refusal(bound, rank)
+    if refusal:
+        raise SearchRefusedError(refusal)
 
 
 def _candidate_directions(rank, bound):
@@ -496,9 +498,7 @@ def classify(d, direction_bound=2):
     """
     if not d.rows:
         raise MalformedDescriptorError(EMPTY_WINDOW)
-    refusal = search_refusal(direction_bound, d.group.rank)
-    if refusal:
-        raise ValueError(refusal)
+    _check_search(direction_bound, 1)  # the bound alone: no box is searched yet
     certs = []
     support = d.support()
     certs.append(f"window: {len(d.rows)} weights, {len(support)} supported")
@@ -564,6 +564,7 @@ def _classify_higher_rank(d, certs, direction_bound):
             d, certs, "bounded with dimensions >= 2 matches no irreducible case at rank > 1"
         )
 
+    _check_search(direction_bound, n)
     verdicts = {}
     bounded_dirs = []
     first_up = None

@@ -39,7 +39,13 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraElement, bracket as lie_bracket
 from .classical import TruncatedVermaModule
-from .classify import MalformedDescriptorError, ModuleDescriptor, classify, search_refusal
+from .classify import (
+    MalformedDescriptorError,
+    ModuleDescriptor,
+    SearchRefusedError,
+    classify,
+    search_refusal,
+)
 from .groups import Group, box, is_primitive, is_zero
 from .induced import InducedModule, Window
 from .interseries import IntermediateSeriesModule
@@ -234,11 +240,13 @@ def validate(command, config, refused=()):
     if top is not None:
         top = _integer(top, "window top_radius", 1, error)
 
-    # no trial would report a check that cannot fail; the direction bound
-    # is checked below by classify's search rule
+    # no trial would report a check that cannot fail; classify's search rule
+    # checks the direction bound here and its cap where a search starts
     trials = _integer(config.get("trials", 25), "trials", 1, error)
     seed = _integer(config.get("seed", 0), "seed", None, error)
     direction_bound = _integer(config.get("direction_bound", 2), "direction_bound", None, error)
+    if direction_bound is not None and (refusal := search_refusal(direction_bound, 1)):
+        error(refusal)
 
     fmt = config.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -284,12 +292,6 @@ def validate(command, config, refused=()):
                 error(str(exc))
             else:
                 args = {"descriptor": descriptor, "direction_bound": direction_bound}
-    if direction_bound is not None:
-        # without a descriptor's rank the rule checks the bound alone
-        search_rank = args["descriptor"].group.rank if command == "classify" and args else 1
-        refusal = search_refusal(direction_bound, search_rank)
-        if refusal:
-            error(refusal)
 
     if not diagnostics:  # the output directory is made only for a run
         try:
@@ -587,7 +589,7 @@ def main(argv=None):
 
     try:
         report, table = run(job)
-    except MalformedDescriptorError as exc:  # classify refuses the table
+    except (MalformedDescriptorError, SearchRefusedError) as exc:  # classify refuses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # computation failure: report and use a distinct code

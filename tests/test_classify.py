@@ -14,6 +14,7 @@ from gvir.classify import (
     ClassificationReport,
     MalformedDescriptorError,
     ModuleDescriptor,
+    SearchRefusedError,
     _candidate_directions,
     _direction_verdict,
     classify,
@@ -451,9 +452,26 @@ def test_classify_refuses_a_search_over_no_direction():
     for d in (external(rows), verma_descriptor()):
         with pytest.raises(ValueError, match="direction_bound must be >= 1, got 0"):
             classify(d, direction_bound=0)
-    with pytest.raises(ValueError, match="direction_bound 50 at rank 2 would search"):
+    with pytest.raises(SearchRefusedError, match="direction_bound 50 at rank 2 would search"):
         classify(external(rows), direction_bound=50)
     assert classify(external(rows), direction_bound=49).case == "inconclusive"
+
+
+def test_search_cap_refuses_only_a_search():
+    # 5^6 - 1 and 23^3 - 1 box vectors are over the cap, but a table that is
+    # trivial or bounded returns before any direction is searched
+    trivial = external({(0,) * 6: 1}, rank=6)
+    assert classify(trivial).case == "trivial"
+    cube = list(itertools.product(range(-1, 2), repeat=3))
+    bounded = external({c: 1 for c in cube}, rank=3, offset_element=(0, 0, 0))
+    assert classify(bounded, direction_bound=11).case == "intermediate_series"
+    assert classify(verma_descriptor(), direction_bound=10**4000).case == "highest_weight"
+    unbounded = external({c: 1 + (c[0] > 0) for c in cube}, rank=3)
+    assert classify(unbounded, direction_bound=10).case == "inconclusive"
+    with pytest.raises(SearchRefusedError, match="direction_bound 11 at rank 3 would search"):
+        classify(unbounded, direction_bound=11)
+    with pytest.raises(SearchRefusedError, match="direction_bound 2 at rank 6 would search"):
+        classify(external({(0,) * 6: 1, (1,) * 6: 2}, rank=6))
 
 
 def _walked_profile(d, g, base):

@@ -520,6 +520,16 @@ def test_non_integer_trials_seed_direction_bound_exit_2(tmp_path, capsys, comman
     assert rc == EXIT_OK, err
 
 
+def test_over_cap_bound_classifies_a_table_that_is_never_searched(tmp_path, capsys):
+    # 5^6 - 1 box vectors at the default bound: over the cap, but a trivial
+    # table returns before the search
+    trivial = {"group": {"rank": 6}, "provenance": "external", "rows": [["alpha", [0] * 6, 1]]}
+    rc, err = _exit_and_stderr(tmp_path, capsys, "classify", {"descriptor": trivial})
+    assert rc == EXIT_OK, err
+    with open(tmp_path / "classify.json", encoding="utf-8") as fh:
+        assert json.load(fh)["results"]["report"]["case"] == "trivial"
+
+
 @pytest.mark.parametrize(
     "descriptor, needle",
     [
