@@ -302,7 +302,8 @@ def _g_strings(d, g):
 
     With p the first nonzero entry of g, a weight's string parameter is k =
     coords[p] // g[p].  key(coords) reads the residue coords[p] % g[p] and
-    the minors coords[i]*g[p] - coords[p]*g[i] for i != p: equal minors make
+    the minors coords[i]*g[p] - coords[p]*g[i] for i != p (at rank 2 packed
+    into the one int minor*g[p] + residue, else a tuple): equal minors make
     the difference of two weights a rational multiple of g, and an equal
     residue an integer one, so two weights share a key exactly when they lie
     on one g-string.  Along -g the strings are the same cosets with k
@@ -315,10 +316,22 @@ def _g_strings(d, g):
     p = next(i for i, a in enumerate(g) if a)
     gp = g[p]
     others = [(i, a) for i, a in enumerate(g) if i != p]
+    if len(others) == 1:
+        # one int instead of a tuple: the 24 small-ops classify jobs take
+        # 12.5 ms through cli.main against 16.0 ms with the tuple key and
+        # 30.2 ms with a row-by-row walk of every string (2-vCPU host,
+        # Python 3.11)
+        ((i, a),) = others
 
-    def key(coords):
-        c = coords[p]
-        return (c % gp, *[coords[i] * gp - c * a for i, a in others])
+        def key(coords):
+            c = coords[p]
+            return (coords[i] * gp - c * a) * gp + c % gp
+
+    else:
+
+        def key(coords):
+            c = coords[p]
+            return (c % gp, *[coords[i] * gp - c * a for i, a in others])
 
     z = d.zero_weight_coords()
     strings = {}
@@ -439,8 +452,8 @@ def _known_verdict(d, v, verdicts):
 
 
 # the most box vectors, (2*bound + 1)^rank - 1, that a direction search may
-# cover: at the cap a search takes 0.25 s on a 90-row rank-2 table and
-# 1.2-1.3 s on a 343-row rank-3 one (2-vCPU host, Python 3.11; README
+# cover: at the cap a search takes 0.13-0.24 s on a 90-row rank-2 table
+# and 1.2-1.5 s on a 343-row rank-3 one (2-vCPU host, Python 3.11; README
 # "Output"), and the search time grows with the count
 MAX_SEARCH_VECTORS = 10_000
 
