@@ -32,10 +32,12 @@ passes silently.  The tests check them against a dense elimination over the
 rational-function field (tests/oracles.py), slow but independent.
 
 Rows enter `symbolic_rank` and `kernel_basis` divided by their monomial gcd
-and rational content only (`_Prepared` says how): dividing a row by a
-nonzero polynomial is a unit scaling over the fraction field, so no rank or
-kernel needs a polynomial gcd there, and on probe rows the gcd cost more
-than the elimination it was meant to shrink.  `Echelon` and `det` take rows
+and positive rational content only (`_Prepared` says how): dividing a row by
+a nonzero polynomial is a unit scaling over the fraction field, so no rank
+or kernel needs a polynomial gcd there, and on probe rows the gcd cost more
+than the elimination it was meant to shrink.  No row is signed: no pivot,
+division or rank reads a row's sign, and `_primitive` gives each kernel
+vector its sign.  `Echelon` and `det` take rows
 as they come and never scale what is left of one, since the divisions hold
 for the minors themselves.
 
@@ -72,11 +74,12 @@ class _Prepared:
     Per row the pass sets the variable unit_var (if given) to 1 by masking
     its field, drops the entries that vanish, and takes the monomial gcd from
     the per-field minima, the degree tops (per variable, the largest
-    exponent left after the gcd), the rational content (`_content`), and
-    the sign that gives the first entry a positive graded-lex leading
-    coefficient.  Empty rows are dropped.  `pack` then divides each row by
-    its monomial gcd and signed content while it narrows the terms into the
-    fields of a kernel layout.
+    exponent left after the gcd) and the positive rational content
+    (`_content`).  Empty rows are dropped.  `pack` then divides each row by
+    its monomial gcd and content while it narrows the terms into the fields
+    of a kernel layout; the row keeps its sign.  Every coefficient comes out
+    in `Poly`'s normal form: a Fraction content is never 1 on normal
+    coefficients, so scaling by it also normalizes a raw Fraction(2, 1).
     """
 
     def __init__(self, nvars, rows, unit_var=None):
@@ -86,11 +89,10 @@ class _Prepared:
             rows = [{j: src.pack(p) for j, p in row.items()} for row in rows]
         else:
             rows = [{j: p.terms for j, p in row.items()} for row in rows]
-        self.src = src
         self.fields = [(i, s, limit - 1) for i, s, limit in src.fields if i != unit_var]
         unit = sum((limit - 1) << s for i, s, limit in src.fields if i == unit_var)
         keep = ~unit
-        self.rows = []  # (entries {col: packed terms}, monomial gcd, signed content)
+        self.rows = []  # (entries {col: packed terms}, monomial gcd, content)
         self.tops = []
         for row in rows:
             entries = {}
@@ -114,20 +116,13 @@ class _Prepared:
                 least = min(vals)
                 low |= least << s
                 top[i] = max(vals) - least
-            lead = entries[min(entries)]
-            cont = _content(coeffs)
-            if lead[max(lead, key=self._grlex)] < 0:
-                cont = -cont
-            self.rows.append((entries, low, cont))
+            self.rows.append((entries, low, _content(coeffs)))
             self.tops.append(top)
 
-    def _grlex(self, m):
-        # packed integer order is lex order, so this orders as `scalars._grlex`
-        return sum(m >> s & mask for _, s, mask in self.fields), m
-
     def pack(self, pk):
-        """The prepared rows in the layout pk; _FieldOverflow if a degree
-        top does not fit its field."""
+        """The prepared rows in the layout pk, each divided by its monomial
+        gcd and positive content, its sign kept (`_primitive` signs kernel
+        vectors); _FieldOverflow if a degree top does not fit its field."""
         dst = {i: (s, limit) for i, s, limit in pk.fields}
         moves = []
         for i, s, mask in self.fields:
@@ -138,8 +133,8 @@ class _Prepared:
                 moves.append((s, mask, dst[i][0]))
         out = []
         for entries, low, cont in self.rows:
-            if cont == 1 and (not low or type(cont) is int):
-                div = None  # nothing to strip: the row stays as it came
+            if cont == 1 and type(cont) is int:
+                div = None  # int coefficients of content 1 stay as they are
             elif type(cont) is int:
                 div = cont.__rfloordiv__
             else:
@@ -160,19 +155,6 @@ class _Prepared:
 
 def _scaled(q, c):
     return _norm_coeff(c * q)
-
-
-def _prepare_row(row, unit_var=None):
-    """One row {col: Poly} through `_Prepared`, read back as Polys: the
-    stripped row and its degree top, or ({}, None) for a row that vanishes."""
-    if not row:
-        return {}, None
-    reg = next(iter(row.values())).reg
-    prep = _Prepared(len(reg), [row], unit_var)
-    if not prep.rows:
-        return {}, None
-    (packed,) = prep.pack(prep.src)
-    return {j: prep.src.unpack(reg, terms) for j, terms in packed.items()}, prep.tops[0]
 
 
 class Echelon:
@@ -505,13 +487,15 @@ def _full_column_rank(rows, ncols):
 
 def _primitive(vec):
     """A nonzero Poly vector divided by the gcd of its entries, then by their
-    rational content, first nonzero entry with a positive graded-lex lead
-    (`_prepare_row`; no monomial factor is left to strip after the gcd)."""
+    rational content, signed so that its first nonzero entry has a positive
+    graded-lex lead (`Poly.lead`): the one form of a kernel vector."""
     g = _gcd_many([p for p in vec if not p.is_zero()])
     if not g.is_const():
         vec = [p if p.is_zero() else p.exact_div(g) for p in vec]
-    stripped, _ = _prepare_row({j: p for j, p in enumerate(vec) if not p.is_zero()})
-    return tuple(stripped.get(j, p) for j, p in enumerate(vec))
+    cont = _content([c for p in vec for c in p.terms.values()])
+    if next(p for p in vec if not p.is_zero()).lead()[1] < 0:
+        cont = -cont
+    return tuple(vec) if cont == 1 else tuple(p.scale(Fraction(1) / cont) for p in vec)
 
 
 def det(reg, rows):

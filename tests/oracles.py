@@ -15,8 +15,9 @@ The induced module computes on packed monomials; `poly_action` restates its
 action rules with `Poly` coefficients (the embedding of `Context.embed`,
 no packed layout), and `poly_probe_rows` applies every probe sequence to
 every column on it, one operator at a time.  `prepare_row` is the row
-preparation of `linalg` as it was on `Poly` rows, and `packed_reference`
-packs its rows the way the elimination used to receive them.
+preparation of `linalg` as it was on `Poly` rows, each row signed, and
+`packed_reference` packs its rows the way the elimination used to receive
+them; `packed_up_to_sign` compares a row with them up to that sign.
 """
 
 import itertools
@@ -336,3 +337,10 @@ def packed_reference(nvars, rows, unit_var=None):
     pk = _Packing(_field_bounds(nvars, [top for _, top in prepared]))
     return [{j: pk.pack(p) for j, p in r.items()} for r, _ in prepared], pk.fields
 
+
+def packed_up_to_sign(got, expect):
+    """Whether the packed row got is expect or expect negated, one sign for
+    the whole row: `prepare_row` signs each row, the elimination's
+    preparation leaves the sign as it came."""
+    neg = {j: {m: -c for m, c in terms.items()} for j, terms in expect.items()}
+    return got == expect or got == neg

@@ -1,7 +1,7 @@
 """The pure parts of tools/bench_pairs.py: seed lists, quartiles, the
 gain and bound verdicts of `summarize`, the busy-CPU mark of a pair, the
-calibration of its CPU loop (on a fake clock) and the recorded state of a
-checkout (in temporary directories).  No benchmark process runs."""
+calibration of its CPU loop (on a fake clock) and the recorded state and
+source size of a checkout (in temporary directories).  No benchmark process runs."""
 
 import importlib.util
 import pathlib
@@ -145,8 +145,23 @@ def test_calibration_times_one_loop_for_at_least_loop_seconds(monkeypatch):
 
 def test_a_plain_directory_records_its_path_and_no_commit(tmp_path):
     state = bench_pairs.checkout_state(str(tmp_path))
-    assert state == {"path": str(tmp_path), "commit": None, "dirty": None}
-    assert bench_pairs.header("parent", state) == f"parent: {tmp_path} (not a git checkout)"
+    assert state == {"path": str(tmp_path), "commit": None, "dirty": None, "source_lines": None}
+    assert bench_pairs.header("parent", state) == f"parent: {tmp_path} (not a git checkout; no src/gvir)"
+
+
+def test_a_checkout_records_the_line_count_of_its_source(tmp_path):
+    src = tmp_path / "src" / "gvir"
+    src.mkdir(parents=True)
+    assert bench_pairs.source_lines(str(tmp_path)) == 0
+    (src / "a.py").write_text("x = 1\ny = 2\n")
+    (src / "b.py").write_text("z = 3\nw = 4")  # as `wc -l`: newlines only
+    (src / "notes.txt").write_text("not\ncounted\n")
+    (src / "sub").mkdir()
+    (src / "sub" / "c.py").write_text("not counted\n")
+    assert bench_pairs.source_lines(str(tmp_path)) == 3
+    state = bench_pairs.checkout_state(str(tmp_path))
+    assert state["source_lines"] == 3
+    assert bench_pairs.header("change", state) == f"change: {tmp_path} (not a git checkout; src/gvir 3 lines)"
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
@@ -164,12 +179,12 @@ def test_a_git_checkout_records_its_commit_and_uncommitted_changes(tmp_path):
     git("commit", "-q", "-m", "a")
     head = git("rev-parse", "HEAD")
     state = bench_pairs.checkout_state(str(tmp_path))
-    assert state == {"path": str(tmp_path), "commit": head, "dirty": False}
-    assert bench_pairs.header("change", state) == f"change: {tmp_path} at {head} (clean)"
+    assert state == {"path": str(tmp_path), "commit": head, "dirty": False, "source_lines": None}
+    assert bench_pairs.header("change", state) == f"change: {tmp_path} at {head} (clean; no src/gvir)"
     (tmp_path / "a.txt").write_text("b\n")
     state = bench_pairs.checkout_state(str(tmp_path))
     assert state["commit"] == head and state["dirty"] is True
-    assert bench_pairs.header("change", state).endswith("(uncommitted changes)")
+    assert bench_pairs.header("change", state).endswith("(uncommitted changes; no src/gvir)")
     # a directory inside the checkout is not the top of one
     (tmp_path / "sub").mkdir()
     assert bench_pairs.checkout_state(str(tmp_path / "sub"))["commit"] is None
@@ -178,4 +193,4 @@ def test_a_git_checkout_records_its_commit_and_uncommitted_changes(tmp_path):
 def test_without_git_the_commit_and_changes_are_null(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path))  # no git on it
     state = bench_pairs.checkout_state(str(tmp_path))
-    assert state == {"path": str(tmp_path), "commit": None, "dirty": None}
+    assert state == {"path": str(tmp_path), "commit": None, "dirty": None, "source_lines": None}

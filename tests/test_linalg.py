@@ -9,10 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from gvir import linalg
-from gvir.linalg import Echelon, _prepare_row, det, kernel_basis, symbolic_rank
-from gvir.scalars import Context, ExactDivisionError, Poly, Scalar, ScalarDivisionError, _gcd_many
-from oracles import field_rank, field_rref, minor_gcd_by_enumeration, packed_reference
+from gvir import linalg, scalars
+from gvir.linalg import Echelon, _primitive, det, kernel_basis, symbolic_rank
+from gvir.scalars import Context, ExactDivisionError, Poly, Scalar, ScalarDivisionError, _gcd_many, _norm_coeff
+from oracles import field_rank, field_rref, minor_gcd_by_enumeration, packed_reference, packed_up_to_sign
 
 
 def _ctx():
@@ -318,6 +318,31 @@ def test_det_singular_and_empty():
             det(reg, bad)
 
 
+def _prepare_row(row, unit_var=None):
+    """One row {col: Poly} through `_Prepared`, read back as Polys: the
+    stripped row and its degree top, or ({}, None) for a row that vanishes.
+    The prepared terms are laid out in the fields that hold the row's
+    exponents, which hold every degree top."""
+    if not row:
+        return {}, None
+    reg = next(iter(row.values())).reg
+    prep = linalg._Prepared(len(reg), [row], unit_var)
+    if not prep.rows:
+        return {}, None
+    pk = scalars._fit(len(reg), row.values())
+    (packed,) = prep.pack(pk)
+    return {j: pk.unpack(reg, terms) for j, terms in packed.items()}, prep.tops[0]
+
+
+def _negated(row):
+    return {j: -p for j, p in row.items()}
+
+
+def _up_to_sign(got, expect):
+    """Whether a row is expect or expect negated: one sign for the row."""
+    return got == expect or got == _negated(expect)
+
+
 def test_prepare_row_removes_common_factor():
     ctx = _ctx()
     g1 = Poly.symbol(ctx.reg, "g1")
@@ -327,14 +352,15 @@ def test_prepare_row_removes_common_factor():
     out, top = _prepare_row(row)
     assert out[0] == g2 and out[2] == g1 + g2
     assert top[:2] == [1, 1]
-    # a lone entry is its own gcd, so it normalizes to 1
+    # a lone entry is its own monomial gcd and content; its sign stays
     row = {1: -(two * g1)}
     out, _ = _prepare_row(row)
-    assert out[1].is_const() and out[1].const_value() == 1
-    # sign normalization: leading entry ends up with a positive lead
+    assert out == {1: Poly.const(ctx.reg, -1)}
+    # the content is positive, so a row keeps its sign (`_primitive` signs
+    # kernel vectors; see test_primitive_vectors_are_canonical)
     row = {0: -(two * g1), 1: two * g2}
     out, _ = _prepare_row(row)
-    assert out[0] == g1 and out[1] == -g2
+    assert out[0] == -g1 and out[1] == g2
     assert _prepare_row({}) == ({}, None)
     assert _prepare_row({0: Poly.zero(ctx.reg)}) == ({}, None)
 
@@ -349,13 +375,50 @@ def test_prepare_row_keeps_non_monomial_common_factor():
     f = g1 + one
     row = {0: f.scale(-2), 3: (f * g2).scale(4), 5: (f * g1 * g2).scale(6)}
     out, _ = _prepare_row(row)
-    assert out == {0: f, 3: (f * g2).scale(-2), 5: (f * g1 * g2).scale(-3)}
+    assert out == {0: -f, 3: (f * g2).scale(2), 5: (f * g1 * g2).scale(3)}
     # a monomial and a non-monomial factor together: the monomial goes
     row = {1: f * g1 * g2, 2: (f * g1 * g1).scale(Fraction(1, 2))}
     out, _ = _prepare_row(row)
     assert out == {1: (f * g2).scale(2), 2: f * g1}
     for r in (row, out):
-        assert _reference_strip_row(dict(r)) == _prepare_row(dict(r))[0]
+        assert _up_to_sign(_prepare_row(dict(r))[0], _reference_strip_row(dict(r)))
+
+
+def test_primitive_vectors_are_canonical():
+    ctx = _ctx()
+    reg = ctx.reg
+    g1 = Poly.symbol(reg, "g1")
+    g2 = Poly.symbol(reg, "g2")
+    zero, two = Poly.zero(reg), Poly.const(reg, 2)
+    f = g1 + Poly.const(reg, 1)
+    # the first nonzero entry gets a positive graded-lex lead
+    assert _primitive([zero, -(two * g1), two * g2]) == (zero, g1, -g2)
+    assert _primitive([-(two * g1)]) == (Poly.const(reg, 1),)
+    # the gcd of the entries goes, then the rational content
+    vec = [f.scale(-2), (f * g2).scale(4), (f * g1 * g2).scale(6)]
+    assert _primitive(vec) == (Poly.const(reg, 1), g2.scale(-2), (g1 * g2).scale(-3))
+    assert _primitive([g1.scale(Fraction(-1, 2)), (g1 * g1).scale(Fraction(3, 4))]) == (
+        Poly.const(reg, 2), g1.scale(-3))
+    # every kernel vector of the seeded matrices is in that form, which a
+    # nonzero rational or polynomial multiple of it shares
+    reg, cases = _kernel_corpus()
+    vectors = [v for rows, ncols in cases for v in kernel_basis(reg, rows, ncols)]
+    assert len(vectors) > 50
+    scale = Poly.symbol(reg, "g2").scale(Fraction(-3, 2))
+    factor = Poly.symbol(reg, "g1") + Poly.const(reg, 3)
+    signs = set()
+    for vec in vectors:
+        nonzero = [p for p in vec if not p.is_zero()]
+        assert _gcd_many(nonzero) == Poly.const(reg, 1)
+        coeffs = [c for p in nonzero for c in p.terms.values()]
+        assert all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1
+        assert nonzero[0].lead()[1] > 0
+        assert _primitive(vec) == vec
+        assert _primitive([p * scale for p in vec]) == vec
+        assert _primitive([p * factor for p in vec]) == vec
+        signs.add(any(p.lead()[1] < 0 for p in nonzero))
+    # some vectors hold an entry of negative lead: the sign is not trivially 1
+    assert signs == {False, True}
 
 
 def test_field_rref_shape():
@@ -449,13 +512,16 @@ def test_prepare_row_matches_strip_of_substituted_row():
         sub = {j: p for j, p in sub.items() if not p.is_zero()}
         got, top = _prepare_row(row, unit_var)
         expect = _reference_strip_row(dict(sub))
-        assert got == expect
+        assert _up_to_sign(got, expect)
         assert list(got) == list(expect)
         for j, p in got.items():
             assert {e: type(c) for e, c in p.terms.items()} == {
                 e: type(c) for e, c in expect[j].terms.items()
             }
-        assert _prepare_row(dict(sub))[0] == expect
+        assert _prepare_row(dict(sub))[0] == got
+        if got:
+            # the row keeps its sign: divided by a positive content only
+            assert (got[min(got)].lead()[1] > 0) == (sub[min(sub)].lead()[1] > 0)
         if not expect:
             assert top is None
             seen.add("empty")
@@ -493,11 +559,15 @@ def test_prepared_rows_match_the_old_preparation():
         unit_var = (None, 0, nv - 1)[case % 3]
         got, fields = _prepared_in_kernel_fields(nvars, rows, unit_var)
         expect, expect_fields = packed_reference(nvars, rows, unit_var)
-        assert got == expect and fields == expect_fields
+        assert fields == expect_fields and len(got) == len(expect)
+        assert all(map(packed_up_to_sign, got, expect))
         assert [list(r) for r in got] == [list(r) for r in expect]
         for row, ref in zip(got, expect):
             for j, terms in row.items():
-                assert [type(c) for c in terms.values()] == [type(ref[j][m]) for m in terms]
+                # the frozen preparation left raw Fraction(2, 1) coefficients
+                # of _sparse_poly in place where it did not scale a row; the
+                # elimination's puts every coefficient in normal form
+                assert [type(c) for c in terms.values()] == [type(_norm_coeff(ref[j][m])) for m in terms]
         seen.add("unit" if unit_var is not None else "plain")
         seen.add("dropped row" if len(got) < sum(1 for r in rows if r) else "all rows")
     assert seen == {"unit", "plain", "dropped row", "all rows"}
@@ -629,6 +699,49 @@ def test_symbolic_rank_matches_frozen_reference_and_field_rank():
         outcomes.add("raised" if got is None else "full" if got == min(nonzero, ncols) else "deficient")
     # the cases reach full rank, rank deficiency and the known defect alike
     assert outcomes == {"full", "deficient", "raised"}
+
+
+def _rank_or_error(reg, rows):
+    try:
+        return symbolic_rank(reg, [dict(r) for r in rows])
+    except (ExactDivisionError, ScalarDivisionError) as exc:
+        return type(exc)
+
+
+def test_row_sign_content_and_monomial_factors_reach_no_result():
+    # negating a row, or scaling it by a nonzero rational or a monomial, is a
+    # unit scaling over the fraction field that the preparation strips (or,
+    # for the sign, leaves to `_primitive`): the rank, the error and the
+    # kernel vectors must not see it
+    reg = Context.of_rank(3).reg
+    rng = random.Random(8128)
+    seen = set()
+    for case in range(300):
+        nvars = 1 + case % 3
+        maxdeg, maxterms = ((3, 3), (2, 2), (2, 1))[nvars - 1]
+        rows, ncols = _sparse_matrix(reg, rng, nvars, maxdeg, case % 3 == 0, 5, maxterms)
+        scaled = []
+        for row in rows:
+            kind = rng.choice(("kept", "negated", "rational", "monomial"))
+            if kind == "negated":
+                factor = Poly.const(reg, -1)
+            elif kind == "rational":
+                factor = Poly.const(reg, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)))
+            elif kind == "monomial":
+                # over every variable of the registry, not only the matrix's
+                e = [rng.randint(0, 2) if rng.random() < 0.5 else 0 for _ in reg]
+                factor = Poly.monomial(reg, e, rng.choice((-1, 1)))
+            else:
+                factor = Poly.const(reg, 1)
+            scaled.append({j: p * factor for j, p in row.items()})
+            if row:
+                seen.add(kind)
+        rank = _rank_or_error(reg, rows)
+        assert _rank_or_error(reg, scaled) == rank
+        got, expect = kernel_basis(reg, scaled, ncols), kernel_basis(reg, rows, ncols)
+        assert got == expect and _exact_terms(got) == _exact_terms(expect)
+        seen.add("raised" if isinstance(rank, type) else "kernel" if expect else "no kernel")
+    assert seen == {"kept", "negated", "rational", "monomial", "raised", "kernel", "no kernel"}
 
 
 def _narrow_fields(monkeypatch):

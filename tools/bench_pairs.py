@@ -23,7 +23,10 @@ library only.
 The JSON file and the run header also record what was compared: each
 checkout's path, its `git rev-parse HEAD` and whether `git status
 --porcelain` listed uncommitted changes (both null when the path is not the
-top of a git checkout, or git is missing).
+top of a git checkout, or git is missing), and the line count of its
+`src/gvir/*.py` (null without that directory).  Every benchmark process
+compiles gvir where bytecode is not written, so `setup_s` and
+`peak_rss_mb` move with that count.
 
 Another tenant on the host can hold the second CPU, and then a forked job
 runs at one-process speed while the benchmark's host-speed scale, timed in
@@ -75,11 +78,25 @@ def run_once(checkout, workload, seed, seconds):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def source_lines(path):
+    """The line count of path's src/gvir/*.py as `wc -l` gives it (the
+    newlines), None without src/gvir."""
+    src = os.path.join(path, "src", "gvir")
+    if not os.path.isdir(src):
+        return None
+    total = 0
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
+
+
 def checkout_state(path):
-    """{"path", "commit", "dirty"} of a checkout: its HEAD commit and whether
-    git lists uncommitted changes, both None unless path is the top of a git
-    checkout and git runs."""
-    state = {"path": path, "commit": None, "dirty": None}
+    """{"path", "commit", "dirty", "source_lines"} of a checkout: its HEAD
+    commit and whether git lists uncommitted changes, both None unless path
+    is the top of a git checkout and git runs, and `source_lines`."""
+    state = {"path": path, "commit": None, "dirty": None, "source_lines": source_lines(path)}
 
     def git(*args):
         out = subprocess.run(["git", *args], cwd=path, capture_output=True, text=True)
@@ -99,10 +116,12 @@ def checkout_state(path):
 
 def header(side, state):
     """The run header's line for one checkout."""
+    lines = state["source_lines"]
+    size = "no src/gvir" if lines is None else f"src/gvir {lines} lines"
     if state["commit"] is None:
-        return f"{side}: {state['path']} (not a git checkout)"
+        return f"{side}: {state['path']} (not a git checkout; {size})"
     changes = "uncommitted changes" if state["dirty"] else "clean"
-    return f"{side}: {state['path']} at {state['commit']} ({changes})"
+    return f"{side}: {state['path']} at {state['commit']} ({changes}; {size})"
 
 
 def _loop(n):
