@@ -334,13 +334,9 @@ def _prepare_row(row, unit_var=None):
     return {j: pk.unpack(reg, terms) for j, terms in packed.items()}, prep.tops[0]
 
 
-def _negated(row):
-    return {j: -p for j, p in row.items()}
-
-
 def _up_to_sign(got, expect):
     """Whether a row is expect or expect negated: one sign for the row."""
-    return got == expect or got == _negated(expect)
+    return got == expect or got == {j: -p for j, p in expect.items()}
 
 
 def test_prepare_row_removes_common_factor():
@@ -439,8 +435,8 @@ def test_field_rref_shape():
 
 def _reference_strip_row(row):
     """Monomial-gcd and rational-content strip with a positive leading
-    coefficient in the first column; a frozen copy of the strip that
-    `_prepare_row` applies."""
+    coefficient in the first column; a frozen copy of the strip that the
+    row preparation applied when it still signed rows."""
     if not row:
         return row
     m = tuple(map(min, zip(*(e for p in row.values() for e in p.terms))))
