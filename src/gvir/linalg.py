@@ -20,6 +20,20 @@ column rank of the rows evaluated at a fixed point modulo a fixed prime
 proves full column rank over the fraction field (`_full_column_rank` says
 why), and then no elimination runs.
 
+Before it eliminates a matrix above the peer floor, `symbolic_rank` drops
+every row, and then every column, that is a rational linear combination of
+the ones it keeps (`_reduced`).  A row in the Q-span of the kept rows lies
+in their span over the fraction field, so the rank cannot change, and
+column rank is rank.  The combinations are found modulo the prime of the
+certificate, under a Q-linear map that gives every (column, monomial) its
+own pseudo-random weight: weights shared across columns, or an evaluation
+at a point (a ring map), also collapse combinations with polynomial
+coefficients, and then no rational combination is recovered.  A row or
+column is dropped only after its reconstructed rational combination holds
+exactly on every term; probe matrices are very redundant over Q, so the
+elimination runs on far fewer rows.  The delayed-divisor defect of
+`symbolic_rank` can still raise, on the reduced matrix.
+
 All of them run on one packed-term kernel: rows are {monomial int:
 coefficient} dicts (the packed format of `scalars`, beside `Poly` and
 `Packed`), each update fuses into one accumulation and divides with the
@@ -50,15 +64,18 @@ package; `groups.int_det` runs it on constant rows.
 (one child per call, the rule of `forks`): the caller keeps the even rows
 and the peer the odd ones, and at each step the two halves agree on the
 pivot, the owner of the pivot row sends it, and each half updates its own
-rows (`_rank_kernel`).  Only a prepared matrix above a measured floor is
-worth the fork; `taskset -c 0` leaves one CPU, and then one process.
+rows (`_rank_kernel`).  Only a reduced matrix still above a measured floor
+is worth the fork; `taskset -c 0` leaves one CPU, and then one process.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
+from math import isqrt, lcm
+from operator import mul, or_
+from random import Random
 
 from .forks import Child, recv, send, second_cpu
 from .scalars import ExactDivisionError, Packed, Poly, _content, _degree_top, _descending, _divide
@@ -252,16 +269,44 @@ def symbolic_rank(reg, rows, unit_var=None):
     their packed terms (`_Prepared`), which also gives the degree tops that
     size the kernel's fields.
 
+    A matrix large enough for a peer (`_worth_a_peer`) is first reduced
+    (`_reduced`): every row, and then every column, that is a rational
+    linear combination of the ones kept is dropped, each only after the
+    combination is checked exactly on every term.  A row in the Q-span of
+    the kept rows lies in their span over the fraction field, so the rank
+    cannot change, and column rank is rank.  The combinations are found
+    modulo a prime with one weight per (column, monomial); `_independent`
+    says why neither shared weights nor a point evaluation will do.  The
+    elimination then runs on the reduced matrix, so the known defect can
+    still raise there, at a step of its own.
+
     One peer, two halves: when `forks.second_cpu` grants the one child of
-    the `forks` rule, the rows of a large prepared matrix are split between
-    this process and a forked peer (`_spread_rank`); the rank, and any
-    error, is the one of a single process.  Large means at least _PEER_ROWS
-    rows and a cost of at least _PEER_COST, the cost being the number of
-    terms times the number of variables that occur.
+    the `forks` rule, the rows of a reduced matrix that is still large are
+    split between this process and a forked peer (`_spread_rank`); the
+    rank, and any error, is the one of a single process.  Large means at
+    least _PEER_ROWS rows and a cost of at least _PEER_COST, the cost being
+    the number of terms times the number of variables that occur.
     """
     prep = _Prepared(len(reg), rows, unit_var)
-    rank = _spread_rank if _worth_a_peer(len(reg), prep) and second_cpu() else _rank_kernel
-    return _with_fields(len(reg), prep.tops, prep.pack, lambda packed, pk: rank(packed, pk.guard))
+    return _with_fields(len(reg), prep.tops, prep.pack, _rank)
+
+
+def _rank(packed, pk):
+    # the layout has a field for each variable that varies in a prepared row
+    peer = _worth_a_peer(packed, len(pk.fields))
+    if peer:
+        packed = _reduced(packed)
+        seen = reduce(or_, (m for row in packed for t in row.values() for m in t), 0)
+        fields = sum(1 for _, s, limit in pk.fields if seen >> s & (limit - 1))
+        peer = _worth_a_peer(packed, fields) and second_cpu()
+    return (_spread_rank if peer else _rank_kernel)(packed, pk.guard)
+
+
+# the prime and point of the certificate of an empty kernel: the variable of
+# index i takes the value _CERT_POINT ** (i + 1) modulo the prime; `_reduced`
+# maps to the same prime and seeds its weights with the point
+_CERT_PRIME = (1 << 61) - 1
+_CERT_POINT = 1_000_003
 
 
 # forking a peer costs about 3 ms; among the induce probe matrices, timed
@@ -271,13 +316,120 @@ _PEER_ROWS = 8
 _PEER_COST = 5000
 
 
-def _worth_a_peer(nvars, prep):
-    """Whether `_Prepared` rows are large enough to share with a peer."""
-    if len(prep.rows) < _PEER_ROWS:
-        return False
-    fields = sum(1 for b in _field_bounds(nvars, prep.tops) if b)
-    terms = sum(len(t) for entries, _, _ in prep.rows for t in entries.values())
-    return fields * terms >= _PEER_COST
+def _worth_a_peer(rows, fields):
+    """Whether packed rows in which `fields` variables occur are large
+    enough to share with a peer."""
+    return len(rows) >= _PEER_ROWS and fields * sum(len(t) for row in rows for t in row.values()) >= _PEER_COST
+
+
+def _reduced(rows):
+    """The packed rows without the rows, and then the columns, that
+    `_independent` finds to be rational combinations of those it keeps;
+    kept rows and columns stay in their order."""
+    rows = [rows[i] for i in _independent(rows)]
+    cols = {}
+    for i, row in enumerate(rows):
+        for j, t in row.items():
+            cols.setdefault(j, {})[i] = t
+    order = sorted(cols)
+    keep = {order[k] for k in _independent([cols[j] for j in order])}
+    if len(keep) == len(order):
+        return rows
+    return [{j: t for j, t in row.items() if j in keep} for row in rows]
+
+
+def _independent(vecs):
+    """The indices, in order, of vectors {key: packed terms} to keep so that
+    every other one is a verified rational combination of them.
+
+    Each vector is mapped to F_p, p = _CERT_PRIME, with nfun coordinates per
+    key: functional f sends the terms of a key to the sum of c * w over its
+    terms c * m, where every (key, monomial) has its own pseudo-random weight
+    w per functional (drawn in order of first use from a fixed seed).  This
+    map is Q-linear and injective on the Q-span with high probability.  A
+    weight shared across keys, or an evaluation at a point, would not do:
+    evaluation is a ring map, so it also collapses combinations with
+    polynomial coefficients, and then too few vectors look independent
+    and the rational combinations are not recovered.  A mod-p elimination
+    over the images, taken fewest terms first so that the sparsest vectors
+    stay, records each dependent vector's combination.  Its coefficients
+    are reconstructed as rationals (`_rational`), and the vector is dropped
+    only when d * vector = sum of a_k * vector_k holds in integers on every
+    term (`_combination_holds`); otherwise it is kept.  So no answer here
+    depends on chance, only how many vectors go.
+    """
+    if not vecs:
+        return []
+    p = _CERT_PRIME
+    pos = {k: n for n, k in enumerate(sorted({k for v in vecs for k in v}))}
+    nfun = -(-(len(vecs) + 1) // len(pos))
+    rng = Random(_CERT_POINT)
+    weights = {k: [{} for _ in range(nfun)] for k in pos}  # key -> per functional {monomial: weight}
+    images = []
+    for v in vecs:
+        image = [0] * (len(pos) * nfun)
+        for k, terms in v.items():
+            wk = weights[k]
+            for m in [m for m in terms if m not in wk[0]]:
+                for wf in wk:
+                    wf[m] = rng.getrandbits(61)
+            base = pos[k] * nfun
+            for f, wf in enumerate(wk):  # `_Prepared.pack` leaves int coefficients
+                image[base + f] = sum(map(mul, terms.values(), map(wf.__getitem__, terms))) % p
+        images.append(image)
+    basis = []  # (pivot coordinate, image with 1 there, combination {index: coeff})
+    kept = []
+    size = [sum(map(len, v.values())) for v in vecs]
+    for i in sorted(range(len(vecs)), key=lambda i: (size[i], i)):
+        r, comb = images[i], {i: 1}
+        for at, b, bc in basis:
+            f = r[at]
+            if f:
+                r = [(x - f * y) % p for x, y in zip(r, b)]
+                for k, a in bc.items():
+                    comb[k] = (comb.get(k, 0) - f * a) % p
+        at = next((t for t, x in enumerate(r) if x), None)
+        if at is not None:
+            inv = pow(r[at], -1, p)
+            basis.append((at, [x * inv % p for x in r], {k: a * inv % p for k, a in comb.items()}))
+            kept.append(i)
+        elif not _combination_holds(vecs, i, {k: -a % p for k, a in comb.items() if k != i and a}):
+            kept.append(i)
+    return sorted(kept)
+
+
+def _combination_holds(vecs, i, comb):
+    """Whether vecs[i] is exactly the rational combination of the other
+    vectors whose coefficients comb gives modulo _CERT_PRIME."""
+    coeffs = []
+    for k, a in comb.items():
+        q = _rational(a)
+        if q is None:
+            return False
+        coeffs.append((k, q))
+    d = lcm(*(q.denominator for _, q in coeffs))
+    acc = {key: {m: -d * c for m, c in terms.items()} for key, terms in vecs[i].items()}
+    for k, q in coeffs:
+        s = q.numerator * (d // q.denominator)
+        for key, terms in vecs[k].items():
+            out = acc.setdefault(key, {})
+            get = out.get
+            for m, c in terms.items():
+                out[m] = get(m, 0) + s * c
+    return not any(any(out.values()) for out in acc.values())
+
+
+_RATIONAL_BOUND = isqrt(_CERT_PRIME // 2)
+
+
+def _rational(a):
+    """The fraction n/d congruent to a modulo _CERT_PRIME with |n| and d at
+    most sqrt(p/2) (Wang's rational reconstruction), None if there is none."""
+    r0, r1, s0, s1 = _CERT_PRIME, a, 0, 1
+    while r1 > _RATIONAL_BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return None if abs(s1) > _RATIONAL_BOUND else Fraction(r1, s1)
 
 
 def _rank_kernel(work, guard, side=None):
@@ -413,12 +565,6 @@ def kernel_basis(reg, rows, ncols):
         return vectors
 
     return [_primitive(vec) for vec in _with_fields(len(reg), prep.tops, prep.pack, run)]
-
-
-# the certificate of an empty kernel: a fixed prime, and a fixed point whose
-# coordinate for the variable of index i is _CERT_POINT ** (i + 1) modulo it
-_CERT_PRIME = (1 << 61) - 1
-_CERT_POINT = 1_000_003
 
 
 def _full_column_rank(rows, ncols):

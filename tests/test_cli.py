@@ -246,6 +246,32 @@ def test_validation_diagnostics():
     assert _diagnostics("interseries", {"bindings": {"beta": "1/2"}}) == []
 
 
+@pytest.mark.parametrize(
+    "config, needle",
+    [
+        # 317^2 and 47^3 rows, the fewest over the cap at ranks 2 and 3
+        ({"window": {"N": 158}}, "window N 158 at rank 2 would report (2N+1)^rank rows, over the cap of 100000"),
+        ({"group": {"rank": 3}, "window": {"N": 23}}, "window N 23 at rank 3 would report"),
+        ({"group": {"rank": 12}}, "window N 3 at rank 12 would report"),
+        ({"window": {"N": 10**4000}}, "at rank 2 would report (2N+1)^rank rows, over the cap of 100000"),
+    ],
+)
+def test_interseries_window_over_the_row_cap_exits_2(tmp_path, capsys, config, needle):
+    rc, err = _exit_and_stderr(tmp_path, capsys, "interseries", config)
+    assert rc == EXIT_VALIDATION and needle in err, err
+    assert "Traceback" not in err and not (tmp_path / "interseries.json").exists()
+
+
+def test_interseries_windows_under_the_row_cap_validate(tmp_path):
+    # rank 2 at N = 100, rank 3 at N = 20 and the largest windows under the
+    # cap stay legal; the --window-N flag is checked the same way
+    for rank, N in ((2, 100), (3, 20), (2, 157), (3, 22), (10, 1)):
+        assert _diagnostics("interseries", {"group": {"rank": rank}, "window": {"N": N}, "out": str(tmp_path)}) == []
+    assert cli.interseries_refusal(157, 2) is None and cli.interseries_refusal(158, 2)
+    assert main(["interseries", "--window-N", "158", "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert not os.listdir(tmp_path)
+
+
 def test_validate_returns_parsed_values_with_command_defaults(tmp_path):
     out = str(tmp_path)
     _, job = validate("interseries", {"bindings": {"beta": "1/2"}, "out": out})
@@ -947,6 +973,11 @@ _HUGE = 10**9
     "command, config, needle",
     [
         ("verma", {"group": {"rank": _HUGE}}, "verma works over G = Z and needs a group of rank 1"),
+        (
+            "interseries",
+            {"group": {"rank": _HUGE}},
+            f"window N 3 at rank {_HUGE} would report (2N+1)^rank rows, over the cap of 100000",
+        ),
         ("induce", {"group": {"rank": _HUGE}, "b": [0, 1]}, f"b needs {_HUGE} coordinates, got 2"),
         (
             "bracket",

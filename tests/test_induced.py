@@ -769,39 +769,69 @@ def _above_peer_floor(reg, rows, unit_var):
     return len(work) >= linalg._PEER_ROWS and terms * len(occurring) >= linalg._PEER_COST
 
 
+def _reduced_above_peer_floor(rows, pk):
+    """The floor read on the reduced packed rows of the layout pk: a variable
+    counts when some term has a nonzero exponent in its field."""
+    terms = [m for row in rows for t in row.values() for m in t]
+    occurring = [s for _, s, limit in pk.fields if any(m >> s & (limit - 1) for m in terms)]
+    return len(rows) >= linalg._PEER_ROWS and len(terms) * len(occurring) >= linalg._PEER_COST
+
+
 def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
     # the top level holds nearly all the cost, so no split of the units is
-    # worth a helper; each large rank shares its rows with one peer instead,
-    # however many CPUs are usable
-    ranks = []  # (forks during the rank, whether its matrix is above the floor)
-    real_rank = induced.symbolic_rank
+    # worth a helper; each rank whose matrix is still large once its
+    # rational combinations are dropped shares its rows with one peer
+    # instead, however many CPUs are usable.  At beta = 2 the 24-row top
+    # matrix is above the floor but its reduced matrix is not; beta free
+    # keeps a reduced matrix above it
+    ranks = []  # per rank: forks, above the floor, reduced, reduced above the floor
+    seen = {}
+    real_rank, real_inner, real_reduced = induced.symbolic_rank, linalg._rank, linalg._reduced
 
     def rank(reg, rows, unit_var=None):
         before = len(forks)
+        seen.clear()
         d = real_rank(reg, rows, unit_var=unit_var)
-        ranks.append((len(forks) - before, _above_peer_floor(reg, rows, unit_var)))
+        reduced = seen.get("reduced")
+        above = reduced is not None and _reduced_above_peer_floor(reduced, seen["pk"])
+        ranks.append((len(forks) - before, _above_peer_floor(reg, rows, unit_var), reduced is not None, above))
         return d
 
+    def inner(packed, pk):
+        seen["pk"] = pk
+        return real_inner(packed, pk)
+
+    def reduced(rows):
+        out = seen["reduced"] = real_reduced(rows)
+        assert len(out) < len(rows)  # the probe rows are redundant over Q
+        return out
+
     monkeypatch.setattr(induced, "symbolic_rank", rank)
+    monkeypatch.setattr(linalg, "_rank", inner)
+    monkeypatch.setattr(linalg, "_reduced", reduced)
     tables = {}
     for cpus in (2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        del ranks[:]
-        before = len(forks)
-        q = rank2_module(L=2, N=1, beta=2).quotient_dims()
-        tables[cpus] = q.entries, q.next_entries, q.stable
-        peered = [n for n, above in ranks if above]
-        assert peered and all(n == 1 for n in peered)
-        assert all(n == 0 for n, above in ranks if not above)
-        assert len(forks) - before == sum(n for n, _ in ranks)  # no unit helper
-        _no_child_left()
+        for beta in (2, None):
+            del ranks[:]
+            before = len(forks)
+            q = rank2_module(L=2, N=1, beta=beta).quotient_dims()
+            tables[cpus, beta] = q.entries, q.next_entries, q.stable
+            # the pre-pass runs exactly on the matrices above the floor
+            assert all(was_reduced == above for _, above, was_reduced, _ in ranks)
+            assert all(n == (1 if still else 0) for n, _, _, still in ranks)
+            assert any(above for _, above, _, _ in ranks)
+            assert any(still for *_, still in ranks) == (beta is None)
+            assert len(forks) - before == sum(n for n, *_ in ranks)  # no unit helper
+            _no_child_left()
     assert [len(set(q.level_row(i).values())) for i in range(3)] == [1, 1, 1]
     monkeypatch.setattr(induced, "symbolic_rank", real_rank)
     _one_cpu(monkeypatch)
-    before = len(forks)
-    alone = rank2_module(L=2, N=1, beta=2).quotient_dims()
-    assert len(forks) == before
-    assert tables[2] == tables[3] == (alone.entries, alone.next_entries, alone.stable)
+    for beta in (2, None):
+        before = len(forks)
+        alone = rank2_module(L=2, N=1, beta=beta).quotient_dims()
+        assert len(forks) == before
+        assert tables[2, beta] == tables[3, beta] == (alone.entries, alone.next_entries, alone.stable)
 
 
 def test_alpha_bound_table_forks_one_helper_at_three_cpus(monkeypatch, forks):

@@ -1359,6 +1359,118 @@ def test_kernel_basis_degree_one_in_four_variables():
             assert all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1
 
 
+# -- the rational pre-pass of symbolic_rank -------------------------------------
+#
+# Above the peer floor, rows and then columns that are rational combinations
+# of the kept ones are dropped before the elimination, each only after the
+# combination has been checked exactly.
+
+
+def _positive_poly(reg, rng, nvars, terms):
+    return Poly(reg, {tuple(rng.randint(0, 3) for _ in range(nvars)) + (0,) * (len(reg) - nvars): rng.randint(1, 9) for _ in range(terms)})
+
+
+def _positive_combination(reg, vecs, coeffs):
+    out = {}
+    for vec, a in zip(vecs, coeffs):
+        for j, p in vec.items():
+            out[j] = out.get(j, Poly.zero(reg)) + p.scale(a)
+    return out
+
+
+def _planted(reg, rng):
+    """A matrix [C | P | planted columns] over base rows and planted rows,
+    with C a nonsingular constant block (so that the field oracle pivots on
+    constants) and P random polynomials with positive coefficients.  Every
+    planted row (column) is a positive rational combination of all the base
+    rows (columns) and comes after them, so it has at least as many terms as
+    each of them and no term cancels."""
+    r, c, nvars = 4, 4, 4
+    base = []
+    for i in range(r):
+        row = {j: Poly.const(reg, rng.randint(1, 9) if j <= i else rng.randint(0, 1)) for j in range(r)}
+        row = {j: p for j, p in row.items() if not p.is_zero()}
+        row.update({r + j: _positive_poly(reg, rng, nvars, 8) for j in range(c)})
+        base.append(row)
+    ncols = r + c
+    for _ in range(2):  # planted columns
+        coeffs = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(ncols)]
+        for row in base:
+            row[ncols] = sum((row[j].scale(a) for j, a in zip(range(ncols), coeffs) if j in row), Poly.zero(reg))
+        ncols += 1
+    planted = [
+        _positive_combination(reg, base, [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in base])
+        for _ in range(6)
+    ]
+    return base + planted, r + c, ncols
+
+
+def _packed(reg, rows):
+    """The rows as `symbolic_rank` hands them to its elimination."""
+    prep = linalg._Prepared(len(reg), rows)
+    return prep.pack(linalg._Packing(linalg._field_bounds(len(reg), prep.tops)))
+
+
+def test_planted_rational_combinations_are_dropped_and_keep_the_rank(monkeypatch):
+    reg = Context.of_rank(4).reg
+    rng = random.Random(3401)
+    _usable(monkeypatch, 1)
+    for _ in range(3):
+        rows, nbase, ncols = _planted(reg, rng)
+        packed = _packed(reg, rows)
+        assert linalg._worth_a_peer(packed, 4)  # above the floor, unpatched
+        reduced = linalg._reduced(packed)
+        # the planted rows go, and so do the planted columns
+        kept = {j for row in reduced for j in row}
+        assert kept <= set(range(nbase))
+        assert reduced == [{j: t for j, t in row.items() if j in kept} for row in packed[:4]]
+        assert field_rank(reg, rows, ncols) == 4
+        assert symbolic_rank(reg, [dict(r) for r in rows]) == 4
+
+
+def test_a_combination_modulo_the_prime_only_is_kept(monkeypatch, peers_always):
+    # the second row is the first modulo 2^61 - 1 but not over Q: its
+    # combination reconstructs to 1 and fails the exact check
+    reg = _ctx().reg
+    g1, g2 = Poly.symbol(reg, "g1"), Poly.symbol(reg, "g2")
+    p = linalg._CERT_PRIME
+    rows = [{0: g1, 1: g2}, {0: g1.scale(1 + p), 1: g2}]
+    _usable(monkeypatch, 1)
+    assert field_rank(reg, rows, 2) == 2
+    assert symbolic_rank(reg, [dict(r) for r in rows]) == 2
+    # and one that is a combination over Q is dropped
+    rows[1] = {0: g1.scale(Fraction(-3, 7)), 1: g2.scale(Fraction(-3, 7))}
+    assert symbolic_rank(reg, [dict(r) for r in rows]) == 1
+    packed = _packed(reg, rows)
+    assert linalg._reduced(packed) == packed[:1]
+
+
+def test_reduced_ranks_match_the_field_oracle(monkeypatch, peers_always):
+    # with the floor at 0 every matrix is reduced first; a rank that
+    # completes is the field rank (the delayed-divisor defect may still raise)
+    reg = Context.of_rank(3).reg
+    rng = random.Random(3402)
+    _usable(monkeypatch, 1)
+    outcomes = []
+    for case in range(150):
+        nvars = 1 + case % 3
+        maxdeg, maxterms = ((3, 3), (2, 2), (2, 1))[nvars - 1]
+        rows, ncols = _sparse_matrix(reg, rng, nvars, maxdeg, case % 3 == 0, 5, maxterms)
+        live = [r for r in rows if r]
+        if len(live) >= 2:  # a rational combination of two rows
+            a, b = (Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for _ in range(2))
+            rows.insert(rng.randrange(len(rows) + 1), _positive_combination(reg, live[:2], [a, b]))
+            rows[:] = [{j: q for j, q in r.items() if not q.is_zero()} for r in rows]
+        try:
+            got = symbolic_rank(reg, [dict(r) for r in rows])
+        except ExactDivisionError:
+            outcomes.append("raised")
+            continue
+        assert got == field_rank(reg, rows, ncols)
+        outcomes.append("rank")
+    assert outcomes.count("rank") >= 120
+
+
 # -- the known defect of symbolic_rank's delayed divisors ------------------------
 
 # ExactDivisionError: after a skipped pivot step a row's delayed divisor does
