@@ -66,7 +66,7 @@ FLAG_READERS = {
 }
 VERMA_DEFAULT_L = 6
 # the most rows, (2N+1)^rank, that an interseries report may hold: in a fresh
-# process one CPU of a 2-vCPU host (Python 3.11) took 0.65 s and 61 MB of peak
+# process on one CPU of a 2-vCPU host (Python 3.11), 0.65 s and 61 MB of peak
 # RSS for 40,401 rows (rank 2, N=100), 1.1 s and 99 MB for 68,921 (rank 3,
 # N=20) and 1.0 s and 127 MB for 100,489 (rank 2, N=158), with a 9 MB report
 MAX_INTERSERIES_ROWS = 100_000

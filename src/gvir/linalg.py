@@ -28,11 +28,11 @@ column rank is rank.  The combinations are found modulo the prime of the
 certificate, under a Q-linear map that gives every (column, monomial) its
 own pseudo-random weight: weights shared across columns, or an evaluation
 at a point (a ring map), also collapse combinations with polynomial
-coefficients, and then no rational combination is recovered.  A row or
-column is dropped only after its reconstructed rational combination holds
-exactly on every term; probe matrices are very redundant over Q, so the
-elimination runs on far fewer rows.  The delayed-divisor defect of
-`symbolic_rank` can still raise, on the reduced matrix.
+coefficients, and then the rational ones are not recovered.  A row or
+column is dropped only after its rebuilt rational combination holds
+exactly on every term, so the answer never depends on the weights.  Probe
+matrices are very redundant over Q, and the elimination runs on far fewer
+rows; the delayed-divisor defect (`symbolic_rank`) can still raise there.
 
 All of them run on one packed-term kernel: rows are {monomial int:
 coefficient} dicts (the packed format of `scalars`, beside `Poly` and
@@ -271,14 +271,13 @@ def symbolic_rank(reg, rows, unit_var=None):
 
     A matrix large enough for a peer (`_worth_a_peer`) is first reduced
     (`_reduced`): every row, and then every column, that is a rational
-    linear combination of the ones kept is dropped, each only after the
-    combination is checked exactly on every term.  A row in the Q-span of
-    the kept rows lies in their span over the fraction field, so the rank
-    cannot change, and column rank is rank.  The combinations are found
-    modulo a prime with one weight per (column, monomial); `_independent`
-    says why neither shared weights nor a point evaluation will do.  The
-    elimination then runs on the reduced matrix, so the known defect can
-    still raise there, at a step of its own.
+    combination of the ones kept is dropped once the combination is checked
+    exactly.  A row in the Q-span of the kept rows lies in their span over
+    the fraction field, and column rank is rank, so the rank cannot change.
+    The combinations are found modulo a prime under one weight per (column,
+    monomial): shared weights or a point evaluation (a ring map) would also
+    collapse polynomial combinations.  The known defect can still raise, on
+    the reduced matrix.
 
     One peer, two halves: when `forks.second_cpu` grants the one child of
     the `forks` rule, the rows of a reduced matrix that is still large are
@@ -342,21 +341,14 @@ def _independent(vecs):
     """The indices, in order, of vectors {key: packed terms} to keep so that
     every other one is a verified rational combination of them.
 
-    Each vector is mapped to F_p, p = _CERT_PRIME, with nfun coordinates per
-    key: functional f sends the terms of a key to the sum of c * w over its
-    terms c * m, where every (key, monomial) has its own pseudo-random weight
-    w per functional (drawn in order of first use from a fixed seed).  This
-    map is Q-linear and injective on the Q-span with high probability.  A
-    weight shared across keys, or an evaluation at a point, would not do:
-    evaluation is a ring map, so it also collapses combinations with
-    polynomial coefficients, and then too few vectors look independent
-    and the rational combinations are not recovered.  A mod-p elimination
-    over the images, taken fewest terms first so that the sparsest vectors
-    stay, records each dependent vector's combination.  Its coefficients
-    are reconstructed as rationals (`_rational`), and the vector is dropped
-    only when d * vector = sum of a_k * vector_k holds in integers on every
-    term (`_combination_holds`); otherwise it is kept.  So no answer here
-    depends on chance, only how many vectors go.
+    Each vector maps to F_p, p = _CERT_PRIME, with nfun coordinates per key:
+    functional f sends the terms c * m of a key to the sum of c * w, w the
+    pseudo-random weight of (key, m) for f, drawn in order of first use from
+    a fixed seed (the module docstring says why no weight is shared).  A
+    mod-p elimination over the images, fewest terms first so that the
+    sparsest vectors stay, records each dependent vector's combination.  The
+    vector is dropped only when that combination, rebuilt as rationals
+    (`_rational`), holds exactly on every term (`_combination_holds`).
     """
     if not vecs:
         return []
@@ -419,17 +411,15 @@ def _combination_holds(vecs, i, comb):
     return not any(any(out.values()) for out in acc.values())
 
 
-_RATIONAL_BOUND = isqrt(_CERT_PRIME // 2)
-
-
 def _rational(a):
     """The fraction n/d congruent to a modulo _CERT_PRIME with |n| and d at
     most sqrt(p/2) (Wang's rational reconstruction), None if there is none."""
+    bound = isqrt(_CERT_PRIME // 2)
     r0, r1, s0, s1 = _CERT_PRIME, a, 0, 1
-    while r1 > _RATIONAL_BOUND:
+    while r1 > bound:
         q = r0 // r1
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    return None if abs(s1) > _RATIONAL_BOUND else Fraction(r1, s1)
+    return None if abs(s1) > bound else Fraction(r1, s1)
 
 
 def _rank_kernel(work, guard, side=None):
