@@ -1367,10 +1367,11 @@ def test_kernel_basis_degree_one_in_four_variables():
 
 
 def _positive_poly(reg, rng, nvars, terms):
-    return Poly(reg, {tuple(rng.randint(0, 3) for _ in range(nvars)) + (0,) * (len(reg) - nvars): rng.randint(1, 9) for _ in range(terms)})
+    pad = (0,) * (len(reg) - nvars)
+    return Poly(reg, {tuple(rng.randint(0, 3) for _ in range(nvars)) + pad: rng.randint(1, 9) for _ in range(terms)})
 
 
-def _positive_combination(reg, vecs, coeffs):
+def _combination(reg, vecs, coeffs):
     out = {}
     for vec, a in zip(vecs, coeffs):
         for j, p in vec.items():
@@ -1380,15 +1381,16 @@ def _positive_combination(reg, vecs, coeffs):
 
 def _planted(reg, rng):
     """A matrix [C | P | planted columns] over base rows and planted rows,
-    with C a nonsingular constant block (so that the field oracle pivots on
-    constants) and P random polynomials with positive coefficients.  Every
+    with C a lower triangular constant block of nonzero diagonal (so that
+    the field oracle pivots on constants) and P random polynomials with
+    positive coefficients.  Every
     planted row (column) is a positive rational combination of all the base
     rows (columns) and comes after them, so it has at least as many terms as
     each of them and no term cancels."""
     r, c, nvars = 4, 4, 4
     base = []
     for i in range(r):
-        row = {j: Poly.const(reg, rng.randint(1, 9) if j <= i else rng.randint(0, 1)) for j in range(r)}
+        row = {j: Poly.const(reg, rng.randint(1, 9) if j == i else rng.randint(0, 9)) for j in range(i + 1)}
         row = {j: p for j, p in row.items() if not p.is_zero()}
         row.update({r + j: _positive_poly(reg, rng, nvars, 8) for j in range(c)})
         base.append(row)
@@ -1399,7 +1401,7 @@ def _planted(reg, rng):
             row[ncols] = sum((row[j].scale(a) for j, a in zip(range(ncols), coeffs) if j in row), Poly.zero(reg))
         ncols += 1
     planted = [
-        _positive_combination(reg, base, [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in base])
+        _combination(reg, base, [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in base])
         for _ in range(6)
     ]
     return base + planted, r + c, ncols
@@ -1459,7 +1461,7 @@ def test_reduced_ranks_match_the_field_oracle(monkeypatch, peers_always):
         live = [r for r in rows if r]
         if len(live) >= 2:  # a rational combination of two rows
             a, b = (Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for _ in range(2))
-            rows.insert(rng.randrange(len(rows) + 1), _positive_combination(reg, live[:2], [a, b]))
+            rows.insert(rng.randrange(len(rows) + 1), _combination(reg, live[:2], [a, b]))
             rows[:] = [{j: q for j, q in r.items() if not q.is_zero()} for r in rows]
         try:
             got = symbolic_rank(reg, [dict(r) for r in rows])
