@@ -973,11 +973,6 @@ _HUGE = 10**9
     "command, config, needle",
     [
         ("verma", {"group": {"rank": _HUGE}}, "verma works over G = Z and needs a group of rank 1"),
-        (
-            "interseries",
-            {"group": {"rank": _HUGE}},
-            f"window N 3 at rank {_HUGE} would report (2N+1)^rank rows, over the cap of 100000",
-        ),
         ("induce", {"group": {"rank": _HUGE}, "b": [0, 1]}, f"b needs {_HUGE} coordinates, got 2"),
         (
             "bracket",
@@ -1006,6 +1001,11 @@ _HUGE = 10**9
             "classify",
             {"descriptor": dict(_CLASSIFY_DESCRIPTOR, group={"rank": _HUGE}, flags=[], rows=[], provenance="x")},
             "unknown provenance 'x'",
+        ),
+        (
+            "interseries",
+            {"group": {"rank": _HUGE}},
+            f"window N 3 at rank {_HUGE} would report (2N+1)^rank rows, over the cap of 100000",
         ),
     ],
 )
