@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from .groups import (
     Group,
     box,
+    box_exceeds,
     gneg,
     hermite_basis,
     int_det,
@@ -461,22 +462,15 @@ MAX_SEARCH_VECTORS = 10_000
 def search_refusal(bound, rank):
     """Why a direction search of sup-norm <= bound at this rank is refused,
     or None.  A bound below 1 searches nothing, so the search could not
-    fail; at rank >= 2 the search covers (2*bound + 1)^rank - 1 vectors and
-    may cover at most MAX_SEARCH_VECTORS.  The product is built factor by
-    factor and stops once over the cap, so a bound of thousands of digits
-    or a large rank costs a few multiplications."""
+    fail; at rank >= 2 the search covers (2*bound + 1)^rank - 1 vectors, the
+    box without 0, and may cover at most MAX_SEARCH_VECTORS."""
     if bound < 1:
         return f"direction_bound must be >= 1, got {bound}"
-    if rank < 2:
-        return None
-    count = 1
-    for _ in range(rank):
-        count *= 2 * bound + 1
-        if count - 1 > MAX_SEARCH_VECTORS:
-            return (
-                f"direction_bound {bound} at rank {rank} would search "
-                f"(2*bound+1)^rank - 1 directions, over the cap of {MAX_SEARCH_VECTORS}"
-            )
+    if rank >= 2 and box_exceeds(bound, rank, MAX_SEARCH_VECTORS + 1):
+        return (
+            f"direction_bound {bound} at rank {rank} would search "
+            f"(2*bound+1)^rank - 1 directions, over the cap of {MAX_SEARCH_VECTORS}"
+        )
     return None
 
 

@@ -46,7 +46,7 @@ from .classify import (
     classify,
     search_refusal,
 )
-from .groups import Group, box, is_primitive, is_zero
+from .groups import Group, box, box_exceeds, is_primitive, is_zero
 from .induced import InducedModule, Window
 from .interseries import IntermediateSeriesModule
 from .scalars import SYMBOLS, Context, _parse_binding, ascii_int, is_int, is_list_of
@@ -75,16 +75,12 @@ MAX_INTERSERIES_ROWS = 100_000
 def interseries_refusal(N, rank):
     """Why an interseries window of radius N at this rank is refused, or
     None: its report has (2N+1)^rank rows and may hold at most
-    MAX_INTERSERIES_ROWS.  The count is built factor by factor and stops
-    once over the cap, so a huge N or rank costs a few multiplications."""
-    count = 1
-    for _ in range(rank):
-        count *= 2 * N + 1
-        if count > MAX_INTERSERIES_ROWS:
-            return (
-                f"window N {N} at rank {rank} would report (2N+1)^rank rows, "
-                f"over the cap of {MAX_INTERSERIES_ROWS}"
-            )
+    MAX_INTERSERIES_ROWS."""
+    if box_exceeds(N, rank, MAX_INTERSERIES_ROWS):
+        return (
+            f"window N {N} at rank {rank} would report (2N+1)^rank rows, "
+            f"over the cap of {MAX_INTERSERIES_ROWS}"
+        )
     return None
 
 

@@ -70,6 +70,18 @@ def box(radius, rank):
     return itertools.product(range(-radius, radius + 1), repeat=rank)
 
 
+def box_exceeds(radius, rank, cap):
+    """Whether `box(radius, rank)` holds more than cap tuples, counted
+    factor by factor and stopped once over the cap, so that a radius of
+    thousands of digits or a large rank costs a few multiplications."""
+    count = 1
+    for _ in range(rank):
+        count *= 2 * radius + 1
+        if count > cap:
+            return True
+    return False
+
+
 def render_element(x):
     return "[" + ",".join(str(a) for a in x) + "]"
 

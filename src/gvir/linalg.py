@@ -34,6 +34,11 @@ exactly on every term, so the answer never depends on the weights.  Probe
 matrices are very redundant over Q, and the elimination runs on far fewer
 rows; the delayed-divisor defect (`symbolic_rank`) can still raise there.
 
+The certificate and the pre-pass share one elimination modulo the prime,
+`_echelon_mod_p`, over dense images: the certificate's are the rows' values
+at the point and it reads only the kept count; the pre-pass's are the
+weighted images and it also reads each dependent one's combination.
+
 All of them run on one packed-term kernel: rows are {monomial int:
 coefficient} dicts (the packed format of `scalars`, beside `Poly` and
 `Packed`), each update fuses into one accumulation and divides with the
@@ -344,8 +349,8 @@ def _independent(vecs):
     Each vector maps to F_p, p = _CERT_PRIME, with nfun coordinates per key:
     functional f sends the terms c * m of a key to the sum of c * w, w the
     pseudo-random weight of (key, m) for f, drawn in order of first use from
-    a fixed seed (the module docstring says why no weight is shared).  A
-    mod-p elimination over the images, fewest terms first so that the
+    a fixed seed (the module docstring says why no weight is shared).
+    `_echelon_mod_p` over the images, fewest terms first so that the
     sparsest vectors stay, records each dependent vector's combination.  The
     vector is dropped only when that combination, rebuilt as rationals
     (`_rational`), holds exactly on every term (`_combination_holds`).
@@ -369,10 +374,23 @@ def _independent(vecs):
             for f, wf in enumerate(wk):  # `_Prepared.pack` leaves int coefficients
                 image[base + f] = sum(map(mul, terms.values(), map(wf.__getitem__, terms))) % p
         images.append(image)
-    basis = []  # (pivot coordinate, image with 1 there, combination {index: coeff})
-    kept = []
     size = [sum(map(len, v.values())) for v in vecs]
-    for i in sorted(range(len(vecs)), key=lambda i: (size[i], i)):
+    kept, dependent = _echelon_mod_p(images, sorted(range(len(vecs)), key=lambda i: (size[i], i)))
+    # a vector that fails the check is kept outside the basis: no combination involves it
+    kept += [i for i, comb in dependent.items() if not _combination_holds(vecs, i, comb)]
+    return sorted(kept)
+
+
+def _echelon_mod_p(images, order):
+    """Gaussian elimination modulo _CERT_PRIME over dense images, taken in
+    the given order: the indices of the images kept, in that order, and for
+    each other index i its combination {kept index k: a_k} with images[i] =
+    sum of a_k * images[k] modulo the prime.  The kept count is the rank
+    modulo the prime; which images are kept depends on the order."""
+    p = _CERT_PRIME
+    basis = []  # (pivot coordinate, image with 1 there, combination {index: coeff})
+    kept, dependent = [], {}
+    for i in order:
         r, comb = images[i], {i: 1}
         for at, b, bc in basis:
             f = r[at]
@@ -385,9 +403,9 @@ def _independent(vecs):
             inv = pow(r[at], -1, p)
             basis.append((at, [x * inv % p for x in r], {k: a * inv % p for k, a in comb.items()}))
             kept.append(i)
-        elif not _combination_holds(vecs, i, {k: -a % p for k, a in comb.items() if k != i and a}):
-            kept.append(i)
-    return sorted(kept)
+        else:
+            dependent[i] = {k: -a % p for k, a in comb.items() if k != i and a}
+    return kept, dependent
 
 
 def _combination_holds(vecs, i, comb):
@@ -576,9 +594,9 @@ def _full_column_rank(rows, ncols):
         return False
     p = _CERT_PRIME
     powers = {}  # (variable, exponent) -> value at the point
-    image = []
+    images = []
     for row in rows:
-        out = {}
+        image = [0] * ncols
         for j, poly in row.items():
             v = 0
             for e, c in poly.terms.items():
@@ -593,32 +611,10 @@ def _full_column_rank(rows, ncols):
                             x = powers[i, k] = pow(_CERT_POINT, (i + 1) * k, p)
                         c = c * x % p
                 v = (v + c) % p
-            if v:
-                out[j] = v
-        if out:
-            image.append(out)
-    rank = 0
-    while image and rank < ncols:
-        prow = image.pop()
-        col, piv = next(iter(prow.items()))
-        inv = pow(piv, -1, p)
-        reduced = []
-        for r in image:
-            c = r.pop(col, None)
-            if c is not None:
-                f = c * inv % p
-                for j, u in prow.items():
-                    if j != col:
-                        w = (r.get(j, 0) - f * u) % p
-                        if w:
-                            r[j] = w
-                        else:
-                            r.pop(j, None)
-            if r:
-                reduced.append(r)
-        image = reduced
-        rank += 1
-    return rank == ncols
+            image[j] = v
+        images.append(image)
+    kept, _ = _echelon_mod_p(images, range(len(images)))
+    return len(kept) == ncols
 
 
 def _primitive(vec):

@@ -1,5 +1,6 @@
 """The pure parts of tools/bench_pairs.py: seed lists, quartiles, the
-gain and bound verdicts of `summarize`, the busy-CPU mark of a pair, the
+gain, bound and unresolved verdicts of `summarize` and their summary
+line, the busy-CPU mark of a pair, the
 calibration of its CPU loop (on a fake clock) and the recorded state and
 source size of a checkout (in temporary directories).  No benchmark process runs."""
 
@@ -94,6 +95,36 @@ def test_within_bound_for_ok_ratio_which_is_higher_is_better():
     low = [0.5] * 10
     m = bench_pairs.summarize(_pairs(low, [0.6] * 10, "ok_ratio"), SPEC)["ok_ratio"]
     assert m["within_bound"] and m["wins"] == 10 and m["gain"]
+
+
+def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
+    # the parent's IQR/median is 0.9 / 1.9, over wall_s's bound of 0.25
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8]
+    m = bench_pairs.summarize(_pairs(parent, parent[::-1]), SPEC)["wall_s"]
+    assert m["parent_spread"] == pytest.approx(0.9 / 1.9) and m["within_bound"] and m["unresolved"]
+    # a change run that reads no better than some parent run: still unresolved
+    m = bench_pairs.summarize(_pairs(parent, [0.5] * 9 + [1.0]), SPEC)["wall_s"]
+    assert m["gain"] and m["unresolved"]
+    # every change run better than every parent run resolves it, either way
+    m = bench_pairs.summarize(_pairs(parent, [0.9] * 10), SPEC)["wall_s"]
+    assert m["gain"] and not m["unresolved"]
+    low = [0.5 + 0.1 * i for i in range(10)]
+    m = bench_pairs.summarize(_pairs(low, [1.6] * 10, "ok_ratio"), SPEC)["ok_ratio"]
+    assert m["parent_spread"] > 0.001 and not m["unresolved"]
+    m = bench_pairs.summarize(_pairs(low, [1.4] * 10, "ok_ratio"), SPEC)["ok_ratio"]
+    assert m["unresolved"]
+    # a spread at or inside the bound is resolved, whatever the runs
+    m = bench_pairs.summarize(_pairs([1.0] * 10, [1.2, 0.9] * 5), SPEC)["wall_s"]
+    assert m["parent_spread"] == 0 and not m["unresolved"]
+
+
+def test_summary_line_prints_the_verdicts():
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8]
+    m = bench_pairs.summarize(_pairs(parent, parent), SPEC)["wall_s"]
+    assert bench_pairs.summary_line("wall_s", m) == (
+        "  wall_s       1.9 [1.45, 2.35] -> 1.9 [1.45, 2.35] s  +0.0%  wins 0/10 "
+        "ties 10  gain False  within bound True  unresolved True"
+    )
 
 
 def _run(before, after):

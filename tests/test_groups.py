@@ -6,6 +6,8 @@ from gvir import groups
 from gvir.groups import (
     Group,
     SplitError,
+    box,
+    box_exceeds,
     colex_key,
     element_gcd,
     gadd,
@@ -275,3 +277,14 @@ def test_group_validate():
     for bad in ((1.5, 2), (True, 2), ("3", 2)):
         with pytest.raises(ValueError):
             G.validate(bad)
+
+
+def test_box_exceeds_counts_the_box():
+    # the count is the box's length and the cap is inclusive; a huge radius
+    # or rank stops at the first partial product over the cap
+    for radius in range(4):
+        for rank in range(1, 4):
+            size = sum(1 for _ in box(radius, rank))
+            assert not box_exceeds(radius, rank, size)
+            assert box_exceeds(radius, rank, size - 1)
+    assert box_exceeds(10**4000, 2, 10**5) and box_exceeds(1, 10**9, 10**5)

@@ -523,6 +523,15 @@ def test_known_defect_alpha_bound_beta_half_level1():
     assert table.to_json()["entry_count"] > 0
 
 
+@pytest.mark.xfail(strict=True, raises=ExactDivisionError, reason="delayed-divisor defect")
+def test_known_defect_alpha_zero_beta_half_level1():
+    # alpha = 0 reaches the defect too: the CLI config b=[0,1], alpha=[0,0],
+    # beta=1/2, L=1, N=1 exits 3
+    mod = rank2_module(L=1, N=1, alpha=(0, 0), beta=Fraction(1, 2))
+    table = mod.quotient_dims()
+    assert table.to_json()["entry_count"] > 0
+
+
 def test_dims_bound_specialized_rank():
     # a rational specialization of the probe matrix can only lose rank
     mod = rank2_module(L=2, N=1)

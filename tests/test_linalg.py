@@ -1296,6 +1296,181 @@ def test_kernel_basis_certifies_an_empty_kernel_without_elimination(monkeypatch)
     assert certified >= 40
 
 
+# -- the elimination modulo the prime of the certificate and the pre-pass -------
+
+
+def _reference_rank_mod_p(image, limit):
+    """The sparse elimination modulo the prime that `_full_column_rank` ran
+    on its own, frozen: sparse rows {column: residue}, no zero rows or
+    entries, pivot rows popped from the end; the rank, counted up to limit."""
+    p = linalg._CERT_PRIME
+    rank = 0
+    while image and rank < limit:
+        prow = image.pop()
+        col, piv = next(iter(prow.items()))
+        inv = pow(piv, -1, p)
+        reduced = []
+        for r in image:
+            c = r.pop(col, None)
+            if c is not None:
+                f = c * inv % p
+                for j, u in prow.items():
+                    if j != col:
+                        w = (r.get(j, 0) - f * u) % p
+                        if w:
+                            r[j] = w
+                        else:
+                            r.pop(j, None)
+            if r:
+                reduced.append(r)
+        image = reduced
+        rank += 1
+    return rank
+
+
+def _reference_full_column_rank(rows, ncols):
+    """`linalg._full_column_rank` as it was with its own sparse elimination,
+    frozen: the rows evaluated at the point modulo the prime, then
+    `_reference_rank_mod_p`."""
+    if len(rows) < ncols:
+        return False
+    p = linalg._CERT_PRIME
+    powers = {}
+    image = []
+    for row in rows:
+        out = {}
+        for j, poly in row.items():
+            v = 0
+            for e, c in poly.terms.items():
+                if type(c) is not int:
+                    if c.denominator % p == 0:
+                        return False
+                    c = c.numerator * pow(c.denominator, -1, p)
+                for i, k in enumerate(e):
+                    if k:
+                        x = powers.get((i, k))
+                        if x is None:
+                            x = powers[i, k] = pow(linalg._CERT_POINT, (i + 1) * k, p)
+                        c = c * x % p
+                v = (v + c) % p
+            if v:
+                out[j] = v
+        if out:
+            image.append(out)
+    return _reference_rank_mod_p(image, ncols) == ncols
+
+
+def _certificate_case(reg, rng, case):
+    """A sparse Poly matrix in 1-3 variables, int or Fraction coefficients,
+    some zero rows and zero entries, wide, square or tall, and of full
+    column rank or rank-deficient (every row a combination of fewer base
+    rows, with polynomial and rational coefficients); its shape and kind."""
+    nvars = 1 + case % 3
+    fractions = case % 2 == 0
+    n = rng.randint(1, 4)
+    shape = ("wide", "square", "tall", "tall")[case % 4]
+    m = {"wide": n - 1, "square": n, "tall": n + rng.randint(1, 3)}[shape]
+
+    def poly():
+        return _sparse_poly(reg, rng, nvars, 2, fractions, 2)
+
+    def random_row():
+        return {j: poly() for j in range(n) if rng.random() < 0.7}
+
+    deficient = n > 1 and case % 3 == 0
+    base = [random_row() for _ in range(rng.randint(1, n - 1))] if deficient else []
+    rows = []
+    for _ in range(m):
+        if rng.random() < 0.15:
+            rows.append(rng.choice([{}, {rng.randrange(n): Poly.zero(reg)}]))
+        elif deficient:
+            coeffs = [rng.choice([poly(), Poly.const(reg, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))])
+                      for _ in base]
+            row = {}
+            for b, a in zip(base, coeffs):
+                for j, q in b.items():
+                    row[j] = row.get(j, Poly.zero(reg)) + a * q
+            rows.append(row)
+        else:
+            rows.append(random_row())
+    return rows, n, shape, "deficient" if deficient else "random"
+
+
+def test_full_column_rank_matches_the_frozen_sparse_elimination():
+    # the certificate runs the shared dense elimination; a rank modulo the
+    # prime does not depend on the row order, so the answer is the old one
+    reg = Context.of_rank(3).reg
+    rng = random.Random(3501)
+    p = linalg._CERT_PRIME
+    seen = set()
+    for case in range(400):
+        rows, ncols, shape, kind = _certificate_case(reg, rng, case)
+        got = linalg._full_column_rank(rows, ncols)
+        assert got is _reference_full_column_rank(rows, ncols), case
+        seen.add((shape, kind, got))
+        if any(not r or all(q.is_zero() for q in r.values()) for r in rows):
+            seen.add("zero row")
+        for q in (q for r in rows for q in r.values()):
+            seen.update(type(c).__name__ for c in q.terms.values())
+        if got and case % 5 == 0:
+            # a coefficient whose denominator the prime divides: no certificate
+            j, q = next((j, q) for r in rows for j, q in r.items() if not q.is_zero())
+            bad = [dict(r) for r in rows]
+            row = next(r for r in bad if r.get(j) is q)
+            row[j] = q + Poly.const(reg, Fraction(rng.randint(1, 5), p * rng.randint(1, 3)))
+            assert linalg._full_column_rank(bad, ncols) is False
+            assert _reference_full_column_rank(bad, ncols) is False
+            seen.add("denominator divisible by the prime")
+    assert seen >= {
+        ("wide", "random", False), ("square", "random", True), ("tall", "random", True),
+        ("square", "deficient", False), ("tall", "deficient", False), ("square", "random", False),
+        "zero row", "int", "Fraction", "denominator divisible by the prime",
+    }
+
+
+def _images_mod_p(rng, count, width):
+    """Dense images modulo the prime: random ones (small, extreme and full
+    residues), zero ones and combinations of earlier ones."""
+    p = linalg._CERT_PRIME
+    images = []
+    for _ in range(count):
+        kind = rng.random()
+        if images and kind < 0.35:
+            picks = rng.sample(range(len(images)), rng.randint(1, len(images)))
+            coeffs = [rng.choice([1, p - 1, rng.randrange(p)]) for _ in picks]
+            images.append([sum(a * images[k][t] for a, k in zip(coeffs, picks)) % p for t in range(width)])
+        elif kind < 0.45:
+            images.append([0] * width)
+        else:
+            images.append([rng.choice([0, 0, 1, 2, p - 1, rng.randrange(p)]) for _ in range(width)])
+    return images
+
+
+def test_echelon_mod_p_keeps_the_rank_and_records_each_combination():
+    p = linalg._CERT_PRIME
+    rng = random.Random(3502)
+    seen = set()
+    for case in range(300):
+        count, width = rng.randint(0, 9), rng.randint(0, 6)
+        images = _images_mod_p(rng, count, width)
+        before = [list(image) for image in images]
+        order = rng.sample(range(count), count)
+        kept, dependent = linalg._echelon_mod_p(images, order)
+        assert images == before
+        assert kept == [i for i in order if i in kept]
+        assert sorted(kept + list(dependent)) == list(range(count))
+        rank = _reference_rank_mod_p([{t: x for t, x in enumerate(im) if x} for im in images if any(im)], width)
+        assert len(kept) == rank, case
+        for i, comb in dependent.items():
+            earlier = order[:order.index(i)]
+            assert set(comb) <= set(kept) & set(earlier)
+            assert all(0 < a < p for a in comb.values())
+            assert images[i] == [sum(a * images[k][t] for k, a in comb.items()) % p for t in range(width)]
+            seen.add("empty" if not comb else "one" if len(comb) == 1 else "several")
+        seen.add("full" if rank == width else "deficient")
+    assert seen == {"empty", "one", "several", "full", "deficient"}
+
+
 def test_kernel_basis_with_no_pivot_returns_unit_vectors():
     reg = _ctx().reg
     one, zero = Poly.const(reg, 1), Poly.zero(reg)

@@ -15,10 +15,13 @@ For every workload and end-to-end metric it prints both sides' medians and
 quartiles, the change's relative shift of the median, its wins, losses and
 ties over the pairs, and whether a gain holds: the change wins at least
 nine tenths of the pairs and the medians differ by more than the parent's
-interquartile range.  The JSON file written with --out holds the same
-summary and every run's metrics; committed as BENCH_<change>.json beside
-the change, its parent commit is the parent that was run.  Standard
-library only.
+interquartile range.  A metric is unresolved when the parent's own
+spread, its interquartile range over its median, is wider than the
+metric's bound, unless every change run reads better than every parent
+run: within such noise a shift inside the bound says nothing.  The JSON
+file written with --out holds the same summary and every run's metrics;
+committed as BENCH_<change>.json beside the change, its parent commit is
+the parent that was run.  Standard library only.
 
 The JSON file and the run header also record what was compared: each
 checkout's path, its `git rev-parse HEAD` and whether `git status
@@ -188,8 +191,9 @@ def quartiles(values):
 
 
 def summarize(pairs, spec):
-    """Per metric: both sides' quartiles, relative median shift, wins and
-    whether a gain holds.  pairs is a list of (parent, change) results."""
+    """Per metric: both sides' quartiles, relative median shift, wins,
+    whether a gain holds and whether the parent's spread leaves the metric
+    unresolved.  pairs is a list of (parent, change) results."""
     out = {}
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -202,6 +206,8 @@ def summarize(pairs, spec):
         better = (pb[1] < pa[1]) if lower else (pb[1] > pa[1])
         shift = (pb[1] - pa[1]) / pa[1] if pa[1] else 0.0
         worse = shift if lower else -shift
+        spread = iqr / abs(pa[1]) if pa[1] else 0.0
+        apart = max(b) < min(a) if lower else min(b) > max(a)
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -210,6 +216,8 @@ def summarize(pairs, spec):
             "relative_shift": shift,
             "bound": metric["bound"],
             "within_bound": worse <= metric["bound"],
+            "parent_spread": spread,
+            "unresolved": spread > metric["bound"] and not apart,
             "wins": wins,
             "losses": len(pairs) - wins - ties,
             "ties": ties,
@@ -217,6 +225,16 @@ def summarize(pairs, spec):
             "gain": better and wins >= 0.9 * len(pairs) and abs(pb[1] - pa[1]) > iqr,
         }
     return out
+
+
+def summary_line(name, m):
+    """The line of one metric in a workload's summary."""
+    p, c = m["parent"], m["change"]
+    return (f"  {name:12} {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}] -> "
+            f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {m['unit']}  "
+            f"{100 * m['relative_shift']:+.1f}%  wins {m['wins']}/{m['pairs']} "
+            f"ties {m['ties']}  gain {m['gain']}  within bound {m['within_bound']}  "
+            f"unresolved {m['unresolved']}")
 
 
 def main(argv=None):
@@ -265,11 +283,7 @@ def main(argv=None):
         report["workloads"][workload] = {"summary": summary, "busy_pairs": busy_pairs, "runs": runs}
         print(f"\n{workload}: {len(pairs)} pairs, {busy_pairs} on a busy CPU (2:1 loop ratio > {BUSY_RATIO})")
         for name, m in summary.items():
-            p, c = m["parent"], m["change"]
-            print(f"  {name:12} {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}] -> "
-                  f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {m['unit']}  "
-                  f"{100 * m['relative_shift']:+.1f}%  wins {m['wins']}/{m['pairs']} "
-                  f"ties {m['ties']}  gain {m['gain']}  within bound {m['within_bound']}")
+            print(summary_line(name, m))
         correct = all(r[s]["correct"] for r in runs for s in ("parent", "change"))
         print(f"  every run correct: {correct}")
     if args.out:
