@@ -30,14 +30,26 @@ own pseudo-random weight: weights shared across columns, or an evaluation
 at a point (a ring map), also collapse combinations with polynomial
 coefficients, and then the rational ones are not recovered.  A row or
 column is dropped only after its rebuilt rational combination holds
-exactly on every term, so the answer never depends on the weights.  Probe
-matrices are very redundant over Q, and the elimination runs on far fewer
-rows; the delayed-divisor defect (`symbolic_rank`) can still raise there.
+exactly on every term (all of them in one check, `_verified`), so the
+answer never depends on the weights.  Probe matrices are very redundant
+over Q, and the reduced matrix is far smaller.
 
-The certificate and the pre-pass share one elimination modulo the prime,
-`_echelon_mod_p`, over dense images: the certificate's are the rows' values
-at the point and it reads only the kept count; the pre-pass's are the
-weighted images and it also reads each dependent one's combination.
+Then `symbolic_rank` reads the rank of the reduced matrix from two proven
+bounds where they meet (`_proven_rank`), in the manner of the rank
+certificates of Kaltofen, Nehring and Saunders (ISSAC 2011).  The lower
+bound is the rank modulo the prime at the point of the certificate; the
+upper bound is the shape or, on heavy matrices, the number of columns less
+the rank at the point of the verified kernel vectors of degree at most 1
+(kernels of polynomial matrices have bases of low-degree vectors: Forney,
+SIAM J. Control 1975).  Only where the bounds stay apart does the matrix
+go to the elimination, where the delayed-divisor defect (`symbolic_rank`)
+can still raise.
+
+The certificate, the pre-pass and the bounds share one elimination modulo
+the prime, `_echelon_mod_p`, over dense images: the certificate's and the
+lower bound's are the rows' values at the point (`_at_point`) and they
+read only the kept count; the pre-pass's and the kernel search's are
+weighted images and they also read each dependent one's combination.
 
 All of them run on one packed-term kernel: rows are {monomial int:
 coefficient} dicts (the packed format of `scalars`, beside `Poly` and
@@ -69,8 +81,9 @@ package; `groups.int_det` runs it on constant rows.
 (one child per call, the rule of `forks`): the caller keeps the even rows
 and the peer the odd ones, and at each step the two halves agree on the
 pivot, the owner of the pivot row sends it, and each half updates its own
-rows (`_rank_kernel`).  Only a reduced matrix still above a measured floor
-is worth the fork; `taskset -c 0` leaves one CPU, and then one process.
+rows (`_rank_kernel`).  Only a reduced matrix that the bounds leave open
+and that is still above a measured floor is worth the fork; `taskset -c 0`
+leaves one CPU, and then one process.
 """
 
 from __future__ import annotations
@@ -264,7 +277,8 @@ def symbolic_rank(reg, rows, unit_var=None):
     ExactDivisionError.  (No determinant identity makes it exact; see the
     strict-xfail tests.)  Two halves reproduce the defect: they take the
     same pivots and updates, so the error is raised at the same step, by
-    the same row.
+    the same row.  The defect is reachable only where the elimination runs:
+    below the peer floor, or where the proven bounds leave a matrix open.
 
     Entries are Poly, or `Packed` of one layout (the induced module's probe
     rows); Poly rows are packed once on entry.  With unit_var given, that
@@ -281,13 +295,15 @@ def symbolic_rank(reg, rows, unit_var=None):
     the fraction field, and column rank is rank, so the rank cannot change.
     The combinations are found modulo a prime under one weight per (column,
     monomial): shared weights or a point evaluation (a ring map) would also
-    collapse polynomial combinations.  The known defect can still raise, on
-    the reduced matrix.
+    collapse polynomial combinations.  The rank of the reduced matrix is
+    then read from a proven lower and upper bound where they meet
+    (`_proven_rank`), and only otherwise eliminated.
 
     One peer, two halves: when `forks.second_cpu` grants the one child of
-    the `forks` rule, the rows of a reduced matrix that is still large are
-    split between this process and a forked peer (`_spread_rank`); the
-    rank, and any error, is the one of a single process.  Large means at
+    the `forks` rule, the rows of a reduced matrix that the bounds leave
+    open and that is still large are split between this process and a
+    forked peer (`_spread_rank`); the rank, and any error, is the one of a
+    single process.  Large means at
     least _PEER_ROWS rows and a cost of at least _PEER_COST, the cost being
     the number of terms times the number of variables that occur.
     """
@@ -297,12 +313,15 @@ def symbolic_rank(reg, rows, unit_var=None):
 
 def _rank(packed, pk):
     # the layout has a field for each variable that varies in a prepared row
-    peer = _worth_a_peer(packed, len(pk.fields))
-    if peer:
-        packed = _reduced(packed)
-        seen = reduce(or_, (m for row in packed for t in row.values() for m in t), 0)
-        fields = sum(1 for _, s, limit in pk.fields if seen >> s & (limit - 1))
-        peer = _worth_a_peer(packed, fields) and second_cpu()
+    if not _worth_a_peer(packed, len(pk.fields)):
+        return _rank_kernel(packed, pk.guard)
+    packed = _reduced(packed)
+    seen = reduce(or_, (m for row in packed for t in row.values() for m in t), 0)
+    fields = [f for f in pk.fields if seen >> f[1] & (f[2] - 1)]
+    rank = _proven_rank(packed, fields, pk.guard)
+    if rank is not None:
+        return rank
+    peer = _worth_a_peer(packed, len(fields)) and second_cpu()
     return (_spread_rank if peer else _rank_kernel)(packed, pk.guard)
 
 
@@ -328,35 +347,116 @@ def _worth_a_peer(rows, fields):
 
 def _reduced(rows):
     """The packed rows without the rows, and then the columns, that
-    `_independent` finds to be rational combinations of those it keeps;
+    `_relations` finds to be rational combinations of those it keeps;
     kept rows and columns stay in their order."""
-    rows = [rows[i] for i in _independent(rows)]
-    cols = {}
-    for i, row in enumerate(rows):
-        for j, t in row.items():
-            cols.setdefault(j, {})[i] = t
+    rows = [rows[i] for i in sorted(_relations(rows)[0])]
+    cols = _columns(rows)
     order = sorted(cols)
-    keep = {order[k] for k in _independent([cols[j] for j in order])}
+    keep = {order[k] for k in _relations([cols[j] for j in order])[0]}
     if len(keep) == len(order):
         return rows
     return [{j: t for j, t in row.items() if j in keep} for row in rows]
 
 
-def _independent(vecs):
-    """The indices, in order, of vectors {key: packed terms} to keep so that
-    every other one is a verified rational combination of them.
+def _columns(rows):
+    """The columns {column: {row index: terms}} of sparse rows."""
+    cols = {}
+    for i, row in enumerate(rows):
+        for j, t in row.items():
+            cols.setdefault(j, {})[i] = t
+    return cols
+
+
+# the degree-1 kernel search pays on the heaviest reduced matrices, with at
+# least _KERNEL_VARS variables occurring and variables times terms at least
+# _KERNEL_COST: on a 2-core host it closed the two beta-free catalogue
+# matrices in 9-21 ms against 120-130 ms of elimination, while on the lighter
+# ones the two cost about the same (2-12 ms)
+_KERNEL_VARS = 3
+_KERNEL_COST = 2000
+
+
+def _proven_rank(rows, fields, guard):
+    """The rank of reduced packed rows when a proven lower bound meets a
+    proven upper bound, None when they leave it open.
+
+    The lower bound lo is the rank modulo the prime of the rows at the point
+    (`_at_point`; packed rows hold int coefficients, so every one maps): a
+    minor nonzero there is a nonzero polynomial (`_full_column_rank` says
+    why).  The first upper bound is the shape, min(rows, columns).  On a
+    matrix heavy enough for it (_KERNEL_VARS and _KERNEL_COST over the
+    occurring `fields`), the second is ncols - k, k a lower bound on the
+    dimension of the kernel (`_kernel_rank`).  Both bounds are proven, so
+    neither the point nor the weights can change the answer; a lower bound
+    above an upper bound cannot happen and raises.
+    """
+    by_col = _columns(rows)
+    cols = sorted(by_col)
+    images = _at_point(rows, cols, lambda m: ((i, m >> s & (limit - 1)) for i, s, limit in fields))
+    lo = len(_echelon_mod_p(images, range(len(rows)))[0])
+    if lo == min(len(rows), len(cols)):
+        return lo
+    cost = len(fields) * sum(len(t) for row in rows for t in row.values())
+    if len(fields) < _KERNEL_VARS or cost < _KERNEL_COST:
+        return None
+    k = _kernel_rank([by_col[j] for j in cols], fields, guard)
+    if k is None or lo < len(cols) - k:
+        return None
+    if lo > len(cols) - k:
+        raise RuntimeError(f"rank bounds cross: at least {lo}, at most {len(cols) - k}")
+    return lo
+
+
+def _kernel_rank(cols, fields, guard):
+    """k <= the dimension of the right kernel over the fraction field of the
+    matrix of packed columns {row index: terms}, from its verified kernel
+    vectors of degree at most 1; None when a shift would leave its field.
+
+    A vector v_0 + sum_i x_i v_i with v's over Q, x_i the variables of
+    `fields`, is in the kernel exactly when the columns col_j and their
+    shifts x_i * col_j are rationally dependent with the v's as
+    coefficients, so each relation that `_relations` finds and checks is one
+    kernel vector.  k is the rank of those vectors at the point modulo the
+    prime, at most their rank over the fraction field (the ring map of
+    `_full_column_rank`), so the rank is at most ncols - k.  The number of
+    relations is no such bound: x_i * v is a relation whenever v is one.
+    """
+    p = _CERT_PRIME
+    vecs, at = list(cols), [(n, 1) for n in range(len(cols))]  # per vector: (column, its shift at the point)
+    for i, s, _ in fields:
+        for n, col in enumerate(cols):
+            vec = {r: {m + (1 << s): c for m, c in t.items()} for r, t in col.items()}
+            if any(m & guard for t in vec.values() for m in t):
+                return None
+            vecs.append(vec)
+            at.append((n, pow(_CERT_POINT, i + 1, p)))
+    images = []
+    for i, comb in _relations(vecs)[1].items():
+        image = [0] * len(cols)
+        for k, a in [(i, -1), *comb.items()]:
+            n, x = at[k]
+            image[n] = (image[n] - a * x) % p
+        images.append(image)
+    return len(_echelon_mod_p(images, range(len(images)))[0])
+
+
+def _relations(vecs):
+    """The indices of vectors {key: packed terms} to keep, and for each
+    other index i its combination {kept index: coefficient modulo the
+    prime}, which holds exactly: vecs[i] is the sum of q_k * vecs[k], q_k the
+    rational that `_rational` rebuilds from the coefficient.
 
     Each vector maps to F_p, p = _CERT_PRIME, with nfun coordinates per key:
     functional f sends the terms c * m of a key to the sum of c * w, w the
     pseudo-random weight of (key, m) for f, drawn in order of first use from
     a fixed seed (the module docstring says why no weight is shared).
     `_echelon_mod_p` over the images, fewest terms first so that the
-    sparsest vectors stay, records each dependent vector's combination.  The
-    vector is dropped only when that combination, rebuilt as rationals
-    (`_rational`), holds exactly on every term (`_combination_holds`).
+    sparsest vectors stay, records each dependent vector's combination.  A
+    combination that fails the exact check (`_verified`) keeps its vector,
+    outside the basis: no other combination involves it.
     """
     if not vecs:
-        return []
+        return [], {}
     p = _CERT_PRIME
     pos = {k: n for n, k in enumerate(sorted({k for v in vecs for k in v}))}
     nfun = -(-(len(vecs) + 1) // len(pos))
@@ -376,51 +476,96 @@ def _independent(vecs):
         images.append(image)
     size = [sum(map(len, v.values())) for v in vecs]
     kept, dependent = _echelon_mod_p(images, sorted(range(len(vecs)), key=lambda i: (size[i], i)))
-    # a vector that fails the check is kept outside the basis: no combination involves it
-    kept += [i for i, comb in dependent.items() if not _combination_holds(vecs, i, comb)]
-    return sorted(kept)
+    holds = _verified(vecs, dependent)
+    return kept + [i for i in dependent if i not in holds], {i: dependent[i] for i in holds}
 
 
 def _echelon_mod_p(images, order):
-    """Gaussian elimination modulo _CERT_PRIME over dense images, taken in
-    the given order: the indices of the images kept, in that order, and for
-    each other index i its combination {kept index k: a_k} with images[i] =
-    sum of a_k * images[k] modulo the prime.  The kept count is the rank
-    modulo the prime; which images are kept depends on the order."""
+    """Gaussian elimination modulo _CERT_PRIME over dense images (residues
+    in [0, p)), taken in the given order: the indices of the images kept, in
+    that order, and for each other index i its combination {kept index k:
+    a_k} with images[i] = sum of a_k * images[k] modulo the prime.  The kept
+    count is the rank modulo the prime; which images are kept depends on
+    the order.
+
+    An image is one integer of slots, followed by one slot per image that
+    records its combination.  A step adds f * (the basis image negated), at
+    most (p - 1)^2 per slot, and an image takes at most len(images) steps,
+    so a slot of `shift` bits never carries into the next; a slot is
+    reduced modulo the prime only where it is read.
+    """
     p = _CERT_PRIME
-    basis = []  # (pivot coordinate, image with 1 there, combination {index: coeff})
+    n = len(images)
+    width = len(images[0]) if n else 0
+    shift = 2 * p.bit_length() + (n + 1).bit_length()
+    mask = (1 << shift) - 1
+
+    def pack(slots):
+        r = 0
+        for x in reversed(slots):
+            r = r << shift | x
+        return r
+
+    basis = []  # (pivot slot, the image with 1 there, negated modulo p, packed)
     kept, dependent = [], {}
     for i in order:
-        r, comb = images[i], {i: 1}
-        for at, b, bc in basis:
-            f = r[at]
+        r = pack(images[i]) | 1 << shift * (width + i)
+        for at, neg in basis:
+            f = (r >> shift * at & mask) % p
             if f:
-                r = [(x - f * y) % p for x, y in zip(r, b)]
-                for k, a in bc.items():
-                    comb[k] = (comb.get(k, 0) - f * a) % p
-        at = next((t for t, x in enumerate(r) if x), None)
+                r += f * neg
+        slots = [(r >> shift * t & mask) % p for t in range(width + n)]
+        at = next(filter(slots.__getitem__, range(width)), None)
         if at is not None:
-            inv = pow(r[at], -1, p)
-            basis.append((at, [x * inv % p for x in r], {k: a * inv % p for k, a in comb.items()}))
+            inv = pow(slots[at], -1, p)
+            basis.append((at, pack([-x * inv % p for x in slots])))
             kept.append(i)
         else:
-            dependent[i] = {k: -a % p for k, a in comb.items() if k != i and a}
+            dependent[i] = {k: -a % p for k, a in enumerate(slots[width:]) if k != i and a}
     return kept, dependent
 
 
-def _combination_holds(vecs, i, comb):
-    """Whether vecs[i] is exactly the rational combination of the other
-    vectors whose coefficients comb gives modulo _CERT_PRIME."""
-    coeffs = []
-    for k, a in comb.items():
-        q = _rational(a)
-        if q is None:
-            return False
-        coeffs.append((k, q))
-    d = lcm(*(q.denominator for _, q in coeffs))
-    acc = {key: {m: -d * c for m, c in terms.items()} for key, terms in vecs[i].items()}
-    for k, q in coeffs:
-        s = q.numerator * (d // q.denominator)
+def _verified(vecs, dependent):
+    """The indices i of `dependent` whose combination holds exactly over the
+    integer coefficients of the vectors, checked all at once.
+
+    Relation i, scaled by the lcm d_i of the denominators of its rebuilt
+    rationals, is the residual r_i = d_i * vecs[i] - sum of s_ik * vecs[k]
+    with integers s_ik; it holds when r_i is zero.  Every coefficient of r_i
+    is an integer of absolute value at most B_i = d_i * |vecs[i]| + sum of
+    |s_ik| * |vecs[k]|, |v| the largest absolute coefficient of v.  Take B
+    the largest B_i and lam a power of two above 2B, and number the
+    relations 0, 1, ....  Then sum of lam^i * r_i vanishes only if every r_i
+    does: were r_t the last nonzero one, |lam^t * r_t| >= lam^t would exceed
+    the rest, which is at most B * (lam^t - 1) / (lam - 1) < lam^t.  That sum
+    is one accumulation in which each vector appears once, with its total
+    multiplier.  Only when it fails is each relation checked alone.
+    """
+    rel = {}  # i -> {index: integer multiplier of r_i}
+    for i, comb in dependent.items():
+        qs = [(k, _rational(a)) for k, a in comb.items()]
+        if all(q is not None for _, q in qs):
+            d = lcm(*(q.denominator for _, q in qs))
+            rel[i] = {i: d, **{k: -q.numerator * (d // q.denominator) for k, q in qs}}
+    if len(rel) > 1:
+        top = {}
+        for k in {k for r in rel.values() for k in r}:
+            top[k] = max((abs(c) for t in vecs[k].values() for c in t.values()), default=0)
+        lam = 1 << (2 * max(sum(abs(s) * top[k] for k, s in r.items()) for r in rel.values())).bit_length()
+        total, w = {}, 1
+        for r in rel.values():
+            for k, s in r.items():
+                total[k] = total.get(k, 0) + w * s
+            w *= lam
+        if _vanishes(vecs, total):
+            return set(rel)
+    return {i for i, r in rel.items() if _vanishes(vecs, r)}
+
+
+def _vanishes(vecs, mult):
+    """Whether the sum of mult[k] * vecs[k] is zero on every term."""
+    acc = {}
+    for k, s in mult.items():
         for key, terms in vecs[k].items():
             out = acc.setdefault(key, {})
             get = out.get
@@ -592,29 +737,41 @@ def _full_column_rank(rows, ncols):
     """
     if len(rows) < ncols:
         return False
+    rows = [{j: q.terms for j, q in row.items()} for row in rows]
+    images = _at_point(rows, range(ncols), enumerate)
+    return images is not None and len(_echelon_mod_p(images, range(len(images)))[0]) == ncols
+
+
+def _at_point(rows, cols, powers):
+    """Rows {column: terms} at the point modulo the prime, as dense images
+    over cols: powers(m) gives the (variable index, exponent) pairs of the
+    monomial m, and the variable of index i takes _CERT_POINT ** (i + 1).
+    None when a coefficient's denominator is divisible by the prime: the
+    ring map is not defined there, so no bound may be read."""
     p = _CERT_PRIME
-    powers = {}  # (variable, exponent) -> value at the point
+    pos = {j: n for n, j in enumerate(cols)}
+    values = {}
     images = []
     for row in rows:
-        image = [0] * ncols
-        for j, poly in row.items():
+        image = [0] * len(pos)
+        for j, terms in row.items():
             v = 0
-            for e, c in poly.terms.items():
+            for m, c in terms.items():
                 if type(c) is not int:
                     if c.denominator % p == 0:
-                        return False
+                        return None
                     c = c.numerator * pow(c.denominator, -1, p)
-                for i, k in enumerate(e):
-                    if k:
-                        x = powers.get((i, k))
-                        if x is None:
-                            x = powers[i, k] = pow(_CERT_POINT, (i + 1) * k, p)
-                        c = c * x % p
-                v = (v + c) % p
-            image[j] = v
+                x = values.get(m)
+                if x is None:
+                    x = 1
+                    for i, k in powers(m):
+                        if k:
+                            x = x * pow(_CERT_POINT, (i + 1) * k, p) % p
+                    values[m] = x
+                v += c * x
+            image[pos[j]] = v % p
         images.append(image)
-    kept, _ = _echelon_mod_p(images, range(len(images)))
-    return len(kept) == ncols
+    return images
 
 
 def _primitive(vec):

@@ -789,13 +789,20 @@ def _reduced_above_peer_floor(rows, pk):
 def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
     # the top level holds nearly all the cost, so no split of the units is
     # worth a helper; each rank whose matrix is still large once its
-    # rational combinations are dropped shares its rows with one peer
-    # instead, however many CPUs are usable.  At beta = 2 the 24-row top
-    # matrix is above the floor but its reduced matrix is not; beta free
-    # keeps a reduced matrix above it
+    # rational combinations are dropped, and that its proven bounds leave
+    # open, shares its rows with one peer instead, however many CPUs are
+    # usable.  At beta = 2 the 24-row top matrix is above the floor but its
+    # reduced matrix is not; beta free keeps a reduced matrix above it.  Its
+    # bounds close it, so they decline here until the last check
     ranks = []  # per rank: forks, above the floor, reduced, reduced above the floor
     seen = {}
     real_rank, real_inner, real_reduced = induced.symbolic_rank, linalg._rank, linalg._reduced
+    real_bounds = linalg._proven_rank
+    closed = []
+
+    def declines(rows, fields, guard):
+        closed.append(real_bounds(rows, fields, guard) is not None)
+        return None
 
     def rank(reg, rows, unit_var=None):
         before = len(forks)
@@ -818,6 +825,7 @@ def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
     monkeypatch.setattr(induced, "symbolic_rank", rank)
     monkeypatch.setattr(linalg, "_rank", inner)
     monkeypatch.setattr(linalg, "_reduced", reduced)
+    monkeypatch.setattr(linalg, "_proven_rank", declines)
     tables = {}
     for cpus in (2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -834,6 +842,8 @@ def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
             assert len(forks) - before == sum(n for n, *_ in ranks)  # no unit helper
             _no_child_left()
     assert [len(set(q.level_row(i).values())) for i in range(3)] == [1, 1, 1]
+    # the bounds would have closed the beta-free reduced matrix above the floor
+    assert any(closed)
     monkeypatch.setattr(induced, "symbolic_rank", real_rank)
     _one_cpu(monkeypatch)
     for beta in (2, None):
@@ -841,6 +851,15 @@ def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
         alone = rank2_module(L=2, N=1, beta=beta).quotient_dims()
         assert len(forks) == before
         assert tables[2, beta] == tables[3, beta] == (alone.entries, alone.next_entries, alone.stable)
+    # with its bounds, no rank of either table is left large enough for a
+    # peer: two CPUs fork nothing, for the same tables
+    monkeypatch.setattr(linalg, "_proven_rank", real_bounds)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for beta in (2, None):
+        before = len(forks)
+        q = rank2_module(L=2, N=1, beta=beta).quotient_dims()
+        assert len(forks) == before
+        assert (q.entries, q.next_entries, q.stable) == tables[2, beta]
 
 
 def test_alpha_bound_table_forks_one_helper_at_three_cpus(monkeypatch, forks):

@@ -810,15 +810,32 @@ def test_field_overflow_retries_with_wider_fields(monkeypatch):
 
 # -- the rank peer: the rows of one symbolic_rank split into two halves ------------
 #
-# With the floor at 0 every matrix is split, so each of these runs with two
-# or more CPUs of the patched os.sched_getaffinity forks one peer; the ranks
-# and errors must be those of one process.
+# With the floor at 0 every matrix that its proven bounds leave open is
+# split, so each of these runs with two or more CPUs of the patched
+# os.sched_getaffinity forks one peer; the ranks and errors must be those of
+# one process.  The bounds close most small matrices before any peer forks,
+# so the tests of the peer itself also make them decline (`bounds_decline`).
 
 
 @pytest.fixture
 def peers_always(monkeypatch):
     monkeypatch.setattr(linalg, "_PEER_ROWS", 0)
     monkeypatch.setattr(linalg, "_PEER_COST", 0)
+
+
+@pytest.fixture
+def bounds_decline(monkeypatch):
+    """Every rank above the floor is left to the elimination, as when its
+    proven bounds do not meet."""
+    closed = []
+    real = linalg._proven_rank
+
+    def declines(rows, fields, guard):
+        closed.append(real(rows, fields, guard) is not None)
+        return None
+
+    monkeypatch.setattr(linalg, "_proven_rank", declines)
+    return closed
 
 
 def _no_child_left():
@@ -868,7 +885,7 @@ def test_peers_give_the_single_process_rank_and_error(monkeypatch, peers_always,
     _no_child_left()
 
 
-def test_field_overflow_in_a_peer_widens_the_fields(monkeypatch, peers_always):
+def test_field_overflow_in_a_peer_widens_the_fields(monkeypatch, peers_always, bounds_decline):
     reg, cases = _overflow_cases()
     attempts = _narrow_fields(monkeypatch)
     from_peers = []
@@ -886,6 +903,7 @@ def test_field_overflow_in_a_peer_widens_the_fields(monkeypatch, peers_always):
     _usable(monkeypatch, 2)
     _check_overflow_retries(reg, cases, attempts)
     assert from_peers  # some overflows were a peer's
+    assert any(bounds_decline)  # and the bounds would have closed some ranks
     _no_child_left()
 
 
@@ -907,7 +925,7 @@ def _matrices(count):
     return reg, found
 
 
-def test_no_peer_outlives_symbolic_rank(monkeypatch, peers_always):
+def test_no_peer_outlives_symbolic_rank(monkeypatch, peers_always, bounds_decline):
     reg, found = _matrices(5)
     _no_child_left()
     # a return
@@ -915,7 +933,7 @@ def test_no_peer_outlives_symbolic_rank(monkeypatch, peers_always):
     for rows, expect in found:
         assert symbolic_rank(reg, [dict(r) for r in rows]) == expect
         _no_child_left()
-    # the known defect, raised in the caller
+    # the known defect, raised in the caller (its bounds would close it)
     g1 = Poly.symbol(reg, "g1")
     g2 = Poly.symbol(reg, "g2")
     defect = [
@@ -927,6 +945,7 @@ def test_no_peer_outlives_symbolic_rank(monkeypatch, peers_always):
         _usable(monkeypatch, cpus)
         with pytest.raises(ExactDivisionError, match="division is not exact"):
             symbolic_rank(reg, [dict(r) for r in defect])
+        assert bounds_decline[-1]
         _no_child_left()
     # a BaseException in the caller mid-elimination, while the peer waits
     caller = os.getpid()
@@ -948,7 +967,7 @@ def test_no_peer_outlives_symbolic_rank(monkeypatch, peers_always):
     _no_child_left()
 
 
-def test_a_peer_that_dies_leaves_the_rank_to_the_caller(monkeypatch, peers_always):
+def test_a_peer_that_dies_leaves_the_rank_to_the_caller(monkeypatch, peers_always, bounds_decline):
     reg, found = _matrices(6)
     caller = os.getpid()
     real_combine = linalg._combine
@@ -1622,6 +1641,32 @@ def test_a_combination_modulo_the_prime_only_is_kept(monkeypatch, peers_always):
     assert linalg._reduced(packed) == packed[:1]
 
 
+def test_relations_are_checked_at_once_then_alone_after_a_failure(monkeypatch):
+    # vectors {key: packed terms}: c = 2a + 3b and d = a - b hold over Q,
+    # e = (1 + p) * a only modulo the prime p
+    p = linalg._CERT_PRIME
+    a = {0: {1: 3, 2: -1}, 1: {0: 2}}
+    b = {0: {2: 5}, 1: {1: 1}}
+
+    def comb(x, y):
+        return {k: {m: x * a[k].get(m, 0) + y * b[k].get(m, 0) for m in {*a[k], *b[k]}} for k in a}
+
+    checks = []
+    real = linalg._vanishes
+    monkeypatch.setattr(linalg, "_vanishes", lambda vecs, mult: checks.append(sorted(mult)) or real(vecs, mult))
+    vecs = [a, b, comb(2, 3), comb(1, -1)]
+    kept, relations = linalg._relations(vecs)
+    assert sorted(kept) == [0, 1]
+    assert relations == {2: {0: 2, 1: 3}, 3: {0: 1, 1: p - 1}}
+    assert checks == [[0, 1, 2, 3]]  # one check for both
+    del checks[:]
+    vecs.append({k: {m: (1 + p) * c for m, c in t.items()} for k, t in a.items()})
+    kept, relations = linalg._relations(vecs)
+    assert sorted(kept) == [0, 1, 4] and relations == {2: {0: 2, 1: 3}, 3: {0: 1, 1: p - 1}}
+    # the batch fails on e, then each relation is checked alone
+    assert checks[0] == [0, 1, 2, 3, 4] and sorted(checks[1:]) == [[0, 1, 2], [0, 1, 3], [0, 4]]
+
+
 def test_reduced_ranks_match_the_field_oracle(monkeypatch, peers_always):
     # with the floor at 0 every matrix is reduced first; a rank that
     # completes is the field rank (the delayed-divisor defect may still raise)
@@ -1646,6 +1691,147 @@ def test_reduced_ranks_match_the_field_oracle(monkeypatch, peers_always):
         assert got == field_rank(reg, rows, ncols)
         outcomes.append("rank")
     assert outcomes.count("rank") >= 120
+
+
+# -- the rank from two proven bounds ---------------------------------------------
+#
+# Above the peer floor, after the pre-pass, the rank is the rank modulo the
+# prime at the point when that lower bound meets min(rows, columns) or, on
+# heavy matrices, ncols - k, k the rank at the point of the verified kernel
+# vectors of degree at most 1.  Elimination runs only where they stay apart.
+
+
+@pytest.fixture
+def bounds_always(monkeypatch, peers_always):
+    """Floors at 0: every matrix is reduced and bounded, and every one that
+    stays open is searched for kernel vectors."""
+    monkeypatch.setattr(linalg, "_KERNEL_VARS", 0)
+    monkeypatch.setattr(linalg, "_KERNEL_COST", 0)
+    _usable(monkeypatch, 1)
+
+
+def _exits(monkeypatch):
+    """Per rank above the floor: "shape", "kernel" or "elimination"."""
+    exits, searched = [], []
+    real_bounds, real_kernel = linalg._proven_rank, linalg._kernel_rank
+
+    def kernel(*args):
+        searched.append(None)
+        return real_kernel(*args)
+
+    def bounds(rows, fields, guard):
+        del searched[:]
+        rank = real_bounds(rows, fields, guard)
+        exits.append("elimination" if rank is None else "kernel" if searched else "shape")
+        return rank
+
+    monkeypatch.setattr(linalg, "_kernel_rank", kernel)
+    monkeypatch.setattr(linalg, "_proven_rank", bounds)
+    return exits
+
+
+def test_bounded_ranks_match_the_field_oracle(monkeypatch, bounds_always):
+    # every rank equals the field rank, whichever of the three exits ends it
+    reg = Context.of_rank(3).reg
+    rng = random.Random(3601)
+    exits = _exits(monkeypatch)
+    raised = 0
+    for case in range(2000):
+        nvars = 1 + case % 3
+        maxdeg, maxterms = ((3, 3), (2, 2), (2, 1))[nvars - 1]
+        rows, ncols = _sparse_matrix(reg, rng, nvars, maxdeg, case % 3 == 0, 5, maxterms)
+        try:
+            got = symbolic_rank(reg, [dict(r) for r in rows])
+        except ExactDivisionError:
+            # the delayed-divisor defect, reachable only where the bounds
+            # leave the matrix to the elimination
+            assert exits[-1] == "elimination", case
+            raised += 1
+            continue
+        assert got == field_rank(reg, rows, ncols), case
+    assert len(exits) == 2000
+    assert set(exits) == {"shape", "kernel", "elimination"}
+
+
+def _layout(reg, rows):
+    """`_packed` rows with the fields of the variables that occur in them,
+    and the guard bits of their layout."""
+    prep = linalg._Prepared(len(reg), rows)
+    pk = linalg._Packing(linalg._field_bounds(len(reg), prep.tops))
+    packed = prep.pack(pk)
+    seen = [m for row in packed for t in row.values() for m in t]
+    return packed, [f for f in pk.fields if any(m >> f[1] & (f[2] - 1) for m in seen)], pk.guard
+
+
+def test_the_defect_matrix_closes_by_its_shape(monkeypatch, bounds_always):
+    # the smallest known-defect matrix has rank 3 at the point, its shape:
+    # no elimination runs and no peer forks, even with two CPUs
+    reg = _ctx().reg
+    g1, g2 = Poly.symbol(reg, "g1"), Poly.symbol(reg, "g2")
+    rows = [
+        {0: g2.scale(3), 1: g1.scale(-3), 2: Poly.const(reg, -2)},
+        {2: Poly.const(reg, -4)},
+        {0: g1, 1: g1.scale(2)},
+    ]
+    exits = _exits(monkeypatch)
+    _usable(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a closed rank forked"))
+    assert symbolic_rank(reg, [dict(r) for r in rows]) == 3 == field_rank(reg, rows, 3)
+    assert exits == ["shape"]
+
+
+def test_a_kernel_relation_modulo_the_prime_only_is_not_counted(monkeypatch, bounds_always):
+    # the rows agree modulo 2^61 - 1, so the rank at the point is 1, and
+    # g1 * col0 + g2 * col1 vanishes there; over Q it is -p * g1 * g2 in the
+    # second row, so the check rejects it, the bounds stay apart at 1 and 2,
+    # and the elimination gives the rank, 2
+    reg = _ctx().reg
+    g1, g2 = Poly.symbol(reg, "g1"), Poly.symbol(reg, "g2")
+    p = linalg._CERT_PRIME
+    rows = [{0: g2, 1: g1.scale(-1)}, {0: g2, 1: g1.scale(-1 - p)}]
+    exits = _exits(monkeypatch)
+    assert symbolic_rank(reg, [dict(r) for r in rows]) == 2 == field_rank(reg, rows, 2)
+    assert exits == ["elimination"]
+    # where the relation g1 * col0 + g2 * col1 = 0 holds, the kernel closes it
+    u = g1 + Poly.const(reg, 1)
+    rows[1] = {0: g2 * u, 1: (g1 * u).scale(-1)}
+    assert symbolic_rank(reg, [dict(r) for r in rows]) == 1 == field_rank(reg, rows, 2)
+    assert exits[-1] == "kernel"
+
+
+def test_the_kernel_bound_is_the_rank_of_the_relations(monkeypatch, bounds_always):
+    # two equal columns: col1 - col0 and its shifts by g1 and g2 are three
+    # verified relations, but one kernel vector at the point, so the upper
+    # bound is 2 - 1, which meets the rank at the point
+    reg = _ctx().reg
+    g1, g2 = Poly.symbol(reg, "g1"), Poly.symbol(reg, "g2")
+    rows = [{0: g1 + Poly.const(reg, 1), 1: g1 + Poly.const(reg, 1)}, {0: g2 + g1, 1: g2 + g1}]
+    packed, fields, guard = _layout(reg, rows)
+    assert len(fields) == 2
+    assert linalg._proven_rank(packed, fields, guard) == 1 == field_rank(reg, rows, 2)
+    cols = [linalg._columns(packed)[j] for j in (0, 1)]
+    assert linalg._kernel_rank(cols, fields, guard) == 1
+
+
+def test_crossing_bounds_raise(monkeypatch, bounds_always):
+    # a lower bound above an upper bound cannot happen: a kernel bound that
+    # claims every column raises, and is not resolved either way
+    reg = _ctx().reg
+    g1, g2 = Poly.symbol(reg, "g1"), Poly.symbol(reg, "g2")
+    rows = [{0: g1, 1: g2}, {0: g1 * g2, 1: g2 * g2}]
+    packed, fields, guard = _layout(reg, rows)
+    assert linalg._proven_rank(packed, fields, guard) == 1 == field_rank(reg, rows, 2)
+    monkeypatch.setattr(linalg, "_kernel_rank", lambda cols, *args: len(cols))
+    with pytest.raises(RuntimeError, match="rank bounds cross: at least 1, at most 0"):
+        linalg._proven_rank(packed, fields, guard)
+
+
+def test_a_shift_out_of_its_field_gives_no_kernel_bound():
+    # one one-bit field: g1 * g1 would need two bits, so the search gives
+    # no bound rather than wrap into the guard bit
+    pk = linalg._Packing([1])
+    assert linalg._kernel_rank([{0: {1: 1}}, {0: {0: 1}}], pk.fields, pk.guard) is None
+    assert linalg._kernel_rank([{0: {0: 1}}, {0: {0: 2}}], pk.fields, pk.guard) == 1
 
 
 # -- the known defect of symbolic_rank's delayed divisors ------------------------
