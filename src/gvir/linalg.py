@@ -325,9 +325,10 @@ def _rank(packed, pk):
     return (_spread_rank if peer else _rank_kernel)(packed, pk.guard)
 
 
-# the prime and point of the certificate of an empty kernel: the variable of
-# index i takes the value _CERT_POINT ** (i + 1) modulo the prime; `_reduced`
-# maps to the same prime and seeds its weights with the point
+# the prime and point of the certificate of an empty kernel and of the rank
+# bounds: the variable of index i takes the value _CERT_POINT ** (i + 1)
+# modulo the prime; `_reduced` maps to the same prime and seeds its weights
+# with the point
 _CERT_PRIME = (1 << 61) - 1
 _CERT_POINT = 1_000_003
 
@@ -424,12 +425,13 @@ def _kernel_rank(cols, fields, guard):
     p = _CERT_PRIME
     vecs, at = list(cols), [(n, 1) for n in range(len(cols))]  # per vector: (column, its shift at the point)
     for i, s, _ in fields:
+        x = pow(_CERT_POINT, i + 1, p)
         for n, col in enumerate(cols):
             vec = {r: {m + (1 << s): c for m, c in t.items()} for r, t in col.items()}
             if any(m & guard for t in vec.values() for m in t):
                 return None
             vecs.append(vec)
-            at.append((n, pow(_CERT_POINT, i + 1, p)))
+            at.append((n, x))
     images = []
     for i, comb in _relations(vecs)[1].items():
         image = [0] * len(cols)
@@ -506,7 +508,7 @@ def _echelon_mod_p(images, order):
             r = r << shift | x
         return r
 
-    basis = []  # (pivot slot, the image with 1 there, negated modulo p, packed)
+    basis = []  # (pivot slot, the image scaled to 1 there, negated modulo p and packed)
     kept, dependent = [], {}
     for i in order:
         r = pack(images[i]) | 1 << shift * (width + i)
