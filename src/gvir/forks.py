@@ -10,8 +10,15 @@ a second fork raises; and leaving the `with` block stops the child if it
 still runs (SIGKILL) and reaps it (waitpid), so no child outlives the call.
 A child talks to the caller over pipes only, in pickles (`send`, `recv`),
 runs its body and leaves through os._exit; it never returns into the
-caller's stack.  `induced` forks a helper that ranks a share of a table,
-`linalg` a peer that shares the rows of one large elimination.
+caller's stack.  `induced` forks a helper that ranks a table from its far
+end, `linalg` a peer that shares the rows of one large elimination.
+
+The child is pinned off the caller's CPU: Linux keeps a forked child on its
+parent's CPU for its first half second or so, where the two share one CPU.
+`Child.fork` reads the caller's CPU (`_current_cpu`), and the child narrows
+its affinity to the rest of the kernel's set when that holds more than one
+CPU; it never widens the set or touches the caller's, and runs unpinned
+when there is no CPU to read or the kernel refuses.
 """
 
 from __future__ import annotations
@@ -21,6 +28,9 @@ import threading
 
 # whether this process has a child not yet reaped; a forked child holds True
 _live = False
+# the affinity the kernel holds, which the pin narrows whatever fake set a
+# test patches into os.sched_getaffinity for second_cpu
+_affinity = getattr(os, "sched_getaffinity", lambda pid: set())
 
 
 def second_cpu():
@@ -50,6 +60,17 @@ def recv(pipe):
         return pickle.load(pipe)
     except pickle.UnpicklingError as exc:
         raise EOFError("truncated pickle") from exc
+
+
+def _current_cpu(stat="/proc/self/stat"):
+    """The CPU this process last ran on (field 39 of stat, counted after the
+    last ')', since the command name may hold spaces and ')'), or None."""
+    try:
+        with open(stat, encoding="ascii", errors="replace") as fh:
+            text = fh.read()
+        return int(text[text.rindex(")") + 1 :].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 def _signal():
@@ -84,14 +105,15 @@ class Child:
         _live = False
 
     def fork(self, body):
-        """Fork the child, which runs body(out, inp), out and inp being its
-        ends of a pipe to the caller and of one from the caller.  Returns
-        the caller's ends: (read end, write end).  RuntimeError while a
-        child is live or inside one; an OSError (no pipe, no process)
-        leaves nothing behind."""
+        """Fork the child, pinned off the caller's CPU, which runs body(out,
+        inp), out and inp being its ends of a pipe to the caller and of one
+        from the caller.  Returns the caller's ends: (read end, write end).
+        RuntimeError while a child is live or inside one; an OSError (no
+        pipe, no process) leaves nothing behind."""
         global _live
         if _live:
             raise RuntimeError("a call forks at most one child, and a child forks none")
+        cpu = _current_cpu()
         signal = _signal()
         mine, theirs = [], []
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
@@ -106,6 +128,12 @@ class Child:
             if pid == 0:
                 try:
                     _live = True
+                    try:  # the pin of the module docstring
+                        allowed = _affinity(0)
+                        if cpu is not None and len(allowed) > 1:
+                            os.sched_setaffinity(0, allowed - {cpu})
+                    except OSError:
+                        pass  # unpinned
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     # the caller's ends close here, so the child sees the
                     # end of its input when the caller is gone

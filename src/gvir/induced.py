@@ -44,18 +44,19 @@ returns them.  All evaluators are pure and memoized per module instance.
 
 Ranks at distinct weights are independent, and `quotient_dims` ranks them in
 two processes when `forks.second_cpu` grants a second CPU (one child per
-call, the rule of `forks`).  One unit of work is a (level, weight) pair at
-both radii N and N+1, so the two share the straightening memo.  The calling
-process keeps one share of the units and one forked helper process ranks the
-other; the helper sends its (key, rank) pairs back over a pipe into the rank
-memo.  Every matrix is the one a single process would rank, so tables,
-errors and reports do not change.  A bound alpha gives one unit per report
-weight, and these split in two once the table's estimated cost is above a
-measured floor.  A free alpha gives one unit per level, and its top level
-holds nearly all the cost; no split takes a quarter of the work off the
-caller, so such a table stays one share, and each of its large ranks runs as
-one peer, two halves instead: the caller and one forked peer share its rows
-(`symbolic_rank`).  `taskset -c 0` leaves one CPU, and then one process.
+call, the rule of `forks`).  One key is a (level, weight, radius) triple.
+The caller ranks the table's unranked keys from the front and one forked
+helper ranks them from the back; each side claims a key in a shared byte
+map before it ranks it and stops at the first key the other side has
+claimed, so the cut falls wherever the two meet, with no cost estimate.
+Both may rank the key where they meet, to the same rank.  The helper sends
+its (key, rank) pairs back over a pipe into the rank memo, and the caller
+then ranks in table order whatever it did not deliver.  Every matrix is the
+one a single process would rank, so tables, errors and reports do not
+change.  A bound alpha gives one key per report weight and radius, a free
+alpha one per level and radius, whose top level holds nearly all the cost:
+its radii N and N+1 go to the two ends.  While the helper lives no rank
+forks a rank peer.  `taskset -c 0` leaves one CPU, and then one process.
 
 Probe rows share prefixes.  The probe sequences are nondecreasing tuples and
 a sequence acts first operator first, so, per basis monomial, the vector
@@ -69,6 +70,7 @@ entry are those of applying each sequence separately.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from functools import partial
 
@@ -79,14 +81,6 @@ from .groups import box, gadd, gsub, gzero, split
 from .interseries import subquotient_of
 from .linalg import kernel_basis, symbolic_rank
 from .scalars import Packed, Scalar, _mul_into, _Packing, _settle
-
-
-# the estimated cost (sum |basis_at|^3 over a table's units and radii) below
-# which a table stays in one process: among alpha-bound tables timed alone
-# and with one helper on a 2-core host, every table above it ranked faster
-# with the helper, and below it some did not (a fork costs about 3 ms, and
-# a helper repeats the straightening that units share)
-_HELPER_FLOOR = 20_000
 
 
 def double_factorial_odd(i):
@@ -381,71 +375,49 @@ class InducedModule:
             for vec in vectors
         ]
 
-    def _shares(self, units, radii):
-        """The units not yet ranked, split into the caller's share and one
-        helper's, the helper's empty when a fork does not pay.
-
-        Units go longest first, by the estimated cost sum |basis_at|^3 over
-        the radii, to the share with the less cost so far; each share keeps
-        table order.  A fork is not worth it for a table whose whole cost is
-        below _HELPER_FLOOR, nor for a split that would take less than a
-        quarter of the cost off the caller (an alpha-free table, where the
-        top level dominates, never is), so those cases and no second CPU
-        leave the helper nothing."""
-        todo = [u for u in units if any((*u, r) not in self._dims_memo for r in radii)]
-        if len(todo) < 2 or not second_cpu():
-            return todo, []
-        cost = {u: sum(len(self.basis_at(*u, r)) ** 3 for r in radii) for u in todo}
-        if sum(cost.values()) < _HELPER_FLOOR:
-            return todo, []
-        loads = [0, 0]
-        owner = {}
-        for u in sorted(todo, key=cost.__getitem__, reverse=True):
-            k = owner[u] = 1 if loads[1] < loads[0] else 0
-            loads[k] += cost[u]
-        if 4 * loads[1] < sum(loads):
-            return todo, []
-        return [u for u in todo if not owner[u]], [u for u in todo if owner[u]]
-
     def _rank_units(self, units, radii):
         """Memoize the rank of every (level, weight) unit at every radius.
 
-        A unit keeps its radii together, so they share the straightening
-        memo.  The caller ranks its share of `_shares` and one forked helper
-        process ranks the other, sending its (key, rank) pairs back over a
-        pipe.  A helper that fails (the known ExactDivisionError, or death)
-        sends what it finished; the caller ranks the rest in table order
-        while the helper is still live, so no rank forks a peer and an error
-        surfaces with its own type.  No helper or peer outlives this call."""
+        The unranked (level, weight, radius) keys are listed in table order.
+        With at least two of them and a second CPU, one forked helper claims
+        keys from the back while the caller claims them from the front (see
+        the module docstring); a claim is one byte of a shared anonymous
+        mmap.  A helper that fails (the known ExactDivisionError, or death)
+        sends what it finished.  Then the caller ranks every key in table
+        order while the helper is still live, so no rank forks a peer and
+        the error of a run is that of the first failing key in table order,
+        with its own type.  No helper or peer outlives this call."""
+        todo = [(*u, r) for u in units for r in radii if (*u, r) not in self._dims_memo]
 
-        def rank(share, done):
-            for i, x in share:
-                for radius in radii:
-                    done[(i, x, radius)] = self.dims_at(i, x, radius)
+        def claim(order, claimed):
+            for k in order:
+                if claimed[k]:
+                    return  # the other side has it, and all beyond it
+                claimed[k] = 1
+                self.dims_at(*todo[k])
 
-        def rank_share(share, out, _):
-            done = {}
+        def from_the_back(claimed, out, _):
             try:
-                rank(share, done)
+                claim(range(len(todo) - 1, -1, -1), claimed)
             finally:
-                send(out, done)
+                send(out, {k: self._dims_memo[k] for k in todo if k in self._dims_memo})
 
-        mine, theirs = self._shares(units, radii)
         with Child() as helper:
-            fd = None
-            if theirs:
-                try:
-                    fd = helper.fork(partial(rank_share, theirs))[0]
-                except OSError:
-                    pass  # no helper: the caller ranks its share below
-            rank(mine, {})
-            if fd is not None:
-                with open(fd, "rb", closefd=False) as pipe:
+            if len(todo) >= 2 and second_cpu():
+                with mmap.mmap(-1, len(todo)) as claimed:
                     try:
-                        self._dims_memo.update(recv(pipe))
-                    except EOFError:
-                        pass  # a helper that died mid-write
-            rank(units, {})
+                        fd = helper.fork(partial(from_the_back, claimed))[0]
+                    except OSError:
+                        pass  # no helper: the caller ranks every key below
+                    else:
+                        claim(range(len(todo)), claimed)
+                        with open(fd, "rb", closefd=False) as pipe:
+                            try:
+                                self._dims_memo.update(recv(pipe))
+                            except EOFError:
+                                pass  # a helper that died mid-write
+            for key in todo:
+                self.dims_at(*key)
 
     def quotient_dims(self):
         """Dimension table at radius N plus the N+1 rerun for stability.
@@ -455,7 +427,7 @@ class InducedModule:
         alpha -> alpha + iota(x), so each level row is constant and one
         rank per level per radius suffices.  Those ranks, or one per report
         weight otherwise, go to `_rank_units`: with a second usable CPU, a
-        forked helper ranks some of them (see the module docstring).
+        forked helper ranks them from the far end (see the module docstring).
         A single-process run ranks them in table order, as the table reads
         them from the memo."""
         N = self.window.box_radius

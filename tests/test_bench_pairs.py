@@ -1,10 +1,13 @@
 """The pure parts of tools/bench_pairs.py: seed lists, quartiles, the
 gain, bound and unresolved verdicts of `summarize` and their summary
 line, the busy-CPU mark of a pair, the
-calibration of its CPU loop (on a fake clock) and the recorded state and
-source size of a checkout (in temporary directories).  No benchmark process runs."""
+calibration of its CPU loop (on a fake clock), the pin of the loop's child
+and the recorded state and source size of a checkout (in temporary
+directories).  No benchmark process runs."""
 
 import importlib.util
+import json
+import os
 import pathlib
 import shutil
 import subprocess
@@ -172,6 +175,29 @@ def test_calibration_times_one_loop_for_at_least_loop_seconds(monkeypatch):
     # a host slower than the floor at the first guess takes it as it is
     clock, calls = _fake_loop(monkeypatch, 1e-4)
     assert bench_pairs.calibrate(clock=clock) == 10_000 and len(calls) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no /proc")
+def test_the_loop_child_runs_off_the_parents_cpu(monkeypatch):
+    # the rule of gvir.forks.Child: the child narrows the parent's affinity
+    # to its other CPUs, when it holds more than one
+    parent, read = os.getpid(), []
+    real_cpu = bench_pairs.current_cpu
+    monkeypatch.setattr(bench_pairs, "current_cpu", lambda: read.append(real_cpu()) or read[-1])
+    r, w = os.pipe()
+
+    def loop(n):
+        if os.getpid() != parent:
+            os.write(w, json.dumps(sorted(os.sched_getaffinity(0))).encode())
+
+    monkeypatch.setattr(bench_pairs, "_loop", loop)
+    bench_pairs.cpu_ratio(1, rounds=1)
+    os.close(w)
+    with open(r, "rb") as pipe:
+        child = set(json.loads(pipe.read()))
+    allowed = os.sched_getaffinity(0)
+    assert read[0] in allowed
+    assert child == (allowed - {read[0]} if len(allowed) > 1 else allowed)
 
 
 def test_a_plain_directory_records_its_path_and_no_commit(tmp_path):

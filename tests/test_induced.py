@@ -4,6 +4,7 @@ import os
 import pickle
 import random
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -690,10 +691,10 @@ def test_json_report_shape():
 # -- helper processes of quotient_dims -------------------------------------------
 #
 # quotient_dims forks one helper when os.sched_getaffinity(0) holds a second
-# CPU and the table is above induced._HELPER_FLOOR, however many CPUs there
-# are; a table that stays one share may fork one rank peer per large rank
-# instead (linalg.symbolic_rank).  Pinning the CPUs to {0} gives the
-# single-process reference table.
+# CPU and the table has at least two unranked keys, however many CPUs there
+# are; the helper ranks keys from the back while the caller ranks them from
+# the front, and no rank forks a rank peer while the helper lives.  Pinning
+# the CPUs to {0} gives the single-process reference table.
 
 
 def _one_cpu(monkeypatch):
@@ -729,36 +730,80 @@ def forks(monkeypatch):
 REDUCIBLE_L2 = (2, (0, 1), {"alpha": (1, 0), "beta": 0}, Window.make(2, 1))
 
 
+@pytest.fixture
+def logged(monkeypatch):
+    """A list of (pid, entry) pairs that a test appends to in either process;
+    the helper's own pairs travel back in the pickle it sends and join the
+    caller's list."""
+    log = []
+    real_send, real_recv = induced.send, induced.recv
+
+    def send(fd, done):
+        real_send(fd, (done, [e for e in log if e[0] == os.getpid()]))
+
+    def recv(pipe):
+        done, theirs = real_recv(pipe)
+        log.extend(theirs)
+        return done
+
+    monkeypatch.setattr(induced, "send", send)
+    monkeypatch.setattr(induced, "recv", recv)
+    return log
+
+
+@pytest.fixture
+def claims(monkeypatch, logged):
+    """The keys each process ranks (the memo misses of dims_at), in order,
+    as (pid, key) pairs in `logged`."""
+    real_dims_at = InducedModule.dims_at
+
+    def dims_at(self, i, x, radius=None):
+        if (i, tuple(x), radius) not in self._dims_memo:
+            logged.append((os.getpid(), (i, tuple(x), radius)))
+        return real_dims_at(self, i, x, radius)
+
+    monkeypatch.setattr(InducedModule, "dims_at", dims_at)
+    return logged
+
+
+def _sides(log):
+    """The caller's and the helper's entries of a `logged` list."""
+    caller = os.getpid()
+    return [e for pid, e in log if pid == caller], [e for pid, e in log if pid != caller]
+
+
 @pytest.mark.parametrize(
-    "rank, b, bindings, window, helpers",
+    "rank, b, bindings, window",
     [
-        (*REDUCIBLE_L2, True),
-        (2, (0, 1), {"alpha": (1, 0), "beta": 1}, Window.make(2, 1), True),
-        (2, (0, 1), {"alpha": (0, 1), "beta": Fraction(1, 2)}, Window.make(1, 1), False),
-        (2, (1, 2), {"alpha": (1, 1)}, Window.make(1, 1), False),
-        (3, (0, 0, 1), {"alpha": (1, 0, 0), "beta": 0}, Window.make(1, 1, 1), True),
-        (2, (0, 1), {"alpha": Fraction(1, 2), "beta": 0}, Window.make(1, 2), False),
+        REDUCIBLE_L2,
+        (2, (0, 1), {"alpha": (1, 0), "beta": 1}, Window.make(2, 1)),
+        (2, (0, 1), {"alpha": (0, 1), "beta": Fraction(1, 2)}, Window.make(1, 1)),
+        (2, (1, 2), {"alpha": (1, 1)}, Window.make(1, 1)),
+        (3, (0, 0, 1), {"alpha": (1, 0, 0), "beta": 0}, Window.make(1, 1, 1)),
+        (2, (0, 1), {"alpha": Fraction(1, 2), "beta": 0}, Window.make(1, 2)),
     ],
     ids=["reducible-beta0-L2", "reducible-beta1-L2", "alpha-outside-g0", "beta-free", "rank3", "alpha-rational"],
 )
-def test_helpers_give_the_single_process_table(monkeypatch, forks, rank, b, bindings, window, helpers):
+def test_helpers_give_the_single_process_table(monkeypatch, forks, claims, rank, b, bindings, window):
     module = InducedModule(Context.of_rank(rank, **bindings), Group.of_rank(rank), b, window)
     N = window.box_radius
-    cost = sum(
-        len(module.basis_at(i, x, r)) ** 3
-        for i in range(window.level_cap + 1)
-        for x in module.report_weights(i)
-        for r in (N, N + 1)
-    )
-    assert (cost >= induced._HELPER_FLOOR) == helpers
+    # every table here binds alpha: one key per report weight and radius
+    keys = [(i, x, r) for i in range(window.level_cap + 1) for x in module.report_weights(i) for r in (N, N + 1)]
     tables = {}
     for cpus in (2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        claims.clear()
         before = len(forks)
         tables[cpus] = _table(rank, b, bindings, window)
-        # one helper above the floor at 2 and 3 CPUs; below it, no fork at
-        # all (these small tables have no matrix above the peer floor either)
-        assert len(forks) - before == (1 if helpers else 0)
+        # every table of at least two keys forks exactly one helper, at 2
+        # and 3 CPUs alike; the caller ranks a prefix of the keys in table
+        # order, the helper a suffix from the back, they meet (both may rank
+        # the key where they do), and the caller ranks nothing more
+        assert len(forks) - before == 1
+        _no_child_left()
+        mine, theirs = _sides(claims)
+        assert mine == keys[: len(mine)] and theirs == keys[::-1][: len(theirs)]
+        assert len(keys) <= len(mine) + len(theirs) <= len(keys) + 1
     _one_cpu(monkeypatch)
     before = len(forks)
     alone = _table(rank, b, bindings, window)
@@ -786,31 +831,32 @@ def _reduced_above_peer_floor(rows, pk):
     return len(rows) >= linalg._PEER_ROWS and len(terms) * len(occurring) >= linalg._PEER_COST
 
 
-def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
-    # the top level holds nearly all the cost, so no split of the units is
-    # worth a helper; each rank whose matrix is still large once its
-    # rational combinations are dropped, and that its proven bounds leave
-    # open, shares its rows with one peer instead, however many CPUs are
-    # usable.  At beta = 2 the 24-row top matrix is above the floor but its
-    # reduced matrix is not; beta free keeps a reduced matrix above it.  Its
-    # bounds close it, so they decline here until the last check
-    ranks = []  # per rank: forks, above the floor, reduced, reduced above the floor
+def test_alpha_free_table_forks_one_helper_and_no_peer(monkeypatch, forks, logged):
+    # the table's keys are its levels at radii N and N+1, and its top level
+    # holds nearly all the cost: the caller and one helper rank from the two
+    # ends, and while the helper lives no rank forks a rank peer, however
+    # many CPUs are usable.  At beta = 2 the 24-row top matrix is above the
+    # floor but its reduced matrix is not; beta free keeps a reduced matrix
+    # above it, which would fork a peer alone.  Its bounds close it, so they
+    # decline here until the last check
     seen = {}
     real_rank, real_inner, real_reduced = induced.symbolic_rank, linalg._rank, linalg._reduced
     real_bounds = linalg._proven_rank
-    closed = []
 
     def declines(rows, fields, guard):
-        closed.append(real_bounds(rows, fields, guard) is not None)
+        seen["closed"] = real_bounds(rows, fields, guard) is not None
         return None
 
     def rank(reg, rows, unit_var=None):
+        # per rank, in the process that ranks it: forks, above the floor,
+        # reduced, reduced above the floor, whether the bounds would close it
         before = len(forks)
         seen.clear()
         d = real_rank(reg, rows, unit_var=unit_var)
         reduced = seen.get("reduced")
         above = reduced is not None and _reduced_above_peer_floor(reduced, seen["pk"])
-        ranks.append((len(forks) - before, _above_peer_floor(reg, rows, unit_var), reduced is not None, above))
+        entry = (len(forks) - before, _above_peer_floor(reg, rows, unit_var), reduced is not None, above)
+        logged.append((os.getpid(), (*entry, seen.get("closed", False))))
         return d
 
     def inner(packed, pk):
@@ -830,20 +876,30 @@ def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
     for cpus in (2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         for beta in (2, None):
-            del ranks[:]
+            del logged[:]
             before = len(forks)
             q = rank2_module(L=2, N=1, beta=beta).quotient_dims()
             tables[cpus, beta] = q.entries, q.next_entries, q.stable
+            ranks = [e for _, e in logged]
+            # three levels at two radii; the two sides may both rank one
+            assert 6 <= len(ranks) <= 7
             # the pre-pass runs exactly on the matrices above the floor
-            assert all(was_reduced == above for _, above, was_reduced, _ in ranks)
-            assert all(n == (1 if still else 0) for n, _, _, still in ranks)
-            assert any(above for _, above, _, _ in ranks)
-            assert any(still for *_, still in ranks) == (beta is None)
-            assert len(forks) - before == sum(n for n, *_ in ranks)  # no unit helper
+            assert all(was_reduced == above for _, above, was_reduced, *_ in ranks)
+            assert any(above for _, above, *_ in ranks)
+            assert any(still for *_, still, _ in ranks) == (beta is None)
+            # the bounds would have closed each reduced matrix above the floor
+            assert all(closed for *_, still, closed in ranks if still)
+            # the helper is the one fork: no rank of either process forks
+            assert all(n == 0 for n, *_ in ranks)
+            assert len(forks) - before == 1
             _no_child_left()
     assert [len(set(q.level_row(i).values())) for i in range(3)] == [1, 1, 1]
-    # the bounds would have closed the beta-free reduced matrix above the floor
-    assert any(closed)
+    # alone, as one key, the beta-free top matrix forks one rank peer
+    del logged[:]
+    before = len(forks)
+    rank2_module(L=2, N=1).dims_at(2, (0,), 2)
+    assert [e[:4] for _, e in logged] == [(1, True, True, True)] and len(forks) == before + 1
+    _no_child_left()
     monkeypatch.setattr(induced, "symbolic_rank", real_rank)
     _one_cpu(monkeypatch)
     for beta in (2, None):
@@ -851,14 +907,13 @@ def test_alpha_free_table_forks_only_rank_peers(monkeypatch, forks):
         alone = rank2_module(L=2, N=1, beta=beta).quotient_dims()
         assert len(forks) == before
         assert tables[2, beta] == tables[3, beta] == (alone.entries, alone.next_entries, alone.stable)
-    # with its bounds, no rank of either table is left large enough for a
-    # peer: two CPUs fork nothing, for the same tables
+    # with its bounds, two CPUs fork the helper alone, for the same tables
     monkeypatch.setattr(linalg, "_proven_rank", real_bounds)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     for beta in (2, None):
         before = len(forks)
         q = rank2_module(L=2, N=1, beta=beta).quotient_dims()
-        assert len(forks) == before
+        assert len(forks) == before + 1
         assert (q.entries, q.next_entries, q.stable) == tables[2, beta]
 
 
@@ -901,9 +956,9 @@ def test_helper_that_reports_nothing_still_gives_the_table(monkeypatch, forks, f
 
 def test_a_caller_with_live_helpers_forks_no_peers(monkeypatch, forks):
     # with the peer floor at 0 every rank of two usable CPUs splits its rows;
-    # but the caller ranks its own share, and then the share of a helper
-    # that reported nothing, while that helper is live, so the helper is
-    # the one fork
+    # but the caller ranks its end of the table, and then the keys of a
+    # helper that reported nothing, while that helper is live, so the helper
+    # is the one fork
     _one_cpu(monkeypatch)
     expect = _table(*REDUCIBLE_L2)
     monkeypatch.setattr(linalg, "_PEER_ROWS", 0)
@@ -913,9 +968,9 @@ def test_a_caller_with_live_helpers_forks_no_peers(monkeypatch, forks):
     assert _table(*REDUCIBLE_L2) == expect
     assert len(forks) == 1
     _no_child_left()
-    # with the helper floor out of reach the table stays one share, and
-    # each of its large ranks forks a peer
-    monkeypatch.setattr(induced, "_HELPER_FLOOR", float("inf"))
+    # without the helper the caller ranks every key, and each of its large
+    # ranks forks a peer
+    monkeypatch.setattr(induced, "second_cpu", lambda: False)
     assert _table(*REDUCIBLE_L2) == expect
     assert len(forks) > 2
     _no_child_left()
@@ -942,6 +997,58 @@ def test_one_cpu_or_a_live_thread_never_forks(monkeypatch, blocker):
     assert entries[(0, (-1,))] == 0 and all(stable.values())
 
 
+DEFECT_L1 = {"L": 1, "N": 1, "alpha": (1, 0), "beta": Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("end", ["caller", "helper"])
+def test_the_known_defect_raises_the_one_cpu_error_from_either_end(monkeypatch, forks, claims, end):
+    # the defect table's failing keys are level 1 at weight -1, radii 1 and
+    # 2, in the middle of its 24 keys.  The helper, from the back, meets the
+    # second one first and stops there, so the caller meets the first one in
+    # its own claims and raises before it reads the pipe.  With the second
+    # one ranked beforehand (its memo entry set; the run raises before any
+    # table reads it) and a caller that starts late, the helper claims the
+    # first failing key, fails on it and sends what it finished, and the
+    # caller meets that key in its table-order sweep.  Either way the run
+    # raises what one process raises
+    first, second = (1, (-1,), 1), (1, (-1,), 2)
+
+    def run():
+        module = rank2_module(**DEFECT_L1)
+        if end == "helper":
+            module._dims_memo[second] = 0
+        with pytest.raises(ExactDivisionError) as raised:
+            module.quotient_dims()
+        return module, raised.value
+
+    _one_cpu(monkeypatch)
+    _, alone = run()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    caller, real_dims_at = os.getpid(), InducedModule.dims_at
+
+    def dims_at(self, *args):
+        if end == "helper" and os.getpid() == caller and len(self._dims_memo) == 1:
+            time.sleep(1.0)  # the caller starts late
+        return real_dims_at(self, *args)
+
+    monkeypatch.setattr(InducedModule, "dims_at", dims_at)
+    del claims[:]
+    module, got = run()
+    assert type(got) is type(alone) and str(got) == str(alone)
+    assert len(forks) == 1
+    _no_child_left()
+    keys = [(i, x, r) for i in range(2) for x in module.report_weights(i) for r in (1, 2)]
+    if end == "helper":
+        keys.remove(second)
+    mine, theirs = _sides(claims)
+    # the caller ranks the keys in front of the first failing key, then it
+    assert mine == keys[: keys.index(first) + 1]
+    if end == "caller":
+        assert theirs == []  # the caller raised while the helper ranked
+    else:
+        assert theirs == keys[::-1][: len(keys) - keys.index(first)]
+
+
 class _Stop(BaseException):
     """Stands in for a signal handler that ends the run (a job timeout)."""
 
@@ -952,9 +1059,7 @@ def test_no_helper_outlives_quotient_dims(monkeypatch, forks):
     _table(*REDUCIBLE_L2)
     assert len(forks) == 1
     _no_child_left()
-    # the known defect raises in the caller, with its own type (this small
-    # table forks a helper only with the floor lowered)
-    monkeypatch.setattr(induced, "_HELPER_FLOOR", 0)
+    # the known defect raises in the caller, with its own type
     with pytest.raises(ExactDivisionError, match="division is not exact"):
         rank2_module(L=1, N=1, alpha=(1, 0), beta=Fraction(1, 2)).quotient_dims()
     assert len(forks) == 2

@@ -37,9 +37,11 @@ one process, reads the host as fast.  So before and after each pair a CPU
 loop is timed in one process and in two processes at once; a pair whose
 two-to-one ratio exceeds BUSY_RATIO (2 on a busy second CPU, about 1 on a
 free one) is marked busy in its progress line, and each workload's summary
-counts such pairs.  The verdicts count every pair.  The loop's step count
-is calibrated once, by time, so that one loop takes at least LOOP_SECONDS:
-loops of a few hundredths of a second read scheduler noise as a busy CPU.
+counts such pairs.  The verdicts count every pair.  The loop's child is
+pinned off the parent's CPU, by the rule of `gvir.forks.Child`: Linux keeps
+a forked child on its parent's CPU for its first half second or so, so an
+unpinned child reads a free second CPU as busy.  The loop's step count is
+calibrated once, by time, so that one loop takes at least LOOP_SECONDS.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ import time
 
 # above this two-to-one ratio of the CPU loop, a pair ran on a busy CPU
 BUSY_RATIO = 1.5
-# the least time of one CPU loop: on a 2-vCPU Xeon host, 12 ratios of
-# 0.03 s loops read 1.04-2.22 (4 above BUSY_RATIO), and 12 of 0.3 s loops
-# read 0.93-1.46
+# the least time of one CPU loop.  On a 2-vCPU Xeon host the child of an
+# unpinned fork shared its parent's CPU for its first 0.5-1 s (migration
+# delay): ratios of 0.03 s loops read 1.04-2.22, of 0.3 s loops 0.93-1.46,
+# and one of 0.25 s loops read 1.71 on an idle host
 LOOP_SECONDS = 0.25
 
 
@@ -147,19 +150,44 @@ def calibrate(seconds=LOOP_SECONDS, clock=time.perf_counter):
         n = math.ceil(1.05 * n * seconds / max(took, 1e-6))
 
 
+def current_cpu():
+    """The CPU this process last ran on: field 39 of /proc/self/stat,
+    counted after the last ')'; None where it cannot be read."""
+    try:
+        with open("/proc/self/stat", encoding="ascii", errors="replace") as fh:
+            text = fh.read()
+        return int(text[text.rindex(")") + 1 :].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def pin_off(cpu):
+    """Narrow this process's affinity to its CPUs other than cpu, when it
+    holds more than one; unpinned without a cpu or when the kernel refuses."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        if cpu is not None and len(allowed) > 1:
+            os.sched_setaffinity(0, allowed - {cpu})
+    except (OSError, AttributeError):
+        pass
+
+
 def cpu_ratio(n, rounds=3):
     """The least time of n loop steps run in this process and in a forked
-    child at once, over the least time of n steps in this process alone,
-    over a few rounds (the least time is the one that noise moves least)."""
+    child, pinned off this process's CPU, at once, over the least time of n
+    steps in this process alone, over a few rounds (the least time is the
+    one that noise moves least)."""
     one, two = [], []
     for _ in range(rounds):
         start = time.perf_counter()
         _loop(n)
         one.append(time.perf_counter() - start)
+        cpu = current_cpu()
         start = time.perf_counter()
         pid = os.fork()
         if pid == 0:
             try:
+                pin_off(cpu)
                 _loop(n)
             finally:
                 os._exit(0)
