@@ -813,6 +813,27 @@ def test_helpers_give_the_single_process_table(monkeypatch, forks, claims, rank,
     assert set(entries) == set(next_entries) == set(stable) and any(entries.values())
 
 
+def test_the_two_ends_meet_once_in_every_run(monkeypatch, forks, claims):
+    # the claims race: over many runs of a small table, wherever the two
+    # sides meet, the caller's keys are a prefix, the helper's a suffix,
+    # at most one key is ranked twice, none is left, and the table is the
+    # one-CPU table
+    table = (2, (0, 1), {"alpha": (0, 1), "beta": Fraction(1, 2)}, Window.make(1, 1))
+    _one_cpu(monkeypatch)
+    expect = _table(*table)
+    module = InducedModule(Context.of_rank(2, **table[2]), Group.of_rank(2), table[1], table[3])
+    keys = [(i, x, r) for i in range(2) for x in module.report_weights(i) for r in (1, 2)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for _ in range(30):
+        del claims[:]
+        assert _table(*table) == expect
+        mine, theirs = _sides(claims)
+        assert mine == keys[: len(mine)] and theirs == keys[::-1][: len(theirs)]
+        assert len(keys) <= len(mine) + len(theirs) <= len(keys) + 1
+    assert len(forks) == 30
+    _no_child_left()
+
+
 def _above_peer_floor(reg, rows, unit_var):
     """The prepared matrix's size against the peer floor, counted here on
     the rows read back as Polys and prepared the old way."""

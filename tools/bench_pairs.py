@@ -58,10 +58,11 @@ import time
 
 # above this two-to-one ratio of the CPU loop, a pair ran on a busy CPU
 BUSY_RATIO = 1.5
-# the least time of one CPU loop.  On a 2-vCPU Xeon host the child of an
-# unpinned fork shared its parent's CPU for its first 0.5-1 s (migration
-# delay): ratios of 0.03 s loops read 1.04-2.22, of 0.3 s loops 0.93-1.46,
-# and one of 0.25 s loops read 1.71 on an idle host
+# the least time of one CPU loop.  On a 2-vCPU Xeon host an unpinned child
+# shared its parent's CPU for its first 0.5-1 s (migration delay): ratios of
+# 0.03 s loops read 1.04-2.22, of 0.3 s loops 0.93-1.46, and one of 0.25 s
+# loops read 1.71 on an idle host.  Pinned, 5 ratios each of 0.05 s and
+# 0.25 s loops read 1.04-1.34 and 1.02-1.15
 LOOP_SECONDS = 0.25
 
 
@@ -168,7 +169,7 @@ def pin_off(cpu):
         allowed = os.sched_getaffinity(0)
         if cpu is not None and len(allowed) > 1:
             os.sched_setaffinity(0, allowed - {cpu})
-    except (OSError, AttributeError):
+    except OSError:
         pass
 
 
