@@ -772,6 +772,17 @@ def _sides(log):
     return [e for pid, e in log if pid == caller], [e for pid, e in log if pid != caller]
 
 
+def _ends_meet(claims, module):
+    """The caller ranked a prefix of an alpha-bound table's keys in table
+    order, the helper a suffix from the back, and they met: no key is left,
+    and at most the one where they met was ranked twice."""
+    N = module.window.box_radius
+    keys = [(i, x, r) for i in range(module.window.level_cap + 1) for x in module.report_weights(i) for r in (N, N + 1)]
+    mine, theirs = _sides(claims)
+    assert mine == keys[: len(mine)] and theirs == keys[::-1][: len(theirs)]
+    assert len(keys) <= len(mine) + len(theirs) <= len(keys) + 1
+
+
 @pytest.mark.parametrize(
     "rank, b, bindings, window",
     [
@@ -786,9 +797,6 @@ def _sides(log):
 )
 def test_helpers_give_the_single_process_table(monkeypatch, forks, claims, rank, b, bindings, window):
     module = InducedModule(Context.of_rank(rank, **bindings), Group.of_rank(rank), b, window)
-    N = window.box_radius
-    # every table here binds alpha: one key per report weight and radius
-    keys = [(i, x, r) for i in range(window.level_cap + 1) for x in module.report_weights(i) for r in (N, N + 1)]
     tables = {}
     for cpus in (2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -796,14 +804,10 @@ def test_helpers_give_the_single_process_table(monkeypatch, forks, claims, rank,
         before = len(forks)
         tables[cpus] = _table(rank, b, bindings, window)
         # every table of at least two keys forks exactly one helper, at 2
-        # and 3 CPUs alike; the caller ranks a prefix of the keys in table
-        # order, the helper a suffix from the back, they meet (both may rank
-        # the key where they do), and the caller ranks nothing more
+        # and 3 CPUs alike, and the two rank it from opposite ends
         assert len(forks) - before == 1
         _no_child_left()
-        mine, theirs = _sides(claims)
-        assert mine == keys[: len(mine)] and theirs == keys[::-1][: len(theirs)]
-        assert len(keys) <= len(mine) + len(theirs) <= len(keys) + 1
+        _ends_meet(claims, module)
     _one_cpu(monkeypatch)
     before = len(forks)
     alone = _table(rank, b, bindings, window)
@@ -815,21 +819,16 @@ def test_helpers_give_the_single_process_table(monkeypatch, forks, claims, rank,
 
 def test_the_two_ends_meet_once_in_every_run(monkeypatch, forks, claims):
     # the claims race: over many runs of a small table, wherever the two
-    # sides meet, the caller's keys are a prefix, the helper's a suffix,
-    # at most one key is ranked twice, none is left, and the table is the
-    # one-CPU table
+    # sides meet, they meet once, and the table is the one-CPU table
     table = (2, (0, 1), {"alpha": (0, 1), "beta": Fraction(1, 2)}, Window.make(1, 1))
     _one_cpu(monkeypatch)
     expect = _table(*table)
     module = InducedModule(Context.of_rank(2, **table[2]), Group.of_rank(2), table[1], table[3])
-    keys = [(i, x, r) for i in range(2) for x in module.report_weights(i) for r in (1, 2)]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     for _ in range(30):
         del claims[:]
         assert _table(*table) == expect
-        mine, theirs = _sides(claims)
-        assert mine == keys[: len(mine)] and theirs == keys[::-1][: len(theirs)]
-        assert len(keys) <= len(mine) + len(theirs) <= len(keys) + 1
+        _ends_meet(claims, module)
     assert len(forks) == 30
     _no_child_left()
 
@@ -939,9 +938,9 @@ def test_alpha_free_table_forks_one_helper_and_no_peer(monkeypatch, forks, logge
 
 
 def test_alpha_bound_table_forks_one_helper_at_three_cpus(monkeypatch, forks):
-    # a call forks one child at most: at three usable CPUs a table above the
-    # floor forks one helper, and the caller's ranks, made while it is live,
-    # fork no peer even with the peer floors at 0
+    # a call forks one child at most: at three usable CPUs a table forks one
+    # helper, and the caller's ranks, made while it is live, fork no peer
+    # even with the peer floors at 0
     _one_cpu(monkeypatch)
     expect = _table(*REDUCIBLE_L2)
     monkeypatch.setattr(linalg, "_PEER_ROWS", 0)
@@ -1082,10 +1081,10 @@ def test_no_helper_outlives_quotient_dims(monkeypatch, forks):
     _no_child_left()
     # the known defect raises in the caller, with its own type
     with pytest.raises(ExactDivisionError, match="division is not exact"):
-        rank2_module(L=1, N=1, alpha=(1, 0), beta=Fraction(1, 2)).quotient_dims()
+        rank2_module(**DEFECT_L1).quotient_dims()
     assert len(forks) == 2
     _no_child_left()
-    # a BaseException in the caller while the helper still ranks its share
+    # a BaseException in the caller while the helper still ranks its end
     caller = os.getpid()
     calls = []
     real_dims_at = InducedModule.dims_at
